@@ -101,8 +101,10 @@ class Backend(abc.ABC):
         """Gather ``x[idx]`` (``idx`` is host int64 structure)."""
 
     @abc.abstractmethod
-    def put(self, x: Any, idx: np.ndarray, values: Any) -> None:
-        """In-place scatter-assign ``x[idx] = values`` (last write wins)."""
+    def put(self, x: Any, idx: np.ndarray, values: Any, axis: int = 0) -> None:
+        """In-place scatter-assign ``x[idx] = values`` (last write wins);
+        ``axis=1`` assigns ``x[:, idx] = values``, the mirror of
+        :meth:`take` along that axis."""
 
     @abc.abstractmethod
     def repeat(self, x: Any, counts: Any) -> Any:
@@ -167,6 +169,18 @@ class Backend(abc.ABC):
         """Dense ``A @ x`` (also covers matrix-matrix: ``A @ X``)."""
 
     @abc.abstractmethod
+    def batched_matmul(self, a: Any, b: Any) -> Any:
+        """Stacked dense product ``a @ b`` over broadcast leading axes.
+
+        The supernodal SpTRSV kernel: one call multiplies every
+        same-shape supernode block ``(g, m, w)`` of a level with its
+        gathered vector slices ``(k, g, w, 1)``.  On the numpy backend
+        every batch entry goes through the same BLAS routine whatever
+        ``g`` and ``k`` are, so an entry's bits depend only on its own
+        operands -- the contract behind the merged-equals-per-subdomain
+        and block-equals-single-column pins."""
+
+    @abc.abstractmethod
     def solve_triangular(
         self,
         a: Any,
@@ -174,8 +188,8 @@ class Backend(abc.ABC):
         lower: bool = True,
         unit_diagonal: bool = False,
     ) -> Any:
-        """Dense triangular solve ``a x = b`` (the supernodal diagonal
-        block kernel; delegates to LAPACK / cuBLAS-analogue)."""
+        """Dense triangular solve ``a x = b`` (delegates to LAPACK /
+        cuBLAS-analogue)."""
 
     # ------------------------------------------------------------------
     # dtype helpers

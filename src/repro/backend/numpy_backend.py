@@ -64,11 +64,14 @@ class NumpyBackend(Backend):
         """Fancy-index gather ``x[idx]`` (axis 0) / ``x[:, idx]``."""
         if axis == 0:
             return x[idx]
-        return np.take(x, idx, axis=axis)
+        return x.take(idx, axis=axis)
 
-    def put(self, x: Any, idx: np.ndarray, values: Any) -> None:
-        """``x[idx] = values``."""
-        x[idx] = values
+    def put(self, x: Any, idx: np.ndarray, values: Any, axis: int = 0) -> None:
+        """``x[idx] = values`` (axis 0) / ``x[:, idx] = values``."""
+        if axis == 0:
+            x[idx] = values
+        else:
+            x[:, idx] = values
 
     def repeat(self, x: Any, counts: Any) -> np.ndarray:
         """``np.repeat``."""
@@ -116,6 +119,10 @@ class NumpyBackend(Backend):
         """Dense ``a @ x`` through BLAS."""
         return a @ x
 
+    def batched_matmul(self, a: Any, b: Any) -> np.ndarray:
+        """``np.matmul`` over the stacked operands."""
+        return np.matmul(a, b)
+
     def solve_triangular(
         self,
         a: Any,
@@ -123,7 +130,7 @@ class NumpyBackend(Backend):
         lower: bool = True,
         unit_diagonal: bool = False,
     ) -> np.ndarray:
-        """The exact LAPACK call the supernodal solver used inline."""
+        """``scipy.linalg.solve_triangular`` without the finite check."""
         from scipy.linalg import solve_triangular
 
         return solve_triangular(

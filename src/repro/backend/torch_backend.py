@@ -140,9 +140,12 @@ class TorchBackend(Backend):
         t = self.asarray(x)
         return _torch.index_select(t, axis, self.asarray(idx, np.int64))
 
-    def put(self, x: Any, idx: np.ndarray, values: Any) -> None:
-        """``x[idx] = values``."""
-        x[self.asarray(idx, np.int64)] = self.asarray(values)
+    def put(self, x: Any, idx: np.ndarray, values: Any, axis: int = 0) -> None:
+        """``x[idx] = values`` (axis 0) / ``x[:, idx] = values``."""
+        if axis == 0:
+            x[self.asarray(idx, np.int64)] = self.asarray(values)
+        else:
+            x[:, self.asarray(idx, np.int64)] = self.asarray(values)
 
     def repeat(self, x: Any, counts: Any):
         """``torch.repeat_interleave``."""
@@ -211,6 +214,10 @@ class TorchBackend(Backend):
     def gemv(self, a: Any, x: Any):
         """Dense ``a @ x`` through the device BLAS."""
         return self.asarray(a) @ self.asarray(x)
+
+    def batched_matmul(self, a: Any, b: Any):
+        """``torch.matmul`` over the stacked operands."""
+        return _torch.matmul(self.asarray(a), self.asarray(b))
 
     def solve_triangular(
         self,

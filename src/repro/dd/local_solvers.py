@@ -5,7 +5,9 @@ solved exactly (SuperLU or Tacho direct factorizations), inexactly
 (level-set ILU(k) + SpTRSV), or approximately-iteratively (FastILU +
 FastSpTRSV).  A :class:`LocalSolverSpec` names the combination; its
 :meth:`~LocalSolverSpec.build` factors one subdomain matrix and returns
-a :class:`FactoredLocal` with a uniform ``apply`` plus the per-phase
+a :class:`FactoredLocal`: the solve *described* as permutation, scaling
+and triangular stages (:class:`~repro.tri.factored.FactoredSolve`), a
+uniform ``apply`` derived from that description, plus the per-phase
 kernel profiles the harness prices.
 
 GPU-vs-CPU pairing follows Section VIII-A exactly:
@@ -26,7 +28,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.machine.kernels import KernelProfile
+from repro.sparse.blocks import inverse_permutation
 from repro.sparse.csr import CsrMatrix
+from repro.tri.factored import FactoredSolve
 
 __all__ = ["LocalSolverSpec", "FactoredLocal", "SOLVER_KINDS", "ORDERINGS"]
 
@@ -130,9 +134,13 @@ class FactoredLocal:
 
     Attributes
     ----------
-    apply:
-        Callable mapping a residual restriction to the (approximate)
-        local solution ``A_i^{-1} v``.
+    stages:
+        The :class:`~repro.tri.factored.FactoredSolve` description of
+        the (approximate) local inverse ``A_i^{-1}``: permutation and
+        scaling stages around the two triangular factors.
+        :meth:`apply` executes it; :class:`~repro.dd.schwarz.OneLevelSchwarz`
+        merges the descriptions of all subdomains into one
+        block-diagonal solve.
     symbolic_profile:
         Pattern-analysis work, reusable across refactorizations when
         ``symbolic_reusable``.
@@ -151,7 +159,7 @@ class FactoredLocal:
 
     def __init__(
         self,
-        apply_fn,
+        stages: FactoredSolve,
         symbolic_profile: KernelProfile,
         numeric_profile: KernelProfile,
         setup_profile: KernelProfile,
@@ -161,7 +169,7 @@ class FactoredLocal:
         exact: bool = True,
         refactor_fn=None,
     ) -> None:
-        self._apply = apply_fn
+        self.stages = stages
         self.symbolic_profile = symbolic_profile
         self.numeric_profile = numeric_profile
         self.setup_profile = setup_profile
@@ -172,15 +180,15 @@ class FactoredLocal:
         self._refactor_fn = refactor_fn
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Apply the (approximate) local inverse."""
-        return self._apply(v)
+        """Apply the (approximate) local inverse (1-D or ``(n, k)`` ``v``)."""
+        return self.stages.apply(v)
 
     def refactor(self, a_new: CsrMatrix) -> "FactoredLocal":
         """Numeric-only refactorization over a same-pattern matrix.
 
-        Returns a fresh :class:`FactoredLocal` with updated factors and
-        solve closures.  Kinds with ``symbolic_reusable`` skip the
-        symbolic phase (their pattern guards raise
+        Returns a fresh :class:`FactoredLocal` with updated factors.
+        Kinds with ``symbolic_reusable`` skip the symbolic phase (their
+        pattern guards raise
         :class:`~repro.reuse.fingerprint.PatternChangedError` on
         pattern drift); SuperLU re-runs the full factorization because
         partial pivoting ties its ordering to the values.
@@ -204,6 +212,7 @@ def _build_superlu(a: CsrMatrix, spec: LocalSolverSpec) -> FactoredLocal:
     # False), matching the paper's per-refactorization symbolic cost.
     refactor = lambda a_new: _build_superlu(a_new, spec)  # noqa: E731
     setup = KernelProfile()
+    stages, solve_prof = slu.stages, slu.solve_profile
     if spec.gpu_solve:
         # supernodal KK SpTRSV over the LU factors: detection + block
         # assembly rerun after EVERY numeric factorization (pivoting).
@@ -221,35 +230,18 @@ def _build_superlu(a: CsrMatrix, spec: LocalSolverSpec) -> FactoredLocal:
             bytes=float(u_csr.nnz * 48),
             parallelism=float(snu.n_supernodes),
         )
-        perm, row_perm = slu.perm, slu.row_perm
-
-        def apply_gpu(v: np.ndarray) -> np.ndarray:
-            vp = v[perm][row_perm]
-            y = snl.solve_forward(vp)
-            z = snu.solve_backward(y)
-            out = np.empty_like(np.asarray(z, dtype=np.float64))
-            out[perm] = z
-            return out
-
+        stages = replace(
+            stages, lower=(snl, "solve_forward"), upper=(snu, "solve_backward")
+        )
         solve_prof = KernelProfile()
         solve_prof.extend(snl.kernel_profile())
         solve_prof.extend(snu.kernel_profile())
-        return FactoredLocal(
-            apply_gpu,
-            slu.symbolic_profile,
-            slu.numeric_profile,
-            setup,
-            solve_prof,
-            symbolic_reusable=False,
-            cpu_only_numeric=True,
-            refactor_fn=refactor,
-        )
     return FactoredLocal(
-        slu.solve,
+        stages,
         slu.symbolic_profile,
         slu.numeric_profile,
         setup,
-        slu.solve_profile,
+        solve_prof,
         symbolic_reusable=False,
         cpu_only_numeric=True,
         refactor_fn=refactor,
@@ -266,7 +258,7 @@ def _build_tacho(a: CsrMatrix, spec: LocalSolverSpec) -> FactoredLocal:
 
 def _wrap_tacho(t, spec: LocalSolverSpec) -> FactoredLocal:
     return FactoredLocal(
-        t.solve,
+        t.stages,
         t.symbolic_profile,
         t.numeric_profile,
         KernelProfile(),
@@ -289,15 +281,6 @@ def _wrap_iluk(f, spec: LocalSolverSpec) -> FactoredLocal:
 
     lsol = LevelScheduledTriangular(f.l, lower=True, unit_diagonal=True)
     usol = LevelScheduledTriangular(f.u, lower=False)
-    perm = f.perm
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
-
-    def apply_fn(v: np.ndarray) -> np.ndarray:
-        vp = v[perm]
-        x = usol.solve(lsol.solve(vp))
-        return x[inv]
-
     solve_prof = KernelProfile()
     solve_prof.extend(lsol.kernel_profile())
     solve_prof.extend(usol.kernel_profile())
@@ -309,7 +292,12 @@ def _wrap_iluk(f, spec: LocalSolverSpec) -> FactoredLocal:
         parallelism=1.0,
     )
     return FactoredLocal(
-        apply_fn,
+        FactoredSolve(
+            perm_in=f.perm,
+            lower=(lsol, "solve"),
+            upper=(usol, "solve"),
+            perm_out=inverse_permutation(f.perm),
+        ),
         f.symbolic_profile,
         f.numeric_profile,
         setup,
@@ -340,21 +328,19 @@ def _wrap_fastilu(f, spec: LocalSolverSpec) -> FactoredLocal:
         f.l, sweeps=spec.solve_sweeps, unit_diagonal=True, damping=spec.solve_damping
     )
     usol = JacobiTriangular(f.u, sweeps=spec.solve_sweeps, damping=spec.solve_damping)
-    perm = f.perm
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
-    scale = f.row_scale  # factors approximate S A S (see FastIlu.numeric)
-
-    def apply_fn(v: np.ndarray) -> np.ndarray:
-        vp = scale * v[perm]
-        x = scale * usol.solve(lsol.solve(vp))
-        return x[inv]
-
     solve_prof = KernelProfile()
     solve_prof.extend(lsol.kernel_profile())
     solve_prof.extend(usol.kernel_profile())
     return FactoredLocal(
-        apply_fn,
+        FactoredSolve(
+            perm_in=f.perm,
+            lower=(lsol, "solve"),
+            upper=(usol, "solve"),
+            perm_out=inverse_permutation(f.perm),
+            # the factors approximate S A S (see FastIlu.numeric)
+            scale_in=f.row_scale,
+            scale_out=f.row_scale,
+        ),
         f.symbolic_profile,
         f.numeric_profile,
         KernelProfile(),

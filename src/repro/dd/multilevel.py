@@ -111,12 +111,19 @@ class MultilevelCoarseSolver:
         return False
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Approximately solve ``A0 x = v`` with inner GDSW-GMRES."""
+        """Approximately solve ``A0 x = v`` with inner GDSW-GMRES.
+
+        The inner Krylov solve is per right-hand side: an ``(n0, k)``
+        block is solved column by column.
+        """
         from repro.krylov import gmres
 
+        v = np.asarray(v, dtype=np.float64)
+        if v.ndim == 2:
+            return np.stack([self.apply(v[:, j]) for j in range(v.shape[1])], axis=1)
         res = gmres(
             self.a0,
-            np.asarray(v, dtype=np.float64),
+            v,
             preconditioner=self.precond,
             rtol=1e-10,  # iteration cap below is the real control
             restart=max(self.inner_iterations, 1),

@@ -99,7 +99,9 @@ class HalfPrecisionOperator:
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Cast down, apply the inner operator, cast back up.
 
-        When a resilience engine with detection is active, a finite
+        ``v`` is a vector or an ``(n, k)`` block of columns (the casts
+        are elementwise; the inner operator takes the block in one
+        call).  When a resilience engine with detection is active, a finite
         value overflowing the float32 cast raises
         :class:`~repro.resilience.detect.FloatOverflowError` (the
         recovery ladder responds by promoting the preconditioner back

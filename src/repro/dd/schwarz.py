@@ -5,11 +5,16 @@ The second term of Eq. (1): ``sum_i R_i^T A_i^{-1} R_i`` with
 is the classical one-level preconditioner whose iteration counts grow
 with the number of subdomains -- the failure mode the GDSW coarse level
 cures (and which our ablation benches demonstrate).
+
+The sum is applied as ``R^T blkdiag(A_i)^{-1} R``: the local solves of
+all subdomains (and all right-hand-side columns) advance through one
+merged triangular plan instead of a per-rank loop -- the paper's "many
+small subdomains per device" layout.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,8 +29,56 @@ from repro.reuse.cache import get_artifact_cache
 from repro.reuse.fingerprint import partition_fingerprint, pattern_fingerprint
 from repro.sparse.blocks import extract_submatrix
 from repro.sparse.csr import CsrMatrix
+from repro.tri.factored import FactoredSolve
 
 __all__ = ["OneLevelSchwarz"]
+
+
+class _MergedLocals:
+    """``blkdiag(A_i)^{-1}`` over all ranks: one merged solve per solver kind.
+
+    ``sum_i R_i^T A_i^{-1} R_i = R^T blkdiag(A_i)^{-1} R``, and a
+    block-diagonal triangular factor is one more triangular factor whose
+    level count is the maximum over the subdomains, not the sum.  Ranks
+    are grouped by the :attr:`~repro.tri.factored.FactoredSolve.signature`
+    of their local solve (one group unless a recovery ladder moved a
+    rank to another solver kind) and each group's descriptions merge
+    into one.  The plan remembers the very ``FactoredLocal`` objects it
+    was built from: replacing any entry of ``locals`` makes it stale.
+    """
+
+    def __init__(self, locals_: Sequence[FactoredLocal]) -> None:
+        self.locals = list(locals_)
+        bounds = np.concatenate([[0], np.cumsum([loc.stages.n for loc in locals_])])
+        by_kind: Dict[tuple, List[int]] = {}
+        for rank, loc in enumerate(locals_):
+            by_kind.setdefault(loc.stages.signature, []).append(rank)
+        #: ``(positions, solve)`` per kind; positions index the
+        #: rank-major vector (None: the one group covers all of it)
+        self.groups: List[Tuple[Optional[np.ndarray], FactoredSolve]] = []
+        for ranks in by_kind.values():
+            positions = None
+            if len(by_kind) > 1:
+                positions = np.concatenate(
+                    [np.arange(bounds[r], bounds[r + 1]) for r in ranks]
+                )
+            solve = FactoredSolve.block_diag([locals_[r].stages for r in ranks])
+            self.groups.append((positions, solve))
+
+    def built_from(self, locals_: Sequence[FactoredLocal]) -> bool:
+        """True while ``locals_`` still holds exactly the merged objects."""
+        return len(locals_) == len(self.locals) and all(
+            a is b for a, b in zip(locals_, self.locals)
+        )
+
+    def solve(self, x: np.ndarray) -> np.ndarray:
+        """All local solves on the rank-major ``x`` (1-D or ``(N, k)``)."""
+        if len(self.groups) == 1:
+            return self.groups[0][1].apply(x)
+        out = np.empty(x.shape, dtype=np.float64)
+        for positions, solve in self.groups:
+            out[positions] = solve.apply(x[positions])
+        return out
 
 
 class OneLevelSchwarz:
@@ -104,6 +157,10 @@ class OneLevelSchwarz:
                 if self.dof_sets
                 else np.empty(0, dtype=np.int64)
             )
+            # rank r owns [bounds[r], bounds[r + 1]) of that rank-major order
+            self._rank_bounds = np.concatenate(
+                [[0], np.cumsum([d.size for d in self.dof_sets])]
+            ).astype(np.int64)
         self.locals: List[FactoredLocal] = []
         self.matrices: List[CsrMatrix] = []
         # donor factorizations keyed by their overlapping dof set; valid
@@ -152,8 +209,14 @@ class OneLevelSchwarz:
             for rank, ns in enumerate(node_sets):
                 w = (dec.node_owner[ns] == rank).astype(np.float64)
                 self._weights.append(np.repeat(w, dec.dofs_per_node))
+            self._scatter_weights = np.concatenate(self._weights)
         else:
             self._weights = None
+            self._scatter_weights = None
+
+        # the merged local solve is part of setup, not of the first apply
+        self._plan: Optional[_MergedLocals] = None
+        self._merged()
 
     # ------------------------------------------------------------------
     @property
@@ -184,43 +247,76 @@ class OneLevelSchwarz:
                 )
                 self.matrices[rank] = a_i
                 self.locals[rank] = loc
+        self._merged()
+
+    def _merged(self) -> _MergedLocals:
+        """The merged local solve of the *current* ``locals``.
+
+        Keyed on the identity of the ``locals`` entries, so every
+        in-place replacement (:meth:`refactor`, a resilience-ladder
+        rebuild, a respawn repair, a mixed-kind escalation) invalidates
+        it without the replacing code knowing the plan exists.
+        """
+        if self._plan is None or not self._plan.built_from(self.locals):
+            self._plan = _MergedLocals(self.locals)
+        return self._plan
+
+    def _per_rank(self, hook, x: np.ndarray) -> None:
+        """Pass every rank's slice of the rank-major ``x`` through ``hook``.
+
+        The resilience hooks take one rank's 1-D vector in dof order; a
+        block is handed over column by column.
+        """
+        for rank in range(len(self.dof_sets)):
+            part = x[self._rank_bounds[rank] : self._rank_bounds[rank + 1]]
+            if x.ndim == 1:
+                part[:] = hook(rank, part)
+            else:
+                for j in range(x.shape[1]):
+                    part[:, j] = hook(rank, part[:, j])
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Apply ``sum_i R_i^T (D_i) A_i^{-1} R_i v``.
+        """Apply ``sum_i R_i^T (D_i) A_i^{-1} R_i v`` to ``v`` (``(n,)`` or ``(n, k)``).
 
-        The gather/scatter halves route through the array backend of
-        ``v``; the local subdomain solves stay host solvers (they wrap
+        One gather into rank-major order, the merged local solve of all
+        subdomains (and all columns), one scatter-add.  A rank's slice
+        of the merged solve equals its own ``locals[rank].apply`` and
+        column ``j`` of a block equals the apply of column ``j``, both
+        bit for bit.  The gather/scatter halves route through the array
+        backend of ``v``; the local solves are host solvers (they wrap
         factored objects), so a non-numpy ``v`` is transferred once per
-        apply.  The numpy path is bit-identical to the pre-refactor
-        bincount plan.
+        apply.
         """
         with get_tracer().span("apply/local_solve") as sp:
-            sp.count("local_solves", float(len(self.dof_sets)))
             bk = get_backend(v)
             v = bk.astype(bk.asarray(v), np.float64)
+            columns = 1 if v.ndim == 1 else v.shape[1]
+            sp.count("local_solves", float(columns * len(self.dof_sets)))
             v_host = v if bk.is_numpy else bk.to_numpy(v)
+            if not self.dof_sets:
+                return bk.zeros(v_host.shape, dtype=np.float64)
             eng = get_engine()
-            parts: List[np.ndarray] = []
-            for rank, dofs in enumerate(self.dof_sets):
-                v_i = v_host[dofs]
-                if eng is not None:
-                    v_i = eng.filter_restrict(rank, v_i)
-                x_i = self.locals[rank].apply(v_i)
-                if eng is not None:
-                    x_i = eng.check_local_solution(rank, x_i)
-                if self._weights is not None:
-                    x_i = x_i * self._weights[rank]
-                parts.append(np.asarray(x_i, dtype=np.float64))  # backend-ok: host solver output
-            # single vectorized scatter-add over the precomputed index
-            # plan; bincount accumulates sequentially in input order, so
-            # concatenating rank-major reproduces the per-rank
-            # ``np.add.at`` addition order bit for bit
-            if not parts:
-                return bk.zeros(v_host.size, dtype=np.float64)
-            return bk.scatter_add(
-                self._scatter_dofs,
-                bk.concatenate(parts),
-                v_host.size,
+            x = v_host[self._scatter_dofs]
+            if eng is not None:
+                self._per_rank(eng.filter_restrict, x)
+            x = self._merged().solve(x)
+            if eng is not None:
+                self._per_rank(eng.check_local_solution, x)
+            if self._scatter_weights is not None:
+                w = self._scatter_weights
+                x = x * (w if x.ndim == 1 else w[:, None])
+            # bincount accumulates sequentially in input order, so the
+            # rank-major order reproduces a per-rank ``np.add.at`` loop
+            # bit for bit
+            n = v_host.shape[0]
+            if x.ndim == 1:
+                return bk.scatter_add(self._scatter_dofs, x, n)
+            return bk.stack(
+                [
+                    bk.scatter_add(self._scatter_dofs, x[:, j], n)
+                    for j in range(columns)
+                ],
+                axis=1,
             )
 
     # ------------------------------------------------------------------

@@ -466,7 +466,12 @@ class GDSWPreconditioner:
             )
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Apply ``M^{-1} v`` (additive combination of both levels)."""
+        """Apply ``M^{-1} v`` (additive combination of both levels).
+
+        ``v`` is a vector or an ``(n, k)`` block of columns; column
+        ``j`` of a block result equals the apply of column ``j`` bit
+        for bit.
+        """
         v = np.asarray(v, dtype=np.float64)
         out = self.one_level.apply(v)
         if self.phi is not None:
@@ -477,7 +482,7 @@ class GDSWPreconditioner:
                 eng = get_engine()
                 if eng is not None:
                     xc = eng.check_coarse(xc)
-                out = out + self.phi.matvec(xc)
+                out = out + self.phi.matmat(xc)
         return out
 
     # ------------------------------------------------------------------

@@ -9,12 +9,14 @@ numeric and solve phases are the GPU targets.
 
 from __future__ import annotations
 
+from typing import Optional
 
 import numpy as np
 
 from repro.machine.kernels import KernelProfile
 from repro.obs import get_tracer
 from repro.sparse.csr import CsrMatrix
+from repro.tri.factored import FactoredSolve
 
 __all__ = ["DirectSolver", "direct_solver"]
 
@@ -33,7 +35,11 @@ class DirectSolver:
     ``numeric_profile``, ``solve_profile``) and
     ``symbolic_reusable`` -- True when a refactorization with the same
     pattern can skip both the symbolic phase *and* any solver setup
-    derived from the factor structure (Tacho yes, SuperLU no).
+    derived from the factor structure (Tacho yes, SuperLU no).  The
+    numeric phase also sets ``stages``, the
+    :class:`~repro.tri.factored.FactoredSolve` description of the solve
+    (permutations and the two triangular factors) that :meth:`solve`
+    executes and that the Schwarz layer merges across subdomains.
     """
 
     #: can the symbolic phase be reused across numeric refactorizations?
@@ -43,6 +49,7 @@ class DirectSolver:
         self.symbolic_profile: KernelProfile = KernelProfile()
         self.numeric_profile: KernelProfile = KernelProfile()
         self.solve_profile: KernelProfile = KernelProfile()
+        self.stages: Optional[FactoredSolve] = None
         self._symbolic_done = False
         self._numeric_done = False
 
@@ -56,8 +63,9 @@ class DirectSolver:
         raise NotImplementedError
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve ``A x = b`` (1-D or 2-D ``b``)."""
-        raise NotImplementedError
+        """Solve ``A x = b`` (1-D or 2-D ``b``) with the stored factors."""
+        self._require("solve")
+        return self.stages.apply(b)
 
     # -- helpers -------------------------------------------------------
     def factorize(self, a: CsrMatrix) -> "DirectSolver":

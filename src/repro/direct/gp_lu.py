@@ -26,6 +26,7 @@ from repro.ordering import amd, natural, nested_dissection, rcm
 from repro.reuse.fingerprint import check_same_pattern, pattern_fingerprint
 from repro.sparse.blocks import inverse_permutation, permute
 from repro.sparse.csr import CsrMatrix
+from repro.tri.factored import FactoredSolve
 
 __all__ = ["GilbertPeierlsLU"]
 
@@ -284,32 +285,20 @@ class GilbertPeierlsLU(DirectSolver):
         self.u_csr = uT.transpose()
         from repro.tri.levelset import LevelScheduledTriangular
 
-        self._l_solver = LevelScheduledTriangular(self.l_csr, lower=True)
-        self._u_solver = LevelScheduledTriangular(self.u_csr, lower=False)
-
-        nnz_l, nnz_u = self.l_csr.nnz, self.u_csr.nnz
-        self.solve_profile = KernelProfile()
-        self.solve_profile.extend(self._l_solver.kernel_profile())
-        self.solve_profile.extend(self._u_solver.kernel_profile())
-
-    # ------------------------------------------------------------------
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve ``A x = b`` using the stored factors."""
-        self._require("solve")
-        b = np.asarray(b)
-        n = self.pinv.size
+        l_solver = LevelScheduledTriangular(self.l_csr, lower=True)
+        u_solver = LevelScheduledTriangular(self.u_csr, lower=False)
         # rows were pivoted: position p holds original row row_perm[p];
-        # the factored matrix is A[perm][:, perm] row-permuted by pinv.
-        bp = b[self.perm] if b.ndim == 1 else b[self.perm, :]
-        bp = bp[self.row_perm] if b.ndim == 1 else bp[self.row_perm, :]
-        y = self._l_solver.solve(bp)
-        z = self._u_solver.solve(y)
-        out = np.empty_like(np.asarray(z, dtype=np.float64))
-        if b.ndim == 1:
-            out[self.perm] = z
-        else:
-            out[self.perm, :] = z
-        return out
+        # the factored matrix is A[perm][:, perm] row-permuted by pinv
+        self.stages = FactoredSolve(
+            perm_in=self.perm[self.row_perm],
+            lower=(l_solver, "solve"),
+            upper=(u_solver, "solve"),
+            perm_out=inverse_permutation(self.perm),
+        )
+
+        self.solve_profile = KernelProfile()
+        self.solve_profile.extend(l_solver.kernel_profile())
+        self.solve_profile.extend(u_solver.kernel_profile())
 
     # ------------------------------------------------------------------
     def supernodal_l(self, max_width: int = 64):

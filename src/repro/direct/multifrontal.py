@@ -29,7 +29,12 @@ from repro.ordering.etree import symbolic_cholesky
 from repro.reuse.fingerprint import check_same_pattern, pattern_fingerprint
 from repro.sparse.blocks import inverse_permutation, permute
 from repro.sparse.csr import CsrMatrix
-from repro.tri.supernodal import SupernodalTriangular, detect_supernodes
+from repro.tri.factored import FactoredSolve
+from repro.tri.supernodal import (
+    SupernodalTriangular,
+    SupernodeSchedule,
+    detect_supernodes,
+)
 
 __all__ = ["MultifrontalCholesky"]
 
@@ -126,6 +131,11 @@ class MultifrontalCholesky(DirectSolver):
             if p >= 0:
                 levels[p] = max(levels[p], levels[s] + 1)
         self._sn_levels = levels
+        # the supernodal solve's level/class plan is pattern-only too:
+        # built once here, shared by every numeric refactorization
+        self._schedule = SupernodeSchedule(
+            n, self.sn_ptr, self._rows_below, levels=levels
+        )
 
         self._pattern_fp = pattern_fingerprint(a)
         nnz_l = int(self._col_ind.size)
@@ -252,9 +262,17 @@ class MultifrontalCholesky(DirectSolver):
             self._rows_below,
             blocks,
             unit_diagonal=(self.mode == "ldlt"),
+            schedule=self._schedule,
         )
         self._d = d_all
         self.iperm = inverse_permutation(self.perm)
+        self.stages = FactoredSolve(
+            perm_in=self.perm,
+            lower=(self._snt, "solve_forward"),
+            upper=(self._snt, "solve_backward"),
+            perm_out=self.iperm,
+            diag=d_all if self.mode == "ldlt" else None,
+        )
 
         self.numeric_profile = KernelProfile()
         for lv in range(flops_per_level.size):
@@ -281,23 +299,6 @@ class MultifrontalCholesky(DirectSolver):
                     self._children[p].append(t)
             self._children_stamp = self.sn_ptr
         return self._children[s]
-
-    # ------------------------------------------------------------------
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve ``A x = b`` with the supernodal factor."""
-        self._require("solve")
-        b = np.asarray(b)
-        bp = b[self.perm] if b.ndim == 1 else b[self.perm, :]
-        y = self._snt.solve_forward(bp)
-        if self.mode == "ldlt":
-            y = y / self._d if y.ndim == 1 else y / self._d[:, None]
-        z = self._snt.solve_backward(y)
-        out = np.empty_like(np.asarray(z, dtype=np.float64))
-        if b.ndim == 1:
-            out[self.perm] = z
-        else:
-            out[self.perm, :] = z
-        return out
 
     @property
     def factor(self) -> SupernodalTriangular:

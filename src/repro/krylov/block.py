@@ -9,6 +9,10 @@ iterations in lockstep over an ``(n, k)`` iterate block:
 * the SpMV is batched -- one :meth:`~repro.sparse.csr.CsrMatrix.matmat`
   over the active block per step (one kernel-launch set, ``k``-fold
   arithmetic intensity);
+* the preconditioner is batched -- an object with an ``apply`` method
+  (every preconditioner of the package) receives the active ``(n, w)``
+  block in one call per step; only a plain callable is applied column
+  by column;
 * the global reductions of one lockstep step are batched -- the block
   issues ``max_c(reduces_c)`` reductions carrying ``sum_c(doubles_c)``
   values, so a step costs one latency term regardless of the block
@@ -19,9 +23,10 @@ iterations in lockstep over an ``(n, k)`` iterate block:
 Per-column arithmetic is exactly the single-RHS arithmetic of
 :func:`repro.krylov.gmres.gmres` / :func:`repro.krylov.cg.cg` -- columns
 never mix (each keeps its own Arnoldi basis, Hessenberg factor and
-Givens rotations; the batched SpMV reduces each column's products in
-the same order as the single-vector kernel).  Column ``c`` of a block
-solve therefore reproduces the single-RHS solve of ``(a, b[:, c])``
+Givens rotations; the batched SpMV and the block preconditioner apply
+compute each column exactly as the single-vector kernels do).  Column
+``c`` of a block solve therefore reproduces the single-RHS solve of
+``(a, b[:, c])``
 bit for bit: same iterates, same residual history, same iteration
 count.  The documented agreement tolerance for the serving gate is
 ``BLOCK_ITERATION_TOLERANCE`` extra iterations per column (0 in this
@@ -175,11 +180,20 @@ class _BatchedReduces:
         self.tracer.count("reduce_doubles", float(doubles))
 
 
-def _as_block_apply(a: Operator):
-    """Batched application ``X -> A @ X`` over an ``(n, w)`` block."""
-    if isinstance(a, CsrMatrix):
-        return a.matmat
-    apply1 = _as_apply(a)
+def _as_block_apply(op: Optional[Operator]):
+    """Batched application ``X -> op(X)`` over an ``(n, w)`` block.
+
+    A :class:`CsrMatrix` is one SpMM and an object with an ``apply``
+    method (the package's preconditioners) takes the whole block in one
+    call -- both return, in column ``j``, exactly what they return for
+    column ``j`` alone.  Only a plain callable, which promises nothing
+    about 2-D input, is applied column by column.
+    """
+    if isinstance(op, CsrMatrix):
+        return op.matmat
+    if hasattr(op, "apply"):
+        return op.apply
+    apply1 = _as_apply(op)
 
     def apply_block(x_block: np.ndarray) -> np.ndarray:
         return np.column_stack(
@@ -283,10 +297,7 @@ def block_gmres(
         )
     b = _check_block_rhs(b)
     n, k = b.shape
-    if preconditioner is not None and hasattr(preconditioner, "apply"):
-        apply_m = preconditioner.apply
-    else:
-        apply_m = _as_apply(preconditioner)
+    apply_m = _as_block_apply(preconditioner)
     apply_block = _as_block_apply(a)
     tr = get_tracer()
     batched = _BatchedReduces(tr)
@@ -351,10 +362,11 @@ def block_gmres(
         if not running:
             break
 
-        # one lockstep Arnoldi step over the active block
-        for c in running:
-            c.z[c.j] = apply_m(c.v[c.j])
-        zs = np.stack([c.z[c.j] for c in running], axis=1)
+        # one lockstep Arnoldi step over the active block: one
+        # preconditioner apply and one SpMM for all running columns
+        zs = apply_m(np.stack([c.v[c.j] for c in running], axis=1))
+        for i, c in enumerate(running):
+            c.z[c.j] = zs[:, i]
         with tr.span("krylov/spmv") as sp:
             sp.count("block_width", float(len(running)))
             w_block = apply_block(zs)
@@ -468,10 +480,7 @@ def block_cg(
     """
     b = _check_block_rhs(b)
     n, k = b.shape
-    if preconditioner is not None and hasattr(preconditioner, "apply"):
-        apply_m = preconditioner.apply
-    else:
-        apply_m = _as_apply(preconditioner)
+    apply_m = _as_block_apply(preconditioner)
     apply_block = _as_block_apply(a)
     tr = get_tracer()
     batched = _BatchedReduces(tr)
@@ -488,13 +497,22 @@ def block_cg(
             )
     cols = [_CgColumn(c, b[:, c], x_block[:, c].copy()) for c in range(k)]
 
+    def _precondition(subset) -> None:
+        """``z = M^{-1} r`` for every column of ``subset``, in one apply."""
+        if not subset:
+            return
+        zs = apply_m(np.stack([c.r for c in subset], axis=1))
+        for i, c in enumerate(subset):
+            c.z = zs[:, i].copy()
+
     with tr.span("krylov/spmv") as sp:
         sp.count("block_width", float(k))
         ax = apply_block(x_block)
     spmv_blocks += 1
     for i, c in enumerate(cols):
         c.r = c.b - ax[:, i]
-        c.z = apply_m(c.r)
+    _precondition(cols)
+    for c in cols:
         c.p = c.z.copy()
         c.rz = float(c.tally.allreduce(c.r @ c.z)[0])
         c.r0 = float(np.sqrt(c.tally.allreduce(c.r @ c.r)[0]))
@@ -539,12 +557,13 @@ def block_cg(
                 c.status = SolveStatus.CONVERGED
             elif c.it >= maxiter:
                 c.done = True
-            else:
-                c.z = apply_m(c.r)
-                rz_new = float(c.tally.allreduce(c.r @ c.z)[0])
-                beta = rz_new / c.rz
-                c.rz = rz_new
-                c.p = c.z + beta * c.p
+        continuing = [c for c in active if not c.done]
+        _precondition(continuing)
+        for c in continuing:
+            rz_new = float(c.tally.allreduce(c.r @ c.z)[0])
+            beta = rz_new / c.rz
+            c.rz = rz_new
+            c.p = c.z + beta * c.p
         batched.charge([c.tally for c in active])
 
     return BlockSolveResult(

@@ -284,7 +284,8 @@ class OneLevelOperator:
         self.one_level = inner.one_level
 
     def apply(self, v):
-        """Apply only the first-level term ``sum_i R_i^T A_i^-1 R_i v``."""
+        """Apply only the first-level term ``sum_i R_i^T A_i^-1 R_i v``
+        (``v`` a vector or an ``(n, k)`` block)."""
         return self.one_level.apply(v)
 
     def rank_apply_profile(self, rank: int) -> KernelProfile:

@@ -124,8 +124,10 @@ class SolverService:
     ----------
     layout:
         The :class:`~repro.runtime.layout.JobLayout` batches are priced
-        under (rank count must match each request's partition).  Default:
-        one scaled Summit node, 2 ranks per GPU.
+        under.  A request whose partition has another rank count is
+        priced under this layout resized to it (GPU kept when the ranks
+        still fill whole GPUs, CPU otherwise).  Default: one scaled
+        Summit node, 2 ranks per GPU.
     max_batch:
         Width cap of one coalesced block solve.
     batching:
@@ -979,6 +981,12 @@ class SolverService:
                 # requested partition, dropping any elastic repartition
                 self._reset_elastic_state(batch.shard)
                 layout = self.layout
+            # a layout sized for another rank count (the 4-rank default
+            # against an 8-subdomain request) is resized the way an
+            # elastic repartition resizes it, for every batch of the
+            # shard alike: pricing used to raise on the shard's first
+            # request only, later ones skipping the setup pricing
+            layout = self._layout_for_ranks(precond.dec.n_subdomains, layout)
             if self._auto_batch and not self._autoscaled:
                 from repro.serve.batcher import autoscale_max_batch
 

@@ -299,9 +299,22 @@ class CsrMatrix:
         return self.matmat(other)
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """Transpose product ``A.T @ y`` without forming the transpose."""
+        """Transpose product ``A.T @ y`` without forming the transpose.
+
+        A 2-D ``y`` is a block of columns, accumulated one column at a
+        time (the 1-D scatter is the fast path of every backend), so
+        column ``j`` of the result equals ``rmatvec(y[:, j])`` bit for
+        bit.
+        """
         bk = get_backend(y)
         y = bk.asarray(y)
+        if y.ndim == 2:
+            out = bk.zeros(
+                (self.n_cols, y.shape[1]), dtype=bk.result_type(self.dtype, y)
+            )
+            for j in range(y.shape[1]):
+                out[:, j] = self.rmatvec(y[:, j])
+            return out
         out = bk.zeros(self.n_cols, dtype=bk.result_type(self.dtype, y))
         bk.scatter_add_into(
             out, self.indices, bk.asarray(self.data) * bk.take(y, self.expanded_rows())

@@ -20,6 +20,14 @@ in Sections V-B.2/V-B.3:
 
 Every solver reports a :class:`repro.machine.kernels.KernelTrace` so the
 machine model can price it on CPU or GPU execution spaces.
+
+The level-set, supernodal and Jacobi solvers also provide
+``block_diag([...])``: the solver of a block-diagonal system built by
+concatenating plans the blocks already hold.
+:class:`repro.tri.factored.FactoredSolve` describes a complete factored
+solve (permutations, scalings and two triangular stages) and merges the
+same way -- the one-level Schwarz operator applies all subdomains
+through one such merged solve.
 """
 
 from repro.tri.substitution import solve_lower, solve_upper
@@ -27,15 +35,22 @@ from repro.tri.levelset import (
     level_schedule,
     LevelScheduledTriangular,
 )
-from repro.tri.supernodal import SupernodalTriangular, detect_supernodes
+from repro.tri.supernodal import (
+    SupernodalTriangular,
+    SupernodeSchedule,
+    detect_supernodes,
+)
 from repro.tri.partitioned_inverse import PartitionedInverseTriangular
 from repro.tri.jacobi import JacobiTriangular
+from repro.tri.factored import FactoredSolve
 
 __all__ = [
+    "FactoredSolve",
     "JacobiTriangular",
     "LevelScheduledTriangular",
     "PartitionedInverseTriangular",
     "SupernodalTriangular",
+    "SupernodeSchedule",
     "detect_supernodes",
     "level_schedule",
     "solve_lower",

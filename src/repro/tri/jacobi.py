@@ -18,6 +18,8 @@ which is why the Fast variants win the solve-time columns.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.machine.kernels import KernelProfile
@@ -72,8 +74,46 @@ class JacobiTriangular:
                 raise ZeroDivisionError("zero on the diagonal")
             self._dinv = 1.0 / diag
 
+    @classmethod
+    def block_diag(cls, parts: Sequence["JacobiTriangular"]) -> "JacobiTriangular":
+        """``blkdiag(parts)`` swept as one matrix (same sweeps and damping).
+
+        A sweep is row-wise, so each part's rows see exactly the
+        arithmetic of the part's own :meth:`solve`.
+        """
+        keys = {p.merge_key for p in parts}
+        if len(keys) != 1:
+            raise ValueError(f"cannot merge Jacobi solvers of kinds {sorted(keys)}")
+        offsets = np.concatenate([[0], np.cumsum([p.t.n_rows for p in parts])])
+        nnz = np.concatenate([[0], np.cumsum([p.t.nnz for p in parts])])
+        n = int(offsets[-1])
+        t = CsrMatrix(
+            np.concatenate(
+                [[0]] + [p.t.indptr[1:] + off for p, off in zip(parts, nnz)]
+            ),
+            np.concatenate([p.t.indices + off for p, off in zip(parts, offsets)]),
+            np.concatenate([p.t.data for p in parts]),
+            (n, n),
+        )
+        self = cls.__new__(cls)
+        self.t = t
+        self.sweeps = parts[0].sweeps
+        self.unit_diagonal = parts[0].unit_diagonal
+        self.damping = parts[0].damping
+        self._dinv = np.concatenate([p._dinv for p in parts])
+        return self
+
+    @property
+    def merge_key(self) -> tuple:
+        """What must agree for two solvers to share a :meth:`block_diag`."""
+        return ("jacobi", self.sweeps, self.unit_diagonal, self.damping)
+
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Approximately solve ``T x = b`` with the configured sweeps."""
+        """Approximately solve ``T x = b`` with the configured sweeps.
+
+        Column ``j`` of a 2-D solve equals the 1-D solve of column ``j``
+        bit for bit (the SpMM reduces each column like the SpMV).
+        """
         b = np.asarray(b, dtype=np.float64)
         dinv = self._dinv if b.ndim == 1 else self._dinv[:, None]
         w = self.damping

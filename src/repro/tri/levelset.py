@@ -14,7 +14,7 @@ level so the machine model can price launch-bound behaviour.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -92,6 +92,82 @@ def level_schedule(t: CsrMatrix, lower: bool = True) -> np.ndarray:
     return level
 
 
+def _level_plan_reference(
+    level: np.ndarray, s_rows: np.ndarray, s_cols: np.ndarray, s_vals: np.ndarray
+) -> Tuple[List[np.ndarray], ...]:
+    """The seed per-level plan builder (executable spec of :func:`_level_plan`).
+
+    One boolean mask over all strict entries per level, i.e.
+    O(n_levels * nnz).  Returns the per-level ``(rowset, cols, vals,
+    segptr)`` lists :func:`_level_plan` must reproduce exactly.
+    """
+    n_levels = int(level.max()) + 1 if level.size else 0
+    rowsets, cols, vals, segptrs = [], [], [], []
+    entry_level = level[s_rows]
+    for lv in range(n_levels):
+        rows_in = np.flatnonzero(level == lv).astype(np.int64)
+        sel = entry_level == lv
+        er, ec, ev = s_rows[sel], s_cols[sel], s_vals[sel]
+        order = np.argsort(er, kind="stable")
+        er, ec, ev = er[order], ec[order], ev[order]
+        # segment pointer per row of the level (rows_in is sorted)
+        counts = np.zeros(rows_in.size + 1, dtype=np.int64)
+        pos = np.searchsorted(rows_in, er)
+        np.add.at(counts, pos + 1, 1)
+        np.cumsum(counts, out=counts)
+        rowsets.append(rows_in)
+        cols.append(ec)
+        vals.append(ev)
+        segptrs.append(counts)
+    return rowsets, cols, vals, segptrs
+
+
+def _level_plan(
+    level: np.ndarray, s_rows: np.ndarray, s_cols: np.ndarray, s_vals: np.ndarray
+) -> Tuple[np.ndarray, ...]:
+    """The level schedule's gather plan as four level-sorted flat arrays.
+
+    ``level`` is the level of every row; ``s_rows`` / ``s_cols`` /
+    ``s_vals`` are the strict entries, rows of one level in ascending
+    order (CSR order, or the concatenation of already level-sorted
+    blocks).  One stable sort by level keeps rows, and the entries
+    inside a row, in their given order.  Returns ``(rows, ent_ptr, cols,
+    vals)``: the rows sorted by ``(level, row)``, the entry range
+    ``ent_ptr[i]:ent_ptr[i + 1]`` of sorted row ``i``, and the entries in
+    that order.  :func:`_split_levels` cuts them into the per-level
+    arrays of :func:`_level_plan_reference`.
+    """
+    rows = np.argsort(level, kind="stable").astype(np.int64)
+    order = np.argsort(level[s_rows], kind="stable")
+    ent_ptr = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(s_rows, minlength=rows.size)[rows], out=ent_ptr[1:])
+    return rows, ent_ptr, s_cols[order], s_vals[order]
+
+
+def _split_levels(
+    level: np.ndarray,
+    rows: np.ndarray,
+    ent_ptr: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
+) -> Tuple[List[np.ndarray], ...]:
+    """Per-level ``(rowset, cols, vals, segptr)`` views of a level plan."""
+    n_levels = int(level.max()) + 1 if level.size else 0
+    row_cuts = np.cumsum(np.bincount(level, minlength=n_levels))
+    ent_cuts = ent_ptr[row_cuts]
+    segptrs = []
+    lo = 0
+    for hi in row_cuts:
+        segptrs.append(ent_ptr[lo : hi + 1] - ent_ptr[lo])
+        lo = hi
+    return (
+        np.split(rows, row_cuts[:-1]),
+        np.split(cols, ent_cuts[:-1]),
+        np.split(vals, ent_cuts[:-1]),
+        segptrs,
+    )
+
+
 class LevelScheduledTriangular:
     """A triangular matrix preprocessed for level-set execution.
 
@@ -118,85 +194,138 @@ class LevelScheduledTriangular:
     ) -> None:
         if t.n_rows != t.n_cols:
             raise ValueError("triangular solve requires a square matrix")
-        self.shape = t.shape
-        self.lower = lower
-        self.unit_diagonal = unit_diagonal
-        self.dtype = t.dtype
         n = t.n_rows
-
-        level = level_schedule(t, lower=lower)
-        self.levels = level
-        self.n_levels = int(level.max()) + 1 if n else 0
-
         diag = np.ones(n, dtype=t.dtype)
         if not unit_diagonal:
             diag = t.diagonal()
             if np.any(diag == 0):
                 raise ZeroDivisionError("zero on the diagonal")
+        all_rows = t.expanded_rows()
+        strict = t.indices < all_rows if lower else t.indices > all_rows
+        self._bind(
+            n,
+            lower,
+            unit_diagonal,
+            level_schedule(t, lower=lower),
+            diag,
+            all_rows[strict],
+            t.indices[strict],
+            t.data[strict],
+        )
+
+    def _bind(
+        self,
+        n: int,
+        lower: bool,
+        unit_diagonal: bool,
+        level: np.ndarray,
+        diag: np.ndarray,
+        s_rows: np.ndarray,
+        s_cols: np.ndarray,
+        s_vals: np.ndarray,
+    ) -> None:
+        self.shape = (n, n)
+        self.lower = lower
+        self.unit_diagonal = unit_diagonal
+        self.dtype = diag.dtype
+        self.levels = level
+        self.n_levels = int(level.max()) + 1 if n else 0
         self._diag = diag
+        self._sorted = _level_plan(level, s_rows, s_cols, s_vals)
+        (
+            self._level_rowset,
+            self._level_cols,
+            self._level_vals,
+            self._level_segptr,
+        ) = _split_levels(level, *self._sorted)
+        # what solve() walks: a row has strict entries iff its level is
+        # >= 1, so from level 1 on every segment of a level is non-empty
+        # and the segment starts are simply segptr[:-1]
+        self._plan = [
+            (
+                rows,
+                cols,
+                vals,
+                segptr[:-1],
+                None if unit_diagonal else diag[rows],
+            )
+            for rows, cols, vals, segptr in zip(
+                self._level_rowset,
+                self._level_cols,
+                self._level_vals,
+                self._level_segptr,
+            )
+        ]
 
-        # per-level flattened strict-entry structure
-        indptr, indices, data = t.indptr, t.indices, t.data
-        all_rows = np.repeat(np.arange(n, dtype=np.int64), t.row_nnz())
-        strict = indices < all_rows if lower else indices > all_rows
-        s_rows = all_rows[strict]
-        s_cols = indices[strict]
-        s_vals = data[strict]
+    @classmethod
+    def block_diag(
+        cls, parts: Sequence["LevelScheduledTriangular"]
+    ) -> "LevelScheduledTriangular":
+        """``blkdiag(parts)`` with the level schedules the parts already hold.
 
-        self._level_rows: List[np.ndarray] = []
-        self._level_cols: List[np.ndarray] = []
-        self._level_vals: List[np.ndarray] = []
-        self._level_segptr: List[np.ndarray] = []
-        self._level_rowset: List[np.ndarray] = []
-        entry_level = level[s_rows]
-        for lv in range(self.n_levels):
-            rows_in = np.flatnonzero(level == lv).astype(np.int64)
-            sel = entry_level == lv
-            er, ec, ev = s_rows[sel], s_cols[sel], s_vals[sel]
-            order = np.argsort(er, kind="stable")
-            er, ec, ev = er[order], ec[order], ev[order]
-            # segment pointer per row of the level (rows_in is sorted)
-            counts = np.zeros(rows_in.size + 1, dtype=np.int64)
-            pos = np.searchsorted(rows_in, er)
-            np.add.at(counts, pos + 1, 1)
-            np.cumsum(counts, out=counts)
-            self._level_rowset.append(rows_in)
-            self._level_rows.append(er)
-            self._level_cols.append(ec)
-            self._level_vals.append(ev)
-            self._level_segptr.append(counts)
+        Level ``lv`` of the result is the concatenation of the parts'
+        levels ``lv`` (indices offset), so it runs ``max(n_levels)``
+        levels instead of their sum and each part's rows see exactly
+        the arithmetic of the part's own :meth:`solve`.  Nothing is
+        rescheduled.
+        """
+        keys = {p.merge_key for p in parts}
+        if len(keys) != 1:
+            raise ValueError(f"cannot merge level-set factors of kinds {sorted(keys)}")
+        self = cls.__new__(cls)
+        offsets = np.concatenate([[0], np.cumsum([p.shape[0] for p in parts])])
+        s_rows, s_cols, s_vals = [], [], []
+        for p, off in zip(parts, offsets):
+            rows, ent_ptr, cols, vals = p._sorted
+            s_rows.append(np.repeat(rows, np.diff(ent_ptr)) + off)
+            s_cols.append(cols + off)
+            s_vals.append(vals)
+        self._bind(
+            int(offsets[-1]),
+            parts[0].lower,
+            parts[0].unit_diagonal,
+            np.concatenate([p.levels for p in parts]),
+            np.concatenate([p._diag for p in parts]),
+            np.concatenate(s_rows),
+            np.concatenate(s_cols),
+            np.concatenate(s_vals),
+        )
+        return self
 
-        self._nnz_strict = int(s_rows.size)
+    @property
+    def merge_key(self) -> tuple:
+        """What must agree for two factors to share a :meth:`block_diag`."""
+        return ("levelset", self.lower, self.unit_diagonal, self.dtype.str)
 
     # ------------------------------------------------------------------
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``T x = b``; exact (identical to substitution).
 
         ``b`` may be a vector or a 2-D array of right-hand-side columns
-        (the coarse-basis extension solves use many columns at once).
-        Routed through the array backend of ``b``: numpy arrays take
-        the bit-identical numpy path; backend tensors are solved on
-        their device and returned as the same type.
+        (the coarse-basis extension solves use many columns at once);
+        column ``j`` of the 2-D result equals the 1-D solve of column
+        ``j`` bit for bit.  Routed through the array backend of ``b``:
+        numpy arrays take the bit-identical numpy path; backend tensors
+        are solved on their device and returned as the same type.
         """
         bk = get_backend(b)
         b = bk.asarray(b)
         x = bk.astype(bk.copy(b), bk.result_type(self.dtype, b))
-        diag = bk.asarray(self._diag)
-        diag = diag if x.ndim == 1 else diag[:, None]
-        for lv in range(self.n_levels):
-            rows = self._level_rowset[lv]
-            cols = self._level_cols[lv]
-            vals = bk.asarray(self._level_vals[lv])
-            segptr = self._level_segptr[lv]
+        columns = x.ndim == 2
+        for rows, cols, vals, starts, diag in self._plan:
             if cols.size:
                 xc = bk.take(x, cols)
-                prods = vals * xc if x.ndim == 1 else xc * vals[:, None]
-                seg = bk.zeros((rows.size,) + tuple(x.shape[1:]), dtype=bk.dtype_of(x))
-                nonempty = np.flatnonzero(np.diff(segptr) > 0)  # backend-ok: host plan
-                if nonempty.size:
-                    bk.put(seg, nonempty, bk.segment_sum(prods, segptr[nonempty], axis=0))
-                x[rows] -= seg
-            x[rows] /= bk.take(diag, rows)
+                vals = bk.asarray(vals)
+                prods = xc * vals[:, None] if columns else vals * xc
+                xr = bk.take(x, rows) - bk.segment_sum(prods, starts, axis=0)
+            elif diag is None:
+                continue
+            else:
+                xr = bk.take(x, rows)
+            if diag is not None:
+                diag = bk.asarray(diag)
+                xr = xr / (diag[:, None] if columns else diag)
+            bk.put(x, rows, xr)
         return x
 
     # ------------------------------------------------------------------

@@ -10,20 +10,24 @@ parallelism.  This reproduces the Kokkos-Kernels solver of
 [Yamazaki, Rajamanickam, Ellingwood 2020] used throughout the paper's
 SuperLU GPU runs.
 
-Dense per-block kernels delegate to BLAS/LAPACK via numpy -- exactly as
-the modelled solvers delegate to cuBLAS.
+Execution is batched the way the device kernel is: the supernodes of a
+level that share a width and a below-row count form one *class*, the
+diagonal blocks are inverted once at numeric time (as Kokkos-Kernels
+does), and a class runs as two stacked matrix products plus one
+accumulating scatter.  The dense kernels delegate to BLAS/LAPACK via the
+array backend -- exactly as the modelled solvers delegate to cuBLAS.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.backend import get_backend
 from repro.machine.kernels import KernelProfile
 
-__all__ = ["detect_supernodes", "SupernodalTriangular"]
+__all__ = ["detect_supernodes", "SupernodeSchedule", "SupernodalTriangular"]
 
 
 def _detect_supernodes_reference(
@@ -120,6 +124,140 @@ def detect_supernodes(
     return np.append(np.flatnonzero(boundary), n).astype(np.int64)
 
 
+class SupernodeSchedule:
+    """Pattern-only execution plan of a supernodal triangular solve.
+
+    Supernodes are levelled over the forward-solve DAG and, inside each
+    level, grouped into *classes* of equal width ``w`` and equal
+    below-row count ``m``: every class executes as one batched dense
+    kernel.  Nothing here depends on the factor's values, so a solver
+    with a value-independent structure (Tacho) builds the schedule once
+    in its symbolic phase and hands it to every numeric refactorization.
+
+    Parameters
+    ----------
+    n:
+        Matrix dimension.
+    sn_ptr:
+        ``(n_supernodes + 1,)`` column partition.
+    rows_below:
+        Per supernode, the sorted row indices strictly below the
+        diagonal block.
+    levels:
+        Precomputed level of each supernode in the forward-solve DAG
+        (a multifrontal symbolic phase holds it as the assembly-tree
+        height); computed here when omitted.
+
+    Attributes
+    ----------
+    classes:
+        ``(level, sns, cols, rows)`` per class in ``(level, w, m)``
+        order: the member supernodes, their ``(g, w)`` column indices
+        and their ``(g, m)`` below-row indices.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        sn_ptr: np.ndarray,
+        rows_below: Sequence[np.ndarray],
+        levels: Optional[np.ndarray] = None,
+    ) -> None:
+        self.n = int(n)
+        self.sn_ptr = np.asarray(sn_ptr, dtype=np.int64)
+        self.n_supernodes = self.sn_ptr.size - 1
+        if len(rows_below) != self.n_supernodes:
+            raise ValueError("one below-row set per supernode required")
+        self.levels = (
+            self._schedule(rows_below)
+            if levels is None
+            else np.asarray(levels, dtype=np.int64)
+        )
+        self.n_levels = int(self.levels.max()) + 1 if self.n_supernodes else 0
+        widths = np.diff(self.sn_ptr)
+        below = np.fromiter(
+            (len(r) for r in rows_below), dtype=np.int64, count=self.n_supernodes
+        )
+        order = np.lexsort((below, widths, self.levels))
+        key = np.stack([self.levels[order], widths[order], below[order]])
+        cuts = np.flatnonzero(np.any(key[:, 1:] != key[:, :-1], axis=0)) + 1
+        self.classes: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+        for sns in np.split(order, cuts) if order.size else []:
+            w, m = int(widths[sns[0]]), int(below[sns[0]])
+            cols = self.sn_ptr[sns][:, None] + np.arange(w, dtype=np.int64)
+            rows = np.empty((sns.size, m), dtype=np.int64)
+            for i, s in enumerate(sns):
+                rows[i] = rows_below[s]
+            self.classes.append((int(self.levels[sns[0]]), sns, cols, rows))
+        self._view_rows_below()
+
+    def _view_rows_below(self) -> None:
+        """``rows_below[s]`` as views of the classes' ``rows`` arrays."""
+        self.rows_below: List[np.ndarray] = [None] * self.n_supernodes
+        for _, sns, _, rows in self.classes:
+            for i, s in enumerate(sns):
+                self.rows_below[s] = rows[i]
+
+    def _schedule(self, rows_below: Sequence[np.ndarray]) -> np.ndarray:
+        """Level of each supernode in the forward-solve DAG."""
+        col2sn = np.repeat(
+            np.arange(self.n_supernodes, dtype=np.int64), np.diff(self.sn_ptr)
+        )
+        level = np.zeros(self.n_supernodes, dtype=np.int64)
+        for t, rb in enumerate(rows_below):
+            if len(rb) == 0:
+                continue
+            targets = np.unique(col2sn[rb])
+            level[targets] = np.maximum(level[targets], level[t] + 1)
+        return level
+
+    @classmethod
+    def block_diag(cls, parts: Sequence["SupernodeSchedule"]) -> "SupernodeSchedule":
+        """The schedule of ``blkdiag(parts)``, concatenated not rescheduled.
+
+        Same-``(level, w, m)`` classes of all parts fuse into one class
+        (members in part order), so the merged solve runs
+        ``max(n_levels)`` levels instead of their sum.
+        """
+        self = cls.__new__(cls)
+        sizes = np.array([p.n for p in parts], dtype=np.int64)
+        row_off = np.concatenate([[0], np.cumsum(sizes)])
+        sn_off = np.concatenate(
+            [[0], np.cumsum([p.n_supernodes for p in parts], dtype=np.int64)]
+        )
+        self.n = int(row_off[-1])
+        self.sn_ptr = np.concatenate(
+            [[0]] + [p.sn_ptr[1:] + off for p, off in zip(parts, row_off)]
+        ).astype(np.int64)
+        self.n_supernodes = int(sn_off[-1])
+        self.levels = (
+            np.concatenate([p.levels for p in parts])
+            if parts
+            else np.zeros(0, dtype=np.int64)
+        )
+        self.n_levels = max((p.n_levels for p in parts), default=0)
+        fused: Dict[Tuple[int, int, int], list] = {}
+        for i, p in enumerate(parts):
+            for c, (level, _, cols, rows) in enumerate(p.classes):
+                fused.setdefault((level, cols.shape[1], rows.shape[1]), []).append((i, c))
+        keys = sorted(fused)
+        #: per merged class, its ``(part, class)`` members in part order
+        self.members = [fused[key] for key in keys]
+        self.classes = []
+        for key, members in zip(keys, self.members):
+
+            def joined(field: int, offsets: np.ndarray) -> np.ndarray:
+                return np.concatenate(
+                    [parts[i].classes[c][field] + offsets[i] for i, c in members]
+                )
+
+            self.classes.append(
+                (key[0], joined(1, sn_off), joined(2, row_off), joined(3, row_off))
+            )
+        self._view_rows_below()
+        return self
+
+
 class SupernodalTriangular:
     """A lower-triangular factor stored as dense supernode blocks.
 
@@ -140,10 +278,25 @@ class SupernodalTriangular:
     unit_diagonal:
         True when the diagonal block has implicit unit diagonal (LU's L
         factor).
+    schedule:
+        The pattern-only :class:`SupernodeSchedule` of this structure
+        when the caller already holds it (``sn_ptr`` / ``rows_below``
+        are then taken from it); built here otherwise.
 
     The same object solves both ``L x = b`` (:meth:`solve_forward`) and
     ``L^T x = b`` (:meth:`solve_backward`), which is all a Cholesky or
     LDL^T factorization needs.
+
+    Notes
+    -----
+    The blocks of one ``(level, w, m)`` class are stacked into one
+    ``(g, w + m, w)`` array (``blocks[s]`` are views into the stacks) and
+    the diagonal blocks are inverted once at construction, as the
+    Kokkos-Kernels supernodal SpTRSV does: a class then executes as two
+    batched matrix products and one accumulating scatter.  A batch
+    entry's arithmetic does not depend on what else is in the batch, so
+    :meth:`block_diag` of several factors, and a multi-column solve,
+    reproduce the separate solves bit for bit.
     """
 
     def __init__(
@@ -153,89 +306,165 @@ class SupernodalTriangular:
         rows_below: Sequence[np.ndarray],
         blocks: Sequence[np.ndarray],
         unit_diagonal: bool = False,
+        schedule: Optional[SupernodeSchedule] = None,
     ) -> None:
-        self.n = int(n)
-        self.sn_ptr = np.asarray(sn_ptr, dtype=np.int64)
-        self.rows_below = [np.asarray(r, dtype=np.int64) for r in rows_below]
-        self.blocks = [np.asarray(b) for b in blocks]
-        self.unit_diagonal = unit_diagonal
-        self.n_supernodes = self.sn_ptr.size - 1
-        if len(self.blocks) != self.n_supernodes:
+        if schedule is None:
+            schedule = SupernodeSchedule(n, sn_ptr, rows_below)
+        if len(blocks) != schedule.n_supernodes:
             raise ValueError("one dense block per supernode required")
-        for s in range(self.n_supernodes):
-            w = self.sn_ptr[s + 1] - self.sn_ptr[s]
-            m = self.rows_below[s].size
-            if self.blocks[s].shape != (w + m, w):
-                raise ValueError(f"block {s} has wrong shape")
-        self._levels = self._schedule()
-        self.n_levels = int(self._levels.max()) + 1 if self.n_supernodes else 0
-        self._level_sns = [
-            np.flatnonzero(self._levels == lv) for lv in range(self.n_levels)
-        ]
+        stacks = []
+        for _, sns, cols, rows in schedule.classes:
+            shape = (cols.shape[1] + rows.shape[1], cols.shape[1])
+            for s in sns:
+                if np.shape(blocks[s]) != shape:
+                    raise ValueError(f"block {s} has wrong shape")
+            stacks.append(np.stack([blocks[s] for s in sns]))
+        self._bind(schedule, stacks, unit_diagonal)
+        self._dinv = _invert_diagonal_blocks(stacks, unit_diagonal)
 
-    # ------------------------------------------------------------------
-    def _schedule(self) -> np.ndarray:
-        """Level of each supernode in the forward-solve DAG."""
-        col2sn = np.empty(self.n, dtype=np.int64)
-        for s in range(self.n_supernodes):
-            col2sn[self.sn_ptr[s] : self.sn_ptr[s + 1]] = s
-        level = np.zeros(self.n_supernodes, dtype=np.int64)
-        for t in range(self.n_supernodes):
-            rb = self.rows_below[t]
-            if rb.size == 0:
-                continue
-            targets = np.unique(col2sn[rb])
-            level[targets] = np.maximum(level[targets], level[t] + 1)
-        return level
+    def _bind(
+        self,
+        schedule: SupernodeSchedule,
+        stacks: List[np.ndarray],
+        unit_diagonal: bool,
+    ) -> None:
+        self.schedule = schedule
+        self.n = schedule.n
+        self.sn_ptr = schedule.sn_ptr
+        self.rows_below = schedule.rows_below
+        self.n_supernodes = schedule.n_supernodes
+        self.n_levels = schedule.n_levels
+        self.unit_diagonal = unit_diagonal
+        self._stacks = stacks
+        self.blocks: List[np.ndarray] = [None] * self.n_supernodes
+        for c in range(len(stacks)):
+            self._view_blocks(c)
+
+    def _view_blocks(self, c: int) -> None:
+        """Point ``blocks[s]`` of class ``c`` into its stack."""
+        stack = self._stacks[c]
+        for i, s in enumerate(self.schedule.classes[c][1]):
+            self.blocks[s] = stack[i]
+
+    @classmethod
+    def block_diag(
+        cls, parts: Sequence["SupernodalTriangular"]
+    ) -> "SupernodalTriangular":
+        """``blkdiag(parts)`` as one factor: plans and values concatenated.
+
+        Every part keeps the diagonal-block inverses it computed, so the
+        merged solve restricted to one part's rows equals that part's
+        own solve bit for bit.  The merged stacks then *become* the
+        storage: each part's stacks (and ``blocks``) are re-pointed at
+        their slices of the merged arrays, so merging stores the values
+        once, not twice.
+        """
+        keys = {p.merge_key for p in parts}
+        if len(keys) > 1:
+            raise ValueError(f"cannot merge supernodal factors of kinds {sorted(keys)}")
+        self = cls.__new__(cls)
+        schedule = SupernodeSchedule.block_diag([p.schedule for p in parts])
+        self._bind(
+            schedule,
+            [
+                np.concatenate([parts[i]._stacks[c] for i, c in members])
+                for members in schedule.members
+            ],
+            parts[0].unit_diagonal if parts else False,
+        )
+        self._dinv = [
+            np.concatenate([parts[i]._dinv[c] for i, c in members])
+            for members in schedule.members
+        ]
+        for members, stack, dinv in zip(schedule.members, self._stacks, self._dinv):
+            lo = 0
+            for i, c in members:
+                hi = lo + parts[i]._stacks[c].shape[0]
+                parts[i]._stacks[c] = stack[lo:hi]
+                parts[i]._dinv[c] = dinv[lo:hi]
+                parts[i]._view_blocks(c)
+                lo = hi
+        return self
+
+    @property
+    def merge_key(self) -> tuple:
+        """What must agree for two factors to share a :meth:`block_diag`."""
+        return ("supernodal", self.unit_diagonal, self.dtype.str)
 
     @property
     def dtype(self) -> np.dtype:
         """Value dtype of the dense blocks."""
-        return self.blocks[0].dtype if self.blocks else np.dtype(np.float64)
+        return self._stacks[0].dtype if self._stacks else np.dtype(np.float64)
 
     # ------------------------------------------------------------------
     def solve_forward(self, b: np.ndarray) -> np.ndarray:
-        """Solve ``L x = b`` (1-D or 2-D ``b``).
+        """Solve ``L x = b`` (1-D, or 2-D with one system per column).
 
-        Routed through the array backend of ``b`` (dense triangular
-        solve + panel GEMV per supernode); the numpy path issues the
-        identical LAPACK/BLAS calls as before the backend refactor.
+        Routed through the array backend of ``b``.  Per class: gather
+        the column slices, multiply by the inverted diagonal blocks,
+        multiply by the panels, and scatter-*accumulate* the updates --
+        same-level sibling supernodes may update the same parent row.
         """
         bk = get_backend(b)
-        b = bk.asarray(b)
-        x = bk.astype(bk.copy(b), bk.result_type(self.dtype, b))
-        for lv in range(self.n_levels):
-            for s in self._level_sns[lv]:
-                c0, c1 = self.sn_ptr[s], self.sn_ptr[s + 1]
-                w = c1 - c0
-                blk = bk.asarray(self.blocks[s])
-                xs = bk.solve_triangular(
-                    blk[:w], x[c0:c1], lower=True, unit_diagonal=self.unit_diagonal
-                )
-                x[c0:c1] = xs
-                rb = self.rows_below[s]
-                if rb.size:
-                    x[rb] -= bk.gemv(blk[w:], xs)
-        return x
+        xt = self._rows_of(bk, b)
+        for (_, _, cols, rows), stack, dinv in zip(
+            self.schedule.classes, self._stacks, self._dinv
+        ):
+            w = cols.shape[1]
+            xs = bk.batched_matmul(
+                bk.asarray(dinv), bk.take(xt, cols, axis=1)[..., None]
+            )
+            bk.put(xt, cols, xs[..., 0], axis=1)
+            if rows.size:
+                upd = -bk.batched_matmul(bk.asarray(stack)[:, w:], xs)
+                flat = rows.reshape(-1)
+                for j in range(xt.shape[0]):
+                    bk.scatter_add_into(xt[j], flat, upd[j].reshape(-1))
+        return self._columns_of(bk, xt, b)
 
     def solve_backward(self, b: np.ndarray) -> np.ndarray:
         """Solve ``L^T x = b`` (1-D or 2-D ``b``); backend-routed."""
         bk = get_backend(b)
-        b = bk.asarray(b)
-        x = bk.astype(bk.copy(b), bk.result_type(self.dtype, b))
-        for lv in range(self.n_levels - 1, -1, -1):
-            for s in self._level_sns[lv]:
-                c0, c1 = self.sn_ptr[s], self.sn_ptr[s + 1]
-                w = c1 - c0
-                blk = bk.asarray(self.blocks[s])
-                rhs = x[c0:c1]
-                rb = self.rows_below[s]
-                if rb.size:
-                    rhs = rhs - bk.gemv(blk[w:].T, bk.take(x, rb))
-                x[c0:c1] = bk.solve_triangular(
-                    blk[:w].T, rhs, lower=False, unit_diagonal=self.unit_diagonal
+        xt = self._rows_of(bk, b)
+        for (_, _, cols, rows), stack, dinv in zip(
+            reversed(self.schedule.classes),
+            reversed(self._stacks),
+            reversed(self._dinv),
+        ):
+            w = cols.shape[1]
+            rhs = bk.take(xt, cols, axis=1)[..., None]
+            if rows.size:
+                panel_t = bk.asarray(stack)[:, w:].swapaxes(1, 2)
+                rhs = rhs - bk.batched_matmul(
+                    panel_t, bk.take(xt, rows, axis=1)[..., None]
                 )
-        return x
+            xs = bk.batched_matmul(bk.asarray(dinv).swapaxes(1, 2), rhs)
+            bk.put(xt, cols, xs[..., 0], axis=1)
+        return self._columns_of(bk, xt, b)
+
+    def _rows_of(self, bk, b):
+        """A fresh ``(k, n)`` working copy of ``b``: one system per row.
+
+        Columns become contiguous rows so that a batch entry sees the
+        same operand layout in a ``k``-column solve as in a 1-D one.
+        """
+        b = bk.asarray(b)
+        dtype = bk.result_type(self.dtype, b)
+        if b.ndim == 1:
+            return bk.astype(bk.copy(b), dtype)[None, :]
+        cols = [b[:, j] for j in range(b.shape[1])]
+        if not cols:
+            return bk.zeros((0, self.n), dtype=dtype)
+        return bk.astype(bk.stack(cols, axis=0), dtype)
+
+    @staticmethod
+    def _columns_of(bk, xt, b):
+        """Undo :meth:`_rows_of`: back to the shape of ``b``."""
+        if len(b.shape) == 1:
+            return xt[0]
+        if xt.shape[0] == 0:
+            return bk.zeros(tuple(b.shape), dtype=bk.dtype_of(xt))
+        return bk.stack([xt[j] for j in range(xt.shape[0])], axis=1)
 
     # ------------------------------------------------------------------
     def kernel_profile(self) -> KernelProfile:
@@ -246,25 +475,25 @@ class SupernodalTriangular:
         the panel GEMV; bytes cover the dense block and the touched
         vector entries.  Parallelism is the total rows active in the
         level (team-level parallelism inside blocks plus independent
-        blocks).
+        blocks).  (The modeled clock prices the paper's kernel; the
+        batched host execution does not change it.)
         """
         prof = KernelProfile()
         itemsize = np.dtype(self.dtype).itemsize
+        flops = np.zeros(self.n_levels)
+        bytes_ = np.zeros(self.n_levels)
+        rows_active = np.zeros(self.n_levels)
+        for level, sns, cols, rows in self.schedule.classes:
+            g, w, m = sns.size, cols.shape[1], rows.shape[1]
+            flops[level] += g * (w * w + 2.0 * w * m)
+            bytes_[level] += g * ((w + m) * w * itemsize + (w + m) * 2 * itemsize)
+            rows_active[level] += g * (w + m)
         for lv in range(self.n_levels):
-            flops = 0.0
-            bytes_ = 0.0
-            rows_active = 0.0
-            for s in self._level_sns[lv]:
-                w = int(self.sn_ptr[s + 1] - self.sn_ptr[s])
-                m = self.rows_below[s].size
-                flops += w * w + 2.0 * w * m
-                bytes_ += (w + m) * w * itemsize + (w + m) * 2 * itemsize
-                rows_active += w + m
             prof.add(
                 "sptrsv.supernode_level",
-                flops,
-                bytes_,
-                parallelism=max(rows_active, 1.0),
+                float(flops[lv]),
+                float(bytes_[lv]),
+                parallelism=max(float(rows_active[lv]), 1.0),
             )
         return prof
 
@@ -300,3 +529,43 @@ class SupernodalTriangular:
             rows_below.append(below.astype(np.int64))
             blocks.append(blk)
         return cls(n, sn_ptr, rows_below, blocks, unit_diagonal=unit_diagonal)
+
+
+def _invert_diagonal_blocks(
+    stacks: Sequence[np.ndarray], unit_diagonal: bool
+) -> List[np.ndarray]:
+    """Inverses of the ``w x w`` lower-triangular heads of ``(g, w + m, w)`` stacks.
+
+    Only the lower triangle (and, unless ``unit_diagonal``, the
+    diagonal) of each head is read, as in a triangular solve.  One
+    LAPACK ``trtri`` per block, so a block's inverse does not depend on
+    its batch.
+    """
+    from scipy.linalg import get_lapack_funcs
+
+    out: List[np.ndarray] = []
+    trtri = None
+    for stack in stacks:
+        g, _, w = stack.shape
+        if w == 1:
+            if unit_diagonal:
+                out.append(np.ones((g, 1, 1), dtype=stack.dtype))
+                continue
+            if np.any(stack[:, 0, 0] == 0):
+                raise ZeroDivisionError("zero on the diagonal")
+            out.append(1.0 / stack[:, :1, :])
+            continue
+        if trtri is None:
+            (trtri,) = get_lapack_funcs(("trtri",), (stack,))
+        # trtri leaves the strict upper triangle (and a unit diagonal)
+        # of its input in place: start from the lower triangle alone
+        inv = np.tril(stack[:, :w])
+        for i in range(g):
+            inv[i], info = trtri(inv[i], lower=1, unitdiag=int(unit_diagonal))
+            if info > 0:
+                raise ZeroDivisionError("zero on the diagonal")
+        if unit_diagonal:
+            idx = np.arange(w)
+            inv[:, idx, idx] = 1.0
+        out.append(inv)
+    return out

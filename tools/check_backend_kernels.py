@@ -37,7 +37,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 GATED: Dict[str, Tuple[str, ...]] = {
     "src/repro/sparse/csr.py": ("matvec", "matmat", "rmatvec"),
     "src/repro/tri/levelset.py": ("solve",),
-    "src/repro/tri/supernodal.py": ("solve_forward", "solve_backward"),
+    "src/repro/tri/supernodal.py": (
+        "solve_forward",
+        "solve_backward",
+        "_rows_of",
+        "_columns_of",
+    ),
     "src/repro/ilu/fastilu.py": ("_run_sweeps",),
     "src/repro/dd/schwarz.py": ("apply",),
     "src/repro/krylov/gmres.py": ("_orthogonalize",),
