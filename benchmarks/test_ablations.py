@@ -17,7 +17,8 @@ from repro.dd import (
     OneLevelSchwarz,
 )
 from repro.fem import elasticity_3d, rigid_body_modes
-from repro.krylov import ReduceCounter, gmres
+from repro.krylov import gmres
+from repro.obs import Tracer, use_tracer
 from repro.runtime import JobLayout, price_profile, reduce_seconds
 
 
@@ -148,17 +149,18 @@ def test_ablation_gmres_variant_comm(benchmark, save_results, problem, dec, null
     lay = JobLayout.cpu_run(8, machine=machine)  # 64 logical ranks for pricing
     rows, data = [], {}
     for variant in ("mgs", "cgs", "single_reduce"):
-        red = ReduceCounter()
-        r = gmres(
-            problem.a, problem.b, preconditioner=m, rtol=1e-7, variant=variant,
-            reducer=red,
-        )
-        comm = reduce_seconds(lay, red.count, red.doubles)
+        counted = Tracer()
+        with use_tracer(counted):
+            r = gmres(
+                problem.a, problem.b, preconditioner=m, rtol=1e-7,
+                variant=variant,
+            )
+        comm = reduce_seconds(lay, counted.reduces, counted.reduce_doubles)
         rows.append(
-            [variant, str(r.iterations), str(red.count), f"{1e6 * comm:.1f}"]
+            [variant, str(r.iterations), str(counted.reduces), f"{1e6 * comm:.1f}"]
         )
         data[variant] = {
-            "iters": r.iterations, "reduces": red.count, "comm_us": 1e6 * comm
+            "iters": r.iterations, "reduces": counted.reduces, "comm_us": 1e6 * comm
         }
     print()
     print(

@@ -5,26 +5,23 @@ supernodal triangular solves, the FastILU sweeps, the one-level Schwarz
 scatter/gather and the Krylov vector operations -- are written against
 the thin :class:`~repro.backend.base.Backend` array API instead of
 importing numpy directly.  Numpy is the default (and bit-identical to
-the pre-refactor kernels); the torch backend activates automatically
-when ``torch`` is importable.
+the pre-refactor kernels) and the only backend shipped: a backend no
+test or CI job can execute is not kept (the torch backend was removed
+for that reason).  A new backend subclasses ``Backend`` and is passed as
+an instance.
 
-Selection, in precedence order:
-
-1. **Operand auto-detection** -- ``get_backend(x)`` returns the backend
-   that owns ``x``'s array type (a torch tensor selects the torch
-   backend regardless of the ambient default).
-2. **Ambient default** -- ``use_backend("torch")`` (a context manager)
-   or ``SolverSession(backend="torch")`` select the backend for every
-   kernel in scope that received plain-numpy operands.
-3. **Package default** -- numpy.
+Selection: kernels ask ``get_backend(x)`` for the backend of their
+operand.  The innermost ``use_backend(bk)`` scope (a context manager;
+``SolverSession(backend=bk)`` opens one around its solve) answers, and
+numpy is the package default outside any scope.
 
 ::
 
     from repro.backend import get_backend, use_backend
 
     bk = get_backend()            # ambient default (numpy)
-    with use_backend("torch"):    # requires torch importable
-        result = session.solve()  # kernels run on torch tensors
+    with use_backend(MyBackend()):
+        result = session.solve()  # kernels run on MyBackend arrays
 """
 
 from __future__ import annotations
@@ -35,18 +32,15 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.backend.base import Backend, check_out_dtype
 from repro.backend.numpy_backend import NumpyBackend
-from repro.backend.torch_backend import TorchBackend, torch_available
 
 __all__ = [
     "Backend",
     "NumpyBackend",
-    "TorchBackend",
     "available_backends",
     "check_out_dtype",
     "get_backend",
     "resolve_backend",
     "to_numpy",
-    "torch_available",
     "use_backend",
 ]
 
@@ -61,19 +55,15 @@ _STATE = threading.local()
 
 def available_backends() -> List[str]:
     """Names of the backends that can activate in this environment."""
-    names = ["numpy"]
-    if torch_available():
-        names.append("torch")
-    return names
+    return list(_INSTANCES)
 
 
 def resolve_backend(backend: Union[None, str, Backend]) -> Backend:
     """Normalize a backend selector to a :class:`Backend` instance.
 
     ``None`` resolves to the ambient default; a string must name an
-    *available* backend (``"torch"`` without torch raises with the list
-    of valid values, matching the API-validation idiom of
-    :mod:`repro.api`).
+    *available* backend (anything else raises with the list of valid
+    values, matching the API-validation idiom of :mod:`repro.api`).
     """
     if backend is None:
         return get_backend()
@@ -82,17 +72,8 @@ def resolve_backend(backend: Union[None, str, Backend]) -> Backend:
     if isinstance(backend, str):
         if backend in _INSTANCES:
             return _INSTANCES[backend]
-        if backend == "torch":
-            if not torch_available():
-                raise ValueError(
-                    "backend 'torch' is unavailable (torch is not "
-                    "importable); available backends: "
-                    + ", ".join(repr(n) for n in available_backends())
-                )
-            _INSTANCES["torch"] = TorchBackend()
-            return _INSTANCES["torch"]
         raise ValueError(
-            f"unknown backend {backend!r}; valid values: "
+            f"backend {backend!r} is unavailable; valid values: "
             + ", ".join(repr(n) for n in available_backends())
         )
     raise TypeError(
@@ -102,22 +83,14 @@ def resolve_backend(backend: Union[None, str, Backend]) -> Backend:
 
 
 def get_backend(x: Any = None) -> Backend:
-    """The backend for an operand (auto-detect), else the ambient default.
+    """The backend a kernel should run operand ``x`` on.
 
-    A non-numpy operand wins over the ambient default: kernels follow
-    their data.  Plain numpy operands (and ``x=None``) defer to the
-    innermost :func:`use_backend` scope, defaulting to numpy.
+    The innermost :func:`use_backend` scope, defaulting to numpy.  The
+    operand is the kernels' calling convention (they follow their data);
+    with numpy the only registered backend there is no foreign array
+    type to detect, and array-likes (lists, scalars) are absorbed as
+    ``np.asarray`` would absorb them.
     """
-    if x is not None and not _NUMPY.owns(x):
-        torch_bk = _INSTANCES.get("torch")
-        if torch_bk is not None and torch_bk.owns(x):
-            return torch_bk
-        if torch_bk is None and torch_available():
-            bk = resolve_backend("torch")
-            if bk.owns(x):
-                return bk
-        # unrecognized array-likes (lists, scalars) fall through to the
-        # ambient default, exactly as np.asarray would absorb them
     stack = getattr(_STATE, "stack", None)
     if stack:
         return stack[-1]

@@ -8,9 +8,8 @@ This module defines the thin array-API surface those kernels are
 written against.  :class:`~repro.backend.numpy_backend.NumpyBackend`
 is the default implementation (bit-identical to the pre-refactor
 kernels: every method is the exact numpy expression the kernels used
-to inline); :class:`~repro.backend.torch_backend.TorchBackend`
-activates when ``torch`` is importable and maps the same surface onto
-tensors (documented tolerance, see docs/performance.md).
+to inline) and the only one shipped; another array library plugs in by
+subclassing :class:`Backend` (tolerance contract in docs/performance.md).
 
 The surface is deliberately small: array creation, the gather /
 segmented-reduction pair that is the numpy analogue of a row-parallel
@@ -36,10 +35,9 @@ class Backend(abc.ABC):
     Implementations provide a consistent namespace of array operations
     over one array library.  The contract every implementation carries:
 
-    * :attr:`name` identifies the backend (``"numpy"``, ``"torch"``).
+    * :attr:`name` identifies the backend (``"numpy"``).
     * ``owns(x)`` is True when ``x`` is this backend's native array
-      type; :func:`repro.backend.get_backend` uses it for operand
-      auto-detection.
+      type.
     * The numpy backend is **bit-identical** to direct numpy code: each
       method is the literal numpy expression, so routing a kernel
       through the shim cannot change its floating-point result.

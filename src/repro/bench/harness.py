@@ -5,20 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-import numpy as np
-
-from repro.dd.decomposition import Decomposition
+from repro.api import KrylovConfig, SchwarzConfig, SolverSession
 from repro.dd.local_solvers import LocalSolverSpec
-from repro.dd.precision import HalfPrecisionOperator, round_to_single
-from repro.dd.two_level import GDSWPreconditioner
 from repro.fem import elasticity_3d, rigid_body_modes
-from repro.krylov import gmres
 from repro.machine.spec import CpuSpec, GpuSpec, MachineSpec
-from repro.obs import Tracer, use_tracer
 from repro.reuse.cache import LruDict, get_artifact_cache
 from repro.runtime.layout import JobLayout
 from repro.runtime.timings import SolverTimings, time_solver
-from repro.sparse.csr import CsrMatrix
 
 __all__ = [
     "model_machine",
@@ -121,8 +114,7 @@ class NumericsRecord:
     """Cached outcome of one numerics run.
 
     ``trace`` is the wall-time span tree of the run (setup + solve);
-    ``reduces``/``reduce_doubles`` are read from its counters (the
-    successor of the deprecated ``ReduceCounter`` plumbing).
+    ``reduces``/``reduce_doubles`` are read from its counters.
     """
 
     precond: object
@@ -159,7 +151,7 @@ def run_numerics(
     config: RunConfig,
     cache_key: Optional[Tuple] = None,
 ) -> NumericsRecord:
-    """Build the preconditioner and run GMRES; memoized.
+    """Build the preconditioner and run GMRES (one session solve); memoized.
 
     Parameters
     ----------
@@ -177,67 +169,37 @@ def run_numerics(
     if key in _NUMERICS_CACHE:
         return _NUMERICS_CACHE[key]
 
-    a = problem.a
-    if config.precision == "single":
-        a = CsrMatrix(
-            a.indptr.copy(), a.indices.copy(), round_to_single(a.data), a.shape
-        )
-
-    z = rigid_body_modes(problem.coordinates)
-    if config.precision == "single":
-        import copy
-
-        problem_used = copy.copy(problem)
-        problem_used.a = a
-    else:
-        problem_used = problem
-    dec = Decomposition.from_box_partition(problem_used, *parts)
-
-    # run setup + solve under a tracer: the trace carries the reduction
-    # counters (formerly a hand-carried ReduceCounter) and the wall-time
-    # span tree of every instrumented phase
-    tracer = Tracer()
-    with use_tracer(tracer):
-        with tracer.span("setup"):
-            precond = GDSWPreconditioner(
-                dec,
-                z,
-                local_spec=config.local,
-                overlap=config.overlap,
-                variant=config.variant,
-                dim=3,
-            )
-            operator: object = precond
-            if config.precision == "single":
-                operator = HalfPrecisionOperator(precond)
-
-        with tracer.span("krylov"):
-            res = gmres(
-                problem.a,  # GMRES always runs in the working (double) precision
-                problem.b,
-                preconditioner=operator,
-                rtol=config.rtol,
-                restart=config.restart,
-                maxiter=config.maxiter,
-                variant=config.gmres_variant,
-            )
-    tracer.finish()
-    relres = float(
-        np.linalg.norm(problem.a.matvec(res.x) - problem.b)
-        / max(np.linalg.norm(problem.b), 1e-300)
-    )
+    # one traced session solve: the trace carries the reduction
+    # counters and the wall-time span tree of every instrumented phase
+    res = SolverSession(
+        problem,
+        partition=parts,
+        config=SchwarzConfig(
+            local=config.local,
+            overlap=config.overlap,
+            variant=config.variant,
+            precision=config.precision,
+        ),
+        krylov=KrylovConfig(
+            variant=config.gmres_variant,
+            rtol=config.rtol,
+            restart=config.restart,
+            maxiter=config.maxiter,
+        ),
+        nullspace=rigid_body_modes(problem.coordinates),
+    ).solve()
     rec = NumericsRecord(
-        precond=operator,
+        precond=res.precond,
         iterations=res.iterations,
         converged=res.converged,
-        reduces=tracer.reduces,
-        reduce_doubles=tracer.reduce_doubles,
+        reduces=res.reduces,
+        reduce_doubles=res.reduce_doubles,
         n=problem.a.n_rows,
-        n_coarse=precond.n_coarse,
-        n_ranks=dec.n_subdomains,
-        final_relres=relres,
+        n_coarse=res.n_coarse,
+        n_ranks=res.n_ranks,
+        final_relres=res.final_relres,
         status=str(res.status),
-        trace=tracer.root,
+        trace=res.trace,
     )
     _NUMERICS_CACHE[key] = rec
     return rec

@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.dd.wrapper import OperatorWrapper, unwrap
 from repro.machine.kernels import KernelProfile
 from repro.obs import get_tracer
 from repro.resilience.context import get_engine
 from repro.resilience.detect import FloatOverflowError
+from repro.sparse.csr import CsrMatrix
 
-__all__ = ["HalfPrecisionOperator", "round_to_single"]
+__all__ = ["HalfPrecisionOperator", "round_to_single", "single_precision_matrix"]
 
 _F32_MAX = float(np.finfo(np.float32).max)
 _F32_TINY = float(np.finfo(np.float32).tiny)
@@ -52,10 +54,8 @@ def round_to_single(values: np.ndarray, on_overflow: str = "raise") -> np.ndarra
     arr = np.asarray(values, dtype=np.float64)
     out = arr.astype(np.float32)
     if on_overflow != "ignore":
-        overflowed = np.isinf(out) & np.isfinite(arr)
-        n_over = int(np.count_nonzero(overflowed))
+        overflowed, n_over, max_abs = _cast_overflow(arr, out)
         if n_over:
-            max_abs = float(np.max(np.abs(arr[overflowed])))
             if on_overflow == "raise":
                 raise FloatOverflowError(
                     f"float32 overflow in round_to_single: {n_over} finite "
@@ -79,7 +79,27 @@ def round_to_single(values: np.ndarray, on_overflow: str = "raise") -> np.ndarra
     return out.astype(np.float64)
 
 
-class HalfPrecisionOperator:
+def single_precision_matrix(a: CsrMatrix) -> CsrMatrix:
+    """``a`` with its values rounded through float32 (same pattern).
+
+    The matrix a half-precision preconditioner is built from and
+    refactorized with; the one place a matrix is rounded.
+    """
+    return CsrMatrix(
+        a.indptr.copy(), a.indices.copy(), round_to_single(a.data), a.shape
+    )
+
+
+def _cast_overflow(full: np.ndarray, cast: np.ndarray):
+    """Finite values a float32 cast turned into inf: ``(mask, count,
+    largest magnitude)``."""
+    overflowed = np.isinf(cast) & np.isfinite(full)
+    n_over = int(np.count_nonzero(overflowed))
+    max_abs = float(np.max(np.abs(full[overflowed]))) if n_over else 0.0
+    return overflowed, n_over, max_abs
+
+
+class HalfPrecisionOperator(OperatorWrapper):
     """Apply a preconditioner in emulated single precision.
 
     Parameters
@@ -93,8 +113,9 @@ class HalfPrecisionOperator:
     halved, plus the explicit type-cast kernels of the wrapper.
     """
 
-    def __init__(self, inner) -> None:
-        self.inner = inner
+    def refactor(self, a: CsrMatrix) -> None:
+        """Numeric-only refactorization from the float32-rounded ``a``."""
+        self.inner.refactor(single_precision_matrix(a))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Cast down, apply the inner operator, cast back up.
@@ -125,10 +146,8 @@ class HalfPrecisionOperator:
 
     @staticmethod
     def _check_cast(full: np.ndarray, cast: np.ndarray, where: str) -> None:
-        overflowed = np.isinf(cast) & np.isfinite(full)
-        n_over = int(np.count_nonzero(overflowed))
+        _, n_over, max_abs = _cast_overflow(full, cast)
         if n_over:
-            max_abs = float(np.max(np.abs(full[overflowed])))
             raise FloatOverflowError(
                 f"float32 overflow in the half-precision preconditioner "
                 f"{where} cast: {n_over} values, max magnitude "
@@ -139,11 +158,6 @@ class HalfPrecisionOperator:
             )
 
     # ------------------------------------------------------------------
-    def _cast_kernels(self, n: int) -> KernelProfile:
-        prof = KernelProfile()
-        prof.add("apply.precision_cast", flops=0.0, bytes=12.0 * n, parallelism=float(n))
-        return prof
-
     def rank_setup_profile(self, rank: int, refactorization: bool = False) -> KernelProfile:
         """Inner setup kernels with halved memory traffic."""
         return self.inner.rank_setup_profile(rank, refactorization).scaled_bytes(0.5)
@@ -151,21 +165,10 @@ class HalfPrecisionOperator:
     def rank_apply_profile(self, rank: int) -> KernelProfile:
         """Inner apply kernels at half the bytes plus the casts."""
         prof = self.inner.rank_apply_profile(rank).scaled_bytes(0.5)
-        n_local = self.inner.one_level.dof_sets[rank].size
-        prof.extend(self._cast_kernels(n_local))
+        n = unwrap(self.inner).one_level.dof_sets[rank].size
+        prof.add("apply.precision_cast", flops=0.0, bytes=12.0 * n, parallelism=float(n))
         return prof
 
     def halo_doubles(self, rank: int) -> int:
         """Halo payload; halved since the halo moves float32 values."""
         return (self.inner.halo_doubles(rank) + 1) // 2
-
-    # passthroughs used by the harness
-    @property
-    def n_coarse(self) -> int:
-        """Coarse dimension of the wrapped operator."""
-        return self.inner.n_coarse
-
-    @property
-    def dec(self):
-        """Decomposition of the wrapped operator."""
-        return self.inner.dec

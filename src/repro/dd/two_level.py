@@ -205,42 +205,10 @@ class GDSWPreconditioner:
 
         self._ext_rank_profiles: List[KernelProfile]
         if self.space.n_coarse > 0:
-            with tr.span("setup/coarse_basis") as sp:
-                phi, ext_spgemm, ext_ranks = energy_minimizing_extension(
-                    dec,
-                    self.analysis,
-                    self.space,
-                    _ext_factory,
-                    solver_cache=self._ext_solver_cache,
-                )
-                sp.add_profile(ext_spgemm)
-            self.phi: Optional[CsrMatrix] = phi
-            self._ext_spgemm = ext_spgemm
-            self._ext_rank_profiles = ext_ranks
-            # A0 = Phi^T A Phi
-            with tr.span("setup/spgemm") as sp:
-                at_phi = spgemm(dec.a, phi)
-                self._a0_flops = spgemm_flops(dec.a, phi)
-                phi_t = phi.transpose()
-                self.a0 = spgemm(phi_t, at_phi)
-                self._a0_flops += spgemm_flops(phi_t, at_phi)
-                sp.count("flops", float(self._a0_flops))
-                sp.count("nnz", float(self.a0.nnz))
+            self.a0 = self._extend_and_project(dec, "setup/coarse_basis")
             with tr.span("setup/coarse_factor") as sp:
                 sp.annotate(n_coarse=int(self.space.n_coarse))
-                if (
-                    coarse_solver == "multilevel"
-                    and self.a0.n_rows > multilevel_parts
-                ):
-                    from repro.dd.multilevel import MultilevelCoarseSolver
-
-                    self.coarse = MultilevelCoarseSolver(
-                        self.a0,
-                        n_parts=multilevel_parts,
-                        n_null=np.atleast_2d(nullspace).shape[1],
-                    )
-                else:
-                    self.coarse = coarse_spec.build(self.a0)
+                self.coarse = self._build_coarse(self.a0)
         else:  # single subdomain: no interface, pure one-level
             self.phi = None
             self.a0 = None
@@ -250,6 +218,45 @@ class GDSWPreconditioner:
             self._a0_flops = 0
 
         self._compute_phi_rank_nnz()
+
+    def _extend_and_project(self, dec: Decomposition, span: str) -> CsrMatrix:
+        """Extend the interface basis harmonically (Eq. 2) over ``dec``'s
+        values and return the Galerkin product ``A0 = Phi^T A Phi``."""
+        tr = get_tracer()
+        with tr.span(span) as sp:
+            phi, ext_spgemm, ext_ranks = energy_minimizing_extension(
+                dec,
+                self.analysis,
+                self.space,
+                self._ext_factory,
+                solver_cache=self._ext_solver_cache,
+            )
+            sp.add_profile(ext_spgemm)
+        self.phi: Optional[CsrMatrix] = phi
+        self._ext_spgemm = ext_spgemm
+        self._ext_rank_profiles = ext_ranks
+        with tr.span("setup/spgemm") as sp:
+            at_phi = spgemm(dec.a, phi)
+            self._a0_flops = spgemm_flops(dec.a, phi)
+            phi_t = phi.transpose()
+            a0 = spgemm(phi_t, at_phi)
+            self._a0_flops += spgemm_flops(phi_t, at_phi)
+            sp.count("flops", float(self._a0_flops))
+            sp.count("nnz", float(a0.nnz))
+        return a0
+
+    def _build_coarse(self, a0: CsrMatrix):
+        """A cold coarse solver for ``a0`` (direct, or a second GDSW level)."""
+        if (
+            self._coarse_solver_kind == "multilevel"
+            and a0.n_rows > self._multilevel_parts
+        ):
+            from repro.dd.multilevel import MultilevelCoarseSolver
+
+            return MultilevelCoarseSolver(
+                a0, n_parts=self._multilevel_parts, n_null=self._n_null
+            )
+        return self._coarse_spec.build(a0)
 
     def _compute_phi_rank_nnz(self) -> None:
         """Per-rank nnz of Phi restricted to owned dofs (apply-cost split)."""
@@ -342,26 +349,7 @@ class GDSWPreconditioner:
             self.coarse = None
             self._compute_phi_rank_nnz()
             return
-        with tr.span("reuse/extension_refactor") as sp:
-            phi, ext_spgemm, ext_ranks = energy_minimizing_extension(
-                dec_new,
-                self.analysis,
-                self.space,
-                self._ext_factory,
-                solver_cache=self._ext_solver_cache,
-            )
-            sp.add_profile(ext_spgemm)
-        self.phi = phi
-        self._ext_spgemm = ext_spgemm
-        self._ext_rank_profiles = ext_ranks
-        with tr.span("setup/spgemm") as sp:
-            at_phi = spgemm(dec_new.a, phi)
-            self._a0_flops = spgemm_flops(dec_new.a, phi)
-            phi_t = phi.transpose()
-            a0_new = spgemm(phi_t, at_phi)
-            self._a0_flops += spgemm_flops(phi_t, at_phi)
-            sp.count("flops", float(self._a0_flops))
-            sp.count("nnz", float(a0_new.nnz))
+        a0_new = self._extend_and_project(dec_new, "reuse/extension_refactor")
         with tr.span("reuse/coarse_refactor") as sp:
             same_pattern = self.a0 is not None and pattern_fingerprint(
                 a0_new
@@ -370,21 +358,9 @@ class GDSWPreconditioner:
             if same_pattern and isinstance(self.coarse, FactoredLocal):
                 sp.annotate(reused_symbolic=self.coarse.symbolic_reusable)
                 self.coarse = self.coarse.refactor(a0_new)
-            elif (
-                self._coarse_solver_kind == "multilevel"
-                and a0_new.n_rows > self._multilevel_parts
-            ):
-                from repro.dd.multilevel import MultilevelCoarseSolver
-
-                sp.annotate(reused_symbolic=False)
-                self.coarse = MultilevelCoarseSolver(
-                    a0_new,
-                    n_parts=self._multilevel_parts,
-                    n_null=self._n_null,
-                )
             else:
                 sp.annotate(reused_symbolic=False)
-                self.coarse = self._coarse_spec.build(a0_new)
+                self.coarse = self._build_coarse(a0_new)
         self._compute_phi_rank_nnz()
 
     def remove_subdomain(
@@ -410,23 +386,7 @@ class GDSWPreconditioner:
                 dead_rank=int(dead),
                 n_subdomains=int(dec_new.n_subdomains),
             )
-            return GDSWPreconditioner(
-                dec_new,
-                self._nullspace,
-                local_spec=self.local_spec,
-                coarse_spec=self._coarse_spec,
-                overlap=self.one_level.overlap,
-                variant=self.variant,
-                dim=self._dim,
-                extension_spec=self._extension_spec,
-                adaptive_tol=self._adaptive_tol,
-                spectral_tau=self._spectral_tau,
-                spectral_max_vectors=self._spectral_max_vectors,
-                spectral_drift_tol=self._spectral_drift_tol,
-                coarse_solver=self._coarse_solver_kind,
-                multilevel_parts=self._multilevel_parts,
-                reuse_from=self,
-            )
+            return self._rebuilt_over(dec_new)
 
     def split_subdomain(self, rank: int) -> "GDSWPreconditioner":
         """The preconditioner repaired after bisecting subdomain ``rank``.
@@ -447,23 +407,28 @@ class GDSWPreconditioner:
                 split_rank=int(rank),
                 n_subdomains=int(dec_new.n_subdomains),
             )
-            return GDSWPreconditioner(
-                dec_new,
-                self._nullspace,
-                local_spec=self.local_spec,
-                coarse_spec=self._coarse_spec,
-                overlap=self.one_level.overlap,
-                variant=self.variant,
-                dim=self._dim,
-                extension_spec=self._extension_spec,
-                adaptive_tol=self._adaptive_tol,
-                spectral_tau=self._spectral_tau,
-                spectral_max_vectors=self._spectral_max_vectors,
-                spectral_drift_tol=self._spectral_drift_tol,
-                coarse_solver=self._coarse_solver_kind,
-                multilevel_parts=self._multilevel_parts,
-                reuse_from=self,
-            )
+            return self._rebuilt_over(dec_new)
+
+    def _rebuilt_over(self, dec_new: Decomposition) -> "GDSWPreconditioner":
+        """The same configuration over a repaired partition of the same
+        matrix, reusing every local factorization the repair left alone."""
+        return GDSWPreconditioner(
+            dec_new,
+            self._nullspace,
+            local_spec=self.local_spec,
+            coarse_spec=self._coarse_spec,
+            overlap=self.one_level.overlap,
+            variant=self.variant,
+            dim=self._dim,
+            extension_spec=self._extension_spec,
+            adaptive_tol=self._adaptive_tol,
+            spectral_tau=self._spectral_tau,
+            spectral_max_vectors=self._spectral_max_vectors,
+            spectral_drift_tol=self._spectral_drift_tol,
+            coarse_solver=self._coarse_solver_kind,
+            multilevel_parts=self._multilevel_parts,
+            reuse_from=self,
+        )
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Apply ``M^{-1} v`` (additive combination of both levels).

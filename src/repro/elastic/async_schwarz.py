@@ -22,9 +22,10 @@ operator is admissible.
 :class:`StalenessGuard` is the watchdog: it rides the solver's
 ``guard`` hook and trips when the staleness budget is exhausted or the
 residual stagnates while stale data is in play.  :func:`solve_async`
-wires both together and falls back to the bulk-synchronous path with a
-re-anchored residual target when the guard fires -- the elastic
-analogue of the resilience engine's interpolated restart.
+wires both together through the shared restart loop
+(:func:`repro.krylov.driver.solve_with_restarts`): when the guard fires,
+the recovery flushes, drops the staleness wrapper, and the loop resumes
+bulk-synchronously with the residual target re-anchored.
 
 Pricing: stale iterations exclude the stale ranks from the slowest-rank
 max (``exclude_ranks=`` in
@@ -34,14 +35,17 @@ iterations (and the flush) pay the straggler-inflated full max.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
 import numpy as np
 
-from repro.krylov.gmres import gmres
+from repro.config import KrylovConfig
+from repro.dd.wrapper import OperatorWrapper
+from repro.krylov.driver import Protection, Repair, solve_with_restarts
 from repro.krylov.status import SolveStatus
 from repro.obs import get_tracer
+from repro.resilience.detect import KrylovGuard
 from repro.runtime.pricing import reduce_seconds
 from repro.runtime.timings import block_iteration_seconds
 
@@ -54,7 +58,7 @@ __all__ = [
 ]
 
 
-class BoundedStalenessSchwarz:
+class BoundedStalenessSchwarz(OperatorWrapper):
     """Schwarz apply variant tolerating stale data from slow ranks.
 
     Parameters
@@ -87,7 +91,7 @@ class BoundedStalenessSchwarz:
     ) -> None:
         if max_staleness < 0:
             raise ValueError(f"max_staleness must be >= 0, got {max_staleness}")
-        self.inner = inner
+        super().__init__(inner)
         self.stale_ranks = sorted({int(r) for r in stale_ranks})
         for r in self.stale_ranks:
             if not (0 <= r < inner.dec.n_subdomains):
@@ -107,24 +111,6 @@ class BoundedStalenessSchwarz:
             self._mask = np.repeat(node_mask, dec.dofs_per_node)
         else:
             self._mask = None
-
-    # -- profile pass-throughs (the pricing layer sees the inner kernels)
-    @property
-    def dec(self):
-        return self.inner.dec
-
-    @property
-    def n_coarse(self) -> int:
-        return self.inner.n_coarse
-
-    def rank_apply_profile(self, rank: int):
-        return self.inner.rank_apply_profile(rank)
-
-    def rank_setup_profile(self, rank: int, refactorization: bool = False):
-        return self.inner.rank_setup_profile(rank, refactorization)
-
-    def halo_doubles(self, rank: int) -> int:
-        return self.inner.halo_doubles(rank)
 
     # ------------------------------------------------------------------
     def flush(self) -> None:
@@ -158,51 +144,45 @@ class BoundedStalenessSchwarz:
         return self.inner.apply(v_eff)
 
 
-@dataclass
-class StalenessGuard:
+class StalenessGuard(KrylovGuard):
     """Watchdog for a bounded-staleness solve (budget + stagnation).
 
-    The :class:`~repro.resilience.detect.KrylovGuard` shape, extended
-    with the staleness budget: ``on_residual`` is called once per inner
-    iteration and returns a breakdown reason or None.  Reasons:
+    The shared :class:`~repro.resilience.detect.KrylovGuard` configured
+    for staleness: while the residual is not improving and stale ranks
+    are in play it reports
 
-    * ``"nonfinite"`` -- the residual estimate left the reals;
     * ``"staleness_budget"`` -- the operator has served more stale
-      applications than ``max_stale_applies`` allows;
+      applications than ``max_stale_applies`` allows (the guard's
+      ``extra`` predicate);
     * ``"stale_stagnation"`` -- the best residual estimate failed to
-      improve by ``stall_factor`` within ``stall_window`` iterations
-      while stale data was in play (a tighter window than the generic
-      guard: stagnation under staleness is *expected* to be the
-      staleness's fault, so the reaction is a flush, not a solver
-      fallback).
+      improve by ``stall_factor`` within ``stall_window`` iterations (a
+      tighter window than the generic guard: stagnation under staleness
+      is *expected* to be the staleness's fault, so the reaction is a
+      flush, not a solver fallback).
+
+    Without stale ranks only the non-finite check remains.
     """
 
-    operator: BoundedStalenessSchwarz
-    max_stale_applies: int = 200
-    stall_window: int = 30
-    stall_factor: float = 0.999
-    history: List[float] = field(default_factory=list)
-    _best: float = np.inf
-    _best_at: int = -1
+    def __init__(
+        self,
+        operator: BoundedStalenessSchwarz,
+        max_stale_applies: int = 200,
+        stall_window: int = 30,
+        stall_factor: float = 0.999,
+    ) -> None:
+        stale = bool(operator.stale_ranks)
+        super().__init__(
+            stall_window=stall_window if stale else 0,
+            stall_factor=stall_factor,
+            stall_reason="stale_stagnation",
+            extra=self._over_budget if stale else None,
+        )
+        self.operator = operator
+        self.max_stale_applies = max_stale_applies
 
-    def on_residual(self, iteration: int, estimate: float) -> Optional[str]:
-        """Feed one residual estimate; returns a breakdown reason or None."""
-        self.history.append(float(estimate))
-        if not np.isfinite(estimate):
-            return "nonfinite"
-        if estimate < self._best * self.stall_factor:
-            self._best = float(estimate)
-            self._best_at = iteration
-            return None
-        if not self.operator.stale_ranks:
-            return None
+    def _over_budget(self) -> Optional[str]:
         if self.operator.stale_applies > self.max_stale_applies:
             return "staleness_budget"
-        if (
-            self.stall_window > 0
-            and iteration - self._best_at >= self.stall_window
-        ):
-            return "stale_stagnation"
         return None
 
 
@@ -235,6 +215,25 @@ class AsyncSolveResult:
     status: SolveStatus
 
 
+class _SyncFallback(Protection):
+    """Staleness recovery: flush, drop the wrapper, go bulk-synchronous."""
+
+    def __init__(self, guard: StalenessGuard) -> None:
+        self.guard: Optional[StalenessGuard] = guard
+        self.reason: Optional[str] = None
+
+    def watchdog(self):
+        return self.guard
+
+    def recover(self, failure, operator, a, b) -> Optional[Repair]:
+        if failure.breakdown_reason not in STALENESS_REASONS:
+            return None
+        self.reason = failure.breakdown_reason
+        self.guard = None  # the synchronous resume runs unwatched
+        operator.flush()
+        return Repair(operator.inner, failure.x)
+
+
 def solve_async(
     a,
     b: np.ndarray,
@@ -252,81 +251,38 @@ def solve_async(
     Runs GMRES with ``precond`` wrapped in
     :class:`BoundedStalenessSchwarz`; if the :class:`StalenessGuard`
     trips, the solve resumes bulk-synchronously from the last finite
-    iterate with the residual target *re-anchored*: the fallback's
-    relative tolerance is rescaled so the combined solve still meets the
-    original ``rtol`` against the original right-hand side (GMRES
-    measures convergence relative to its own starting residual).
+    iterate with the residual target *re-anchored* (the restart loop's
+    anchor rule), so the combined solve still meets the original
+    ``rtol`` against the original right-hand side.
     """
     op = BoundedStalenessSchwarz(
         precond, stale_ranks, max_staleness=max_staleness
     )
-    guard = StalenessGuard(
+    fallback = _SyncFallback(StalenessGuard(
         op, max_stale_applies=max_stale_applies, stall_window=stall_window
-    )
-    tr = get_tracer()
-    with tr.span("elastic/async_solve") as sp:
+    ))
+    kry = KrylovConfig(rtol=rtol, restart=restart, maxiter=maxiter)
+    with get_tracer().span("elastic/async_solve") as sp:
         sp.annotate(
             stale_ranks=list(op.stale_ranks), max_staleness=max_staleness
         )
-        res = gmres(
-            a,
-            b,
-            preconditioner=op,
-            rtol=rtol,
-            restart=restart,
-            maxiter=maxiter,
-            guard=guard,
-        )
-        fell_back = (
-            res.status == SolveStatus.BREAKDOWN
-            and res.breakdown_reason in STALENESS_REASONS
-        )
-        residual_norms = list(res.residual_norms)
-        reduces = res.reduces
-        iterations = res.iterations
-        x = res.x
-        converged = res.converged
-        status = res.status
-        if fell_back:
-            sp.annotate(fallback_reason=res.breakdown_reason)
-            op.flush()
-            beta0 = residual_norms[0] if residual_norms else float(
-                np.linalg.norm(b)
-            )
-            target_abs = rtol * max(beta0, 1e-300)
-            rnow = float(np.linalg.norm(b - a.matvec(res.x)))
-            rtol_eff = min(1.0, target_abs / max(rnow, 1e-300))
-            res2 = gmres(
-                a,
-                b,
-                preconditioner=precond,
-                x0=res.x,
-                rtol=rtol_eff,
-                restart=restart,
-                maxiter=max(maxiter - res.iterations, restart),
-            )
-            residual_norms += list(res2.residual_norms)
-            reduces += res2.reduces
-            iterations += res2.iterations
-            x = res2.x
-            converged = res2.converged
-            status = res2.status
-        stale_iterations = op.stale_applies
-        sync_iterations = iterations - stale_iterations
-        sp.count("stale_iterations", float(stale_iterations))
+        out = solve_with_restarts(kry, a, b, op, fallback)
+        if fallback.reason is not None:
+            sp.annotate(fallback_reason=fallback.reason)
+        sp.count("stale_iterations", float(op.stale_applies))
         sp.count("flushes", float(op.flushes))
     return AsyncSolveResult(
-        x=x,
-        converged=converged,
-        iterations=iterations,
-        stale_iterations=stale_iterations,
-        sync_iterations=sync_iterations,
+        x=out.x,
+        converged=out.converged,
+        iterations=out.iterations,
+        stale_iterations=op.stale_applies,
+        sync_iterations=out.iterations - op.stale_applies,
         flushes=op.flushes,
-        fell_back=fell_back,
-        residual_norms=residual_norms,
-        reduces=reduces,
+        fell_back=fallback.reason is not None,
+        residual_norms=out.residual_norms,
+        reduces=out.reduces,
         stale_ranks=list(op.stale_ranks),
-        status=status,
+        status=out.status,
     )
 
 

@@ -31,6 +31,7 @@ Three invariant families become ``violations`` entries when they fail
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List
 
 import numpy as np
@@ -51,45 +52,6 @@ def _counters(service) -> Dict[str, float]:
         "scale_arounds": int(service.scale_arounds),
         "repartition_seconds": float(service.repartition_seconds),
     }
-
-
-def _run_arm(
-    problem,
-    layout,
-    trace,
-    *,
-    deadline: float,
-    seed: int,
-    elastic=None,
-    stragglers=None,
-) -> tuple:
-    """Serve one bound trace on a fresh service; returns (service, responses)."""
-    from repro.reuse import ArtifactCache, use_artifact_cache
-    from repro.serve.request import SolveRequest
-    from repro.serve.service import SolverService
-
-    with use_artifact_cache(ArtifactCache()):
-        service = SolverService(
-            layout=layout,
-            max_batch=4,
-            elastic=elastic,
-            stragglers=stragglers,
-        )
-        fp = service.register(problem.a)
-
-        def factory(arrival):
-            rng = np.random.default_rng(100003 * seed + arrival.index)
-            return SolveRequest(
-                rhs=problem.b + 0.1 * rng.standard_normal(problem.b.size),
-                matrix_fingerprint=fp,
-                tenant=arrival.tenant,
-                partition=(2, 2, 1),
-                deadline=deadline,
-            )
-
-        responses = service.run_trace(trace.bind(factory))
-        service.close()
-    return service, responses
 
 
 def run_elastic_bench(
@@ -120,34 +82,23 @@ def run_elastic_bench(
     from repro.runtime.layout import JobLayout
     from repro.runtime.timings import block_iteration_seconds
     from repro.serve.admission import ArrivalTrace
-    from repro.serve.overload import _arm_metrics, _identical
-    from repro.serve.request import SolveRequest
-    from repro.serve.service import SolverService
+    from repro.serve.overload import (
+        _arm_metrics,
+        _calibrated_seconds,
+        _identical,
+        _run_arm,
+    )
 
     problem = laplace_3d(elements, elements, elements)
     layout = JobLayout.cpu_run(1, ranks_per_node=4, machine=model_machine())
+    run_arm = functools.partial(_run_arm, max_batch=4)
     violations: List[str] = []
 
     # ---- capacity calibration (overload-bench pattern) ----------------
     calib_width = 4
-    with use_artifact_cache(ArtifactCache()):
-        calib = SolverService(layout=layout, max_batch=calib_width)
-        fp = calib.register(problem.a)
-        rng = np.random.default_rng(100003 * seed)
-
-        def _calib_req():
-            return SolveRequest(
-                rhs=problem.b + 0.1 * rng.standard_normal(problem.b.size),
-                matrix_fingerprint=fp, partition=(2, 2, 1),
-            )
-
-        calib.solve(_calib_req())  # pays the one-time setup
-        warm_clock = calib.clock
-        for _ in range(calib_width):
-            calib.submit(_calib_req())
-        calib.drain()
-        calib.close()
-    per_request_seconds = (calib.clock - warm_clock) / calib_width
+    per_request_seconds = _calibrated_seconds(
+        problem, layout, calib_width, seed
+    )
     capacity_rps = 0.7 / per_request_seconds
     batch_seconds = calib_width * per_request_seconds
     # comfortable against healthy batches, hopeless against a x8
@@ -166,10 +117,10 @@ def run_elastic_bench(
     quiet_trace = ArrivalTrace.poisson(
         rate=0.5 * capacity_rps, n=n_requests, seed=seed
     )
-    svc_plain, resp_plain = _run_arm(
+    svc_plain, resp_plain = run_arm(
         problem, layout, quiet_trace, deadline=deadline, seed=seed
     )
-    svc_idle, resp_idle = _run_arm(
+    svc_idle, resp_idle = run_arm(
         problem, layout, quiet_trace, deadline=deadline, seed=seed,
         elastic=elastic,
     )
@@ -205,11 +156,11 @@ def run_elastic_bench(
         rank=1, factor=straggler_factor,
         start=window_start, duration=window, seed=seed,
     )
-    svc_static, resp_static = _run_arm(
+    svc_static, resp_static = run_arm(
         problem, layout, surge_trace, deadline=deadline, seed=seed,
         stragglers=plan,
     )
-    svc_elastic, resp_elastic = _run_arm(
+    svc_elastic, resp_elastic = run_arm(
         problem, layout, surge_trace, deadline=deadline, seed=seed,
         stragglers=plan, elastic=elastic,
     )

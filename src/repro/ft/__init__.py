@@ -16,10 +16,12 @@ implements the standard HPC recovery stack over it:
   neighbor (buddy) replication, priced as halo traffic;
 * :func:`~repro.ft.recovery.interpolated_restart` -- restart iterate
   from surviving checkpoint copies, lost segments filled by the GDSW
-  coarse interpolation, tolerance re-anchored to the original residual;
-* :func:`solve_fault_tolerant` / ``SolverSession(fault_tolerance=)`` --
-  the driver threading all of the above through an unchanged Krylov
-  solve;
+  coarse interpolation (the shared restart loop re-anchors the
+  tolerance to the original residual);
+* ``SolverSession(policy=FaultToleranceConfig(...))`` -- turns into a
+  :class:`RankLossProtection` threading all of the above through the
+  session's one solve pipeline (:func:`solve_fault_tolerant` is the
+  functional spelling);
 * ``python -m repro.ft`` -- the chaos matrix (kill-phase x strategy)
   emitting ``BENCH_ft.json`` for the CI ``chaos-ft`` gate.
 """
@@ -31,6 +33,7 @@ from repro.ft.driver import (
     FaultToleranceConfig,
     FtOperator,
     FtReport,
+    RankLossProtection,
     solve_fault_tolerant,
 )
 from repro.ft.plan import (
@@ -62,6 +65,7 @@ __all__ = [
     "FaultToleranceConfig",
     "FtOperator",
     "FtReport",
+    "RankLossProtection",
     "solve_fault_tolerant",
     "rank_loss_action",
     "local_fingerprints",

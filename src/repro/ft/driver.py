@@ -1,19 +1,20 @@
-"""The fault-tolerant solve driver: detect, repair, restart.
+"""The rank-loss protection: detect, repair, restart.
 
-:func:`solve_fault_tolerant` runs one :class:`~repro.api.SolverSession`
-solve with rank-loss protection.  The numerics are byte-for-byte the
-session's own (the same sequential Krylov iteration on the same global
-operator); what changes is the *communication*: every preconditioner
-application replays its halo import and coarse-residual allreduce
-through a :class:`~repro.ft.comm.FaultTolerantComm`, every Krylov
-global reduction routes its values through one fault-tolerant
-``allreduce``, and the setup phase replays the overlap import -- so a
-scheduled process death surfaces exactly where a distributed run would
-see it, as a :class:`~repro.ft.comm.RankFailedError` in the middle of
-the phase the plan names.
+``SolverSession(policy=FaultToleranceConfig(...))`` runs the session's
+one solve pipeline under :class:`RankLossProtection`.  The numerics are
+byte-for-byte the session's own; what changes is the *communication*:
+every preconditioner application replays its halo import and
+coarse-residual allreduce through a
+:class:`~repro.ft.comm.FaultTolerantComm`, every Krylov reduction routes
+its values through one fault-tolerant ``allreduce``, and the setup phase
+replays the overlap import -- so a scheduled process death surfaces
+exactly where a distributed run would see it, as a
+:class:`~repro.ft.comm.RankFailedError` in the phase the plan names.
 
-On a failure the driver walks the rank-loss rung of the escalation
-ladder (:mod:`repro.resilience.policy`):
+The restart loop (:func:`repro.krylov.driver.solve_with_restarts`)
+catches the error and calls :meth:`RankLossProtection.recover`, which
+walks the rank-loss rung of the escalation ladder
+(:mod:`repro.resilience.policy`):
 
 1. drop the dead ranks' checkpoint copies
    (:meth:`CheckpointStore.on_failure` -- buddies keep the replicas);
@@ -23,41 +24,48 @@ ladder (:mod:`repro.resilience.policy`):
    refactorize the dead rank in place with a fingerprint check);
 4. replay the setup exchange on the repaired communicator (a second
    scheduled setup death can fire here);
-5. interpolated restart: reassemble the iterate from surviving
-   checkpoint copies, coarse-fill the lost segments, and re-anchor the
-   tolerance to the original initial residual
-   (:func:`repro.ft.recovery.interpolated_restart`).
+5. interpolated restart from the surviving checkpoint copies
+   (:func:`repro.ft.recovery.interpolated_restart`); the loop re-anchors
+   the tolerance to the original initial residual.
 
-Bit-identity contract: a *fault-free* run through this driver (no plan,
-or a plan that never fires) produces the same iterates, the same
-residual history, and the same ``reduces``/``reduce_doubles`` counters
-as ``SolverSession.solve`` -- the FT reductions contribute
-``[v, 0, ..., 0]`` (``x + 0.0 == x`` bitwise), the FT comm masks the
-ambient tracer around its own base ops, and :class:`FtReduceCounter`
-tallies exactly what :class:`~repro.obs.tracer.TracerReduceCounter`
-would.  ``tests/ft`` pins this.
+The communicator (its op counters, the plan's fired deaths) lives as
+long as the operator, across ``resolve()``; the checkpoint store and the
+report are per solve.
+
+Bit-identity contract: a *fault-free* run produces the same iterates,
+residual history and ``reduces``/``reduce_doubles`` as an unprotected
+solve -- the FT reductions contribute ``[v, 0, ..., 0]`` (``x + 0.0 ==
+x`` bitwise), the FT comm masks the ambient tracer around its own base
+ops, and the reductions stay counted by whatever tracer is active (the
+route attaches through ``Tracer.reduce_via``).  ``tests/ft`` and
+``tests/test_conformance.py`` pin this.
 """
 
 from __future__ import annotations
 
+import copy
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
-from repro.dd.precision import HalfPrecisionOperator
+from repro.dd.wrapper import OperatorWrapper, unwrap
 from repro.ft.checkpoint import CheckpointStore
 from repro.ft.comm import FaultTolerantComm, RankFailedError
 from repro.ft.plan import RankFailurePlan
 from repro.ft.recovery import (
-    _unwrap,
     interpolated_restart,
     local_fingerprints,
     rank_loss_action,
     repair_respawn,
     repair_shrink,
 )
-from repro.obs import Tracer
+from repro.krylov.driver import Protection, Repair
+from repro.krylov.status import SolveStatus
+from repro.obs import get_tracer
+from repro.resilience.detect import KrylovGuard
+from repro.resilience.engine import HealthReport
 from repro.resilience.policy import RecoveryAction
 
 __all__ = [
@@ -65,6 +73,7 @@ __all__ = [
     "FaultToleranceConfig",
     "FtOperator",
     "FtReport",
+    "RankLossProtection",
     "solve_fault_tolerant",
 ]
 
@@ -79,7 +88,7 @@ SETUP_TAG = 5
 
 @dataclass(frozen=True)
 class FaultToleranceConfig:
-    """Rank-loss protection knobs (``SolverSession(fault_tolerance=)``).
+    """Rank-loss protection knobs (``SolverSession(policy=)``).
 
     Attributes
     ----------
@@ -123,68 +132,12 @@ class FaultToleranceConfig:
                 f"max_failures must be >= 0, got {self.max_failures}"
             )
 
-
-class FtReduceCounter:
-    """A reduction counter that routes values through the FT comm.
-
-    Drop-in for :class:`~repro.obs.tracer.TracerReduceCounter`: same
-    tallies onto the tracer's active span, same returned values.  The
-    routing is bit-identical -- rank 0 contributes the values, every
-    other rank zeros, and IEEE-754 guarantees ``v + 0.0 == v`` bitwise
-    for every finite (and NaN) ``v`` -- but the allreduce now *counts
-    as a collective* on the fault-tolerant communicator, so a death
-    scheduled in the ``reduce`` phase fires here.
-    """
-
-    __slots__ = ("tracer", "comm", "count", "doubles")
-
-    def __init__(self, tracer, comm: FaultTolerantComm) -> None:
-        self.tracer = tracer
-        self.comm = comm
-        self.count = 0
-        self.doubles = 0
-
-    def allreduce(self, values: np.ndarray) -> np.ndarray:
-        values = np.atleast_1d(np.asarray(values))
-        comm = self.comm
-        comm.set_phase("reduce")
-        contributions = [
-            values if r == 0 else np.zeros_like(values, dtype=np.float64)
-            for r in range(comm.size)
-        ]
-        out = comm.allreduce(contributions)
-        self.count += 1
-        self.doubles += int(values.size)
-        t = self.tracer
-        t.count("reduces", 1.0)
-        t.count("reduce_doubles", float(values.size))
-        return out
-
-    def reset(self) -> None:
-        self.count = 0
-        self.doubles = 0
+    def protection(self, session=None) -> "RankLossProtection":
+        """A fresh protection (the session asks for one per cold build)."""
+        return RankLossProtection(self)
 
 
-class FtTracer(Tracer):
-    """Session tracer whose Krylov reductions go through the FT comm.
-
-    The Krylov solvers obtain their reduction counter from the ambient
-    tracer (``tr.reduce_counter()``); overriding that hook is how the
-    driver threads the fault-tolerant communicator under the unchanged
-    solver code.
-    """
-
-    def __init__(self, ft_comm: Optional[FaultTolerantComm] = None) -> None:
-        super().__init__()
-        self.ft_comm = ft_comm
-
-    def reduce_counter(self):
-        if self.ft_comm is None:  # before the comm exists: plain counting
-            return super().reduce_counter()
-        return FtReduceCounter(self, self.ft_comm)
-
-
-class FtOperator:
+class FtOperator(OperatorWrapper):
     """Preconditioner wrapper replaying per-apply FT communication.
 
     The wrapped operator's numerics are untouched (``apply`` delegates
@@ -197,18 +150,20 @@ class FtOperator:
       overlap ghost region (tag :data:`HALO_TAG`), and
     * one coarse-residual allreduce when a coarse space exists.
 
-    Cost-model calls (``rank_apply_profile``, ``halo_doubles``, ...)
-    and attribute lookups delegate to the wrapped operator, so
+    The cost-model protocol delegates to the wrapped operator, so
     ``SessionResult.timings`` prices an FT run like a plain one.
     """
 
-    def __init__(self, inner, comm: FaultTolerantComm) -> None:
-        self.inner = inner
-        self.comm = comm
-        self._rebuild_plans()
+    protective = True
 
-    def _rebuild_plans(self) -> None:
-        gdsw = _unwrap(self.inner)
+    def __init__(self, inner, comm: FaultTolerantComm) -> None:
+        self.comm = comm
+        self.rebind(inner)
+
+    def rebind(self, inner) -> None:
+        """Point at a (repaired) operator and derive the comm plans."""
+        self.inner = inner
+        gdsw = unwrap(inner)
         dec = gdsw.dec
         owner = dec.node_owner
         #: per rank: (peer rank shipping the aggregated halo, ghost dofs)
@@ -222,19 +177,18 @@ class FtOperator:
         self._n_coarse = int(gdsw.n_coarse)
         self._has_coarse = gdsw.phi is not None and self._n_coarse > 0
 
-    def rebind(self, inner) -> None:
-        """Point at a repaired operator and re-derive the comm plans."""
-        self.inner = inner
-        self._rebuild_plans()
+    def exchange(self, tag: int, payload) -> None:
+        """One aggregated ``payload(dofs)`` message per rank with a
+        nonempty ghost region, shipped by its halo peer."""
+        for r, (peer, dofs) in enumerate(self._halo):
+            if peer is not None and dofs.size:
+                self.comm.send(peer, r, payload(dofs), tag=tag)
+                self.comm.recv(r, peer, tag=tag)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         comm = self.comm
         comm.set_phase("apply")
-        for r, (peer, dofs) in enumerate(self._halo):
-            if peer is None or dofs.size == 0:
-                continue
-            comm.send(peer, r, v[dofs], tag=HALO_TAG)
-            comm.recv(r, peer, tag=HALO_TAG)
+        self.exchange(HALO_TAG, lambda dofs: v[dofs])
         y = self.inner.apply(v)
         if self._has_coarse:
             # the coarse residual enters the replicated coarse solve
@@ -245,30 +199,9 @@ class FtOperator:
             comm.allreduce(contributions)
         return y
 
-    def __getattr__(self, name):
-        # cost-model interface (rank_*_profile, halo_doubles, n_coarse,
-        # dec, phi, coarse, ...) delegates to the wrapped operator
-        return getattr(self.inner, name)
-
-
-class _RecordingGuard:
-    """Per-iteration recorder (no intervention), chainable."""
-
-    def __init__(self, inner=None) -> None:
-        self.inner = inner
-        self.iters = 0
-        self.history: List[float] = []
-
-    def on_residual(self, it: int, rn: float):
-        self.iters = it
-        self.history.append(float(rn))
-        if self.inner is not None:
-            return self.inner.on_residual(it, rn)
-        return None
-
 
 class _CheckpointHook:
-    """CG callback / GMRES observer taking snapshots on cadence.
+    """CG iterate hook / GMRES observer taking snapshots on cadence.
 
     Snapshot points: CG checkpoints every ``interval`` iterations via
     the solver callback; GMRES checkpoints at the first cycle boundary
@@ -282,16 +215,14 @@ class _CheckpointHook:
         store: CheckpointStore,
         comm: FaultTolerantComm,
         operator,
-        guard: _RecordingGuard,
+        guard: KrylovGuard,
         base_iters: int = 0,
-        inner_observer=None,
     ) -> None:
         self.store = store
         self.comm = comm
         self.operator = operator
         self.guard = guard
         self.base_iters = base_iters
-        self.inner_observer = inner_observer
         self._last_snapshot = base_iters
         self._fingerprints: Optional[List[str]] = None
 
@@ -312,16 +243,12 @@ class _CheckpointHook:
         )
         self._last_snapshot = iters
 
-    # -- CG callback interface -----------------------------------------
-    def cg_callback(self, it: int, x: np.ndarray) -> None:
+    # -- CG iterate hook ------------------------------------------------
+    def on_iterate(self, it: int, x: np.ndarray) -> None:
         self._maybe_snapshot(self.base_iters + it, x)
 
     # -- GMRES observer interface --------------------------------------
     def on_cycle(self, basis, x, estimate, true_norm=None) -> None:
-        if self.inner_observer is not None:
-            self.inner_observer.on_cycle(
-                basis=basis, x=x, estimate=estimate, true_norm=true_norm
-            )
         tail = basis[-1] if len(basis) else None
         self._maybe_snapshot(self.base_iters + self.guard.iters, x, tail)
 
@@ -381,257 +308,199 @@ def _setup_exchange(ft_op: FtOperator, comm: FaultTolerantComm) -> None:
     the ULFM situation: survivors hold their state, the dead rank's
     contribution is lost).
     """
-    from repro.obs import get_tracer
-
     comm.set_phase("setup")
     with get_tracer().span("ft/setup_exchange"):
-        for r, (peer, dofs) in enumerate(ft_op._halo):
-            if peer is None or dofs.size == 0:
-                continue
-            comm.send(peer, r, np.zeros(min(dofs.size, 1)), tag=SETUP_TAG)
-            comm.recv(r, peer, tag=SETUP_TAG)
+        ft_op.exchange(SETUP_TAG, lambda dofs: np.zeros(1))
         comm.barrier()
 
 
-def _rewrap(template, repaired):
-    """Re-apply the session's precision wrapper to a repaired operator."""
-    if isinstance(template, HalfPrecisionOperator):
-        return HalfPrecisionOperator(repaired)
-    return repaired
+class RankLossProtection(Protection):
+    """The rank-loss :class:`~repro.krylov.driver.Protection`.
 
-
-def _recover(
-    err: RankFailedError,
-    ft: FaultToleranceConfig,
-    operator,
-    ft_op: FtOperator,
-    comm: FaultTolerantComm,
-    store: CheckpointStore,
-    a,
-    b: np.ndarray,
-    target_abs: float,
-    tracer: Tracer,
-    actions: List[RecoveryAction],
-    detections: List[str],
-    report: FtReport,
-):
-    """One full pass of the rank-loss rung; returns the repaired state.
-
-    Returns ``(operator, x0, rtol_eff)``.  May itself raise
-    :class:`RankFailedError` if another scheduled death fires during
-    the repair's setup exchange (the caller loops).
+    Per operator lifetime: the fault-tolerant communicator and the
+    :class:`FtOperator` replaying through it.  Per solve (opened by
+    :meth:`wrap`): the checkpoint store, the action log and the
+    :class:`FtReport`.
     """
-    dead = list(err.dead_ranks)
-    detections.append(
-        f"rank loss detected: {err.op} during {err.phase} raised "
-        f"MPI_ERR_PROC_FAILED for rank(s) {dead}"
-    )
-    with tracer.span("ft/recovery") as sp:
-        sp.annotate(
-            dead_ranks=str(dead), phase=err.phase, strategy=ft.strategy
-        )
-        # 1. the dead ranks' checkpoint copies died with them
-        store.on_failure(dead)
-        # 2. + 3. repair communicator and preconditioner
-        if ft.strategy == "shrink":
-            comm.shrink()
-            repaired = repair_shrink(operator, dead)
-            operator = _rewrap(operator, repaired)
-            detail = (
-                f"rank(s) {dead} lost during {err.phase}; shrank to "
-                f"{comm.size} ranks, merged dead subdomain(s) into "
-                f"neighbors ({_unwrap(operator).dec.n_subdomains} "
-                f"subdomains remain)"
-            )
+
+    def __init__(self, config: FaultToleranceConfig) -> None:
+        self.config = config
+        #: an unprotected run is the control arm: the error propagates
+        self.recoverable = (RankFailedError,) if config.protect else ()
+        self.comm: Optional[FaultTolerantComm] = None
+        self.ft_op: Optional[FtOperator] = None
+        self.store: Optional[CheckpointStore] = None
+
+    @property
+    def injecting(self) -> bool:
+        return self.config.plan is not None
+
+    @contextmanager
+    def context(self):
+        """Route the active tracer's reductions through the FT comm."""
+        tr = get_tracer()
+        previous, tr.reduce_via = tr.reduce_via, self._reduce
+        try:
+            yield
+        finally:
+            tr.reduce_via = previous
+
+    def _reduce(self, values: np.ndarray) -> np.ndarray:
+        """One Krylov reduction as a collective on the FT communicator.
+
+        Bit-identical routing -- rank 0 contributes the values, every
+        other rank zeros, and IEEE-754 guarantees ``v + 0.0 == v``
+        bitwise for every finite (and NaN) ``v`` -- but the allreduce
+        now *counts as a collective*, so a death scheduled in the
+        ``reduce`` phase fires here.
+        """
+        comm = self.comm
+        if comm is None:  # before the comm exists: plain counting
+            return values
+        comm.set_phase("reduce")
+        return comm.allreduce([
+            values if r == 0 else np.zeros_like(values, dtype=np.float64)
+            for r in range(comm.size)
+        ])
+
+    def wrap(self, operator, rung: str):
+        ft = self.config
+        dec = unwrap(operator).dec
+        if self.comm is None:
+            self.comm = FaultTolerantComm(dec.n_subdomains, plan=ft.plan)
+            self.ft_op = FtOperator(operator, self.comm)
         else:
-            comm.respawn()
-            lines = repair_respawn(operator, dead, store)
-            detail = (
-                f"rank(s) {dead} lost during {err.phase}; respawned "
-                f"replacement(s): " + "; ".join(lines)
-            )
-        actions.append(rank_loss_action(dead, ft.strategy, detail))
-        ft_op.rebind(operator)
-        # 4. the repair's own communication (can re-fail)
-        _setup_exchange(ft_op, comm)
-        # 5. interpolated restart from the surviving checkpoint copies
-        x0, rtol_eff, residual_now, lost = interpolated_restart(
-            operator, a, b, store, target_abs
+            self.ft_op.rebind(operator)
+        self.store = CheckpointStore(dec, interval=ft.checkpoint_interval)
+        self.actions: List[RecoveryAction] = []
+        self.detections: List[str] = []
+        self.ft_report = FtReport(strategy=ft.strategy, store=self.store)
+        self._failures_before = len(self.comm.failures)
+        self._recoveries_before = self.comm.ft_recoveries
+        failure = None
+        if rung != "skip":  # a skipped setup imports no overlap
+            try:
+                _setup_exchange(self.ft_op, self.comm)
+            except self.recoverable as exc:
+                failure = exc
+        return self.ft_op, failure
+
+    def watchdog(self) -> KrylovGuard:
+        """A pure recorder: the restart loop reads its ``iters`` and
+        ``history`` when an attempt dies mid-iteration."""
+        return KrylovGuard(stall_window=0)
+
+    def observer(self, operator, watchdog, iterations: int):
+        return _CheckpointHook(
+            self.store, self.comm, operator, watchdog, base_iters=iterations
         )
-        actions.append(
-            RecoveryAction(
-                "interpolated_restart",
-                -1,
-                f"restarted from surviving checkpoint copies "
-                f"(coarse-filled segments: {lost or 'none'}); restart "
-                f"residual {residual_now:.3e}, tolerance re-anchored to "
-                f"rtol_eff={rtol_eff:.3e}",
-            )
+
+    def recover(self, err, ft_op, a, b) -> Optional[Repair]:
+        """One full pass of the rank-loss rung.
+
+        May itself raise :class:`RankFailedError` if another scheduled
+        death fires during the repair's setup exchange (the restart
+        loop calls again).  None -- the error propagates -- once the
+        failure budget is spent.
+        """
+        ft, comm, store = self.config, self.comm, self.store
+        if not isinstance(err, RankFailedError):
+            return None  # a numerical breakdown is not this policy's to fix
+        if comm.ft_failures > ft.max_failures:
+            return None
+        operator = ft_op.inner
+        dead = list(err.dead_ranks)
+        self.detections.append(
+            f"rank loss detected: {err.op} during {err.phase} raised "
+            f"MPI_ERR_PROC_FAILED for rank(s) {dead}"
         )
-        report.lost_segments.append(lost)
-        report.restart_residuals.append(residual_now)
-        # fresh checkpoint epoch on the repaired partition
-        store.rebind(_unwrap(operator).dec)
-    return operator, x0, rtol_eff
+        with get_tracer().span("ft/recovery") as sp:
+            sp.annotate(
+                dead_ranks=str(dead), phase=err.phase, strategy=ft.strategy
+            )
+            # 1. the dead ranks' checkpoint copies died with them
+            store.on_failure(dead)
+            # 2. + 3. repair communicator and preconditioner
+            if ft.strategy == "shrink":
+                comm.shrink()
+                repaired = repair_shrink(operator, dead)
+                if isinstance(operator, OperatorWrapper):
+                    # keep the session's precision wrapper
+                    operator = copy.copy(operator)
+                    operator.inner = repaired
+                else:
+                    operator = repaired
+                detail = (
+                    f"rank(s) {dead} lost during {err.phase}; shrank to "
+                    f"{comm.size} ranks, merged dead subdomain(s) into "
+                    f"neighbors ({repaired.dec.n_subdomains} "
+                    f"subdomains remain)"
+                )
+            else:
+                comm.respawn()
+                lines = repair_respawn(operator, dead, store)
+                detail = (
+                    f"rank(s) {dead} lost during {err.phase}; respawned "
+                    f"replacement(s): " + "; ".join(lines)
+                )
+            self.actions.append(rank_loss_action(dead, ft.strategy, detail))
+            ft_op.rebind(operator)
+            # 4. the repair's own communication (can re-fail)
+            _setup_exchange(ft_op, comm)
+            # 5. interpolated restart from the surviving checkpoint copies
+            x0, residual_now, lost = interpolated_restart(
+                operator, a, b, store
+            )
+            self.actions.append(
+                RecoveryAction(
+                    "interpolated_restart",
+                    -1,
+                    f"restarted from surviving checkpoint copies "
+                    f"(coarse-filled segments: {lost or 'none'}); restart "
+                    f"residual {residual_now:.3e}, tolerance re-anchored "
+                    f"to the original initial residual",
+                )
+            )
+            self.ft_report.lost_segments.append(lost)
+            self.ft_report.restart_residuals.append(residual_now)
+            # fresh checkpoint epoch on the repaired partition
+            store.rebind(unwrap(operator).dec)
+        return Repair(ft_op, x0)
+
+    def report(self, result):
+        comm, store, report = self.comm, self.store, self.ft_report
+        failures = comm.failures[self._failures_before:]
+        recoveries = comm.ft_recoveries - self._recoveries_before
+        status = result.status
+        if result.converged and recoveries:
+            status = SolveStatus.RECOVERED
+        report.failures = failures
+        report.recoveries = recoveries
+        report.checkpoints = store.snapshots
+        report.checkpoint_doubles = store.doubles_shipped
+        health = HealthReport(
+            status=str(status),
+            faults=failures,
+            detections=self.detections,
+            actions=self.actions,
+            restarts=recoveries,
+            refactorizations=sum(
+                1 for act in self.actions if act.kind == "rank_respawn"
+            ),
+        )
+        return status, {"health": health, "ft": report}
 
 
 def solve_fault_tolerant(session, ft: FaultToleranceConfig):
-    """Run ``session``'s solve under rank-loss protection.
+    """``session.solve()`` under rank-loss protection ``ft``.
 
-    Returns the same :class:`~repro.api.SessionResult` shape as
-    ``SolverSession.solve``, with ``result.ft`` holding the
+    The functional spelling of ``SolverSession(..., policy=ft).solve()``:
+    the session's own pipeline runs (so ``verify=``, ``tracer=`` and
+    ``backend=`` apply), with ``result.ft`` holding the
     :class:`FtReport`, ``result.health`` the rank-loss actions, and
     ``result.status`` reading ``recovered`` when the solve converged
-    after at least one repair.
+    after at least one repair.  ``session`` itself is left untouched.
     """
-    from repro.api import SessionResult
-    from repro.krylov import SolveStatus, cg, gmres, pipelined_cg
-    from repro.obs import use_tracer
-    from repro.resilience.engine import HealthReport
-
-    kry = session.krylov
-    problem = session.problem
-    a, b = problem.a, problem.b
-    tracer = FtTracer()
-    actions: List[RecoveryAction] = []
-    detections: List[str] = []
-    report = FtReport(strategy=ft.strategy)
-
-    with use_tracer(tracer):
-        with tracer.span("setup") as sp:
-            sp.annotate(
-                config=session.config.describe(),
-                partition=str(session.partition),
-                fault_tolerance=ft.strategy,
-            )
-            operator = session.build_preconditioner()
-        inner0 = _unwrap(operator)
-        comm = FaultTolerantComm(inner0.dec.n_subdomains, plan=ft.plan)
-        tracer.ft_comm = comm
-        ft_op = FtOperator(operator, comm)
-        store = CheckpointStore(inner0.dec, interval=ft.checkpoint_interval)
-        # the convergence target stays anchored to the fault-free
-        # initial residual (x0 = 0) across every recovery restart
-        target_abs = kry.rtol * float(np.linalg.norm(b))
-
-        pending: Optional[RankFailedError] = None
-        try:
-            _setup_exchange(ft_op, comm)
-        except RankFailedError as exc:
-            if not ft.protect:
-                raise
-            pending = exc
-
-        x0: Optional[np.ndarray] = None
-        rtol_eff = kry.rtol
-        iterations = 0
-        residual_norms: List[float] = []
-        res = None
-        while True:
-            if pending is not None:
-                if comm.ft_failures > ft.max_failures:
-                    raise pending
-                exc, pending = pending, None
-                try:
-                    operator, x0, rtol_eff = _recover(
-                        exc, ft, operator, ft_op, comm, store, a, b,
-                        target_abs, tracer, actions, detections, report,
-                    )
-                except RankFailedError as exc2:
-                    if not ft.protect:
-                        raise
-                    pending = exc2
-                    continue
-            remaining = kry.maxiter - iterations
-            if remaining < 1:
-                break
-            guard = _RecordingGuard()
-            hook = _CheckpointHook(
-                store, comm, operator, guard, base_iters=iterations
-            )
-            try:
-                with tracer.span("krylov") as sp:
-                    sp.annotate(method=kry.method)
-                    if kry.method == "gmres":
-                        res = gmres(
-                            a, b, preconditioner=ft_op, x0=x0,
-                            rtol=rtol_eff, restart=kry.restart,
-                            maxiter=remaining, variant=kry.variant,
-                            observer=hook, guard=guard,
-                        )
-                    elif kry.method == "cg":
-                        res = cg(
-                            a, b, preconditioner=ft_op, x0=x0,
-                            rtol=rtol_eff, maxiter=remaining,
-                            callback=hook.cg_callback, guard=guard,
-                        )
-                    else:
-                        # pipelined_cg exposes no iterate callback; its
-                        # recovery falls back to the coarse-interpolated
-                        # restart alone
-                        res = pipelined_cg(
-                            a, b, preconditioner=ft_op, x0=x0,
-                            rtol=rtol_eff, maxiter=remaining, guard=guard,
-                        )
-            except RankFailedError as exc:
-                if not ft.protect:
-                    raise
-                # the failed attempt's completed iterations still count
-                iterations += guard.iters
-                residual_norms.extend(guard.history)
-                pending = exc
-                continue
-            iterations += res.iterations
-            residual_norms.extend(res.residual_norms)
-            break
-    tracer.finish()
-
-    if res is None:  # maxiter exhausted before any attempt completed
-        x = x0 if x0 is not None else np.zeros(a.n_rows)
-        converged = False
-        status = SolveStatus.MAXITER
-    else:
-        x = res.x
-        converged = bool(res.converged)
-        status = getattr(res, "status", SolveStatus.MAXITER)
-    recoveries = comm.ft_recoveries
-    if converged and recoveries:
-        status = SolveStatus.RECOVERED
-
-    report.failures = list(comm.failures)
-    report.recoveries = recoveries
-    report.checkpoints = store.snapshots
-    report.checkpoint_doubles = store.doubles_shipped
-    report.store = store
-
-    health = HealthReport(
-        status=str(status),
-        faults=list(comm.failures),
-        detections=detections,
-        actions=actions,
-        restarts=recoveries,
-        refactorizations=sum(
-            1 for act in actions if act.kind == "rank_respawn"
-        ),
-    )
-
-    relres = float(
-        np.linalg.norm(a.matvec(x) - b) / max(np.linalg.norm(b), 1e-300)
-    )
-    inner = _unwrap(operator)
-    return SessionResult(
-        x=x,
-        iterations=iterations,
-        converged=converged,
-        residual_norms=residual_norms,
-        reduces=tracer.reduces,
-        reduce_doubles=tracer.reduce_doubles,
-        final_relres=relres,
-        n_coarse=inner.n_coarse,
-        n_ranks=inner.dec.n_subdomains,
-        precond=ft_op,
-        trace=tracer.root,
-        status=status,
-        health=health,
-        ft=report,
-    )
+    protected = copy.copy(session)
+    protected.policy = ft
+    return protected.solve()

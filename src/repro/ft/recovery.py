@@ -20,10 +20,11 @@ Three steps, mirroring what a ULFM application does after
 3. **interpolated restart** -- reassemble the iterate from surviving
    checkpoint copies, fill unrecoverable segments with the coarse-grid
    interpolation ``x0 += Phi A_0^{-1} Phi^T (b - A x0)`` (the coarse
-   space is exactly the object that can see across the hole), and
-   restart the Krylov iteration with the tolerance re-anchored to the
-   *original* initial residual so the recovered solve targets the same
-   absolute accuracy as the fault-free one.
+   space is exactly the object that can see across the hole); the
+   restart loop (:func:`repro.krylov.driver.solve_with_restarts`) then
+   re-anchors the tolerance to the *original* initial residual so the
+   recovered solve targets the same absolute accuracy as the fault-free
+   one.
 """
 
 from __future__ import annotations
@@ -32,9 +33,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.dd.wrapper import unwrap
 from repro.ft.checkpoint import CheckpointStore
 from repro.obs import get_tracer
-from repro.resilience.policy import RecoveryAction
+from repro.resilience.policy import RecoveryAction, RecoveryPolicy
+from repro.reuse.fingerprint import values_fingerprint
 
 __all__ = [
     "rank_loss_action",
@@ -55,27 +58,15 @@ def rank_loss_action(
     ladder lives in one place; ``detail`` overrides the wording with
     run-specific context.
     """
-    from repro.resilience.policy import RecoveryPolicy
-
     action = RecoveryPolicy().rank_loss_rung(dead, strategy)
     if detail:
         action = RecoveryAction(action.kind, action.rank, detail)
     return action
 
 
-def _unwrap(operator):
-    """Peel wrappers down to the GDSWPreconditioner."""
-    inner = operator
-    while hasattr(inner, "inner"):
-        inner = inner.inner
-    return inner
-
-
 def local_fingerprints(operator) -> List[str]:
     """Value fingerprints of every rank's overlapping local matrix."""
-    from repro.reuse.fingerprint import values_fingerprint
-
-    one_level = _unwrap(operator).one_level
+    one_level = unwrap(operator).one_level
     return [values_fingerprint(a_i) for a_i in one_level.matrices]
 
 
@@ -85,7 +76,7 @@ def repair_shrink(operator, dead: List[int]):
     Multiple simultaneous deaths are merged one at a time, highest rank
     first so earlier merges do not renumber the still-dead ranks.
     """
-    inner = _unwrap(operator)
+    inner = unwrap(operator)
     repaired = inner
     for rank in sorted(dead, reverse=True):
         repaired = repaired.remove_subdomain(rank)
@@ -104,9 +95,7 @@ def repair_respawn(
     disagrees with the checkpointed one (state corruption a silent
     respawn would otherwise carry into the restarted solve).
     """
-    from repro.reuse.fingerprint import values_fingerprint
-
-    one_level = _unwrap(operator).one_level
+    one_level = unwrap(operator).one_level
     tr = get_tracer()
     details: List[str] = []
     for rank in dead:
@@ -134,29 +123,22 @@ def repair_respawn(
 
 
 def interpolated_restart(
-    operator,
-    a,
-    b: np.ndarray,
-    store: CheckpointStore,
-    target_abs: float,
-) -> Tuple[np.ndarray, float, float, List[int]]:
-    """Reconstruct a restart iterate and its re-anchored tolerance.
+    operator, a, b: np.ndarray, store: CheckpointStore
+) -> Tuple[np.ndarray, float, List[int]]:
+    """Reconstruct a restart iterate from the surviving checkpoints.
 
-    Returns ``(x0, rtol_eff, residual_now, lost_ranks)``:
+    Returns ``(x0, residual_now, lost_ranks)``:
 
     * ``x0`` -- surviving checkpoint segments, with unrecoverable
       segments (both copies dead) filled -- and every segment polished
       -- by one coarse-grid correction on the *repaired* operator;
-    * ``rtol_eff`` -- ``target_abs / ||b - A x0||``, so the restarted
-      Krylov run converges at the same absolute residual the fault-free
-      solve targets (the anchoring pattern of the session retry loop);
     * ``residual_now`` -- the restart residual norm (reporting);
     * ``lost_ranks`` -- segments no checkpoint copy survived for.
     """
     tr = get_tracer()
     with tr.span("ft/restart") as sp:
         x0, lost, ckpt_it = store.restore_x(a.n_rows)
-        inner = _unwrap(operator)
+        inner = unwrap(operator)
         r = b - a.matvec(x0)
         if inner.phi is not None:
             # coarse-grid interpolation: the only component with global
@@ -166,11 +148,10 @@ def interpolated_restart(
             x0 = x0 + inner.phi.matvec(inner.coarse.apply(vc))
             r = b - a.matvec(x0)
         residual_now = float(np.linalg.norm(r))
-        rtol_eff = target_abs / max(residual_now, 1e-300)
         sp.annotate(
             checkpoint_iteration=int(ckpt_it),
             lost_ranks=str(lost),
             restart_residual=residual_now,
         )
         tr.count("ft_restarts", 1.0)
-    return x0, rtol_eff, residual_now, lost
+    return x0, residual_now, lost

@@ -6,6 +6,10 @@ of sparse-matrix test collections), so assembled problems and factors
 can be exchanged with Trilinos, PETSc, or SuiteSparse tooling.
 """
 
-from repro.io.matrixmarket import read_matrix_market, write_matrix_market
+from repro.io.matrixmarket import (
+    read_matrix_market,
+    read_operator,
+    write_matrix_market,
+)
 
-__all__ = ["read_matrix_market", "write_matrix_market"]
+__all__ = ["read_matrix_market", "read_operator", "write_matrix_market"]

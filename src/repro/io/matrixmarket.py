@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.sparse.csr import CsrMatrix
 
-__all__ = ["read_matrix_market", "write_matrix_market"]
+__all__ = ["read_matrix_market", "read_operator", "write_matrix_market"]
 
 PathLike = Union[str, pathlib.Path]
 
@@ -85,6 +85,27 @@ def read_matrix_market(path: PathLike) -> CsrMatrix:
         vals_full = np.concatenate([vals, vals[off]])
         return CsrMatrix.from_coo(rows_full, cols_full, vals_full, (n_rows, n_cols))
     return CsrMatrix.from_coo(rows, cols, vals, (n_rows, n_cols))
+
+
+def read_operator(path: PathLike, dofs_per_node: int = 1) -> CsrMatrix:
+    """Read a ``.mtx`` file as a solver operator: square, block-divisible.
+
+    The ingestion check shared by ``SolverSession.from_matrix_market``
+    and ``SolverService.register_matrix_market``; raises ``ValueError``
+    for a non-square matrix or an order ``dofs_per_node`` does not divide.
+    """
+    a = read_matrix_market(path)
+    if a.n_rows != a.n_cols:
+        raise ValueError(
+            f"{path}: a solver operator must be square, "
+            f"got {a.n_rows} x {a.n_cols}"
+        )
+    if dofs_per_node < 1 or a.n_rows % dofs_per_node:
+        raise ValueError(
+            f"{path}: matrix order {a.n_rows} is not divisible by "
+            f"dofs_per_node={dofs_per_node}"
+        )
+    return a
 
 
 def write_matrix_market(path: PathLike, a: CsrMatrix, comment: str = "") -> None:

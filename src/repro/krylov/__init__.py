@@ -27,10 +27,14 @@ batched SpMV and one batched reduction set per step, with per-column
 convergence deflation -- bit-identical per column to the single-RHS
 solvers.
 
-Reductions are routed through a pluggable reducer
-(:class:`repro.krylov.reduce.ReduceCounter` by default) so the simulated
-runtime can count and price them; a preconditioned CG is included for
-the SPD ablations.
+Reductions are counted by the ambient :class:`~repro.obs.Tracer`
+(``tracer.reduces`` / ``tracer.reduce_doubles``) so the simulated
+runtime can price them; a preconditioned CG is included for the SPD
+ablations.
+
+:mod:`repro.krylov.driver` is the one place a configuration's ``method``
+picks a solver and the one anchored-restart loop; sessions, the elastic
+fallback and the serving layer all iterate through it.
 """
 
 from repro.krylov.gmres import gmres, GmresResult

@@ -49,8 +49,11 @@ from repro.krylov.gmres import (
     GMRES_VARIANTS,
     _ORTHO_EPS,
     _as_apply,
+    _back_substitute,
+    _givens_update,
     _orthogonalize,
 )
+from repro.krylov.reduce import ReduceCounter
 from repro.krylov.status import SolveStatus
 from repro.obs import get_tracer
 from repro.sparse.csr import CsrMatrix
@@ -120,32 +123,19 @@ class BlockSolveResult:
         return max(self.iterations) if self.iterations else 0
 
 
-class _Tally:
-    """Per-column stand-in reducer: passes values through, tallies counts.
+class _Tally(ReduceCounter):
+    """Per-column reducer: passes values through, tallies counts.
 
-    Interface-compatible with the subset of
-    :class:`~repro.krylov.reduce.ReduceCounter` the orthogonalization
-    kernels use, so per-column arithmetic is untouched while the block
-    layer decides how the tallies fold into batched reductions.
+    The orthogonalization kernels see a plain
+    :class:`~repro.krylov.reduce.ReduceCounter`, so per-column
+    arithmetic is untouched while the block layer decides how the
+    tallies fold into batched reductions.
     """
-
-    __slots__ = ("count", "doubles")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.doubles = 0
-
-    def allreduce(self, values: np.ndarray) -> np.ndarray:
-        values = np.atleast_1d(np.asarray(values))
-        self.count += 1
-        self.doubles += int(values.size)
-        return values
 
     def take(self) -> tuple:
         """Return and reset ``(count, doubles)``."""
         out = (self.count, self.doubles)
-        self.count = 0
-        self.doubles = 0
+        self.reset()
         return out
 
 
@@ -201,6 +191,32 @@ def _as_block_apply(op: Optional[Operator]):
         )
 
     return apply_block
+
+
+def _initial_block(x0, n: int, k: int) -> np.ndarray:
+    """The ``(n, k)`` starting iterate (zero, or a float64 copy of ``x0``)."""
+    if x0 is None:
+        return np.zeros((n, k))
+    x_block = np.array(x0, dtype=np.float64)
+    if x_block.shape != (n, k):
+        raise ValueError(
+            f"x0 must match the rhs block shape {(n, k)}, got {x_block.shape}"
+        )
+    return x_block
+
+
+def _block_result(cols, iterations, batched, spmv_blocks) -> "BlockSolveResult":
+    """Gather the per-column states into one :class:`BlockSolveResult`."""
+    return BlockSolveResult(
+        x=np.stack([c.x for c in cols], axis=1),
+        iterations=iterations,
+        converged=[c.converged for c in cols],
+        residual_norms=[c.residuals for c in cols],
+        statuses=[c.status for c in cols],
+        reduces=batched.count,
+        reduce_doubles=batched.doubles,
+        spmv_blocks=spmv_blocks,
+    )
 
 
 def _check_block_rhs(b: np.ndarray) -> np.ndarray:
@@ -262,13 +278,9 @@ class _GmresColumn:
         """Solution update from the cycle (identical back-substitution)."""
         self.in_cycle = False
         ju = self.j_used
-        if not ju:
-            return
-        y = np.zeros(ju)
-        g, h = self.g, self.h
-        for i in range(ju - 1, -1, -1):
-            y[i] = (g[i] - h[i, i + 1 : ju] @ y[i + 1 :]) / h[i, i]
-        self.x = self.x + self.z[:ju].T @ y
+        if ju:
+            y = _back_substitute(self.h, self.g, ju)
+            self.x = self.x + self.z[:ju].T @ y
 
 
 def block_gmres(
@@ -303,15 +315,7 @@ def block_gmres(
     batched = _BatchedReduces(tr)
     spmv_blocks = 0
 
-    if x0 is None:
-        x_block = np.zeros((n, k))
-    else:
-        x_block = np.array(x0, dtype=np.float64)
-        if x_block.shape != (n, k):
-            raise ValueError(
-                f"x0 must match the rhs block shape {(n, k)}, got "
-                f"{x_block.shape}"
-            )
+    x_block = _initial_block(x0, n, k)
     cols = [_GmresColumn(c, b[:, c], x_block[:, c].copy()) for c in range(k)]
 
     def _block_residuals(subset) -> np.ndarray:
@@ -380,26 +384,14 @@ def block_gmres(
                     variant, c.v[: j + 1], w_block[:, i].copy(), c.tally,
                     c.orth_state,
                 )
-                h, g, cs, sn = c.h, c.g, c.cs, c.sn
+                h, g = c.h, c.g
                 h[: j + 1, j] = hj
                 h[j + 1, j] = hnext
                 if hnext > 0:
                     c.v[j + 1] = w / hnext
                 else:  # lucky breakdown
                     c.v[j + 1] = 0.0
-                for ii in range(j):
-                    t = cs[ii] * h[ii, j] + sn[ii] * h[ii + 1, j]
-                    h[ii + 1, j] = -sn[ii] * h[ii, j] + cs[ii] * h[ii + 1, j]
-                    h[ii, j] = t
-                denom = np.hypot(h[j, j], h[j + 1, j])
-                if denom == 0.0:
-                    cs[j], sn[j] = 1.0, 0.0
-                else:
-                    cs[j], sn[j] = h[j, j] / denom, h[j + 1, j] / denom
-                h[j, j] = denom
-                h[j + 1, j] = 0.0
-                g[j + 1] = -sn[j] * g[j]
-                g[j] = cs[j] * g[j]
+                _givens_update(h, g, c.cs, c.sn, j)
                 c.total_iters += 1
                 c.j_used = j + 1
                 c.residuals.append(abs(g[j + 1]))
@@ -427,15 +419,8 @@ def block_gmres(
                     c.status = SolveStatus.CONVERGED
             batched.charge([c.tally for c in candidates])
 
-    return BlockSolveResult(
-        x=np.stack([c.x for c in cols], axis=1),
-        iterations=[c.total_iters for c in cols],
-        converged=[c.converged for c in cols],
-        residual_norms=[c.residuals for c in cols],
-        statuses=[c.status for c in cols],
-        reduces=batched.count,
-        reduce_doubles=batched.doubles,
-        spmv_blocks=spmv_blocks,
+    return _block_result(
+        cols, [c.total_iters for c in cols], batched, spmv_blocks
     )
 
 
@@ -486,15 +471,7 @@ def block_cg(
     batched = _BatchedReduces(tr)
     spmv_blocks = 0
 
-    if x0 is None:
-        x_block = np.zeros((n, k))
-    else:
-        x_block = np.array(x0, dtype=np.float64)
-        if x_block.shape != (n, k):
-            raise ValueError(
-                f"x0 must match the rhs block shape {(n, k)}, got "
-                f"{x_block.shape}"
-            )
+    x_block = _initial_block(x0, n, k)
     cols = [_CgColumn(c, b[:, c], x_block[:, c].copy()) for c in range(k)]
 
     def _precondition(subset) -> None:
@@ -566,13 +543,4 @@ def block_cg(
             c.p = c.z + beta * c.p
         batched.charge([c.tally for c in active])
 
-    return BlockSolveResult(
-        x=np.stack([c.x for c in cols], axis=1),
-        iterations=[c.it for c in cols],
-        converged=[c.converged for c in cols],
-        residual_norms=[c.residuals for c in cols],
-        statuses=[c.status for c in cols],
-        reduces=batched.count,
-        reduce_doubles=batched.doubles,
-        spmv_blocks=spmv_blocks,
-    )
+    return _block_result(cols, [c.it for c in cols], batched, spmv_blocks)

@@ -13,7 +13,6 @@ from typing import Callable, List, Optional, Union
 
 import numpy as np
 
-from repro.krylov.reduce import ReduceCounter
 from repro.krylov.status import SolveStatus
 from repro.obs import get_tracer
 from repro.sparse.csr import CsrMatrix
@@ -43,7 +42,6 @@ def cg(
     x0: Optional[np.ndarray] = None,
     rtol: float = 1e-7,
     maxiter: int = 1000,
-    reducer: Optional[ReduceCounter] = None,
     callback: Optional[Callable[[int, np.ndarray], None]] = None,
     guard: Optional[object] = None,
 ) -> CgResult:
@@ -51,7 +49,6 @@ def cg(
 
     Convergence when ``||r|| <= rtol * ||r0||``; two global reductions
     per iteration (the classic count the pipelined variants reduce).
-    ``reducer`` is deprecated -- run under a :class:`repro.obs.Tracer`.
     ``callback(it, x)`` observes the iterate after every update (used by
     :mod:`repro.verify` to diff against the distributed iterates).
     ``guard`` is an optional health monitor (see
@@ -59,29 +56,11 @@ def cg(
     from ``on_residual`` stops the solve with ``status="breakdown"``
     and rolls the iterate back to the last finite one.
     """
-    from repro.backend import get_backend
-    from repro.krylov.gmres import _as_apply, _bk_apply, _deprecated_reducer_warning
+    from repro.krylov.gmres import _start
 
-    apply_a = _as_apply(a)
-    if preconditioner is not None and hasattr(preconditioner, "apply"):
-        apply_m = preconditioner.apply
-    else:
-        apply_m = _as_apply(preconditioner)
     tr = get_tracer()
-    if reducer is None:
-        red = tr.reduce_counter()
-    else:
-        _deprecated_reducer_warning("cg")
-        red = reducer
-
-    bk = get_backend(b)
-    apply_a = _bk_apply(apply_a, bk)
-    apply_m = _bk_apply(apply_m, bk)
-    b = bk.astype(bk.asarray(b), np.float64)
-    if x0 is None:
-        x = bk.zeros(b.shape[0], dtype=np.float64)
-    else:
-        x = bk.astype(bk.copy(bk.asarray(x0)), np.float64)
+    red = tr.reduce_counter()
+    bk, apply_a, apply_m, b, x = _start(a, b, preconditioner, x0)
     with tr.span("krylov/spmv"):
         r = b - apply_a(x)
     z = apply_m(r)
@@ -131,18 +110,12 @@ def cg(
         beta = rz_new / rz
         rz = rz_new
         p = z + beta * p
-    if converged:
-        status = SolveStatus.CONVERGED
-    elif breakdown_reason is not None:
-        status = SolveStatus.BREAKDOWN
-    else:
-        status = SolveStatus.MAXITER
     return CgResult(
         x,
         it,
         converged,
         residuals,
         red.count,
-        status=status,
+        status=SolveStatus.of(converged, breakdown_reason),
         breakdown_reason=breakdown_reason,
     )

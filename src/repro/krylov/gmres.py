@@ -10,7 +10,6 @@ restart 30, rtol 1e-7).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple, Union
 
@@ -28,29 +27,6 @@ Operator = Union[CsrMatrix, Callable[[np.ndarray], np.ndarray]]
 
 #: valid orthogonalization schemes (see the package docstring table)
 GMRES_VARIANTS = ("mgs", "cgs", "single_reduce")
-
-
-#: call sites (filename, lineno) that already got the reducer warning --
-#: our own once-per-site registry, so the warning fires deterministically
-#: regardless of the ambient ``warnings`` filter configuration
-_REDUCER_WARNED_SITES: set = set()
-
-
-def _deprecated_reducer_warning(solver: str) -> None:
-    import sys
-
-    caller = sys._getframe(2)
-    site = (caller.f_code.co_filename, caller.f_lineno)
-    if site in _REDUCER_WARNED_SITES:
-        return
-    _REDUCER_WARNED_SITES.add(site)
-    warnings.warn(
-        f"the bare 'reducer' kwarg on {solver}() is deprecated; run the "
-        "solve under a repro.obs.Tracer (with use_tracer(tracer): ...) and "
-        "read tracer.reduces / tracer.reduce_doubles instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass
@@ -107,6 +83,27 @@ def _as_apply(op: Optional[Operator]):
     return op.matvec
 
 
+def _start(a, b, preconditioner, x0):
+    """Common solver preamble on the backend of ``b``.
+
+    Returns ``(bk, apply_a, apply_m, b, x)``: the operator and the
+    preconditioner (an object's ``apply`` wins over ``matvec``) as
+    backend-lifted callables, the float64 right-hand side and the
+    starting iterate (zero, or a copy of ``x0``).
+    """
+    if preconditioner is not None and hasattr(preconditioner, "apply"):
+        apply_m = preconditioner.apply
+    else:
+        apply_m = _as_apply(preconditioner)
+    bk = get_backend(b)
+    b = bk.astype(bk.asarray(b), np.float64)
+    if x0 is None:
+        x = bk.zeros(b.shape[0], dtype=np.float64)
+    else:
+        x = bk.astype(bk.copy(bk.asarray(x0)), np.float64)
+    return bk, _bk_apply(_as_apply(a), bk), _bk_apply(apply_m, bk), b, x
+
+
 def _bk_apply(f, bk):
     """Wrap an operator application for backend-routed Krylov loops.
 
@@ -131,7 +128,6 @@ def gmres(
     restart: int = 30,
     maxiter: int = 1000,
     variant: str = "single_reduce",
-    reducer: Optional[ReduceCounter] = None,
     observer: Optional[object] = None,
     guard: Optional[object] = None,
 ) -> GmresResult:
@@ -157,9 +153,6 @@ def gmres(
         Cap on total inner iterations.
     variant:
         ``"mgs"``, ``"cgs"`` or ``"single_reduce"``.
-    reducer:
-        Deprecated: reduction counter.  Prefer running the solve under a
-        :class:`repro.obs.Tracer`, whose counters absorb this role.
     observer:
         Optional invariant observer (see
         :class:`repro.verify.GmresInvariantObserver`): after every cycle
@@ -184,27 +177,10 @@ def gmres(
             f"unknown GMRES variant {variant!r}; valid variants: "
             + ", ".join(repr(v) for v in GMRES_VARIANTS)
         )
-    apply_a = _as_apply(a)
-    if preconditioner is not None and hasattr(preconditioner, "apply"):
-        apply_m = preconditioner.apply
-    else:
-        apply_m = _as_apply(preconditioner)
     tr = get_tracer()
-    if reducer is None:
-        red = tr.reduce_counter()
-    else:
-        _deprecated_reducer_warning("gmres")
-        red = reducer
-
-    bk = get_backend(b)
-    apply_a = _bk_apply(apply_a, bk)
-    apply_m = _bk_apply(apply_m, bk)
-    b = bk.astype(bk.asarray(b), np.float64)
+    red = tr.reduce_counter()
+    bk, apply_a, apply_m, b, x = _start(a, b, preconditioner, x0)
     n = b.shape[0]
-    if x0 is None:
-        x = bk.zeros(n, dtype=np.float64)
-    else:
-        x = bk.astype(bk.copy(bk.asarray(x0)), np.float64)
 
     with tr.span("krylov/spmv"):
         r = b - apply_a(x)
@@ -265,20 +241,7 @@ def gmres(
                 v[j + 1] = w / hnext
             else:  # lucky breakdown
                 v[j + 1] = 0.0
-            # incremental Givens QR of H
-            for i in range(j):
-                t = cs[i] * h[i, j] + sn[i] * h[i + 1, j]
-                h[i + 1, j] = -sn[i] * h[i, j] + cs[i] * h[i + 1, j]
-                h[i, j] = t
-            denom = np.hypot(h[j, j], h[j + 1, j])
-            if denom == 0.0:
-                cs[j], sn[j] = 1.0, 0.0
-            else:
-                cs[j], sn[j] = h[j, j] / denom, h[j + 1, j] / denom
-            h[j, j] = denom
-            h[j + 1, j] = 0.0
-            g[j + 1] = -sn[j] * g[j]
-            g[j] = cs[j] * g[j]
+            _givens_update(h, g, cs, sn, j)
             total_iters += 1
             j_used = j + 1
             residuals.append(abs(g[j + 1]))
@@ -292,9 +255,7 @@ def gmres(
                 break
         # solution update from the cycle
         if j_used:
-            y = np.zeros(j_used)
-            for i in range(j_used - 1, -1, -1):
-                y[i] = (g[i] - h[i, i + 1 : j_used] @ y[i + 1 :]) / h[i, i]
+            y = _back_substitute(h, g, j_used)
             x = x + bk.gemv(z[:j_used].T, bk.asarray(y))
         true_norm = None
         if converged:
@@ -316,12 +277,6 @@ def gmres(
         if breakdown_reason is not None:
             break
 
-    if converged:
-        status = SolveStatus.CONVERGED
-    elif breakdown_reason is not None:
-        status = SolveStatus.BREAKDOWN
-    else:
-        status = SolveStatus.MAXITER
     return GmresResult(
         x,
         total_iters,
@@ -330,9 +285,35 @@ def gmres(
         red.count,
         max(cycles - 1, 0),
         true_residuals,
-        status=status,
+        status=SolveStatus.of(converged, breakdown_reason),
         breakdown_reason=breakdown_reason,
     )
+
+
+def _givens_update(h, g, cs, sn, j: int) -> None:
+    """Fold column ``j`` of the Hessenberg ``h`` into its incremental
+    Givens QR (rotations ``cs``/``sn``, rotated right-hand side ``g``)."""
+    for i in range(j):
+        t = cs[i] * h[i, j] + sn[i] * h[i + 1, j]
+        h[i + 1, j] = -sn[i] * h[i, j] + cs[i] * h[i + 1, j]
+        h[i, j] = t
+    denom = np.hypot(h[j, j], h[j + 1, j])
+    if denom == 0.0:
+        cs[j], sn[j] = 1.0, 0.0
+    else:
+        cs[j], sn[j] = h[j, j] / denom, h[j + 1, j] / denom
+    h[j, j] = denom
+    h[j + 1, j] = 0.0
+    g[j + 1] = -sn[j] * g[j]
+    g[j] = cs[j] * g[j]
+
+
+def _back_substitute(h, g, ju: int) -> np.ndarray:
+    """The least-squares coefficients of a cycle's first ``ju`` columns."""
+    y = np.zeros(ju)
+    for i in range(ju - 1, -1, -1):
+        y[i] = (g[i] - h[i, i + 1 : ju] @ y[i + 1 :]) / h[i, i]
+    return y
 
 
 #: machine epsilon, the orthogonality error a fresh (or freshly

@@ -22,7 +22,6 @@ from typing import Callable, List, Optional, Union
 
 import numpy as np
 
-from repro.krylov.reduce import ReduceCounter
 from repro.krylov.status import SolveStatus
 from repro.obs import get_tracer
 from repro.sparse.csr import CsrMatrix
@@ -57,7 +56,6 @@ def pipelined_cg(
     x0: Optional[np.ndarray] = None,
     rtol: float = 1e-7,
     maxiter: int = 1000,
-    reducer: Optional[ReduceCounter] = None,
     replace_every: int = 50,
     guard: Optional[object] = None,
 ) -> PipelinedCgResult:
@@ -65,27 +63,15 @@ def pipelined_cg(
 
     One batched global reduction per iteration (classical PCG issues
     two to three); ``replace_every`` controls the residual-replacement
-    period.  ``reducer`` is deprecated -- run under a
-    :class:`repro.obs.Tracer`.  ``guard`` is an optional health monitor
+    period.  ``guard`` is an optional health monitor
     (see :class:`repro.resilience.detect.KrylovGuard`) stopping the
     solve with ``status="breakdown"`` on NaN/stagnation.
     """
-    from repro.krylov.gmres import _as_apply, _deprecated_reducer_warning
+    from repro.krylov.gmres import _start
 
-    apply_a = _as_apply(a)
-    if preconditioner is not None and hasattr(preconditioner, "apply"):
-        apply_m = preconditioner.apply
-    else:
-        apply_m = _as_apply(preconditioner)
     tr = get_tracer()
-    if reducer is None:
-        red = tr.reduce_counter()
-    else:
-        _deprecated_reducer_warning("pipelined_cg")
-        red = reducer
-
-    b = np.asarray(b, dtype=np.float64)
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
+    red = tr.reduce_counter()
+    _, apply_a, apply_m, b, x = _start(a, b, preconditioner, x0)
 
     with tr.span("krylov/spmv"):
         r = b - apply_a(x)
@@ -176,12 +162,6 @@ def pipelined_cg(
     final = float(np.sqrt(red.allreduce(r @ r)[0]))
     residuals.append(final)
     converged = r0 is not None and final <= rtol * r0
-    if converged:
-        status = SolveStatus.CONVERGED
-    elif breakdown_reason is not None:
-        status = SolveStatus.BREAKDOWN
-    else:
-        status = SolveStatus.MAXITER
     return PipelinedCgResult(
         x,
         it,
@@ -189,6 +169,6 @@ def pipelined_cg(
         residuals,
         red.count,
         replacements,
-        status=status,
+        status=SolveStatus.of(converged, breakdown_reason),
         breakdown_reason=breakdown_reason,
     )

@@ -10,34 +10,19 @@ layer prices them with the alpha-beta model.
 
 from __future__ import annotations
 
-import numpy as np
+from repro.obs.tracer import NULL_TRACER, TracerReduceCounter
 
 __all__ = ["ReduceCounter"]
 
 
-class ReduceCounter:
-    """Counts global reductions and their payloads.
+class ReduceCounter(TracerReduceCounter):
+    """Counts global reductions and their payloads, bound to no trace.
 
-    Attributes
-    ----------
-    count:
-        Number of allreduce operations issued.
-    doubles:
-        Total number of float64 values reduced.
+    The standalone form of the counter every solver takes from the
+    ambient tracer (``tracer.reduce_counter()``): ``allreduce`` passes
+    the values through, ``count`` is the number of reductions issued,
+    ``doubles`` the float64 values they carried, ``reset`` zeroes both.
     """
 
     def __init__(self) -> None:
-        self.count = 0
-        self.doubles = 0
-
-    def allreduce(self, values: np.ndarray) -> np.ndarray:
-        """Record one global reduction of ``values`` (returned unchanged)."""
-        values = np.atleast_1d(np.asarray(values))
-        self.count += 1
-        self.doubles += int(values.size)
-        return values
-
-    def reset(self) -> None:
-        """Zero the counters."""
-        self.count = 0
-        self.doubles = 0
+        super().__init__(NULL_TRACER)

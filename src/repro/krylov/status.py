@@ -46,3 +46,10 @@ class SolveStatus(str, enum.Enum):
 
     def __str__(self) -> str:  # "converged", not "SolveStatus.CONVERGED"
         return self.value
+
+    @classmethod
+    def of(cls, converged: bool, breakdown_reason) -> "SolveStatus":
+        """A raw solver's terminal status from how its loop ended."""
+        if converged:
+            return cls.CONVERGED
+        return cls.MAXITER if breakdown_reason is None else cls.BREAKDOWN

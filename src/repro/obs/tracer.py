@@ -16,9 +16,9 @@ substrate those tables are derived from:
   returns one shared no-op object, so the untraced hot path performs no
   allocation per call.
 * :class:`TracerReduceCounter` -- the global-reduction counter the
-  Krylov solvers use when no explicit reducer is passed; it mirrors the
-  legacy :class:`repro.krylov.reduce.ReduceCounter` interface while also
-  tallying ``reduces``/``reduce_doubles`` onto the active span.
+  Krylov solvers take from the ambient tracer; it counts locally
+  (:class:`repro.krylov.reduce.ReduceCounter` is its untraced form) and
+  tallies ``reduces``/``reduce_doubles`` onto the active span.
 
 Span taxonomy (the names the instrumented stack emits)::
 
@@ -229,6 +229,10 @@ class Tracer:
         self.root = Span("trace")
         self.root.t0 = clock()
         self._stack: List[Span] = [self.root]
+        #: optional ``values -> values`` route every counted reduction
+        #: passes through first (the rank-loss driver sends them over
+        #: its fault-tolerant communicator); None counts only
+        self.reduce_via = None
 
     # -- recording -----------------------------------------------------
     @property
@@ -307,6 +311,7 @@ class NullTracer:
     """
 
     __slots__ = ()
+    reduce_via = None
 
     def span(self, name: str, rank: Optional[int] = None) -> _NullSpan:
         return _NULL_SPAN
@@ -372,9 +377,11 @@ class TracerReduceCounter:
     def allreduce(self, values: np.ndarray) -> np.ndarray:
         """Record one global reduction of ``values`` (returned unchanged)."""
         values = np.atleast_1d(np.asarray(values))
+        t = self.tracer
+        if t.reduce_via is not None:
+            values = t.reduce_via(values)
         self.count += 1
         self.doubles += int(values.size)
-        t = self.tracer
         t.count("reduces", 1.0)
         t.count("reduce_doubles", float(values.size))
         return values

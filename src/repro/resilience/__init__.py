@@ -24,7 +24,7 @@ Typical use::
 
     result = SolverSession(
         problem,
-        resilience=ResilienceConfig(
+        policy=ResilienceConfig(
             fault_plan=FaultPlan.single("pivot_breakdown", rank=3)
         ),
     ).solve()

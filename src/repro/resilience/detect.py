@@ -21,7 +21,7 @@ module, so it must sit below every other layer of the stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -178,28 +178,42 @@ def sweep_divergence(
 # ----------------------------------------------------------------------
 @dataclass
 class KrylovGuard:
-    """In-flight Krylov health monitor (NaN/Inf + stagnation).
+    """The residual watchdog of every Krylov solve (NaN/Inf + stagnation).
 
-    Handed to :func:`repro.krylov.gmres.gmres` / ``cg`` by the
-    resilience engine; ``on_residual`` is called once per inner
-    iteration with the recurrence residual estimate and returns a
-    breakdown reason (``"nonfinite"`` / ``"stagnation"``) or None.
+    Handed to :func:`repro.krylov.gmres.gmres` / ``cg`` /
+    ``pipelined_cg`` as ``guard=``; ``on_residual`` is called once per
+    inner iteration with the recurrence residual estimate and returns a
+    breakdown reason or None.  It also *records*: ``history`` holds
+    every estimate fed and ``iters`` the last iteration index, which is
+    what the restart driver accounts when an attempt raises instead of
+    returning a result.
 
-    Stagnation: the best residual estimate must improve by at least a
-    factor ``stall_factor`` within any ``stall_window`` consecutive
-    iterations; a garbage-but-finite preconditioner (e.g. escaped
-    FastILU divergence) plateaus and trips this where NaN guards see
-    nothing.
+    Reasons, in the order they are checked:
+
+    * ``"nonfinite"`` -- the estimate left the reals;
+    * whatever ``extra()`` returns -- one optional predicate consulted
+      while the residual is not improving (the bounded-staleness budget
+      of :class:`repro.elastic.StalenessGuard`);
+    * ``stall_reason`` (``"stagnation"``) -- the best residual estimate
+      must improve by at least a factor ``stall_factor`` within any
+      ``stall_window`` consecutive iterations; a garbage-but-finite
+      preconditioner (e.g. escaped FastILU divergence) plateaus and
+      trips this where NaN guards see nothing.  ``stall_window=0``
+      turns the stall check off (a pure recorder).
     """
 
     stall_window: int = 120
     stall_factor: float = 0.999
+    stall_reason: str = "stagnation"
+    extra: Optional[Callable[[], Optional[str]]] = None
     history: List[float] = field(default_factory=list)
+    iters: int = 0
     _best: float = np.inf
     _best_at: int = -1
 
     def on_residual(self, iteration: int, estimate: float) -> Optional[str]:
         """Feed one residual estimate; returns a breakdown reason or None."""
+        self.iters = iteration
         self.history.append(float(estimate))
         if not np.isfinite(estimate):
             return "nonfinite"
@@ -207,6 +221,10 @@ class KrylovGuard:
             self._best = float(estimate)
             self._best_at = iteration
             return None
+        if self.extra is not None:
+            reason = self.extra()
+            if reason is not None:
+                return reason
         if self.stall_window > 0 and iteration - self._best_at >= self.stall_window:
-            return "stagnation"
+            return self.stall_reason
         return None

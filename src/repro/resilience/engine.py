@@ -1,9 +1,12 @@
 """The resilience engine: injection, detection, and recovery in flight.
 
-A :class:`ResilienceConfig` on :class:`~repro.api.SolverSession` turns
-one :class:`ResilienceEngine` on for the solve.  The engine is installed
-as the ambient engine (:mod:`repro.resilience.context`) so the numeric
-layers can reach it without signature changes:
+``SolverSession(policy=ResilienceConfig(...))`` turns one
+:class:`ResilienceEngine` on.  The engine is the session's
+:class:`~repro.krylov.driver.Protection` (it wraps the operator, hands
+out the residual watchdog, and answers ``recover`` / ``report`` for the
+restart loop) and is installed as the ambient engine
+(:mod:`repro.resilience.context`) so the numeric layers can reach it
+without signature changes:
 
 * :class:`~repro.dd.schwarz.OneLevelSchwarz` routes every local
   factorization through :meth:`ResilienceEngine.build_local` (fault
@@ -16,7 +19,14 @@ layers can reach it without signature changes:
 * the factorization kernels read :attr:`~ResilienceEngine.pivot_rtol`
   to upgrade their exact-zero pivot checks to relative near-zero tests;
 * the Krylov solvers take a :class:`~repro.resilience.detect.KrylovGuard`
-  from :meth:`~ResilienceEngine.guard`.
+  from :meth:`~ResilienceEngine.watchdog`.
+
+**Lifetime.**  An engine lives as long as the operator it guards: the
+session makes one per cold build and keeps it across ``resolve()``, so
+the per-rank ladder state, the apply counter the fault plan is keyed on
+and the re-billed refactorization profiles survive the skip and refactor
+rungs.  The health log (detections, actions, restart budget) is per
+solve: :meth:`~ResilienceEngine.report` closes it and opens a fresh one.
 
 :class:`GuardedOperator` wraps the session preconditioner: it applies
 the apply-time faults of the :class:`~repro.resilience.inject.FaultPlan`,
@@ -28,12 +38,16 @@ every recovery refactorization into the cost model's setup profiles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from repro.dd.wrapper import OperatorWrapper, unwrap
+from repro.krylov.driver import Protection, Repair
+from repro.krylov.status import SolveStatus
 from repro.machine.kernels import KernelProfile
 from repro.obs import get_tracer
+from repro.resilience.context import use_engine
 from repro.resilience.detect import (
     BREAKDOWN_EXCEPTIONS,
     DivergenceError,
@@ -96,9 +110,12 @@ class ResilienceConfig:
     shift_growth: float = 100.0
     max_shift: float = 4.0
 
-    def make_engine(self) -> "ResilienceEngine":
-        """One engine per solve (engines hold per-run mutable state)."""
-        return ResilienceEngine(self)
+    def protection(self, session=None) -> "ResilienceEngine":
+        """A fresh engine (one per cold build); ``session`` supplies the
+        double-precision rebuild of the precision-promotion recovery."""
+        return ResilienceEngine(
+            self, rebuild=getattr(session, "build_preconditioner", None)
+        )
 
 
 @dataclass
@@ -161,10 +178,12 @@ def _shifted(a, shift: float):
     return type(a)(a.indptr, a.indices, data, a.shape)
 
 
-class ResilienceEngine:
-    """Per-solve mutable state of the breakdown-tolerant runtime."""
+class ResilienceEngine(Protection):
+    """Mutable state of the breakdown-tolerant runtime (see *Lifetime*)."""
 
-    def __init__(self, config: ResilienceConfig) -> None:
+    def __init__(
+        self, config: ResilienceConfig, rebuild: Optional[Callable] = None
+    ) -> None:
         self.config = config
         self.plan = config.fault_plan
         self.policy = RecoveryPolicy(
@@ -174,31 +193,34 @@ class ResilienceEngine:
             shift_growth=config.shift_growth,
             max_shift=config.max_shift,
         )
+        #: ``rebuild(precision=)`` -> a fresh preconditioner (promotion)
+        self._rebuild = rebuild
+        # -- operator lifetime ------------------------------------------
         self.states: Dict[int, LadderState] = {}
+        self.refactor_profiles: Dict[int, KernelProfile] = {}
+        self.apply_index = 0
+        self._one_level = None
+        self._halo_masks: Dict[int, np.ndarray] = {}
+        self._open_solve()
+
+    def _open_solve(self) -> None:
+        """Start a fresh per-solve health log."""
         self.actions: List[RecoveryAction] = []
         self.detections: List[str] = []
-        self.refactor_profiles: Dict[int, KernelProfile] = {}
         self.refactorizations = 0
-        self.apply_index = 0
         self.restarts = 0
         self.overflow: Optional[FloatOverflowError] = None
         self.precision_promoted = False
         self.sanitized_values = 0
-        self._one_level = None
-        self._halo_masks: Dict[int, np.ndarray] = {}
         self._noted_ranks: set = set()
         self._active_rank: Optional[int] = None
+        self._faults_before = len(self.plan.fired) if self.plan else 0
 
     # -- configuration views -------------------------------------------
     @property
     def detect(self) -> bool:
         """Are the health checks on?"""
         return self.config.detect
-
-    @property
-    def recover(self) -> bool:
-        """Is the recovery ladder on?"""
-        return self.config.recover
 
     @property
     def pivot_rtol(self) -> float:
@@ -214,7 +236,21 @@ class ResilienceEngine:
         """FastILU sweep-divergence threshold."""
         return self.config.growth_tol
 
-    def guard(self) -> Optional[KrylovGuard]:
+    # -- the protection protocol (repro.krylov.driver) ------------------
+    @property
+    def injecting(self) -> bool:
+        """Is a fault plan breaking things on purpose?"""
+        return self.plan is not None
+
+    def context(self):
+        """This engine installed for the numeric layers' hooks."""
+        return use_engine(self)
+
+    def wrap(self, operator, rung: str):
+        """The operator under injection and overflow capture."""
+        return GuardedOperator(operator, self), None
+
+    def watchdog(self) -> Optional[KrylovGuard]:
         """A fresh Krylov health monitor (None when detection is off)."""
         if not self.detect:
             return None
@@ -223,28 +259,45 @@ class ResilienceEngine:
             stall_factor=self.config.stall_factor,
         )
 
+    def report(self, result):
+        """``recovered`` when the solve converged only thanks to actions."""
+        status = result.status
+        if result.converged and (self.actions or self.restarts):
+            status = SolveStatus.RECOVERED
+        health = self.health_report(str(status))
+        self._open_solve()  # the next solve on this operator logs afresh
+        return status, {"health": health}
+
     # -- bookkeeping ----------------------------------------------------
+    def _seen(self, once_key) -> bool:
+        """Has ``once_key`` been noted this solve?  (None never dedups.)"""
+        if once_key is None:
+            return False
+        seen = once_key in self._noted_ranks
+        self._noted_ranks.add(once_key)
+        return seen
+
     def record_detection(self, what: str, once_key=None) -> None:
         """Log one detection (``once_key`` dedups repeating ones)."""
-        if once_key is not None:
-            if once_key in self._noted_ranks:
-                return
-            self._noted_ranks.add(once_key)
-        self.detections.append(what)
-        get_tracer().count("resilience_detected", 1.0)
+        if not self._seen(once_key):
+            self.detections.append(what)
+            get_tracer().count("resilience_detected", 1.0)
 
-    def record_action(self, action: RecoveryAction) -> None:
+    def record_action(self, action: RecoveryAction, once_key=None) -> None:
         """Log one recovery action (trace counter ``resilience_actions``)."""
-        self.actions.append(action)
-        tr = get_tracer()
-        tr.count("resilience_actions", 1.0)
-        tr.count(f"resilience_action.{action.kind}", 1.0)
+        if not self._seen(once_key):
+            self.actions.append(action)
+            tr = get_tracer()
+            tr.count("resilience_actions", 1.0)
+            tr.count(f"resilience_action.{action.kind}", 1.0)
 
-    def report(self, status: str) -> HealthReport:
-        """Assemble the run's :class:`HealthReport`."""
+    def health_report(self, status: str) -> HealthReport:
+        """Assemble this solve's :class:`HealthReport`."""
         return HealthReport(
             status=status,
-            faults=list(self.plan.fired) if self.plan is not None else [],
+            faults=(
+                self.plan.fired[self._faults_before:] if self.plan else []
+            ),
             detections=list(self.detections),
             actions=list(self.actions),
             ladder={
@@ -295,7 +348,7 @@ class ResilienceEngine:
                     self.record_detection(
                         f"rank {state.rank}: {type(err).__name__}: {err}"
                     )
-                    if not self.recover:
+                    if not self.config.recover:
                         raise
                     action = self.policy.escalate(state, err)
                     if action is None:
@@ -358,72 +411,67 @@ class ResilienceEngine:
                 f"apply {self.apply_index}",
                 once_key=("halo", rank),
             )
-            if self.recover:
+            if self.config.recover:
                 v = np.where(bad, 0.0, v)
                 self.sanitized_values += nbad
                 get_tracer().count("resilience_sanitized_values", float(nbad))
-                if ("sanitize", rank) not in self._noted_ranks:
-                    self._noted_ranks.add(("sanitize", rank))
-                    self.record_action(
-                        RecoveryAction(
-                            "sanitize_halo",
-                            rank,
-                            f"subdomain {rank}: zeroing non-finite imported "
-                            f"halo values before the local solve",
-                        )
-                    )
+                self.record_action(
+                    RecoveryAction(
+                        "sanitize_halo",
+                        rank,
+                        f"subdomain {rank}: zeroing non-finite imported "
+                        f"halo values before the local solve",
+                    ),
+                    once_key=("sanitize", rank),
+                )
         return v
+
+    def _drop_nonfinite(self, x, what: str, once_key, action=None):
+        """Zero ``x`` (logging why, and ``action()``) when it left the reals."""
+        if not self.detect or np.all(np.isfinite(x)):
+            return x
+        self.record_detection(
+            f"{what} at apply {self.apply_index}", once_key=once_key
+        )
+        if not self.config.recover:
+            return x
+        if action is not None:
+            self.record_action(action(), once_key=("drop",) + once_key)
+        return np.zeros_like(x)
 
     def check_local_solution(self, rank: int, x: np.ndarray) -> np.ndarray:
         """Drop a subdomain's contribution when its solve went non-finite."""
-        if not self.detect:
-            return x
-        if not np.all(np.isfinite(x)):
-            self.record_detection(
-                f"rank {rank}: non-finite local solution at apply "
-                f"{self.apply_index}",
-                once_key=("local", rank),
-            )
-            if self.recover:
-                if ("drop", rank) not in self._noted_ranks:
-                    self._noted_ranks.add(("drop", rank))
-                    self.record_action(
-                        RecoveryAction(
-                            "drop_local_solve",
-                            rank,
-                            f"subdomain {rank}: dropping non-finite local "
-                            f"correction (preconditioner degraded, FGMRES-"
-                            f"safe)",
-                        )
-                    )
-                return np.zeros_like(x)
-        return x
+        return self._drop_nonfinite(
+            x,
+            f"rank {rank}: non-finite local solution",
+            ("local", rank),
+            lambda: RecoveryAction(
+                "drop_local_solve",
+                rank,
+                f"subdomain {rank}: dropping non-finite local correction "
+                f"(preconditioner degraded, FGMRES-safe)",
+            ),
+        )
 
     def check_coarse(self, xc: np.ndarray) -> np.ndarray:
         """Drop the coarse correction when the coarse solve went bad."""
-        if not self.detect:
-            return xc
-        if not np.all(np.isfinite(xc)):
-            self.record_detection(
-                f"coarse solve: non-finite correction at apply "
-                f"{self.apply_index}",
-                once_key=("coarse",),
-            )
-            if self.recover:
-                return np.zeros_like(xc)
-        return xc
+        return self._drop_nonfinite(
+            xc, "coarse solve: non-finite correction", ("coarse",)
+        )
 
-    # -- mid-solve escalation (session retry loop) ----------------------
-    def plan_recovery(self, reason: Optional[str]) -> Optional[str]:
-        """Decide the session-level response to a Krylov breakdown.
+    # -- mid-solve escalation (the restart loop's recover hook) ----------
+    def recover(self, failure, operator, a, b) -> Optional[Repair]:
+        """The session-level response to a Krylov breakdown.
 
-        Returns ``"promote_precision"`` (rebuild the preconditioner in
-        double), ``"restart"`` (resume GMRES from the last finite
-        iterate), or None (give up: recovery off or budget exhausted).
+        Promotes the preconditioner to double precision after a float32
+        overflow, escalates the approximate locals after a stagnation,
+        and resumes from the last finite iterate; None gives up
+        (recovery off or the restart budget spent).
         """
-        if not self.recover or self.restarts >= self.config.max_restarts:
+        if not self.config.recover or self.restarts >= self.config.max_restarts:
             return None
         self.restarts += 1
+        reason = failure.breakdown_reason
         if self.overflow is not None and not self.precision_promoted:
             self.precision_promoted = True
             self.record_action(
@@ -434,27 +482,39 @@ class ResilienceEngine:
                     "rebuilding in double precision",
                 )
             )
-            return "promote_precision"
-        if reason == "stagnation":
-            # a finite-but-garbage preconditioner plateaus GMRES without
-            # tripping any NaN guard: escalate the approximate locals
-            for rank, state in sorted(self.states.items()):
-                if state.spec.kind == "fastilu" and not state.exhausted:
-                    action = self.policy.escalate(state, DivergenceError(
-                        f"stagnation attributed to fastilu on rank {rank}"
-                    ))
-                    if action is not None:
-                        self.record_action(action)
-                        self.rebuild_rank(rank)
-        self.record_action(
-            RecoveryAction(
-                "krylov_restart",
-                -1,
-                f"restarting the Krylov iteration from the last finite "
-                f"iterate after breakdown ({reason})",
+            with get_tracer().span("resilience/promote") as rp:
+                rp.annotate(reason="float32 overflow")
+                # the discarded single-precision setup still happened:
+                # re-bill it before rebuilding
+                self.bill_full_setup(operator.inner)
+                operator = GuardedOperator(
+                    self._rebuild(precision="double"), self
+                )
+        else:
+            if reason == "stagnation":
+                # a finite-but-garbage preconditioner plateaus GMRES
+                # without tripping any NaN guard: escalate the
+                # approximate locals
+                for rank, state in sorted(self.states.items()):
+                    if state.spec.kind == "fastilu" and not state.exhausted:
+                        action = self.policy.escalate(state, DivergenceError(
+                            f"stagnation attributed to fastilu on rank {rank}"
+                        ))
+                        if action is not None:
+                            self.record_action(action)
+                            self.rebuild_rank(rank)
+            self.record_action(
+                RecoveryAction(
+                    "krylov_restart",
+                    -1,
+                    f"restarting the Krylov iteration from the last finite "
+                    f"iterate after breakdown ({reason})",
+                )
             )
-        )
-        return "restart"
+        x0 = failure.x
+        if not np.all(np.isfinite(x0)):  # the guard missed: restart cold
+            x0 = None
+        return Repair(operator, x0)
 
     def bill_full_setup(self, operator) -> None:
         """Re-bill a discarded operator's setup (precision promotion).
@@ -472,7 +532,7 @@ class ResilienceEngine:
         self.refactorizations += n_ranks
 
 
-class GuardedOperator:
+class GuardedOperator(OperatorWrapper):
     """The session preconditioner under the resilience engine.
 
     Wraps a :class:`~repro.dd.two_level.GDSWPreconditioner` (or its
@@ -488,8 +548,10 @@ class GuardedOperator:
     * adding every recovery refactorization to the setup profile.
     """
 
+    protective = True
+
     def __init__(self, inner, engine: ResilienceEngine) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.engine = engine
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -511,13 +573,6 @@ class GuardedOperator:
         eng.apply_index = idx + 1
         return y
 
-    # -- cost-model interface -------------------------------------------
-    def _one_level(self):
-        inner = self.inner
-        if hasattr(inner, "one_level"):
-            return inner.one_level
-        return inner.inner.one_level
-
     def rank_setup_profile(self, rank: int, refactorization: bool = False) -> KernelProfile:
         """Inner setup plus every recovery refactorization on ``rank``."""
         prof = KernelProfile()
@@ -531,7 +586,7 @@ class GuardedOperator:
         """Inner apply plus the (cheap) health-check sweeps."""
         prof = self.inner.rank_apply_profile(rank)
         if self.engine.detect:
-            n_i = float(self._one_level().dof_sets[rank].size)
+            n_i = float(unwrap(self.inner).one_level.dof_sets[rank].size)
             # one isfinite sweep over the restricted input and one over
             # the local solution: streaming reads, no flops to speak of
             prof.add(
@@ -541,17 +596,3 @@ class GuardedOperator:
                 parallelism=n_i,
             )
         return prof
-
-    def halo_doubles(self, rank: int) -> int:
-        """Halo payload of the wrapped operator."""
-        return self.inner.halo_doubles(rank)
-
-    @property
-    def n_coarse(self) -> int:
-        """Coarse dimension of the wrapped operator."""
-        return self.inner.n_coarse
-
-    @property
-    def dec(self):
-        """Decomposition of the wrapped operator."""
-        return self.inner.dec

@@ -147,6 +147,18 @@ def _spmv_profile(a_nnz_rank: int, n_rank: int) -> KernelProfile:
     return prof
 
 
+def _spmv_work(dec):
+    """Per-rank SpMV work over the owned rows: ``(nnz, rows)`` arrays."""
+    a = dec.a
+    row_owner = dec.node_owner[
+        np.repeat(np.arange(a.n_rows, dtype=np.int64), a.row_nnz())
+        // dec.dofs_per_node
+    ]
+    nnz_per_rank = np.bincount(row_owner, minlength=dec.n_subdomains)
+    rows_per_rank = np.asarray([p.size * dec.dofs_per_node for p in dec.node_parts])
+    return nnz_per_rank, rows_per_rank
+
+
 def trace_solver(
     precond,
     layout: JobLayout,
@@ -188,14 +200,7 @@ def trace_solver(
     root = Span("solver")
     root.annotate(n_ranks=n_ranks, iterations=iterations)
 
-    # ---- per-rank SpMV work (owned rows) ----
-    a = dec.a
-    row_owner = dec.node_owner[
-        np.repeat(np.arange(a.n_rows, dtype=np.int64), a.row_nnz())
-        // dec.dofs_per_node
-    ]
-    nnz_per_rank = np.bincount(row_owner, minlength=n_ranks)
-    rows_per_rank = np.asarray([p.size * dec.dofs_per_node for p in dec.node_parts])
+    nnz_per_rank, rows_per_rank = _spmv_work(dec)
 
     # ---- setup: slowest rank; "numerical setup" = phase (b) ----
     setup = root.child("setup")
@@ -292,15 +297,7 @@ def per_rank_iteration_seconds(
     dec = precond.dec
     n_ranks = dec.n_subdomains
     factors = _as_rank_factors(rank_factors, n_ranks)
-    a = dec.a
-    row_owner = dec.node_owner[
-        np.repeat(np.arange(a.n_rows, dtype=np.int64), a.row_nnz())
-        // dec.dofs_per_node
-    ]
-    nnz_per_rank = np.bincount(row_owner, minlength=n_ranks)
-    rows_per_rank = np.asarray(
-        [p.size * dec.dofs_per_node for p in dec.node_parts]
-    )
+    nnz_per_rank, rows_per_rank = _spmv_work(dec)
     spmv_halo = spmv_halo_doubles(dec)
     costs = np.zeros(n_ranks, dtype=np.float64)
     for r in range(n_ranks):

@@ -103,6 +103,15 @@ class RequestBatch:
     def width(self) -> int:
         return len(self.requests)
 
+    def only(self, keep: List[int]) -> "RequestBatch":
+        """The sub-batch of the requests at positions ``keep``."""
+        return RequestBatch(
+            shard=self.shard,
+            values_fp=self.values_fp,
+            requests=[self.requests[i] for i in keep],
+            arrival_clocks=[self.arrival_clocks[i] for i in keep],
+        )
+
     def _deadline(self) -> float:
         ds = [
             c + r.deadline

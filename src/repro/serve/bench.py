@@ -33,11 +33,9 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from repro.serve.overload import _percentile
+
 __all__ = ["run_serve_bench"]
-
-
-def _percentile_99(latencies: Sequence[float]) -> float:
-    return float(np.percentile(np.asarray(latencies, dtype=np.float64), 99))
 
 
 def _stream(service, fp, rhs_list, tenants):
@@ -108,7 +106,7 @@ def run_serve_bench(
             modes[mode] = {
                 "stream_seconds": stream_secs,
                 "requests_per_second": t / stream_secs,
-                "p99_latency_seconds": _percentile_99(latencies),
+                "p99_latency_seconds": _percentile(latencies, 99),
                 "mean_queue_wait_seconds": float(
                     np.mean([r.queue_wait_seconds for r in responses])
                 ),

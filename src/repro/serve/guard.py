@@ -55,6 +55,8 @@ import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.dd.precision import HalfPrecisionOperator
+from repro.dd.wrapper import OperatorWrapper
 from repro.machine.kernels import KernelProfile
 from repro.resilience.policy import SERVICE_ACTION_KINDS
 
@@ -265,7 +267,7 @@ class RetryPolicy:
         return not_before
 
 
-class OneLevelOperator:
+class OneLevelOperator(OperatorWrapper):
     """The one-level half of an existing two-level preconditioner.
 
     Shares the inner :class:`~repro.dd.two_level.GDSWPreconditioner`'s
@@ -277,10 +279,13 @@ class OneLevelOperator:
     more iterations) is retained.
     """
 
+    #: the coarse space is dropped
+    n_coarse = 0
+
     def __init__(self, inner) -> None:
-        # unwrap a HalfPrecisionOperator: composition order is fixed as
-        # half(one_level(two_level)) by the ladder
-        self.inner = inner
+        # composition order is fixed as half(one_level(two_level)) by
+        # the ladder
+        super().__init__(inner)
         self.one_level = inner.one_level
 
     def apply(self, v):
@@ -292,23 +297,9 @@ class OneLevelOperator:
         """One apply on ``rank``: the local solve term only."""
         return self.one_level.rank_solve_profile(rank)
 
-    def rank_setup_profile(self, rank: int, refactorization: bool = False) -> KernelProfile:
-        """Setup passthrough (the inner operator paid it already)."""
-        return self.inner.rank_setup_profile(rank, refactorization)
-
     def halo_doubles(self, rank: int) -> int:
         """Halo payload of the one-level apply."""
         return self.one_level.halo_doubles[rank]
-
-    @property
-    def dec(self):
-        """Decomposition of the wrapped operator."""
-        return self.inner.dec
-
-    @property
-    def n_coarse(self) -> int:
-        """The coarse space is dropped: 0."""
-        return 0
 
 
 @dataclass
@@ -416,8 +407,6 @@ class DegradationLadder:
         if decision.levels == 1:
             out = OneLevelOperator(out)
         if decision.precision == "single":
-            from repro.dd.precision import HalfPrecisionOperator
-
             out = HalfPrecisionOperator(out)
         return out
 

@@ -129,19 +129,52 @@ def _arm_metrics(service, responses, n_requests: int) -> dict:
     }
 
 
+def _calibrated_seconds(problem, layout, width: int, seed: int) -> float:
+    """Warm full-width batched service seconds per request.
+
+    One cold request pays the one-time setup; a full ``width`` batch on
+    the warm shard then measures the modeled steady-state rate.
+    """
+    from repro.reuse import ArtifactCache, use_artifact_cache
+    from repro.serve.request import SolveRequest
+    from repro.serve.service import SolverService
+
+    with use_artifact_cache(ArtifactCache()):
+        calib = SolverService(layout=layout, max_batch=width)
+        fp = calib.register(problem.a)
+        rng = np.random.default_rng(100003 * seed)
+
+        def _calib_req():
+            return SolveRequest(
+                rhs=problem.b + 0.1 * rng.standard_normal(problem.b.size),
+                matrix_fingerprint=fp, partition=(2, 2, 1),
+            )
+
+        calib.solve(_calib_req())  # pays the one-time setup
+        warm_clock = calib.clock
+        for _ in range(width):
+            calib.submit(_calib_req())
+        calib.drain()
+        calib.close()
+    return (calib.clock - warm_clock) / width
+
+
 def _run_arm(
     problem,
     layout,
     trace,
     *,
     deadline: float,
-    tolerance_budget: Optional[float],
     seed: int,
-    admission=None,
-    guard=None,
+    tolerance_budget: Optional[float] = None,
     fault_rate: float = 0.0,
+    **service_options,
 ) -> tuple:
-    """Serve one bound trace on a fresh service; returns (service, responses)."""
+    """Serve one bound trace on a fresh service; returns (service, responses).
+
+    ``service_options`` go to :class:`SolverService` (``admission=``,
+    ``guard=``, ``elastic=``, ``stragglers=``, ``max_batch=``).
+    """
     from repro.reuse import ArtifactCache, use_artifact_cache
     from repro.serve.request import SolveRequest
     from repro.serve.service import SolverService
@@ -151,10 +184,7 @@ def _run_arm(
     )
     with use_artifact_cache(ArtifactCache()):
         service = SolverService(
-            layout=layout,
-            admission=admission,
-            guard=guard,
-            fault_injector=injector,
+            layout=layout, fault_injector=injector, **service_options
         )
         fp = service.register(problem.a)
 
@@ -214,36 +244,15 @@ def run_overload_bench(
     """
     from repro.bench.harness import model_machine
     from repro.fem import laplace_3d
-    from repro.reuse import ArtifactCache, use_artifact_cache
     from repro.runtime.layout import JobLayout
     from repro.serve.admission import AdmissionConfig, ArrivalTrace
     from repro.serve.guard import GuardConfig
-    from repro.serve.request import SolveRequest
-    from repro.serve.service import SolverService
 
     problem = laplace_3d(elements, elements, elements)
     layout = JobLayout.gpu_run(1, 2, machine=model_machine())
 
     # ---- capacity calibration: warm full-width batched throughput ----
-    calib_width = 8
-    with use_artifact_cache(ArtifactCache()):
-        calib = SolverService(layout=layout, max_batch=calib_width)
-        fp = calib.register(problem.a)
-        rng = np.random.default_rng(100003 * seed)
-
-        def _calib_req():
-            return SolveRequest(
-                rhs=problem.b + 0.1 * rng.standard_normal(problem.b.size),
-                matrix_fingerprint=fp, partition=(2, 2, 1),
-            )
-
-        calib.solve(_calib_req())  # pays the one-time setup
-        warm_clock = calib.clock
-        for _ in range(calib_width):
-            calib.submit(_calib_req())
-        calib.drain()
-        calib.close()
-    per_request_seconds = (calib.clock - warm_clock) / calib_width
+    per_request_seconds = _calibrated_seconds(problem, layout, 8, seed)
     capacity_rps = 0.6 / per_request_seconds
     deadline = 45.0 * per_request_seconds
 

@@ -11,9 +11,11 @@ identity).  The pool:
   pooled -- an interleaved tenant filling the cache cannot evict an
   artifact an in-flight session holds (the pin is taken *before* the
   first build, so the build-and-put itself is protected);
-* memoizes the built preconditioner per operator-values fingerprint, so
-  repeated same-values batches skip setup entirely (the serving
-  analogue of :meth:`~repro.api.SolverSession.resolve`'s skip path).
+* asks the session's own reuse ladder
+  (:meth:`~repro.api.SolverSession.prepare`) for each batch's
+  preconditioner, so repeated same-values batches skip setup entirely
+  and a same-pattern values update is a numeric refactorization --
+  exactly what :meth:`~repro.api.SolverSession.resolve` does.
 """
 
 from __future__ import annotations
@@ -35,22 +37,16 @@ class PooledSession:
     shard:
         The shard key this session serves.
     session:
-        The underlying :class:`~repro.api.SolverSession`.
-    precond:
-        The most recently built preconditioner (None before first use).
-    values_fp:
-        Values fingerprint ``precond`` was built for.
+        The underlying :class:`~repro.api.SolverSession`; it owns the
+        preconditioner and the fingerprints it was prepared for.
     setups:
-        How many preconditioner builds this session has paid (first
-        build prices symbolic + numeric; later rebuilds numeric only).
+        How many preconditioner setups this session has paid (the first
+        prices symbolic + numeric; later values updates numeric only).
     served:
         Requests served through this session.
     """
 
-    __slots__ = (
-        "shard", "session", "precond", "values_fp", "pin_key", "cache",
-        "setups", "served",
-    )
+    __slots__ = ("shard", "session", "pin_key", "cache", "setups", "served")
 
     def __init__(
         self, shard: Tuple, session: SolverSession, pin_key: tuple, cache
@@ -61,26 +57,29 @@ class PooledSession:
         # the cache the pin was taken on: unpin must hit the SAME cache
         # even if the ambient cache has been swapped since
         self.cache = cache
-        self.precond = None
-        self.values_fp: Optional[str] = None
         self.setups = 0
         self.served = 0
+
+    @property
+    def precond(self):
+        """The session's current preconditioner (None before first use)."""
+        return self.session.operator
 
     def preconditioner_for(self, values_fp: str, problem) -> Tuple[object, bool]:
         """The preconditioner for one operator-values identity.
 
-        Returns ``(precond, reused)``: ``reused`` is True when the
-        cached build matched and no setup was paid.  A different values
-        fingerprint rebuilds through the session (the decomposition
-        plan itself comes from the pinned artifact-cache entry).
+        Returns ``(precond, reused)``; ``reused`` means the session's
+        ladder took the skip rung and no setup was paid.  The service
+        holds both fingerprints already (the shard key leads with the
+        pattern's), so nothing is hashed per batch.
         """
-        if self.precond is not None and self.values_fp == values_fp:
-            return self.precond, True
         self.session.problem = problem
-        self.precond = self.session.build_preconditioner()
-        self.values_fp = values_fp
-        self.setups += 1
-        return self.precond, False
+        precond, rung = self.session.prepare(
+            values_fp=values_fp, pattern_fp=self.shard[0]
+        )
+        if rung != "skip":
+            self.setups += 1
+        return precond, rung == "skip"
 
     def adopt_repartition(self, precond, new_pin_key: tuple) -> None:
         """Swap in an elastically repaired preconditioner.
@@ -90,9 +89,10 @@ class PooledSession:
         old decomposition artifact -- pinned or not, it describes a
         partition this session will never serve again -- (2) pins and
         publishes the repaired decomposition under its own
-        fingerprint key, and (3) releases the old pin.  ``values_fp``
-        is kept: the matrix values did not change, so the next
-        same-values batch memo-hits on the repaired preconditioner.
+        fingerprint key, and (3) releases the old pin.  The session
+        keeps its fingerprints: the matrix values did not change, so
+        the next same-values batch skips setup on the repaired
+        preconditioner and a later values update refactorizes it.
         """
         self.cache.invalidate(self.pin_key)
         if new_pin_key != self.pin_key:
@@ -100,7 +100,7 @@ class PooledSession:
             self.cache.unpin(self.pin_key)
             self.pin_key = new_pin_key
         self.cache.put(new_pin_key, precond.dec)
-        self.precond = precond
+        self.session.adopt(precond)
 
 
 class SessionPool:

@@ -56,9 +56,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.api import SolverSession
+from repro.api import AlgebraicProblem, SolverSession
 from repro.krylov import SolveStatus
-from repro.krylov.block import BlockSolveResult, block_cg, block_gmres
+from repro.krylov.block import BlockSolveResult
+from repro.krylov.driver import run_krylov
 from repro.obs import get_tracer
 from repro.reuse import pattern_fingerprint, values_fingerprint
 from repro.runtime.layout import JobLayout
@@ -90,18 +91,11 @@ class RegisteredOperator:
         self.coordinates = coordinates
         self.dofs_per_node = int(dofs_per_node)
 
-
-class _OperatorProblem:
-    """Adapter giving a bare operator the problem shape the session
-    expects (``a``/``b`` always; geometric extras only when the tenant
-    supplied them -- no FEM assumption)."""
-
-    def __init__(self, a, b, coordinates=None, dofs_per_node: int = 1):
-        self.a = a
-        self.b = b
-        self.dofs_per_node = dofs_per_node
-        if coordinates is not None:
-            self.coordinates = coordinates
+    def problem(self, rhs) -> AlgebraicProblem:
+        """The operator in the problem shape a session expects."""
+        return AlgebraicProblem(
+            self.matrix, rhs, self.dofs_per_node, self.coordinates
+        )
 
 
 class _Retry:
@@ -249,7 +243,7 @@ class SolverService:
     ) -> str:
         """Register an operator from a MatrixMarket file.
 
-        Reads ``path`` with :func:`repro.io.read_matrix_market` and
+        Reads ``path`` with :func:`repro.io.read_operator` and
         registers the matrix like :meth:`register`; the returned pattern
         fingerprint is what tenants put in
         :attr:`~repro.serve.request.SolveRequest.matrix_fingerprint`.
@@ -257,21 +251,11 @@ class SolverService:
         them with ``SchwarzConfig(coarse_space="spectral")`` unless a
         null space or coordinates are supplied.
         """
-        from repro.io import read_matrix_market
+        from repro.io import read_operator
 
-        a = read_matrix_market(path)
-        if a.n_rows != a.n_cols:
-            raise ValueError(
-                f"{path}: the solver service needs a square operator, "
-                f"got {a.n_rows} x {a.n_cols}"
-            )
-        if dofs_per_node < 1 or a.n_rows % dofs_per_node:
-            raise ValueError(
-                f"{path}: matrix order {a.n_rows} is not divisible by "
-                f"dofs_per_node={dofs_per_node}"
-            )
         return self.register(
-            a, coordinates=coordinates, dofs_per_node=dofs_per_node
+            read_operator(path, dofs_per_node),
+            coordinates=coordinates, dofs_per_node=dofs_per_node,
         )
 
     def _resolve(self, req: SolveRequest) -> RegisteredOperator:
@@ -428,60 +412,6 @@ class SolverService:
         return responses
 
     # -- internals ------------------------------------------------------
-    def _session_factory(
-        self, batch: RequestBatch, op: RegisteredOperator
-    ) -> Callable[[], SolverSession]:
-        head = batch.requests[0]
-        problem = _OperatorProblem(
-            op.matrix, batch.requests[0].rhs,
-            coordinates=op.coordinates, dofs_per_node=op.dofs_per_node,
-        )
-
-        def factory() -> SolverSession:
-            return SolverSession(
-                problem,
-                partition=head.partition,
-                config=head.config,
-                krylov=head.krylov,
-                nullspace=head.nullspace,
-            )
-
-        return factory
-
-    def _run_block(
-        self,
-        batch: RequestBatch,
-        op: RegisteredOperator,
-        precond,
-        rtol: Optional[float] = None,
-    ) -> BlockSolveResult:
-        head = batch.requests[0]
-        kry = head.krylov
-        rtol = kry.rtol if rtol is None else float(rtol)
-        b_block = np.stack([r.rhs for r in batch.requests], axis=1)
-        if kry.method == "gmres":
-            return block_gmres(
-                op.matrix,
-                b_block,
-                preconditioner=precond,
-                rtol=rtol,
-                restart=kry.restart,
-                maxiter=kry.maxiter,
-                variant=kry.variant,
-            )
-        if kry.method == "cg":
-            return block_cg(
-                op.matrix,
-                b_block,
-                preconditioner=precond,
-                rtol=rtol,
-                maxiter=kry.maxiter,
-            )
-        raise ValueError(
-            f"Krylov method {kry.method!r} is not supported by the "
-            "batched serving path (gmres and cg are)"
-        )
-
     def _solve_price(
         self,
         result: BlockSolveResult,
@@ -528,20 +458,13 @@ class SolverService:
         """
         if n == base.n_ranks:
             return base
-        if base.use_gpu and n % base.machine.gpus_per_node == 0:
-            return JobLayout(
-                nodes=1,
-                ranks_per_node=n,
-                use_gpu=True,
-                ranks_per_gpu=n // base.machine.gpus_per_node,
-                threads_per_rank=base.threads_per_rank,
-                machine=base.machine,
-                tenants=base.tenants,
-            )
+        gpus = base.machine.gpus_per_node
+        on_gpu = base.use_gpu and n % gpus == 0
         return JobLayout(
             nodes=1,
             ranks_per_node=n,
-            use_gpu=False,
+            use_gpu=on_gpu,
+            ranks_per_gpu=n // gpus if on_gpu else 1,
             threads_per_rank=base.threads_per_rank,
             machine=base.machine,
             tenants=base.tenants,
@@ -568,12 +491,6 @@ class SolverService:
         if np.all(factors == 1.0):
             return None
         return factors
-
-    def _reset_elastic_state(self, shard: Tuple) -> None:
-        """Forget a shard's repartition state (its session rebuilt)."""
-        self._shard_layouts.pop(shard, None)
-        self._rank_hosts.pop(shard, None)
-        self._scalers.pop(shard, None)
 
     def _maybe_scale(
         self, batch: RequestBatch, layout: JobLayout, start_clock: float
@@ -669,6 +586,45 @@ class SolverService:
     def _shard_str(self, shard: Tuple) -> str:
         return f"{shard[0][:8]}:{shard[2]}"
 
+    def _unserved(
+        self,
+        req: SolveRequest,
+        status: SolveStatus,
+        arrival: float,
+        now: float,
+        shard: Tuple,
+        service_seconds: float = 0.0,
+        batch_width: int = 0,
+        **why,
+    ) -> SolveResponse:
+        """Terminal ``SHED`` / ``FAILED`` response; ``why`` names the
+        cause (``shed_reason=`` / ``error=``).  A shed request never
+        meets its deadline; a failed one is judged on the modeled time
+        its attempts consumed."""
+        self._inflight.pop(req.request_id, None)
+        latency = max(0.0, now - arrival)
+        return SolveResponse(
+            request_id=req.request_id,
+            tenant=req.tenant,
+            status=status,
+            x=np.zeros(0),
+            iterations=0,
+            converged=False,
+            residual_norms=[],
+            final_relres=float("inf"),
+            queue_wait_seconds=max(0.0, now - service_seconds - arrival),
+            batch_width=batch_width,
+            service_seconds=service_seconds,
+            latency_seconds=latency,
+            deadline_met=(
+                None if req.deadline is None
+                else status is SolveStatus.FAILED and latency <= req.deadline
+            ),
+            shard=self._shard_str(shard),
+            retries=self._attempts.get(req.request_id, 0),
+            **why,
+        )
+
     def _shed_response(
         self,
         req: SolveRequest,
@@ -679,64 +635,11 @@ class SolverService:
     ) -> SolveResponse:
         """Terminal SHED response (fast honest rejection, zero service)."""
         self.sheds += 1
-        self._inflight.pop(req.request_id, None)
         with get_tracer().span("serve/shed") as sp:
             sp.annotate(request=req.request_id, reason=reason)
             sp.count("shed")
-        wait = max(0.0, now - arrival)
-        return SolveResponse(
-            request_id=req.request_id,
-            tenant=req.tenant,
-            status=SolveStatus.SHED,
-            x=np.zeros(0),
-            iterations=0,
-            converged=False,
-            residual_norms=[],
-            final_relres=float("inf"),
-            queue_wait_seconds=wait,
-            batch_width=0,
-            service_seconds=0.0,
-            latency_seconds=wait,
-            deadline_met=None if req.deadline is None else False,
-            shard=self._shard_str(shard),
-            retries=self._attempts.get(req.request_id, 0),
-            shed_reason=reason,
-        )
-
-    def _failed_response(
-        self,
-        req: SolveRequest,
-        arrival: float,
-        now: float,
-        error: str,
-        shard: Tuple,
-        service_seconds: float,
-        batch_width: int,
-    ) -> SolveResponse:
-        """Terminal FAILED response after containment/retry exhaustion."""
-        self._inflight.pop(req.request_id, None)
-        wait = max(0.0, now - service_seconds - arrival)
-        latency = max(0.0, now - arrival)
-        return SolveResponse(
-            request_id=req.request_id,
-            tenant=req.tenant,
-            status=SolveStatus.FAILED,
-            x=np.zeros(0),
-            iterations=0,
-            converged=False,
-            residual_norms=[],
-            final_relres=float("inf"),
-            queue_wait_seconds=wait,
-            batch_width=batch_width,
-            service_seconds=service_seconds,
-            latency_seconds=latency,
-            deadline_met=(
-                None if req.deadline is None
-                else latency <= req.deadline
-            ),
-            shard=self._shard_str(shard),
-            retries=self._attempts.get(req.request_id, 0),
-            error=error,
+        return self._unserved(
+            req, SolveStatus.SHED, arrival, now, shard, shed_reason=reason
         )
 
     def _release_due_retries(self) -> None:
@@ -766,8 +669,10 @@ class SolverService:
         everything behind it.  Returns the (possibly narrowed) batch
         and the shed responses; None when the whole batch was hopeless.
         """
-        keep_r, keep_a, shed = [], [], []
-        for req, arrival in zip(batch.requests, batch.arrival_clocks):
+        keep, shed = [], []
+        for i, (req, arrival) in enumerate(
+            zip(batch.requests, batch.arrival_clocks)
+        ):
             if (
                 req.deadline is not None
                 and arrival + req.deadline <= start_clock
@@ -776,21 +681,10 @@ class SolverService:
                     req, arrival, start_clock, "deadline_passed", batch.shard
                 ))
             else:
-                keep_r.append(req)
-                keep_a.append(arrival)
+                keep.append(i)
         if not shed:
             return batch, []
-        if not keep_r:
-            return None, shed
-        return (
-            RequestBatch(
-                shard=batch.shard,
-                values_fp=batch.values_fp,
-                requests=keep_r,
-                arrival_clocks=keep_a,
-            ),
-            shed,
-        )
+        return (batch.only(keep) if keep else None), shed
 
     def _degradation_for(
         self, batch: RequestBatch, start_clock: float
@@ -849,9 +743,10 @@ class SolverService:
                     not_before, req, batch.shard, batch.values_fp, arrival
                 ))
             else:
-                out.append(self._failed_response(
-                    req, arrival, now, error, batch.shard,
-                    service_seconds, batch.width,
+                # containment / retry budget exhausted: terminal FAILED
+                out.append(self._unserved(
+                    req, SolveStatus.FAILED, arrival, now, batch.shard,
+                    service_seconds, batch.width, error=error,
                 ))
         return out
 
@@ -922,33 +817,21 @@ class SolverService:
                 breaker.record_failure(now)
         # non-converged breakdown columns are retry candidates
         if self._guard is not None and self._guard.config.max_retries > 0:
-            terminal, broken_r, broken_a = [], [], []
-            for req, arrival, resp in zip(
-                batch.requests, batch.arrival_clocks, rs
-            ):
-                if resp.status is SolveStatus.BREAKDOWN:
-                    broken_r.append(req)
-                    broken_a.append(arrival)
-                else:
-                    terminal.append(resp)
-            if broken_r:
-                sub = RequestBatch(
-                    shard=batch.shard, values_fp=batch.values_fp,
-                    requests=broken_r, arrival_clocks=broken_a,
-                )
-                terminal.extend(self._schedule_retry_or_fail(
-                    sub, now, "breakdown", secs
+            broken = [
+                i for i, resp in enumerate(rs)
+                if resp.status is SolveStatus.BREAKDOWN
+            ]
+            if broken:
+                rs = [r for i, r in enumerate(rs) if i not in broken]
+                rs.extend(self._schedule_retry_or_fail(
+                    batch.only(broken), now, "breakdown", secs
                 ))
-            rs = terminal
         for resp in rs:
             if resp.status is not SolveStatus.FAILED:
-                self._finalize_served(resp)
+                self._inflight.pop(resp.request_id, None)
+                self.served += 1
         responses.extend(rs)
         return responses, extra + secs
-
-    def _finalize_served(self, resp: SolveResponse) -> None:
-        self._inflight.pop(resp.request_id, None)
-        self.served += 1
 
     def _serve_batch(
         self,
@@ -964,23 +847,19 @@ class SolverService:
                 {r.tenant for r in batch.requests}
             ))
             sp.count("batch_width", float(batch.width))
-            pooled = self.pool.acquire(
-                batch.shard, self._session_factory(batch, op)
-            )
+            head = batch.requests[0]
+            problem = op.problem(head.rhs)
+            pooled = self.pool.acquire(batch.shard, lambda: SolverSession(
+                problem,
+                partition=head.partition,
+                config=head.config,
+                krylov=head.krylov,
+                nullspace=head.nullspace,
+            ))
             first_use = pooled.setups == 0
             precond, reused = pooled.preconditioner_for(
-                batch.values_fp,
-                _OperatorProblem(
-                    op.matrix, batch.requests[0].rhs,
-                    coordinates=op.coordinates,
-                    dofs_per_node=op.dofs_per_node,
-                ),
+                batch.values_fp, problem
             )
-            if not reused and batch.shard in self._shard_layouts:
-                # new operator values rebuilt the session at its
-                # requested partition, dropping any elastic repartition
-                self._reset_elastic_state(batch.shard)
-                layout = self.layout
             # a layout sized for another rank count (the 4-rank default
             # against an 8-subdomain request) is resized the way an
             # elastic repartition resizes it, for every batch of the
@@ -1026,7 +905,13 @@ class SolverService:
                     )
                     dsp.count("degraded_batches")
             with tr.span("serve/solve") as ssp:
-                result = self._run_block(batch, op, operator, rtol_override)
+                result = run_krylov(
+                    batch.requests[0].krylov,
+                    op.matrix,
+                    np.stack([r.rhs for r in batch.requests], axis=1),
+                    operator,
+                    rtol=rtol_override,
+                )
                 ssp.count("block_width", float(batch.width))
             solve_secs = self._solve_price(
                 result, operator, layout, rank_factors=factors

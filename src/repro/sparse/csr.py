@@ -4,8 +4,7 @@ The central storage format of the package.  The structure arrays
 (``indptr``/``indices``) are host numpy; the value kernels (SpMV,
 SpMM, transpose product) are routed through the pluggable
 :mod:`repro.backend` array API, with numpy as the bit-identical
-default and torch activating on tensor operands or under
-``use_backend("torch")``.  The class is deliberately small and
+default.  The class is deliberately small and
 explicit -- the factorizations, triangular solves and Schwarz
 operators are built on top of it rather than hidden inside it.
 """
@@ -239,7 +238,7 @@ class CsrMatrix:
         A gather followed by a segmented reduction -- the array-API
         analogue of the row-parallel CSR SpMV kernel, routed through
         :func:`repro.backend.get_backend` (numpy default,
-        bit-identical; torch on tensor operands).
+        bit-identical).
 
         The product is computed and returned in the promoted dtype
         ``result_type(A.dtype, x.dtype)``.  An ``out=`` buffer that

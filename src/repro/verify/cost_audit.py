@@ -33,6 +33,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.dd.wrapper import unwrap
 from repro.runtime.distributed import (
     DistributedCsr,
     DistributedVector,
@@ -113,7 +114,7 @@ def audit_cost_model(
     ``layout`` defaults to one CPU node with one rank per subdomain (the
     layout only prices seconds; the audited *counts* are layout-free).
     """
-    inner = getattr(precond, "inner", precond)
+    inner = unwrap(precond)
     half = inner is not precond
     dec = inner.dec
     n_ranks = dec.n_subdomains

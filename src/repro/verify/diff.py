@@ -34,6 +34,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.dd.wrapper import OperatorWrapper, unwrap
 from repro.obs import Span, Tracer, use_tracer
 from repro.runtime.distributed import (
     DistributedCsr,
@@ -114,12 +115,10 @@ class ExecutionDiff:
         return "\n".join([head] + ["  " + s for s in lines])
 
 
-class _CountingPrecond:
+class _CountingPrecond(OperatorWrapper):
     """Wraps a preconditioner to count sequential applications."""
 
-    def __init__(self, inner) -> None:
-        self.inner = inner
-        self.applies = 0
+    applies = 0
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         self.applies += 1
@@ -144,7 +143,7 @@ def diff_executions(
     permitted for the floating-point phases (the two executions sum in
     different orders).
     """
-    inner = getattr(precond, "inner", precond)
+    inner = unwrap(precond)
     dec = inner.dec
     a = dec.a
     n = a.n_rows

@@ -35,6 +35,8 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.dd.wrapper import unwrap
+
 __all__ = [
     "InvariantCheck",
     "VerificationError",
@@ -166,11 +168,6 @@ class VerificationReport:
             raise VerificationError(self.summary())
 
 
-def _unwrap(precond):
-    """The bare :class:`GDSWPreconditioner` under a precision wrapper."""
-    return getattr(precond, "inner", precond)
-
-
 # ----------------------------------------------------------------------
 def check_residual_drift(
     x: np.ndarray,
@@ -213,7 +210,7 @@ def check_overlap_operator(precond, config: VerifyConfig) -> List[InvariantCheck
     solves; it is confirmed by dense Cholesky on subdomains up to
     ``spd_check_cap`` rows.
     """
-    inner = _unwrap(precond)
+    inner = unwrap(precond)
     matrices = inner.one_level.matrices
     worst_sym, worst_rank = 0.0, -1
     for rank, a_i in enumerate(matrices):
@@ -277,7 +274,7 @@ def check_coarse_basis(
       is supplied (GDSW/rGDSW only -- adaptive spaces have their own
       basis selection).
     """
-    inner = _unwrap(precond)
+    inner = unwrap(precond)
     space = inner.space
     if inner.phi is None:
         return [
@@ -368,7 +365,7 @@ def check_spectral_space(precond, config: VerifyConfig) -> List[InvariantCheck]:
 
     Returns no checks for non-spectral preconditioners.
     """
-    inner = _unwrap(precond)
+    inner = unwrap(precond)
     space = inner.space
     if space.variant != "spectral" or space.eigenvalues is None:
         return []

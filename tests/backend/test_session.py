@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api import SolverSession
-from repro.backend import NumpyBackend, torch_available
+from repro.backend import NumpyBackend
 
 
 @pytest.fixture(scope="module")
@@ -20,8 +20,6 @@ class TestSessionBackend:
             SolverSession(problem, partition=(2, 1, 1), backend="cupy")
 
     def test_torch_unavailable_raises_at_construction(self, problem):
-        if torch_available():
-            pytest.skip("torch importable: the name resolves")
         with pytest.raises(ValueError, match="unavailable"):
             SolverSession(problem, partition=(2, 1, 1), backend="torch")
 

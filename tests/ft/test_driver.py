@@ -41,7 +41,7 @@ def _ft_solve(problem, phase, strategy, rank=1, **kw):
     plan = RankFailurePlan.single(rank, phase, KILL_OPS[phase])
     cfg = FaultToleranceConfig(plan=plan, strategy=strategy, **kw)
     return SolverSession(
-        problem, partition=(2, 2, 1), fault_tolerance=cfg
+        problem, partition=(2, 2, 1), policy=cfg
     ).solve()
 
 
@@ -97,14 +97,14 @@ class TestControlArm:
         cfg = FaultToleranceConfig(plan=plan, max_failures=1)
         with pytest.raises(RankFailedError):
             SolverSession(
-                laplace, partition=(2, 2, 1), fault_tolerance=cfg
+                laplace, partition=(2, 2, 1), policy=cfg
             ).solve()
 
 
 class TestFaultFreeBitIdentity:
     def test_gmres_bit_identical(self, laplace, laplace_baseline):
         res = SolverSession(
-            laplace, partition=(2, 2, 1), fault_tolerance=True
+            laplace, partition=(2, 2, 1), policy=FaultToleranceConfig()
         ).solve()
         base = laplace_baseline
         assert np.array_equal(res.x, base.x)
@@ -119,7 +119,7 @@ class TestFaultFreeBitIdentity:
         base = SolverSession(laplace, partition=(2, 2, 1),
                              krylov=kry).solve()
         res = SolverSession(laplace, partition=(2, 2, 1), krylov=kry,
-                            fault_tolerance=True).solve()
+                            policy=FaultToleranceConfig()).solve()
         assert np.array_equal(res.x, base.x)
         assert res.reduces == base.reduces
 
@@ -127,7 +127,7 @@ class TestFaultFreeBitIdentity:
         from repro.runtime.layout import JobLayout
 
         res = SolverSession(
-            laplace, partition=(2, 2, 1), fault_tolerance=True
+            laplace, partition=(2, 2, 1), policy=FaultToleranceConfig()
         ).solve()
         layout = JobLayout.cpu_run(1, ranks_per_node=res.n_ranks)
         modeled = res.timings(layout).total_seconds
@@ -135,11 +135,82 @@ class TestFaultFreeBitIdentity:
         assert ckpt < 0.05 * modeled
 
 
+class TestSequenceProtection:
+    """Rank-loss protection covers resolve(): the setup is reused and a
+    death scheduled past the first solve fires in the second."""
+
+    def test_resolve_reuses_the_setup(self, laplace, laplace_baseline):
+        session = SolverSession(
+            laplace, partition=(2, 2, 1), policy=FaultToleranceConfig()
+        )
+        first = session.solve()
+        again = session.resolve(b=laplace.b)
+        assert not first.setup_reused and again.setup_reused
+        assert again.precond is first.precond  # the same FtOperator
+        assert np.array_equal(again.x, laplace_baseline.x)
+        assert again.reduces == laplace_baseline.reduces
+        assert again.ft.recoveries == 0 and again.ft.checkpoints >= 1
+
+    def test_death_in_the_second_solve_is_recovered(
+        self, laplace, laplace_baseline
+    ):
+        # the communicator's op counters run across the sequence: an
+        # apply-phase op index past solve #1 lands in solve #2
+        ops_per_solve = SolverSession(
+            laplace, partition=(2, 2, 1), policy=FaultToleranceConfig()
+        )
+        ops_per_solve.solve()
+        comm = ops_per_solve._state.protection.comm
+        kill_at = comm._phase_ops["apply"] + KILL_OPS["apply"]
+
+        cfg = FaultToleranceConfig(
+            plan=RankFailurePlan.single(1, "apply", kill_at)
+        )
+        session = SolverSession(laplace, partition=(2, 2, 1), policy=cfg)
+        first = session.solve()
+        assert str(first.status) == "converged" and first.ft.failures == []
+        second = session.resolve(b=laplace.b)
+        assert str(second.status) == "recovered"
+        assert second.ft.recoveries == 1 and len(second.ft.failures) == 1
+        assert second.final_relres <= RTOL * 1.01
+        assert second.n_ranks == laplace_baseline.n_ranks - 1
+        # the shrunk partition is what the ladder keeps
+        third = session.resolve(b=laplace.b)
+        assert str(third.status) == "converged" and third.setup_reused
+        assert third.n_ranks == second.n_ranks and third.ft.failures == []
+
+    def test_verify_and_tracer_are_honoured(self, laplace):
+        from repro.obs import Tracer
+
+        tracer = Tracer()
+        res = SolverSession(
+            laplace, partition=(2, 2, 1), policy=FaultToleranceConfig(),
+            verify=True, tracer=tracer,
+        ).solve()
+        assert res.verification is not None and res.verification.ok
+        assert res.trace is tracer.root and tracer.reduces == res.reduces
+        assert tracer.reduce_via is None  # the route is scoped to the solve
+
+    def test_solve_fault_tolerant_is_the_session_pipeline(
+        self, laplace, laplace_baseline
+    ):
+        from repro.ft import solve_fault_tolerant
+
+        session = SolverSession(laplace, partition=(2, 2, 1))
+        res = solve_fault_tolerant(session, FaultToleranceConfig())
+        assert res.ft is not None and np.array_equal(res.x, laplace_baseline.x)
+        assert session.policy is None and session.operator is None
+
+
 class TestDriverSurface:
     def test_mutually_exclusive_with_resilience(self, laplace):
-        with pytest.raises(ValueError, match="mutually exclusive"):
+        """One policy slot: the two runtimes cannot be combined."""
+        from repro.resilience import ResilienceConfig
+
+        with pytest.raises(TypeError, match="policy must be"):
             SolverSession(
-                laplace, resilience=True, fault_tolerance=True
+                laplace,
+                policy=(ResilienceConfig(), FaultToleranceConfig()),
             )
 
     def test_strategy_validated(self):
@@ -153,7 +224,7 @@ class TestDriverSurface:
             plan=plan, strategy="respawn", checkpoint_interval=3
         )
         res = SolverSession(laplace, partition=(2, 2, 1), krylov=kry,
-                            fault_tolerance=cfg).solve()
+                            policy=cfg).solve()
         assert res.converged and res.final_relres <= RTOL * 1.01
         assert res.ft.checkpoints >= 1
         # with checkpoints and the rank's buddy alive, nothing is lost

@@ -240,3 +240,50 @@ class TestRoundtripProperty:
             np.testing.assert_array_equal(b.indptr, a.indptr)
             np.testing.assert_array_equal(b.indices, a.indices)
             np.testing.assert_array_equal(b.data, a.data)
+
+
+class TestReadOperator:
+    """The one .mtx ingestion check sessions and the service share."""
+
+    def test_square_divisible_matrix_is_returned(self, tmp_path):
+        from repro.io import read_operator
+
+        a = random_csr(6, 6, seed=4)
+        path = tmp_path / "op.mtx"
+        write_matrix_market(path, a)
+        for d in (1, 2, 3):
+            b = read_operator(path, dofs_per_node=d)
+            np.testing.assert_allclose(b.todense(), a.todense(), atol=1e-15)
+
+    def test_nonsquare_rejected(self, tmp_path):
+        from repro.io import read_operator
+
+        path = tmp_path / "rect.mtx"
+        write_matrix_market(path, random_csr(5, 4, seed=5))
+        with pytest.raises(ValueError, match="square.*5 x 4"):
+            read_operator(path)
+
+    @pytest.mark.parametrize("d", (0, -1, 4))
+    def test_indivisible_block_size_rejected(self, tmp_path, d):
+        from repro.io import read_operator
+
+        path = tmp_path / "six.mtx"
+        write_matrix_market(path, random_csr(6, 6, seed=6))
+        with pytest.raises(ValueError, match="divisible"):
+            read_operator(path, dofs_per_node=d)
+
+    def test_both_entry_points_reject_with_the_same_message(self, tmp_path):
+        from repro import SolverSession
+        from repro.serve import SolverService
+
+        path = tmp_path / "rect.mtx"
+        write_matrix_market(path, random_csr(5, 4, seed=5))
+        messages = []
+        for ingest in (
+            SolverSession.from_matrix_market,
+            SolverService().register_matrix_market,
+        ):
+            with pytest.raises(ValueError) as err:
+                ingest(path)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]

@@ -58,11 +58,9 @@ class TestGmres:
         moderately-converging (DD-realistic) problem."""
         a, b = small_elasticity.a, small_elasticity.b
         counts = {}
-        with pytest.deprecated_call():
-            for v in ("mgs", "cgs", "single_reduce"):
-                red = ReduceCounter()
-                res = gmres(a, b, rtol=1e-7, restart=30, variant=v, reducer=red)
-                counts[v] = red.count / max(res.iterations, 1)
+        for v in ("mgs", "cgs", "single_reduce"):
+            res = gmres(a, b, rtol=1e-7, restart=30, variant=v)
+            counts[v] = res.reduces / max(res.iterations, 1)
         assert counts["mgs"] > counts["cgs"] > counts["single_reduce"]
         assert counts["single_reduce"] < 1.5  # ~one reduce per iteration
 
@@ -265,13 +263,10 @@ class TestPipelinedCg:
 
         a = random_spd(80, seed=22, density=0.05)
         b = rng.standard_normal(80)
-        red_p, red_c = ReduceCounter(), ReduceCounter()
-        with pytest.deprecated_call():
-            rq = pipelined_cg(a, b, rtol=1e-8, reducer=red_p)
-        with pytest.deprecated_call():
-            rp = cg(a, b, rtol=1e-8, reducer=red_c)
-        assert red_p.count / max(rq.iterations, 1) < red_c.count / max(rp.iterations, 1)
-        assert red_p.count / max(rq.iterations, 1) < 1.6
+        rq = pipelined_cg(a, b, rtol=1e-8)
+        rp = cg(a, b, rtol=1e-8)
+        assert rq.reduces / max(rq.iterations, 1) < rp.reduces / max(rp.iterations, 1)
+        assert rq.reduces / max(rq.iterations, 1) < 1.6
 
     def test_residual_replacement_engages(self, rng):
         from repro.krylov import pipelined_cg

@@ -104,3 +104,37 @@ class TestKrylovGuard:
         for it in range(50):
             est *= 0.9
             assert g.on_residual(it, est) is None
+
+    def test_records_history_and_the_last_iteration(self):
+        g = KrylovGuard()
+        for it, est in ((1, 1.0), (2, 0.5), (3, 0.25)):
+            g.on_residual(it, est)
+        assert g.history == [1.0, 0.5, 0.25] and g.iters == 3
+
+    def test_zero_window_is_a_pure_recorder(self):
+        g = KrylovGuard(stall_window=0)
+        assert all(g.on_residual(it, 1.0) is None for it in range(500))
+        assert g.on_residual(500, float("inf")) == "nonfinite"
+
+    def test_extra_predicate_is_asked_only_while_not_improving(self):
+        asked = []
+
+        def extra():
+            asked.append(True)
+            return "over_budget" if len(asked) > 1 else None
+
+        g = KrylovGuard(stall_window=50, extra=extra)
+        assert g.on_residual(0, 1.0) is None and not asked  # improving
+        assert g.on_residual(1, 1.0) is None and len(asked) == 1
+        assert g.on_residual(2, 1.0) == "over_budget"
+
+    def test_one_watchdog_behind_every_subsystem(self):
+        """The staleness guard and the rank-loss recorder reuse this
+        class rather than restating it."""
+        from repro.elastic import StalenessGuard
+        from repro.ft import FaultToleranceConfig
+
+        assert issubclass(StalenessGuard, KrylovGuard)
+        assert "on_residual" not in vars(StalenessGuard)
+        recorder = FaultToleranceConfig().protection().watchdog()
+        assert type(recorder) is KrylovGuard and recorder.stall_window == 0

@@ -7,7 +7,6 @@ damped iteration contracts.  This is the genuine failure mode the
 ``fastilu_divergence`` fault emulates; here the real thing is exercised
 end to end: detector, damping boost, and session recovery."""
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -43,7 +42,7 @@ class TestDetector:
         assert f.update_norms[-1] < f.update_norms[0]
 
     def test_engine_turns_divergence_into_breakdown(self, stiff_problem):
-        engine = ResilienceConfig().make_engine()
+        engine = ResilienceConfig().protection()
         f = FastIlu(level=1, sweeps=3, damping=1.0)
         f.symbolic(stiff_problem.a)
         with use_engine(engine):
@@ -71,7 +70,7 @@ class TestSessionRecovery:
                 local=LocalSolverSpec(kind="fastilu", factor_damping=1.0)
             ),
             krylov=KrylovConfig(rtol=1e-7, maxiter=2000),
-            resilience=True,
+            policy=ResilienceConfig(),
         ).solve()
         assert res.converged
         assert res.final_relres <= 1.01e-7

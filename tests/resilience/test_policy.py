@@ -7,7 +7,6 @@ from repro.dd.local_solvers import LocalSolverSpec
 from repro.resilience.detect import DivergenceError, PivotBreakdownError
 from repro.resilience.policy import (
     ACTION_KINDS,
-    LadderState,
     RecoveryPolicy,
 )
 

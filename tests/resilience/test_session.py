@@ -36,13 +36,13 @@ def _config_for(kind):
 def _solve(problem, kind, detect=True, recover=True, maxiter=1000):
     plan = FaultPlan.single(kind, rank=1, seed=11)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore")  # injected NaN/inf arithmetic
         return SolverSession(
             problem,
             partition=(2, 2, 2),
             config=_config_for(kind),
             krylov=KrylovConfig(rtol=RTOL, maxiter=maxiter),
-            resilience=ResilienceConfig(
+            policy=ResilienceConfig(
                 fault_plan=plan, detect=detect, recover=recover
             ),
         ).solve()
@@ -155,7 +155,7 @@ class TestFaultFreeOverhead:
         ).solve()
         guarded = SolverSession(
             problem, partition=(2, 2, 2), krylov=KrylovConfig(rtol=RTOL),
-            resilience=True,
+            policy=ResilienceConfig(),
         ).solve()
         assert guarded.iterations == clean.iterations
         assert guarded.status == SolveStatus.CONVERGED
@@ -172,7 +172,7 @@ class TestFaultFreeOverhead:
         ).solve()
         guarded = SolverSession(
             problem, partition=(2, 2, 2), krylov=KrylovConfig(rtol=RTOL),
-            resilience=True,
+            policy=ResilienceConfig(),
         ).solve()
         t_c = clean.timings(layout)
         t_g = guarded.timings(layout)
@@ -183,12 +183,12 @@ class TestFaultFreeOverhead:
 
 class TestSessionSurface:
     def test_resilience_true_uses_defaults(self, problem):
-        s = SolverSession(problem, resilience=True)
-        assert s.resilience is not None and s.resilience.fault_plan is None
+        s = SolverSession(problem, policy=ResilienceConfig())
+        assert s.policy is not None and s.policy.fault_plan is None
 
     def test_resilience_false_disables(self, problem):
-        s = SolverSession(problem, resilience=False)
-        assert s.resilience is None
+        assert SolverSession(problem, policy=False).policy is None
+        assert SolverSession(problem, policy=None).policy is None
 
     def test_status_is_string_comparable(self, problem):
         res = SolverSession(
@@ -200,11 +200,61 @@ class TestSessionSurface:
     def test_verify_and_resilience_compose_fault_free(self, problem):
         res = SolverSession(
             problem, partition=(2, 2, 2), krylov=KrylovConfig(rtol=RTOL),
-            verify=True, resilience=True,
+            verify=True, policy=ResilienceConfig(),
         ).solve()
         assert res.verification is not None
         assert res.health is not None
         assert res.status == SolveStatus.CONVERGED
+
+
+class TestSequenceProtection:
+    """The policy guards resolve()/solve_sequence() like solve(): the
+    engine lives as long as the operator it was built with."""
+
+    def _session(self, problem, at_apply):
+        plan = FaultPlan.single("precond_nan", rank=1, seed=11, at_apply=at_apply)
+        return SolverSession(
+            problem, partition=(2, 2, 2), krylov=KrylovConfig(rtol=RTOL),
+            policy=ResilienceConfig(fault_plan=plan),
+        )
+
+    def test_fault_on_the_second_solve_is_detected_and_recovered(self, problem):
+        clean = SolverSession(
+            problem, partition=(2, 2, 2), krylov=KrylovConfig(rtol=RTOL)
+        ).solve()
+        # one apply per iteration: land the NaN two applies into solve #2
+        session = self._session(problem, at_apply=clean.iterations + 2)
+        rng = np.random.default_rng(3)
+        b2 = problem.b + 0.1 * rng.standard_normal(problem.b.size)
+
+        first = session.solve()
+        assert first.status == SolveStatus.CONVERGED
+        assert not first.health.faults and not first.health.recovered
+        assert np.array_equal(first.x, clean.x)
+
+        second = session.resolve(b=b2)
+        assert second.setup_reused
+        assert second.status == SolveStatus.RECOVERED
+        assert [f.kind for f in second.health.faults] == ["precond_nan"]
+        assert second.health.restarts == 1
+        assert any(a.kind == "krylov_restart" for a in second.health.actions)
+        assert second.final_relres <= RTOL * 1.01
+        # the health log is per solve: a third solve starts clean
+        third = session.resolve(b=problem.b)
+        assert third.status == SolveStatus.CONVERGED
+        assert not third.health.faults and not third.health.recovered
+
+    def test_resolve_returns_the_guarded_operator(self, problem):
+        from repro.resilience import GuardedOperator
+
+        session = self._session(problem, at_apply=10**6)
+        first = session.solve()
+        again = session.resolve(b=problem.b)
+        for res in (first, again):
+            assert isinstance(res.precond, GuardedOperator)
+            assert res.health is not None
+        assert again.precond.engine is first.precond.engine
+        assert again.precond.inner is first.precond.inner
 
 
 class TestChaosMatrixSmoke:

@@ -1,7 +1,5 @@
 """Artifact invalidation when a pooled session adopts a repartition."""
 
-import numpy as np
-
 from repro.fem import laplace_3d
 from repro.reuse import ArtifactCache, use_artifact_cache
 from repro.serve import SolveRequest, SolverService
@@ -15,6 +13,18 @@ class _FakeDec:
 class _FakePrecond:
     def __init__(self, tag):
         self.dec = _FakeDec(tag)
+
+
+class _FakeSession:
+    """The slice of SolverSession the pool talks to: the session owns
+    the operator and the fingerprints it was prepared for."""
+
+    def __init__(self, operator, values_fp):
+        self.operator = operator
+        self.values_fp = values_fp
+
+    def adopt(self, operator):
+        self.operator = operator
 
 
 class TestInvalidate:
@@ -41,10 +51,9 @@ class TestAdoptRepartition:
         pool = SessionPool()
         with use_artifact_cache(cache):
             pooled = pool.acquire(
-                ("fp", (2, 2, 1), "cfg"), lambda: object()
+                ("fp", (2, 2, 1), "cfg"),
+                lambda: _FakeSession(_FakePrecond("old"), "values"),
             )
-        pooled.precond = _FakePrecond("old")
-        pooled.values_fp = "values"
         return pool, pooled
 
     def test_old_artifact_invalidated_new_key_pinned(self):
@@ -59,8 +68,8 @@ class TestAdoptRepartition:
         assert cache.pin_count(new_key) == 1
         assert cache.get(new_key).tag == "new"
         assert pooled.precond.dec.tag == "new"
-        # values did not change: the memo key survives the swap
-        assert pooled.values_fp == "values"
+        # values did not change: the session keeps its fingerprints
+        assert pooled.session.values_fp == "values"
         pool.close()
         assert cache.pin_count(new_key) == 0
 

@@ -19,8 +19,8 @@ from repro.dd import (
     LocalSolverSpec,
 )
 from repro.fem import elasticity_3d, laplace_3d, rigid_body_modes
-from repro.krylov import ReduceCounter, gmres
-from repro.obs import Tracer
+from repro.krylov import gmres
+from repro.obs import Tracer, use_tracer
 from repro.obs.export import modeled_total
 from repro.runtime import JobLayout, time_solver
 
@@ -133,8 +133,8 @@ class TestQuickstartEquivalence:
             overlap=1,
             variant="rgdsw",
         )
-        reducer = ReduceCounter()
-        with pytest.deprecated_call():
+        counted = Tracer()
+        with use_tracer(counted):
             res = gmres(
                 problem.a,
                 problem.b,
@@ -143,9 +143,8 @@ class TestQuickstartEquivalence:
                 restart=30,
                 maxiter=1000,
                 variant="single_reduce",
-                reducer=reducer,
             )
-        return m, res, reducer
+        return m, res, counted
 
     @pytest.fixture(scope="class")
     def session_run(self, problem):
@@ -175,9 +174,9 @@ class TestQuickstartEquivalence:
     def test_reduction_count_matches_legacy_reduce_counter(
         self, seed_run, session_run
     ):
-        _, _, reducer = seed_run
-        assert session_run.reduces == reducer.count
-        assert session_run.reduce_doubles == reducer.doubles
+        _, _, counted = seed_run
+        assert session_run.reduces == counted.reduces
+        assert session_run.reduce_doubles == counted.reduce_doubles
 
     def test_metadata_fields(self, seed_run, session_run, problem):
         m, _, _ = seed_run
@@ -203,24 +202,24 @@ class TestAcceptance:
 
     @pytest.fixture(scope="class")
     def runs(self, problem):
-        # seed path: explicit decomposition + ReduceCounter
+        # seed path: explicit decomposition + a counting tracer scope
         dec = Decomposition.from_box_partition(problem, 2, 2, 2)
         m = GDSWPreconditioner(dec, rigid_body_modes(problem.coordinates))
-        reducer = ReduceCounter()
-        with pytest.deprecated_call():
+        counted = Tracer()
+        with use_tracer(counted):
             ref = gmres(
                 problem.a, problem.b, preconditioner=m, rtol=1e-7,
-                restart=30, reducer=reducer,
+                restart=30,
             )
         # facade path, traced
         tracer = Tracer()
         result = SolverSession(problem, partition=(2, 2, 2), tracer=tracer).solve()
-        return m, ref, reducer, result
+        return m, ref, counted, result
 
     def test_reduces_equal_seed_reduce_counter(self, runs):
-        _, _, reducer, result = runs
-        assert result.reduces == reducer.count
-        assert result.reduce_doubles == reducer.doubles
+        _, _, counted, result = runs
+        assert result.reduces == counted.reduces
+        assert result.reduce_doubles == counted.reduce_doubles
 
     def test_chrome_trace_export(self, runs):
         _, _, _, result = runs
@@ -237,8 +236,10 @@ class TestAcceptance:
         assert "setup" in table and "krylov" in table
 
     def test_timings_match_seed_time_solver_exactly(self, runs, layout):
-        m, ref, reducer, result = runs
-        seed = time_solver(m, layout, ref.iterations, reducer.count, reducer.doubles)
+        m, ref, counted, result = runs
+        seed = time_solver(
+            m, layout, ref.iterations, counted.reduces, counted.reduce_doubles
+        )
         got = result.timings(layout)
         # same floats, not approximately: the refactor must be bit-identical
         assert got.setup_seconds == seed.setup_seconds
@@ -319,70 +320,39 @@ class TestFacadeVariants:
 
 
 class TestPolicyParameter:
-    """The policy= fold of the old resilience=/fault_tolerance= flags."""
-
-    @pytest.fixture(autouse=True)
-    def _fresh_site_registry(self):
-        from repro.api import _POLICY_WARNED_SITES
-
-        saved = set(_POLICY_WARNED_SITES)
-        _POLICY_WARNED_SITES.clear()
-        yield
-        _POLICY_WARNED_SITES.clear()
-        _POLICY_WARNED_SITES.update(saved)
+    """policy= is the one protection slot of the session."""
 
     def test_policy_dispatches_on_type(self, small_laplace):
-        from repro.ft import FaultToleranceConfig
-        from repro.resilience import ResilienceConfig
+        from repro.ft import FaultToleranceConfig, RankLossProtection
+        from repro.resilience import ResilienceConfig, ResilienceEngine
 
         s = SolverSession(small_laplace, policy=ResilienceConfig())
-        assert s.resilience is not None and s.fault_tolerance is None
+        assert isinstance(s.policy.protection(s), ResilienceEngine)
         s = SolverSession(small_laplace, policy=FaultToleranceConfig())
-        assert s.fault_tolerance is not None and s.resilience is None
+        assert isinstance(s.policy.protection(s), RankLossProtection)
 
     def test_policy_rejects_unknown_types(self, small_laplace):
         with pytest.raises(TypeError, match="policy must be"):
             SolverSession(small_laplace, policy="resilient")
+        with pytest.raises(TypeError, match="policy must be"):
+            SolverSession(small_laplace, policy=True)
 
     def test_default_is_unprotected(self, small_laplace):
         s = SolverSession(small_laplace)
         assert s.policy is None
-        assert s.resilience is None and s.fault_tolerance is None
-
-    def test_deprecated_keywords_warn_once_per_site(self, small_laplace):
-        import warnings
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(3):
-                SolverSession(small_laplace, resilience=True)
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 1
-        assert "policy=" in str(dep[0].message)
-
-    def test_deprecated_keywords_still_work(self, small_laplace):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            s = SolverSession(small_laplace, resilience=True)
-        assert s.resilience is not None
-        assert s.policy is s.resilience
+        assert s.solve().health is None
 
     def test_policy_cannot_combine_with_deprecated_keywords(
         self, small_laplace
     ):
-        import warnings
-
+        """The deprecated two-flag spelling is gone: policy= stands
+        alone, and the old keywords are rejected like any unknown one."""
         from repro.resilience import ResilienceConfig
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError, match="policy= alone"):
+        for old in ("resilience", "fault_tolerance"):
+            with pytest.raises(TypeError, match=old):
                 SolverSession(
-                    small_laplace,
-                    policy=ResilienceConfig(),
-                    fault_tolerance=True,
+                    small_laplace, policy=ResilienceConfig(), **{old: True}
                 )
 
 

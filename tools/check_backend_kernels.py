@@ -2,8 +2,8 @@
 """AST lint gate: no direct ``np.`` calls inside backend-routed kernels.
 
 The array-backend refactor routes the numeric hot paths through
-``repro.backend`` so a solve can run on any backend (numpy default,
-torch when importable).  A raw ``np.`` call inside one of those kernels
+``repro.backend`` so a solve can run on any backend (numpy is the
+default and the only one shipped).  A raw ``np.`` call inside one of those kernels
 silently pins the computation to the host and defeats the routing -- the
 class of regression this gate exists to catch at lint time rather than
 in a device-parity test.
