@@ -245,7 +245,11 @@ def energy_minimizing_extension(
         the interior block is *refactorized* (numeric-only when the
         solver's symbolic phase is reusable); misses populate the cache.
         The phase profiles recorded per rank are identical either way,
-        because the symbolic profile is pattern-deterministic.
+        because the symbolic profile is pattern-deterministic.  Without
+        a cache the solvers are still kept until the call returns:
+        congruent interior blocks (a box partition has few distinct
+        ones) then share one symbolic analysis, see
+        :func:`repro.reuse.symbolic.shared_symbolic`.
 
     Returns
     -------
@@ -256,6 +260,8 @@ def energy_minimizing_extension(
     a = dec.a
     n = a.n_rows
     d = dec.dofs_per_node
+    if solver_cache is None:
+        solver_cache = {}
     # map global dof -> interface position
     gamma_pos = np.full(n, -1, dtype=np.int64)
     gamma_pos[space.interface_dofs] = np.arange(space.interface_dofs.size)
@@ -295,12 +301,10 @@ def energy_minimizing_extension(
         if active.size == 0:
             rank_profiles.append(rank_prof)
             continue
-        solver = None if solver_cache is None else solver_cache.get(part_idx)
+        solver = solver_cache.get(part_idx)
         if solver is None:
-            solver = interior_solver_factory()
+            solver = solver_cache[part_idx] = interior_solver_factory()
             solver.factorize(a_ii)
-            if solver_cache is not None:
-                solver_cache[part_idx] = solver
         else:
             solver.refactorize(a_ii)
         rank_prof.extend(solver.symbolic_profile)

@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.machine.kernels import KernelProfile
+from repro.ordering import ORDERING_ALIASES, canonical_ordering
 from repro.sparse.blocks import inverse_permutation
 from repro.sparse.csr import CsrMatrix
 from repro.tri.factored import FactoredSolve
@@ -36,17 +37,9 @@ __all__ = ["LocalSolverSpec", "FactoredLocal", "SOLVER_KINDS", "ORDERINGS"]
 
 #: valid local-solver kinds (Table I of the paper)
 SOLVER_KINDS = ("superlu", "tacho", "iluk", "fastilu")
-#: valid fill-reducing orderings (aliases accepted by repro.ordering)
-ORDERINGS = (
-    "nd",
-    "nested_dissection",
-    "metis",
-    "natural",
-    "no",
-    "none",
-    "rcm",
-    "amd",
-)
+#: valid fill-reducing orderings: every name and alias repro.ordering
+#: resolves, each accepted by every solver kind
+ORDERINGS = tuple(ORDERING_ALIASES)
 
 
 @dataclass(frozen=True)
@@ -90,11 +83,7 @@ class LocalSolverSpec:
                 f"unknown local solver kind {self.kind!r}; valid kinds: "
                 + ", ".join(repr(k) for k in SOLVER_KINDS)
             )
-        if self.ordering not in ORDERINGS:
-            raise ValueError(
-                f"unknown ordering {self.ordering!r}; valid orderings: "
-                + ", ".join(repr(o) for o in ORDERINGS)
-            )
+        canonical_ordering(self.ordering)  # raises, listing the valid names
 
     def with_gpu(self, gpu_solve: bool) -> "LocalSolverSpec":
         """Copy with the GPU pairing switched."""
@@ -155,6 +144,12 @@ class FactoredLocal:
         True when the numeric factorization cannot run on the GPU
         (SuperLU); the pricing layer then charges it to the CPU even in
         GPU runs.
+    symbolic_record:
+        The immutable symbolic record the solver behind ``stages`` used,
+        shared with the solvers of congruent subdomains
+        (:func:`repro.reuse.symbolic.shared_symbolic`).  The shared
+        store is weak: holding the record here keeps it available to
+        siblings for as long as this factorization lives.
     """
 
     def __init__(
@@ -168,6 +163,7 @@ class FactoredLocal:
         cpu_only_numeric: bool = False,
         exact: bool = True,
         refactor_fn=None,
+        symbolic_record=None,
     ) -> None:
         self.stages = stages
         self.symbolic_profile = symbolic_profile
@@ -178,6 +174,7 @@ class FactoredLocal:
         self.cpu_only_numeric = cpu_only_numeric
         self.exact = exact
         self._refactor_fn = refactor_fn
+        self.symbolic_record = symbolic_record
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Apply the (approximate) local inverse (1-D or ``(n, k)`` ``v``)."""
@@ -245,6 +242,7 @@ def _build_superlu(a: CsrMatrix, spec: LocalSolverSpec) -> FactoredLocal:
         symbolic_reusable=False,
         cpu_only_numeric=True,
         refactor_fn=refactor,
+        symbolic_record=slu.symbolic_record,
     )
 
 
@@ -265,6 +263,7 @@ def _wrap_tacho(t, spec: LocalSolverSpec) -> FactoredLocal:
         t.solve_profile,
         symbolic_reusable=True,
         refactor_fn=lambda a_new: _wrap_tacho(t.refactorize(a_new), spec),
+        symbolic_record=t.symbolic_record,
     )
 
 
@@ -305,6 +304,7 @@ def _wrap_iluk(f, spec: LocalSolverSpec) -> FactoredLocal:
         symbolic_reusable=True,
         exact=False,
         refactor_fn=lambda a_new: _wrap_iluk(f.numeric(a_new), spec),
+        symbolic_record=f.symbolic_record,
     )
 
 
@@ -348,4 +348,5 @@ def _wrap_fastilu(f, spec: LocalSolverSpec) -> FactoredLocal:
         symbolic_reusable=True,
         exact=False,
         refactor_fn=lambda a_new: _wrap_fastilu(f.numeric(a_new), spec),
+        symbolic_record=f.symbolic_record,
     )

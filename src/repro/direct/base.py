@@ -39,7 +39,12 @@ class DirectSolver:
     numeric phase also sets ``stages``, the
     :class:`~repro.tri.factored.FactoredSolve` description of the solve
     (permutations and the two triangular factors) that :meth:`solve`
-    executes and that the Schwarz layer merges across subdomains.
+    executes and that the Schwarz layer merges across subdomains.  The
+    symbolic phase sets ``symbolic_record``: the immutable result of the
+    analysis, obtained through
+    :func:`repro.reuse.symbolic.shared_symbolic` and therefore the same
+    object in every solver that analysed the same pattern with the same
+    options.
     """
 
     #: can the symbolic phase be reused across numeric refactorizations?
@@ -50,6 +55,7 @@ class DirectSolver:
         self.numeric_profile: KernelProfile = KernelProfile()
         self.solve_profile: KernelProfile = KernelProfile()
         self.stages: Optional[FactoredSolve] = None
+        self.symbolic_record = None
         self._symbolic_done = False
         self._numeric_done = False
 

@@ -16,31 +16,28 @@ SpTRSV setup (Fig. 4, Table III(a)).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.direct.base import DirectSolver
 from repro.machine.kernels import KernelProfile
-from repro.ordering import amd, natural, nested_dissection, rcm
-from repro.reuse.fingerprint import check_same_pattern, pattern_fingerprint
+from repro.ordering import canonical_ordering, ordering_permutation
+from repro.reuse.fingerprint import check_same_pattern
+from repro.reuse.symbolic import frozen_arrays, shared_symbolic
 from repro.sparse.blocks import inverse_permutation, permute
 from repro.sparse.csr import CsrMatrix
 from repro.tri.factored import FactoredSolve
 
-__all__ = ["GilbertPeierlsLU"]
+__all__ = ["GilbertPeierlsLU", "GpLuSymbolic"]
 
 
-def _ordering_perm(a: CsrMatrix, ordering: str) -> np.ndarray:
-    if ordering in ("natural", "no", "none"):
-        return natural(a.n_rows)
-    if ordering in ("nd", "nested_dissection", "metis"):
-        return nested_dissection(a)
-    if ordering == "rcm":
-        return rcm(a)
-    if ordering == "amd":
-        return amd(a)
-    raise ValueError(f"unknown ordering {ordering!r}")
+@dataclass(frozen=True)
+class GpLuSymbolic:
+    """The shared symbolic record of the pivoting LU: only the ordering."""
+
+    perm: np.ndarray
 
 
 class GilbertPeierlsLU(DirectSolver):
@@ -89,8 +86,13 @@ class GilbertPeierlsLU(DirectSolver):
         """
         if a.n_rows != a.n_cols:
             raise ValueError("square matrix required")
-        self.perm = _ordering_perm(a, self.ordering)
-        self._pattern_fp = pattern_fingerprint(a)
+        ordering = canonical_ordering(self.ordering)
+        self.symbolic_record, self._pattern_fp = shared_symbolic(
+            ("superlu", ordering),
+            a,
+            lambda: GpLuSymbolic(*frozen_arrays(ordering_permutation(a, ordering))),
+        )
+        self.perm = self.symbolic_record.perm
         n = a.n_rows
         self.symbolic_profile = KernelProfile()
         # ordering cost: a small multiple of |graph| traversals

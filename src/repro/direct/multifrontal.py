@@ -18,15 +18,17 @@ feeds the machine model.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.direct.base import DirectSolver
-from repro.machine.kernels import KernelProfile
-from repro.ordering import amd, natural, nested_dissection, rcm
+from repro.machine.kernels import Kernel, KernelProfile
+from repro.ordering import canonical_ordering, ordering_permutation
 from repro.ordering.etree import symbolic_cholesky
-from repro.reuse.fingerprint import check_same_pattern, pattern_fingerprint
+from repro.reuse.fingerprint import check_same_pattern
+from repro.reuse.symbolic import frozen_arrays, shared_symbolic
 from repro.sparse.blocks import inverse_permutation, permute
 from repro.sparse.csr import CsrMatrix
 from repro.tri.factored import FactoredSolve
@@ -36,7 +38,96 @@ from repro.tri.supernodal import (
     detect_supernodes,
 )
 
-__all__ = ["MultifrontalCholesky"]
+__all__ = ["MultifrontalCholesky", "TachoSymbolic"]
+
+
+@dataclass(frozen=True)
+class TachoSymbolic:
+    """Everything :meth:`MultifrontalCholesky.symbolic` derives from a pattern.
+
+    Immutable and shared: every solver analysing the same
+    ``(ordering, max_supernode, pattern)`` holds this one object (see
+    :func:`repro.reuse.symbolic.shared_symbolic`), so nothing may write
+    to it -- the numeric phase only reads.
+    """
+
+    #: fill-reducing permutation (``perm[k]`` = old index at position k)
+    perm: np.ndarray
+    #: CSC pattern of ``L`` over the permuted matrix (diagonal included)
+    col_ptr: np.ndarray
+    col_ind: np.ndarray
+    #: supernode column partition
+    sn_ptr: np.ndarray
+    #: per supernode, the row indices strictly below its diagonal block
+    rows_below: Tuple[np.ndarray, ...]
+    #: assembly tree: parent supernode (-1 for roots) and children lists
+    sn_parent: np.ndarray
+    children: Tuple[Tuple[int, ...], ...]
+    #: assembly-tree height of each supernode (== forward-solve level)
+    levels: np.ndarray
+    #: the supernodal solve's level/class plan
+    schedule: SupernodeSchedule
+    #: kernels of the analysis itself (the modeled symbolic cost)
+    profile: Tuple[Kernel, ...]
+
+
+def _analyse(a: CsrMatrix, ordering: str, max_supernode: int) -> TachoSymbolic:
+    """Ordering, elimination tree, factor pattern, supernodes, schedule."""
+    n = a.n_rows
+    perm = ordering_permutation(a, ordering)
+    ap = permute(a, perm)
+
+    # row-wise factor pattern -> column (CSC) pattern for supernodes
+    l_row_ptr, l_row_ind, _ = symbolic_cholesky(ap)
+    lpat = CsrMatrix(
+        l_row_ptr, l_row_ind, np.ones(l_row_ind.size), (n, n)
+    ).transpose()  # rows of transpose = columns of L, sorted ascending
+    col_ptr, col_ind = lpat.indptr, lpat.indices
+    sn_ptr = detect_supernodes(col_ptr, col_ind, max_width=max_supernode)
+    n_sn = sn_ptr.size - 1
+
+    # per-supernode below-rows: the first column's pattern past the block
+    rows_below: List[np.ndarray] = []
+    col2sn = np.empty(n, dtype=np.int64)
+    for s in range(n_sn):
+        c0, c1 = int(sn_ptr[s]), int(sn_ptr[s + 1])
+        col2sn[c0:c1] = s
+        first = col_ind[col_ptr[c0] : col_ptr[c0 + 1]]
+        rows_below.append(first[c1 - c0 :].astype(np.int64))
+
+    # assembly tree: parent supernode = owner of the first below-row
+    sn_parent = np.full(n_sn, -1, dtype=np.int64)
+    children: List[List[int]] = [[] for _ in range(n_sn)]
+    # level-set schedule over the assembly tree (for the GPU profile)
+    levels = np.zeros(n_sn, dtype=np.int64)
+    for s in range(n_sn):  # children have smaller indices than parents
+        rb = rows_below[s]
+        if rb.size:
+            p = int(col2sn[rb[0]])
+            sn_parent[s] = p
+            children[p].append(s)
+            levels[p] = max(levels[p], levels[s] + 1)
+    # the supernodal solve's level/class plan is pattern-only too
+    schedule = SupernodeSchedule(n, sn_ptr, rows_below, levels=levels)
+
+    analysis = Kernel(
+        "symbolic.tacho_analysis",
+        flops=0.0,
+        bytes=float(a.nnz * 12 + int(col_ind.size) * 12 + n * 32),
+    )
+    frozen_arrays(perm, col_ptr, col_ind, sn_ptr, sn_parent, levels, *rows_below)
+    return TachoSymbolic(
+        perm=perm,
+        col_ptr=col_ptr,
+        col_ind=col_ind,
+        sn_ptr=sn_ptr,
+        rows_below=tuple(rows_below),
+        sn_parent=sn_parent,
+        children=tuple(tuple(c) for c in children),
+        levels=levels,
+        schedule=schedule,
+        profile=(analysis,),
+    )
 
 
 class MultifrontalCholesky(DirectSolver):
@@ -79,72 +170,21 @@ class MultifrontalCholesky(DirectSolver):
 
         All pattern-derived structure (supernode partition, per-front row
         sets, assembly-tree levels) is computed here and reused by every
-        subsequent :meth:`numeric` call.
+        subsequent :meth:`numeric` call -- and, as one immutable
+        :class:`TachoSymbolic`, by every other solver analysing the same
+        pattern under the ambient artifact cache.
         """
         if a.n_rows != a.n_cols:
             raise ValueError("square matrix required")
-        n = a.n_rows
-        if self.ordering in ("natural", "no", "none"):
-            self.perm = natural(n)
-        elif self.ordering in ("nd", "nested_dissection", "metis"):
-            self.perm = nested_dissection(a)
-        elif self.ordering == "rcm":
-            self.perm = rcm(a)
-        elif self.ordering == "amd":
-            self.perm = amd(a)
-        else:
-            raise ValueError(f"unknown ordering {self.ordering!r}")
-        ap = permute(a, self.perm)
-
-        # row-wise factor pattern -> column (CSC) pattern for supernodes
-        l_row_ptr, l_row_ind, parent = symbolic_cholesky(ap)
-        lpat = CsrMatrix(
-            l_row_ptr, l_row_ind, np.ones(l_row_ind.size), (n, n)
-        ).transpose()  # rows of transpose = columns of L, sorted ascending
-        self._col_ptr, self._col_ind = lpat.indptr, lpat.indices
-        self.sn_ptr = detect_supernodes(
-            self._col_ptr, self._col_ind, max_width=self.max_supernode
+        ordering = canonical_ordering(self.ordering)
+        self.symbolic_record, self._pattern_fp = shared_symbolic(
+            ("tacho", ordering, self.max_supernode),
+            a,
+            lambda: _analyse(a, ordering, self.max_supernode),
         )
-        n_sn = self.sn_ptr.size - 1
-
-        # per-supernode below-rows and front index sets
-        self._rows_below: List[np.ndarray] = []
-        col2sn = np.empty(n, dtype=np.int64)
-        for s in range(n_sn):
-            c0, c1 = int(self.sn_ptr[s]), int(self.sn_ptr[s + 1])
-            col2sn[c0:c1] = s
-            first = self._col_ind[self._col_ptr[c0] : self._col_ptr[c0 + 1]]
-            self._rows_below.append(first[c1 - c0 :].astype(np.int64))
-
-        # assembly tree: parent supernode = owner of the first below-row
-        self._sn_parent = np.full(n_sn, -1, dtype=np.int64)
-        for s in range(n_sn):
-            rb = self._rows_below[s]
-            if rb.size:
-                self._sn_parent[s] = col2sn[rb[0]]
-        self._col2sn = col2sn
-
-        # level-set schedule over the assembly tree (for the GPU profile)
-        levels = np.zeros(n_sn, dtype=np.int64)
-        for s in range(n_sn):  # children have smaller indices than parents
-            p = self._sn_parent[s]
-            if p >= 0:
-                levels[p] = max(levels[p], levels[s] + 1)
-        self._sn_levels = levels
-        # the supernodal solve's level/class plan is pattern-only too:
-        # built once here, shared by every numeric refactorization
-        self._schedule = SupernodeSchedule(
-            n, self.sn_ptr, self._rows_below, levels=levels
-        )
-
-        self._pattern_fp = pattern_fingerprint(a)
-        nnz_l = int(self._col_ind.size)
-        self.symbolic_profile = KernelProfile()
-        self.symbolic_profile.add(
-            "symbolic.tacho_analysis",
-            flops=0.0,
-            bytes=float(a.nnz * 12 + nnz_l * 12 + n * 32),
-        )
+        self.perm = self.symbolic_record.perm
+        self.sn_ptr = self.symbolic_record.sn_ptr
+        self.symbolic_profile = KernelProfile(self.symbolic_record.profile)
         self._symbolic_done = True
         self._numeric_done = False
         return self
@@ -160,6 +200,7 @@ class MultifrontalCholesky(DirectSolver):
         """
         self._require("numeric")
         check_same_pattern(self._pattern_fp, a, "tacho")
+        sym = self.symbolic_record
         n = a.n_rows
         ap = permute(a, self.perm)
         alow = ap.transpose()  # CSC of ap: column j = row j of transpose
@@ -171,14 +212,14 @@ class MultifrontalCholesky(DirectSolver):
         updates: List[Optional[np.ndarray]] = [None] * n_sn
         pos = np.full(n, -1, dtype=np.int64)
 
-        flops_per_level = np.zeros(int(self._sn_levels.max()) + 1 if n_sn else 1)
+        flops_per_level = np.zeros(int(sym.levels.max()) + 1 if n_sn else 1)
         bytes_per_level = np.zeros_like(flops_per_level)
         rows_per_level = np.zeros_like(flops_per_level)
 
         for s in range(n_sn):
             c0, c1 = int(self.sn_ptr[s]), int(self.sn_ptr[s + 1])
             w = c1 - c0
-            rb = self._rows_below[s]
+            rb = sym.rows_below[s]
             m = rb.size
             idx = np.concatenate([np.arange(c0, c1, dtype=np.int64), rb])
             front = np.zeros((w + m, w + m))
@@ -194,9 +235,9 @@ class MultifrontalCholesky(DirectSolver):
                 front[pos[rows[keep]], k] = vals[keep]
 
             # extend-add children updates
-            for t in self._children_of(s):
+            for t in sym.children[s]:
                 upd = updates[t]
-                rbt = self._rows_below[t]
+                rbt = sym.rows_below[t]
                 p = pos[rbt]
                 if np.any(p < 0):  # pragma: no cover - symbolic invariant
                     raise AssertionError("child update rows escape parent front")
@@ -251,7 +292,7 @@ class MultifrontalCholesky(DirectSolver):
                 updates[s] = upd
             pos[idx] = -1  # keep the position map clean for the invariant check
 
-            lv = int(self._sn_levels[s])
+            lv = int(sym.levels[s])
             flops_per_level[lv] += w**3 / 3.0 + w * w * m + w * m * m
             bytes_per_level[lv] += 8.0 * (w + m) ** 2
             rows_per_level[lv] += w + m
@@ -259,10 +300,10 @@ class MultifrontalCholesky(DirectSolver):
         self._snt = SupernodalTriangular(
             n,
             self.sn_ptr,
-            self._rows_below,
+            sym.rows_below,
             blocks,
             unit_diagonal=(self.mode == "ldlt"),
-            schedule=self._schedule,
+            schedule=sym.schedule,
         )
         self._d = d_all
         self.iperm = inverse_permutation(self.perm)
@@ -289,17 +330,6 @@ class MultifrontalCholesky(DirectSolver):
         return self
 
     # ------------------------------------------------------------------
-    def _children_of(self, s: int) -> List[int]:
-        if not hasattr(self, "_children") or self._children_stamp is not self.sn_ptr:
-            n_sn = self.sn_ptr.size - 1
-            self._children: List[List[int]] = [[] for _ in range(n_sn)]
-            for t in range(n_sn):
-                p = self._sn_parent[t]
-                if p >= 0:
-                    self._children[p].append(t)
-            self._children_stamp = self.sn_ptr
-        return self._children[s]
-
     @property
     def factor(self) -> SupernodalTriangular:
         """The supernodal triangular factor (for the GPU solve path)."""

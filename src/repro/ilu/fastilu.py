@@ -22,23 +22,33 @@ of the single fused GPU kernel.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from repro.backend import get_backend
-from repro.ilu.iluk import iluk_symbolic, _scatter_to_pattern
+from repro.ilu.iluk import (
+    _row_pointer,
+    _run_starts,
+    _scatter_to_pattern,
+    iluk_symbolic,
+)
 from repro.machine.kernels import KernelProfile
-from repro.reuse.fingerprint import check_same_pattern, pattern_fingerprint
+from repro.ordering import canonical_ordering, ordering_permutation
+from repro.reuse.fingerprint import check_same_pattern
+from repro.reuse.symbolic import frozen_arrays, shared_symbolic
 from repro.resilience.context import get_engine
 from repro.resilience.detect import (
     DivergenceError,
     PivotBreakdownError,
     sweep_divergence,
 )
+from repro.sparse.blocks import permute
 from repro.sparse.csr import CsrMatrix
+from repro.sparse.spgemm import _concat_ranges
 
-__all__ = ["FastIlu"]
+__all__ = ["FastIlu", "FastIluSymbolic"]
 
 
 def _diag_positions_reference(
@@ -76,6 +86,137 @@ def _diag_positions(u_indptr: np.ndarray, u_indices: np.ndarray) -> np.ndarray:
         i = int(np.flatnonzero(bad)[0])
         raise ValueError(f"pattern misses the diagonal in row {i}")
     return lo
+
+
+def _expand_products(n, l_rows, l_cols, u_indptr, u_indices):
+    """Every product of ``L_strict @ U`` in expansion order: per product
+    its L value index, its U value index and its ``row * n + col`` key."""
+    seg_len = u_indptr[l_cols + 1] - u_indptr[l_cols]
+    gather_u = _concat_ranges(u_indptr[l_cols], seg_len)
+    gather_l = np.repeat(np.arange(l_cols.size, dtype=np.int64), seg_len)
+    key = np.repeat(l_rows, seg_len) * np.int64(n) + u_indices[gather_u]
+    return gather_l, gather_u, key
+
+
+def _sweep_plan_reference(n, l_rows, l_cols, u_indptr, u_indices, pat_key):
+    """The seed sweep plan (executable spec): stable-sort *all* of the
+    expansion by ``(row, col)``, then discard the segments that land
+    outside the pattern.  :func:`_sweep_plan` must match it exactly."""
+    gather_l, gather_u, key = _expand_products(n, l_rows, l_cols, u_indptr, u_indices)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = _run_starts(key)
+    seg_len = np.diff(np.append(starts, key.size))
+    entry = np.searchsorted(pat_key, key[starts])
+    ok = pat_key[np.minimum(entry, pat_key.size - 1)] == key[starts]
+    keep = np.repeat(ok, seg_len)
+    return (
+        gather_l[order][keep],
+        gather_u[order][keep],
+        np.cumsum(seg_len[ok]) - seg_len[ok],
+        entry[ok],
+        int(key.size),
+    )
+
+
+def _sweep_plan(n, l_rows, l_cols, u_indptr, u_indices, pat_key):
+    """Gather/segment plan of the masked product ``(L_strict @ U)`` at ``S``.
+
+    ``l_rows``/``l_cols`` are the strict-lower pattern entries,
+    ``u_indptr``/``u_indices`` the upper part as CSR and ``pat_key`` the
+    sorted ``row * n + col`` keys of the whole pattern.  Product
+    ``l_ik * u_kj`` contributes to pattern entry ``(i, j)``; the products
+    of one entry form one segment, summed once per sweep.  Products
+    landing outside the pattern (a third of them at level 1) are dropped
+    with one ``searchsorted`` *before* the stable sort: whole segments
+    go and the order inside every kept segment is still that of the
+    expansion, so a sweep sums the same numbers in the same order.
+
+    Returns ``(gather_l, gather_u, seg_starts, seg_targets,
+    expansion_pairs)``: per kept product its L and U value index, per
+    segment its first product and the pattern entry it updates, and the
+    size of the unfiltered expansion (which the modeled symbolic cost
+    stays priced on).
+    """
+    gather_l, gather_u, key = _expand_products(n, l_rows, l_cols, u_indptr, u_indices)
+    entry = np.searchsorted(pat_key, key)
+    inside = pat_key[np.minimum(entry, pat_key.size - 1)] == key
+    entry = entry[inside]
+    # pattern positions order exactly like the (row, col) keys
+    order = np.argsort(entry, kind="stable")
+    entry = entry[order]
+    starts = _run_starts(entry)
+    return (
+        gather_l[inside][order],
+        gather_u[inside][order],
+        starts,
+        entry[starts],
+        int(key.size),
+    )
+
+
+@dataclass(frozen=True)
+class FastIluSymbolic:
+    """The shared, immutable symbolic record of FastILU: ordering, ILU(k)
+    pattern, its L/U split and the sweep plan (see
+    :func:`repro.reuse.symbolic.shared_symbolic`)."""
+
+    perm: np.ndarray
+    #: ILU(k) pattern of the permuted matrix, and the row of every entry
+    pptr: np.ndarray
+    pind: np.ndarray
+    rows_all: np.ndarray
+    #: pattern entry ids of the strict-lower and of the upper part
+    lower_idx: np.ndarray
+    upper_idx: np.ndarray
+    #: CSR structure of the two parts (the factors' index arrays)
+    l_indptr: np.ndarray
+    l_indices: np.ndarray
+    u_indptr: np.ndarray
+    u_indices: np.ndarray
+    #: position of each row's diagonal inside the U value array
+    diag_pos: np.ndarray
+    #: the sweep plan, see :func:`_sweep_plan`
+    gather_l: np.ndarray
+    gather_u: np.ndarray
+    seg_starts: np.ndarray
+    seg_targets: np.ndarray
+    expansion_pairs: int
+
+    @property
+    def masked_pairs(self) -> int:
+        """Products landing inside the pattern: the fused kernel's true
+        work (a real FastILU sweep walks the L-row/U-column
+        intersections; the expansion is a vectorization convenience)."""
+        return int(self.gather_l.size)
+
+
+def _analyse(a: CsrMatrix, ordering: str, level: int) -> FastIluSymbolic:
+    """Pattern + sweep-expansion precomputation (value independent)."""
+    n = a.n_rows
+    perm = ordering_permutation(a, ordering)
+    pptr, pind = iluk_symbolic(permute(a, perm), level)
+    rows_all = np.repeat(np.arange(n, dtype=np.int64), np.diff(pptr))
+    lower_idx = np.flatnonzero(pind < rows_all)
+    upper_idx = np.flatnonzero(pind >= rows_all)
+
+    # CSR structure of L_strict and U: the pattern is row-major, so each
+    # part's entries are already in CSR order
+    l_indptr, l_indices = _row_pointer(rows_all[lower_idx], n), pind[lower_idx]
+    u_indptr, u_indices = _row_pointer(rows_all[upper_idx], n), pind[upper_idx]
+    *plan, expansion_pairs = _sweep_plan(
+        n, rows_all[lower_idx], l_indices, u_indptr, u_indices,
+        rows_all * np.int64(n) + pind,
+    )
+    return FastIluSymbolic(
+        *frozen_arrays(
+            perm, pptr, pind, rows_all, lower_idx, upper_idx,
+            l_indptr, l_indices, u_indptr, u_indices,
+            _diag_positions(u_indptr, u_indices),
+            *plan,
+        ),
+        expansion_pairs=expansion_pairs,
+    )
 
 
 class FastIlu:
@@ -121,6 +262,8 @@ class FastIlu:
         self.ordering = ordering
         self.damping = float(damping)
         self.perm: Optional[np.ndarray] = None
+        #: the shared immutable result of :meth:`symbolic`
+        self.symbolic_record: Optional[FastIluSymbolic] = None
         self.l: Optional[CsrMatrix] = None
         self.u: Optional[CsrMatrix] = None
         self.symbolic_profile = KernelProfile()
@@ -131,88 +274,22 @@ class FastIlu:
 
     # ------------------------------------------------------------------
     def symbolic(self, a: CsrMatrix) -> "FastIlu":
-        """Pattern + sweep-expansion precomputation (value independent)."""
-        from repro.ordering import natural, nested_dissection
-        from repro.sparse.blocks import permute
-
-        n = a.n_rows
-        if self.ordering in ("natural", "no", "none"):
-            self.perm = natural(n)
-        elif self.ordering in ("nd", "nested_dissection"):
-            self.perm = nested_dissection(a)
-        else:
-            raise ValueError(f"unknown ordering {self.ordering!r}")
-        ap = permute(a, self.perm)
-        pptr, pind = iluk_symbolic(ap, self.level)
-        self._pattern_fp = pattern_fingerprint(a)
-        self._pptr, self._pind = pptr, pind
-        self.n = n
-
-        rows_all = np.repeat(np.arange(n, dtype=np.int64), np.diff(pptr))
-        self._rows_all = rows_all
-        lower_mask = pind < rows_all
-        self._lower_mask = lower_mask
-
-        # structural L_strict and U CSR skeletons (values filled per sweep)
-        self._l_skel = CsrMatrix.from_coo(
-            rows_all[lower_mask], pind[lower_mask], np.zeros(int(lower_mask.sum())), (n, n)
+        """Pattern + sweep-expansion precomputation (value independent),
+        shared with every solver over the same pattern and options."""
+        ordering = canonical_ordering(self.ordering)
+        sym, self._pattern_fp = shared_symbolic(
+            ("fastilu", ordering, self.level),
+            a,
+            lambda: _analyse(a, ordering, self.level),
         )
-        upper_mask = ~lower_mask
-        self._u_skel = CsrMatrix.from_coo(
-            rows_all[upper_mask], pind[upper_mask], np.zeros(int(upper_mask.sum())), (n, n)
-        )
-        # diagonal position within U data per row (vectorized scan)
-        self._diag_pos = _diag_positions(
-            self._u_skel.indptr, self._u_skel.indices
-        )
-        self._lower_idx = np.flatnonzero(lower_mask)
-        self._upper_idx = np.flatnonzero(upper_mask)
-
-        # ---- expansion structure of L_strict @ U ----
-        from repro.sparse.spgemm import _concat_ranges
-
-        ls, us = self._l_skel, self._u_skel
-        l_rows = np.repeat(np.arange(n, dtype=np.int64), ls.row_nnz())
-        mid = ls.indices  # k index of each L entry
-        seg_start = us.indptr[mid]
-        seg_len = us.indptr[mid + 1] - us.indptr[mid]
-        gather_u = _concat_ranges(seg_start, seg_len)
-        gather_l = np.repeat(np.arange(ls.nnz, dtype=np.int64), seg_len)
-        prod_rows = np.repeat(l_rows, seg_len)
-        prod_cols = us.indices[gather_u]
-        # sort by (row, col) to form segments
-        key = prod_rows * np.int64(n) + prod_cols
-        order = np.argsort(key, kind="stable")
-        self._gather_l = gather_l[order]
-        self._gather_u = gather_u[order]
-        key = key[order]
-        first = np.ones(key.size, dtype=bool)
-        if key.size:
-            first[1:] = key[1:] != key[:-1]
-        starts = np.flatnonzero(first)
-        self._seg_starts = starts
-        seg_keys = key[starts] if key.size else np.empty(0, np.int64)
-
-        # map segments -> pattern entry ids (S position), -1 if outside S
-        pat_key = rows_all * np.int64(n) + pind
-        # pat_key is sorted (CSR with sorted rows)
-        pos = np.searchsorted(pat_key, seg_keys)
-        ok = (pos < pat_key.size) & (pat_key[np.minimum(pos, pat_key.size - 1)] == seg_keys)
-        self._seg_entry = np.where(ok, pos, -1)
-        # scatter plan for the sweeps: segments landing inside S
-        self._seg_keep = np.flatnonzero(self._seg_entry >= 0)
-        self._seg_targets = self._seg_entry[self._seg_keep]
-        # true fused-kernel work: only products landing inside S count (a
-        # real FastILU sweep walks the L-row/U-column intersections; the
-        # full expansion above is a numpy vectorization convenience)
-        seg_len = np.diff(np.append(starts, key.size)) if key.size else np.empty(0, np.int64)
-        self._masked_pairs = int(seg_len[self._seg_entry >= 0].sum()) if key.size else 0
-
+        self.symbolic_record = sym
+        self.perm = sym.perm
+        self.n = a.n_rows
         self.symbolic_profile = KernelProfile()
         self.symbolic_profile.add(
             "symbolic.fastilu_pattern",
             flops=0.0,
-            bytes=float(pind.size * 24 + self._gather_l.size * 16),
+            bytes=float(sym.pind.size * 24 + sym.expansion_pairs * 16),
         )
         self._symbolic_done = True
         return self
@@ -224,12 +301,10 @@ class FastIlu:
         if not self._symbolic_done:
             raise RuntimeError("call symbolic() before numeric()")
         check_same_pattern(self._pattern_fp, a, "fastilu")
-        from repro.sparse.blocks import permute
-
-        ap = permute(a, self.perm)
+        sym = self.symbolic_record
         n = self.n
-        pptr, pind = self._pptr, self._pind
-        a_vals = _scatter_to_pattern(ap, pptr, pind)
+        pind, rows_all = sym.pind, sym.rows_all
+        a_vals = _scatter_to_pattern(permute(a, self.perm), sym.pptr, pind)
 
         # symmetric diagonal scaling to unit diagonal (Chow & Patel):
         # the fixed-point iteration is only locally convergent, and
@@ -237,24 +312,21 @@ class FastIlu:
         # (elasticity) blocks.  Factors L,U approximate S A S; callers
         # must wrap solves as A^{-1} ~ S (L U)^{-1} S with S = diag(s).
         diag = np.ones(n)
-        rows_for_diag = np.repeat(np.arange(n, dtype=np.int64), np.diff(pptr))
-        on_diag = rows_for_diag == pind
-        diag[rows_for_diag[on_diag]] = a_vals[on_diag]
+        on_diag = rows_all == pind
+        diag[rows_all[on_diag]] = a_vals[on_diag]
         if np.any(diag <= 0):
             # indefinite/unscalable diagonal: fall back to no scaling
             self.row_scale = np.ones(n)
         else:
             self.row_scale = 1.0 / np.sqrt(diag)
-        a_vals = a_vals * self.row_scale[rows_for_diag] * self.row_scale[pind]
-        lower_mask = self._lower_mask
-        a_l = a_vals[lower_mask]
-        a_u = a_vals[~lower_mask]
+        a_vals = a_vals * self.row_scale[rows_all] * self.row_scale[pind]
+        a_l = a_vals[sym.lower_idx]
+        a_u = a_vals[sym.upper_idx]
 
-        l_cols = self._l_skel.indices  # column j of each L entry
         l_vals = a_l.copy()
         u_vals = a_u.copy()
         # initial guess: scale L columns by the diagonal of A
-        diag_a = u_vals[self._diag_pos]
+        diag_a = u_vals[sym.diag_pos]
         if np.any(diag_a == 0):
             bad = int(np.flatnonzero(diag_a == 0)[0])
             raise PivotBreakdownError(
@@ -264,7 +336,7 @@ class FastIlu:
                 value=0.0,
                 solver="fastilu",
             )
-        l_vals = l_vals / diag_a[l_cols]
+        l_vals = l_vals / diag_a[sym.l_indices]  # column j of each L entry
 
         eng = get_engine()
         self.update_norms = []
@@ -281,15 +353,11 @@ class FastIlu:
                 solver="fastilu",
             )
 
-        self.l = CsrMatrix(
-            self._l_skel.indptr, self._l_skel.indices, l_vals, (n, n)
-        )
-        self.u = CsrMatrix(
-            self._u_skel.indptr, self._u_skel.indices, u_vals, (n, n)
-        )
+        self.l = CsrMatrix(sym.l_indptr, sym.l_indices, l_vals, (n, n))
+        self.u = CsrMatrix(sym.u_indptr, sym.u_indices, u_vals, (n, n))
 
         self.numeric_profile = KernelProfile()
-        work = float(2 * self._masked_pairs + 4 * pind.size)
+        work = float(2 * sym.masked_pairs + 4 * pind.size)
         for _ in range(max(self.sweeps, 1)):
             # flop-dominated fused kernel: the intersection gathers hit
             # cache (each L/U value is reused across many dot products),
@@ -297,7 +365,7 @@ class FastIlu:
             self.numeric_profile.add(
                 "factor.fastilu_sweep",
                 flops=work,
-                bytes=float(self._masked_pairs * 4 + pind.size * 48),
+                bytes=float(sym.masked_pairs * 4 + pind.size * 48),
                 parallelism=float(pind.size),
             )
         return self
@@ -317,18 +385,19 @@ class FastIlu:
         a_u = bk.asarray(a_u)
         l_vals = bk.asarray(l_vals)
         u_vals = bk.asarray(u_vals)
-        l_cols = self._l_skel.indices
-        n_seg = self._seg_starts.size
+        sym = self.symbolic_record
+        l_cols = sym.l_indices
+        n_seg = sym.seg_starts.size
         w = self.damping
         for sweep in range(self.sweeps):
-            prods = bk.take(l_vals, self._gather_l) * bk.take(u_vals, self._gather_u)
-            sums = bk.segment_sum(prods, self._seg_starts) if n_seg else bk.zeros(0)
-            # scatter segment sums to S entries
-            c = bk.zeros(self._pind.size, dtype=np.float64)
-            bk.put(c, self._seg_targets, bk.take(sums, self._seg_keep))
-            c_l = bk.take(c, self._lower_idx)
-            c_u = bk.take(c, self._upper_idx)
-            u_diag = bk.take(u_vals, self._diag_pos)
+            prods = bk.take(l_vals, sym.gather_l) * bk.take(u_vals, sym.gather_u)
+            sums = bk.segment_sum(prods, sym.seg_starts) if n_seg else bk.zeros(0)
+            # scatter segment sums to S entries (every segment is inside S)
+            c = bk.zeros(sym.pind.size, dtype=np.float64)
+            bk.put(c, sym.seg_targets, sums)
+            c_l = bk.take(c, sym.lower_idx)
+            c_u = bk.take(c, sym.upper_idx)
+            u_diag = bk.take(u_vals, sym.diag_pos)
             u_diag_host = u_diag if bk.is_numpy else bk.to_numpy(u_diag)
             if np.any(u_diag_host == 0):  # backend-ok: host breakdown check
                 bad = int(np.flatnonzero(u_diag_host == 0)[0])  # backend-ok
@@ -371,30 +440,15 @@ class FastIlu:
         The convergence functional of the Chow--Patel iteration; used by
         the tests to verify sweeps improve the factorization.
         """
-        from repro.sparse.blocks import permute
-
-        ap = permute(a, self.perm)
-        a_vals = _scatter_to_pattern(ap, self._pptr, self._pind)
-        rows_all = np.repeat(
-            np.arange(self.n, dtype=np.int64), np.diff(self._pptr)
-        )
-        a_vals = a_vals * self.row_scale[rows_all] * self.row_scale[self._pind]
-        prods = self.l.data[self._gather_l] * self.u.data[self._gather_u]
-        sums = (
-            np.add.reduceat(prods, self._seg_starts)
-            if self._seg_starts.size
-            else np.empty(0)
-        )
-        c = np.zeros(self._pind.size, dtype=np.float64)
-        keep = self._seg_entry >= 0
-        c[self._seg_entry[keep]] = sums[keep]
-        # (LU)_ij on the pattern: lower entries need the unit-diagonal
-        # contribution l_ij * 1 ... wait: L here is strict; LU = (I+L)U
-        lu = c.copy()
-        lower_mask = self._lower_mask
-        # add the I*U term: for entry (i,j) with i<=j it's u_ij itself;
-        # for i>j the U row i contributes u_ij only when j>=i (never).
-        upper_mask = ~lower_mask
-        # map each upper pattern entry to its U value
-        lu[upper_mask] += self.u.data
+        sym = self.symbolic_record
+        a_vals = _scatter_to_pattern(permute(a, self.perm), sym.pptr, sym.pind)
+        a_vals = a_vals * self.row_scale[sym.rows_all] * self.row_scale[sym.pind]
+        prods = self.l.data[sym.gather_l] * self.u.data[sym.gather_u]
+        # (L U)_ij on the pattern, L strict: the masked product ...
+        lu = np.zeros(sym.pind.size, dtype=np.float64)
+        if sym.seg_starts.size:
+            lu[sym.seg_targets] = np.add.reduceat(prods, sym.seg_starts)
+        # ... plus the I*U term of (I + L) U: u_ij itself on the upper
+        # entries, nothing below the diagonal
+        lu[sym.upper_idx] += self.u.data
         return float(np.linalg.norm(a_vals - lu))

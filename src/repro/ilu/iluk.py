@@ -12,34 +12,41 @@ exposed through kernel profiles.
 
 from __future__ import annotations
 
+import bisect
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.machine.kernels import KernelProfile
-from repro.reuse.fingerprint import check_same_pattern, pattern_fingerprint
+from repro.ordering import canonical_ordering, ordering_permutation
+from repro.reuse.fingerprint import check_same_pattern
+from repro.reuse.symbolic import frozen_arrays, shared_symbolic
+from repro.sparse.blocks import permute
 from repro.sparse.csr import CsrMatrix
+from repro.sparse.spgemm import _concat_ranges
 
-__all__ = ["iluk_symbolic", "IlukFactorization"]
+__all__ = ["iluk_symbolic", "IlukFactorization", "IlukSymbolic"]
 
 
-def iluk_symbolic(a: CsrMatrix, level: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Compute the ILU(k) fill pattern of a square matrix.
-
-    Returns ``(indptr, indices)`` of the combined L+U pattern with sorted
-    rows.  The diagonal is always included (at level 0) so the numeric
-    phase has pivots.
-
-    Notes
-    -----
-    Implemented with per-row dictionaries mapping column -> fill level;
-    cost is proportional to the *update work* of the eventual numeric
-    factorization, as for the exact symbolic algorithms.
-    """
+def _check_square(a: CsrMatrix, level: int) -> None:
     if a.n_rows != a.n_cols:
         raise ValueError("square matrix required")
     if level < 0:
         raise ValueError("level must be non-negative")
+
+
+def _iluk_symbolic_reference(
+    a: CsrMatrix, level: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The seed row-at-a-time ILU(k) symbolic phase (executable spec +
+    bench baseline); :func:`iluk_symbolic` must match it exactly.
+
+    Per-row dictionaries map column -> fill level; the cost is
+    proportional to the *update work* of the eventual numeric
+    factorization, paid in Python-level dictionary operations.
+    """
+    _check_square(a, level)
     n = a.n_rows
     # per-row level maps of the *U part* (cols >= row), needed by later rows
     u_levels: List[dict] = []
@@ -73,8 +80,6 @@ def iluk_symbolic(a: CsrMatrix, level: int) -> Tuple[np.ndarray, np.ndarray]:
                     if j < i:
                         # insert keeping 'work' sorted (fill col > k, so
                         # it lands at/after the current cursor)
-                        import bisect
-
                         bisect.insort(work, j, lo=wi)
                 elif cand < cur:
                     lev[j] = cand
@@ -83,6 +88,102 @@ def iluk_symbolic(a: CsrMatrix, level: int) -> Tuple[np.ndarray, np.ndarray]:
         indptr[i + 1] = indptr[i] + keep.size
         u_levels.append({int(c): lev[int(c)] for c in keep if c >= i})
     return indptr, np.concatenate(all_rows) if all_rows else np.empty(0, np.int64)
+
+
+def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Index of the first element of every run of equal keys."""
+    first = np.ones(sorted_keys.size, dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return np.flatnonzero(first)
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique`` for int keys as one sort and one neighbour compare
+    (numpy's hash-based path costs ten times more at these sizes)."""
+    keys = np.sort(keys)
+    return keys[_run_starts(keys)]
+
+
+def _row_pointer(rows: np.ndarray, n: int) -> np.ndarray:
+    """CSR ``indptr`` of entries whose (sorted) row indices are ``rows``."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
+
+
+def _split_triangles(keys: np.ndarray, n: int):
+    """Sorted ``row * n + col`` keys -> the strict-lower entries as
+    ``(rows, cols)`` and the strict-upper entries as a CSR ``(indptr,
+    cols)`` -- the two operands a level contributes to later products."""
+    rows, cols = np.divmod(keys, np.int64(n))
+    lower, upper = cols < rows, cols > rows
+    return (rows[lower], cols[lower]), (_row_pointer(rows[upper], n), cols[upper])
+
+
+def iluk_symbolic(a: CsrMatrix, level: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Compute the ILU(k) fill pattern of a square matrix.
+
+    Returns ``(indptr, indices)`` of the combined L+U pattern with sorted
+    rows.  The diagonal is always included (at level 0) so the numeric
+    phase has pivots.
+
+    Notes
+    -----
+    Level by level instead of row by row.  By the sum rule an entry has
+    level ``l >= 1`` exactly when it is absent from the levels below and
+    some pivot ``k`` joins a strict-lower entry ``(i, k)`` of level ``p``
+    to a strict-upper entry ``(k, j)`` of level ``q`` with ``p + q =
+    l - 1``.  Levels below ``l`` are final once round ``l - 1`` is over,
+    so round ``l`` is one masked sparse product: expand
+    ``L_p join U_q`` for every ``p + q = l - 1`` (each pair of entries is
+    expanded in exactly one round), deduplicate, and keep what the
+    pattern does not hold yet.  No level is ever lowered.  An empty
+    level does not end the recursion -- level ``l + 1`` also arises from
+    ``p + q = l`` with both below ``l`` -- so all ``level`` rounds run.
+    Equal to :func:`_iluk_symbolic_reference` on every input.
+    """
+    _check_square(a, level)
+    n = a.n_rows
+    diag = np.arange(n, dtype=np.int64)
+    stride = np.int64(n)
+    keys = _sorted_unique(
+        np.concatenate([a.expanded_rows() * stride + a.indices, diag * stride + diag])
+    )
+    lowers, uppers = [], []
+    new = keys
+    for _ in range(level):
+        lo, up = _split_triangles(new, n)
+        lowers.append(lo)
+        uppers.append(up)
+        products = []
+        for (l_rows, l_mid), (u_ptr, u_cols) in zip(lowers, reversed(uppers)):
+            seg_len = u_ptr[l_mid + 1] - u_ptr[l_mid]
+            gather = _concat_ranges(u_ptr[l_mid], seg_len)
+            products.append(np.repeat(l_rows, seg_len) * stride + u_cols[gather])
+        cand = _sorted_unique(np.concatenate(products))
+        # a product has a pivot, so cand is only non-empty when keys is
+        pos = np.searchsorted(keys, cand)
+        absent = keys[np.minimum(pos, keys.size - 1)] != cand
+        new = cand[absent]
+        keys = np.insert(keys, pos[absent], new)
+    return _row_pointer(keys // stride, n), keys % stride
+
+
+@dataclass(frozen=True)
+class IlukSymbolic:
+    """The shared, immutable symbolic record of ILU(k): the ordering and
+    the fill pattern of the permuted matrix (see
+    :func:`repro.reuse.symbolic.shared_symbolic`)."""
+
+    perm: np.ndarray
+    pptr: np.ndarray
+    pind: np.ndarray
+
+
+def _analyse(a: CsrMatrix, ordering: str, level: int) -> IlukSymbolic:
+    perm = ordering_permutation(a, ordering)
+    pptr, pind = iluk_symbolic(permute(a, perm), level)
+    return IlukSymbolic(*frozen_arrays(perm, pptr, pind))
 
 
 class IlukFactorization:
@@ -106,6 +207,8 @@ class IlukFactorization:
         self.ordering = ordering
         self.perm: Optional[np.ndarray] = None
         self.pattern: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        #: the shared immutable result of :meth:`symbolic`
+        self.symbolic_record: Optional[IlukSymbolic] = None
         self.l: Optional[CsrMatrix] = None
         self.u: Optional[CsrMatrix] = None
         self.symbolic_profile = KernelProfile()
@@ -115,22 +218,14 @@ class IlukFactorization:
     # ------------------------------------------------------------------
     def symbolic(self, a: CsrMatrix) -> "IlukFactorization":
         """Ordering + fill-pattern computation (reusable across values)."""
-        from repro.ordering import natural, nested_dissection, rcm
-
-        n = a.n_rows
-        if self.ordering in ("natural", "no", "none"):
-            self.perm = natural(n)
-        elif self.ordering in ("nd", "nested_dissection"):
-            self.perm = nested_dissection(a)
-        elif self.ordering == "rcm":
-            self.perm = rcm(a)
-        else:
-            raise ValueError(f"unknown ordering {self.ordering!r}")
-        from repro.sparse.blocks import permute
-
-        ap = permute(a, self.perm)
-        self.pattern = iluk_symbolic(ap, self.level)
-        self._pattern_fp = pattern_fingerprint(a)
+        ordering = canonical_ordering(self.ordering)
+        self.symbolic_record, self._pattern_fp = shared_symbolic(
+            ("iluk", ordering, self.level),
+            a,
+            lambda: _analyse(a, ordering, self.level),
+        )
+        self.perm = self.symbolic_record.perm
+        self.pattern = (self.symbolic_record.pptr, self.symbolic_record.pind)
         nnz = int(self.pattern[1].size)
         self.symbolic_profile = KernelProfile()
         self.symbolic_profile.add(
@@ -151,8 +246,6 @@ class IlukFactorization:
         if not self._symbolic_done:
             raise RuntimeError("call symbolic() before numeric()")
         check_same_pattern(self._pattern_fp, a, "iluk")
-        from repro.sparse.blocks import permute
-
         ap = permute(a, self.perm)
         n = ap.n_rows
         pptr, pind = self.pattern
@@ -270,10 +363,11 @@ class IlukFactorization:
         return prof
 
 
-def _scatter_to_pattern(
+def _scatter_to_pattern_reference(
     a: CsrMatrix, pptr: np.ndarray, pind: np.ndarray
 ) -> np.ndarray:
-    """Values of ``a`` at the pattern positions (zero where absent)."""
+    """The seed row-at-a-time scatter (executable spec + bench baseline);
+    :func:`_scatter_to_pattern` must match it bit for bit."""
     n = a.n_rows
     vals = np.zeros(pind.size, dtype=np.float64)
     col_pos = np.full(n, -1, dtype=np.int64)
@@ -285,4 +379,27 @@ def _scatter_to_pattern(
         ok = dest >= 0
         vals[dest[ok]] = avals[ok]
         col_pos[pind[lo:hi]] = -1
+    return vals
+
+
+def _scatter_to_pattern(
+    a: CsrMatrix, pptr: np.ndarray, pind: np.ndarray
+) -> np.ndarray:
+    """Values of ``a`` at the pattern positions (zero where absent).
+
+    One keyed gather: both the pattern and ``a`` are row-major with
+    sorted rows, so ``row * n + col`` keys are sorted and every entry of
+    ``a`` finds its pattern slot with one ``searchsorted``; entries of
+    ``a`` outside the pattern are dropped.
+    """
+    stride = np.int64(a.n_cols)
+    vals = np.zeros(pind.size, dtype=np.float64)
+    if pind.size == 0:
+        return vals
+    pat_rows = np.repeat(np.arange(a.n_rows, dtype=np.int64), np.diff(pptr))
+    pat_key = pat_rows * stride + pind
+    a_key = a.expanded_rows() * stride + a.indices
+    pos = np.minimum(np.searchsorted(pat_key, a_key), pat_key.size - 1)
+    ok = pat_key[pos] == a_key
+    vals[pos[ok]] = a.data[ok]
     return vals

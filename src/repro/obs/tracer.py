@@ -49,6 +49,9 @@ straggler's channels, from :class:`~repro.runtime.simmpi.SimComm`),
 ``reuse_invalidations`` (repartition dropping a pinned artifact), and
 on the ``elastic/*`` spans ``repartition_seconds`` and the
 scale-decision annotations (rank, reason, projected relief).
+Every solver ``symbolic()`` call counts one ``symbolic_shared`` (an
+existing record was taken from the ambient cache's symbolic store) or
+``symbolic_analysed`` (the analysis ran) onto the span it runs under.
 """
 
 from __future__ import annotations

@@ -18,8 +18,12 @@ replacements:
 
 All orderings return a permutation vector ``perm`` where ``perm[k]`` is
 the old index placed at position ``k`` (compatible with
-:func:`repro.sparse.permute`).
+:func:`repro.sparse.permute`).  Solvers take an ordering by *name*;
+:func:`ordering_permutation` is the one place a name (or one of its
+aliases, :data:`ORDERING_ALIASES`) is turned into a permutation.
 """
+
+import numpy as np
 
 from repro.ordering.amd import amd
 from repro.ordering.rcm import rcm
@@ -32,19 +36,57 @@ from repro.ordering.etree import (
 )
 
 __all__ = [
+    "ORDERING_ALIASES",
     "amd",
+    "canonical_ordering",
     "column_counts",
     "elimination_tree",
     "natural",
     "nested_dissection",
+    "ordering_permutation",
     "postorder",
     "rcm",
     "symbolic_cholesky",
 ]
 
+#: every accepted ordering name -> its canonical name ("metis" is the
+#: paper's name for nested dissection, "no"/"none" Table IV's "No" rows)
+ORDERING_ALIASES = {
+    "nd": "nd",
+    "nested_dissection": "nd",
+    "metis": "nd",
+    "natural": "natural",
+    "no": "natural",
+    "none": "natural",
+    "rcm": "rcm",
+    "amd": "amd",
+}
+
 
 def natural(n: int):
     """The identity ordering ("No reordering" rows of Table IV)."""
-    import numpy as np
-
     return np.arange(n, dtype=np.int64)
+
+
+def canonical_ordering(name: str) -> str:
+    """The canonical name behind an ordering name or alias.
+
+    Raises ``ValueError`` listing the valid names; every solver and
+    :class:`~repro.dd.local_solvers.LocalSolverSpec` validate through
+    here, so a name one of them accepts is accepted by all.
+    """
+    try:
+        return ORDERING_ALIASES[name]
+    except (KeyError, TypeError):
+        raise ValueError(
+            f"unknown ordering {name!r}; valid orderings: "
+            + ", ".join(repr(o) for o in ORDERING_ALIASES)
+        ) from None
+
+
+def ordering_permutation(a, name: str):
+    """The permutation of square ``a`` under the ordering called ``name``."""
+    kind = canonical_ordering(name)
+    if kind == "natural":
+        return natural(a.n_rows)
+    return {"nd": nested_dissection, "rcm": rcm, "amd": amd}[kind](a)

@@ -34,6 +34,27 @@ def _lower_pattern(a: CsrMatrix) -> Tuple[np.ndarray, np.ndarray]:
     return out_ptr, indices[keep]
 
 
+def _liu_etree(n: int, lptr: List[int], lind: List[int]) -> List[int]:
+    """Liu's algorithm with path compression over a strict-lower pattern.
+
+    Runs on Python lists: the traversal is scalar pointer chasing, and a
+    list element access costs a fraction of a numpy scalar one.
+    """
+    parent = [-1] * n
+    ancestor = [-1] * n
+    for i in range(n):
+        for j in lind[lptr[i] : lptr[i + 1]]:
+            # walk from j up to the root of its current virtual tree
+            while ancestor[j] != -1 and ancestor[j] != i:
+                nxt = ancestor[j]
+                ancestor[j] = i  # path compression
+                j = nxt
+            if ancestor[j] == -1:
+                ancestor[j] = i
+                parent[j] = i
+    return parent
+
+
 def elimination_tree(a: CsrMatrix) -> np.ndarray:
     """Elimination tree of the Cholesky factor of ``A`` (pattern only).
 
@@ -42,22 +63,9 @@ def elimination_tree(a: CsrMatrix) -> np.ndarray:
     """
     if a.n_rows != a.n_cols:
         raise ValueError("square matrix required")
-    n = a.n_rows
     lptr, lind = _lower_pattern(a)
-    parent = np.full(n, -1, dtype=np.int64)
-    ancestor = np.full(n, -1, dtype=np.int64)
-    for i in range(n):
-        for k in lind[lptr[i] : lptr[i + 1]]:
-            # walk from k up to the root of its current virtual tree
-            j = int(k)
-            while ancestor[j] != -1 and ancestor[j] != i:
-                nxt = int(ancestor[j])
-                ancestor[j] = i  # path compression
-                j = nxt
-            if ancestor[j] == -1:
-                ancestor[j] = i
-                parent[j] = i
-    return parent
+    parent = _liu_etree(a.n_rows, lptr.tolist(), lind.tolist())
+    return np.asarray(parent, dtype=np.int64)
 
 
 def postorder(parent: np.ndarray) -> np.ndarray:
@@ -104,29 +112,33 @@ def symbolic_cholesky(a: CsrMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray]
     Returns ``(l_indptr, l_indices, parent)`` with column indices sorted
     within each row; the diagonal entry is always present.
     """
+    if a.n_rows != a.n_cols:
+        raise ValueError("square matrix required")
     n = a.n_rows
-    parent = elimination_tree(a)
-    lptr, lind = _lower_pattern(a)
-    mark = np.full(n, -1, dtype=np.int64)
-    rows_out: List[np.ndarray] = []
-    counts = np.zeros(n + 1, dtype=np.int64)
+    lptr_arr, lind_arr = _lower_pattern(a)
+    lptr, lind = lptr_arr.tolist(), lind_arr.tolist()
+    parent = _liu_etree(n, lptr, lind)
+    mark = [-1] * n
+    l_indices: List[int] = []
+    l_indptr = [0] * (n + 1)
     for i in range(n):
         reach = [i]
         mark[i] = i
-        for k in lind[lptr[i] : lptr[i + 1]]:
-            j = int(k)
+        for j in lind[lptr[i] : lptr[i + 1]]:
             while mark[j] != i:
                 mark[j] = i
                 reach.append(j)
-                j = int(parent[j])
+                j = parent[j]
                 if j == -1:  # pragma: no cover - etree guarantees path to i
                     break
-        row = np.sort(np.asarray(reach, dtype=np.int64))
-        rows_out.append(row)
-        counts[i + 1] = row.size
-    l_indptr = np.cumsum(counts)
-    l_indices = np.concatenate(rows_out) if rows_out else np.empty(0, dtype=np.int64)
-    return l_indptr, l_indices, parent
+        reach.sort()
+        l_indices.extend(reach)
+        l_indptr[i + 1] = len(l_indices)
+    return (
+        np.asarray(l_indptr, dtype=np.int64),
+        np.asarray(l_indices, dtype=np.int64),
+        np.asarray(parent, dtype=np.int64),
+    )
 
 
 def column_counts(a: CsrMatrix) -> np.ndarray:

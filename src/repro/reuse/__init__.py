@@ -13,6 +13,9 @@ model has always *priced* this split
 * :mod:`repro.reuse.cache` -- the LRU-bounded ambient
   :class:`ArtifactCache` of pattern-keyed plans (decomposition, overlap
   import, interface analysis) shared across sessions;
+* :mod:`repro.reuse.symbolic` -- one symbolic analysis per distinct
+  ``(solver, ordering, options, pattern)`` *within* a build: congruent
+  subdomains share an immutable symbolic record;
 * :mod:`repro.reuse.recycle` -- opt-in Krylov solution recycling;
 * :class:`ReuseConfig` -- the session knob
   (``SolverSession(problem, reuse=True)`` or ``reuse=ReuseConfig(...)``)
@@ -42,6 +45,7 @@ from repro.reuse.fingerprint import (
     values_fingerprint,
 )
 from repro.reuse.recycle import RecycleSpace
+from repro.reuse.symbolic import shared_symbolic
 
 __all__ = [
     "ReuseConfig",
@@ -56,6 +60,7 @@ __all__ = [
     "values_fingerprint",
     "partition_fingerprint",
     "RecycleSpace",
+    "shared_symbolic",
 ]
 
 

@@ -15,6 +15,7 @@ former unbounded module-global dicts).
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Hashable, Iterator, Optional
@@ -122,11 +123,18 @@ class ArtifactCache:
     be taken before the artifact is ``put`` (the pool pins the key it is
     *about* to build).  While every entry is pinned the cache may
     temporarily exceed ``maxsize``.
+
+    ``symbolic`` is a separate, *weak* store of solver symbolic records
+    (see :mod:`repro.reuse.symbolic`): outside the LRU bound, outside
+    the hit/miss tallies, and empty again once no solver holds a record.
     """
 
     def __init__(self, maxsize: int = 32) -> None:
         self._pins: Dict[tuple, int] = {}
         self._lru = LruDict(maxsize, can_evict=self._evictable)
+        self.symbolic: "weakref.WeakValueDictionary[tuple, Any]" = (
+            weakref.WeakValueDictionary()
+        )
         self.hits = 0
         self.misses = 0
 
@@ -220,6 +228,7 @@ class ArtifactCache:
         the holder's subsequent rebuild-and-put is still protected.
         """
         self._lru.clear()
+        self.symbolic.clear()
         self.hits = 0
         self.misses = 0
 

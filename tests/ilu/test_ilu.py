@@ -169,7 +169,7 @@ class TestFastIlu:
         f = FastIlu(level=0, sweeps=4).symbolic(small_laplace.a).numeric(small_laplace.a)
         assert len(f.numeric_profile) == 4
         for k in f.numeric_profile:
-            assert k.parallelism == float(f._pind.size)
+            assert k.parallelism == float(f.symbolic_record.pind.size)
 
     def test_numeric_requires_symbolic(self, small_laplace):
         with pytest.raises(RuntimeError):

@@ -76,10 +76,11 @@ class TestIluProfiles:
 
     def test_fastilu_masked_work_not_expansion(self, small_laplace):
         """The priced sweep work must be the masked intersection count,
-        strictly below the full ESC expansion (the numpy execution
-        convenience)."""
-        f = FastIlu(level=1, sweeps=1).symbolic(small_laplace.a)
-        assert 0 < f._masked_pairs < f._gather_l.size
+        strictly below the full ESC expansion (which only the symbolic
+        phase ever sees: the sweep plan keeps the masked products)."""
+        sym = FastIlu(level=1, sweeps=1).symbolic(small_laplace.a).symbolic_record
+        assert 0 < sym.masked_pairs < sym.expansion_pairs
+        assert sym.gather_l.size == sym.gather_u.size == sym.masked_pairs
 
     def test_fastilu_profile_one_kernel_per_sweep(self, small_laplace):
         f = FastIlu(level=0, sweeps=5).symbolic(small_laplace.a).numeric(small_laplace.a)
