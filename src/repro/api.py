@@ -48,13 +48,11 @@ free.  The layered entry points keep working unchanged.
 from __future__ import annotations
 
 import copy
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.backend import resolve_backend, to_numpy, use_backend
 from repro.config import (
     COARSE_SPACES,
     COARSE_VARIANTS,
@@ -183,15 +181,6 @@ class SolverSession:
         numerically.  A :class:`~repro.reuse.ReuseConfig` additionally
         opts into GMRES warm starts and solution recycling (which
         change the iterates and are therefore off by default).
-    backend:
-        Array backend for the numeric core: ``None`` (default -- the
-        ambient :func:`repro.backend.use_backend` scope, ultimately
-        numpy), a backend name (``"numpy"``), or a
-        :class:`~repro.backend.Backend` instance.  Validated at
-        construction (an unavailable backend raises with the valid
-        values).  The solve runs under the selected backend and the
-        returned ``SessionResult.x`` is always host numpy.  The numpy
-        backend is bit-identical to pre-backend releases.
     """
 
     def __init__(
@@ -205,7 +194,6 @@ class SolverSession:
         verify: object = False,
         policy: object = None,
         reuse: object = False,
-        backend: object = None,
     ) -> None:
         for attr in ("a", "b"):
             if not hasattr(problem, attr):
@@ -245,8 +233,6 @@ class SolverSession:
                 f"reuse must be a bool or ReuseConfig, got {type(reuse).__name__}"
             )
         self.reuse: ReuseConfig = reuse
-        #: resolved Backend instance, or None for the ambient default
-        self.backend = None if backend is None else resolve_backend(backend)
         self._recycle = (
             RecycleSpace(reuse.recycle) if reuse.recycle > 0 else None
         )
@@ -472,11 +458,7 @@ class SolverSession:
         kry = self.krylov
         problem = self.problem
         tracer = self.tracer or Tracer()
-        bk_ctx = (
-            use_backend(self.backend) if self.backend is not None
-            else nullcontext()
-        )
-        with use_tracer(tracer), bk_ctx:
+        with use_tracer(tracer):
             with tracer.span("setup") as sp:
                 sp.annotate(config=self.config.describe(),
                             partition=str(self.partition))
@@ -512,8 +494,7 @@ class SolverSession:
         """The one result builder (every entry point, every policy)."""
         problem = self.problem
         state = self._state
-        # results are host-facing regardless of the solve backend
-        x = to_numpy(out.x)
+        x = out.x
         relres = float(
             np.linalg.norm(problem.a.matvec(x) - problem.b)
             / max(np.linalg.norm(problem.b), 1e-300)

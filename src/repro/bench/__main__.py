@@ -1,4 +1,4 @@
-"""CLI entry: ``python -m repro.bench --backend | --scenarios``."""
+"""CLI entry: ``python -m repro.bench --kernels | --scenarios``."""
 
 from __future__ import annotations
 
@@ -41,17 +41,17 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description=(
-            "micro-benchmarks of the numeric core: --backend (the "
-            "array-backend hot-path comparison writing BENCH_backend."
-            "json) or --scenarios (the hard-operator matrix comparing "
+            "micro-benchmarks of the numeric core: --kernels (the "
+            "de-looped setup kernels against their seed loops, writing "
+            "BENCH_kernels.json) or --scenarios (the hard-operator matrix comparing "
             "plain GDSW against the algebraic spectral coarse space, "
             "writing BENCH_scenarios.json)"
         ),
     )
     ap.add_argument(
-        "--backend",
+        "--kernels",
         action="store_true",
-        help="run the array-backend hot-path bench (BENCH_backend.json)",
+        help="run the setup-kernel bench (BENCH_kernels.json)",
     )
     ap.add_argument(
         "--scenarios",
@@ -83,12 +83,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.scenarios:
         return _run_scenarios(args)
-    if not args.backend:
-        ap.error("select a bench: --backend or --scenarios")
+    if not args.kernels:
+        ap.error("select a bench: --kernels or --scenarios")
 
-    from repro.bench.backend_bench import run_backend_bench
+    from repro.bench.kernel_bench import run_kernel_bench
 
-    report = run_backend_bench(nx=args.nx, repeats=args.repeats)
+    report = run_kernel_bench(nx=args.nx, repeats=args.repeats)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
@@ -96,17 +96,17 @@ def main(argv=None) -> int:
     print(text)
     for name, rec in sorted(report["paths"].items()):
         print(
-            f"[backend] {name:18s}: {rec['reference_seconds']:.3e}s -> "
+            f"[kernels] {name:18s}: {rec['reference_seconds']:.3e}s -> "
             f"{rec['vectorized_seconds']:.3e}s ({rec['speedup']:.1f}x, "
             f"bit_identical={rec['bit_identical']})",
             file=sys.stderr,
         )
     if report["violations"]:
         for v in report["violations"]:
-            print(f"[backend] VIOLATION: {v}", file=sys.stderr)
+            print(f"[kernels] VIOLATION: {v}", file=sys.stderr)
         return 1
     print(
-        "[backend] all hot-path speedup/bit-identity gates hold",
+        "[kernels] all hot-path speedup/bit-identity gates hold",
         file=sys.stderr,
     )
     return 0

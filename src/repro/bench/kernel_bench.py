@@ -1,7 +1,7 @@
-"""Hot-path micro-benchmark of the array-backend refactor.
+"""Micro-benchmark of the de-looped setup kernels.
 
-Times the three kernels whose pure-python row/column loops the backend
-refactor replaced with vectorized equivalents -- the loops the
+Times the three kernels whose pure-python row/column loops were
+replaced with vectorized equivalents -- the loops the
 ``repro.obs`` phase tables flagged as setup hot spots:
 
 * :func:`repro.tri.levelset.level_schedule` (wavefront scheduling),
@@ -18,7 +18,7 @@ and the two ILU setup loops vectorised after it:
 
 Each is timed against its retained ``*_reference`` seed implementation
 on the same inputs and checked for bit-identical outputs.  The
-acceptance gate (enforced by ``python -m repro.bench --backend`` and
+acceptance gate (enforced by ``python -m repro.bench --kernels`` and
 CI) is a >= 2x speedup on ``level_schedule`` at n >= 100k rows, the
 ``iluk_symbolic`` / ``scatter_to_pattern`` floors below at the same
 full size, plus exact equality everywhere.
@@ -38,7 +38,6 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.backend import available_backends
 from repro.ilu.fastilu import _diag_positions, _diag_positions_reference
 from repro.ilu.iluk import (
     _iluk_symbolic_reference,
@@ -50,7 +49,7 @@ from repro.sparse.csr import CsrMatrix
 from repro.tri.levelset import _level_schedule_reference, level_schedule
 from repro.tri.supernodal import _detect_supernodes_reference, detect_supernodes
 
-__all__ = ["laplace_lower_structure", "fastilu_blocks", "run_backend_bench"]
+__all__ = ["laplace_lower_structure", "fastilu_blocks", "run_kernel_bench"]
 
 #: the ISSUE acceptance floor: the de-looped scheduler must be at least
 #: this much faster than the seed loop at n >= 100k
@@ -137,10 +136,10 @@ def _compare(name, reference, vectorized, repeats, violations, floor=None) -> Di
     }
 
 
-def run_backend_bench(nx: int = 48, repeats: int = 3) -> Dict:
+def run_kernel_bench(nx: int = 48, repeats: int = 3) -> Dict:
     """Run the five hot-path before/after comparisons.
 
-    Returns the ``BENCH_backend.json`` payload; ``violations`` is
+    Returns the ``BENCH_kernels.json`` payload; ``violations`` is
     non-empty when a vectorized kernel fails bit-identity or, at full
     size (n >= 100k rows), one of the speedup floors.
     """
@@ -224,8 +223,7 @@ def run_backend_bench(nx: int = 48, repeats: int = 3) -> Dict:
     }
 
     return {
-        "bench": "backend_hot_paths",
-        "available_backends": available_backends(),
+        "bench": "kernel_hot_paths",
         "min_level_schedule_speedup": LEVEL_SCHEDULE_MIN_SPEEDUP,
         "paths": {
             "level_schedule": level_schedule_rec,

@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import get_backend
 from repro.dd.decomposition import Decomposition
 from repro.dd.local_solvers import FactoredLocal, LocalSolverSpec
 from repro.dd.overlap import overlapping_subdomains
@@ -282,21 +281,16 @@ class OneLevelSchwarz:
         subdomains (and all columns), one scatter-add.  A rank's slice
         of the merged solve equals its own ``locals[rank].apply`` and
         column ``j`` of a block equals the apply of column ``j``, both
-        bit for bit.  The gather/scatter halves route through the array
-        backend of ``v``; the local solves are host solvers (they wrap
-        factored objects), so a non-numpy ``v`` is transferred once per
-        apply.
+        bit for bit.
         """
         with get_tracer().span("apply/local_solve") as sp:
-            bk = get_backend(v)
-            v = bk.astype(bk.asarray(v), np.float64)
+            v = np.asarray(v).astype(np.float64, copy=False)
             columns = 1 if v.ndim == 1 else v.shape[1]
             sp.count("local_solves", float(columns * len(self.dof_sets)))
-            v_host = v if bk.is_numpy else bk.to_numpy(v)
             if not self.dof_sets:
-                return bk.zeros(v_host.shape, dtype=np.float64)
+                return np.zeros(v.shape)
             eng = get_engine()
-            x = v_host[self._scatter_dofs]
+            x = v[self._scatter_dofs]
             if eng is not None:
                 self._per_rank(eng.filter_restrict, x)
             x = self._merged().solve(x)
@@ -308,12 +302,12 @@ class OneLevelSchwarz:
             # bincount accumulates sequentially in input order, so the
             # rank-major order reproduces a per-rank ``np.add.at`` loop
             # bit for bit
-            n = v_host.shape[0]
+            n = v.shape[0]
             if x.ndim == 1:
-                return bk.scatter_add(self._scatter_dofs, x, n)
-            return bk.stack(
+                return np.bincount(self._scatter_dofs, weights=x, minlength=n)
+            return np.stack(
                 [
-                    bk.scatter_add(self._scatter_dofs, x[:, j], n)
+                    np.bincount(self._scatter_dofs, weights=x[:, j], minlength=n)
                     for j in range(columns)
                 ],
                 axis=1,

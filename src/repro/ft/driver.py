@@ -495,8 +495,8 @@ def solve_fault_tolerant(session, ft: FaultToleranceConfig):
     """``session.solve()`` under rank-loss protection ``ft``.
 
     The functional spelling of ``SolverSession(..., policy=ft).solve()``:
-    the session's own pipeline runs (so ``verify=``, ``tracer=`` and
-    ``backend=`` apply), with ``result.ft`` holding the
+    the session's own pipeline runs (so ``verify=`` and ``tracer=``
+    apply), with ``result.ft`` holding the
     :class:`FtReport`, ``result.health`` the rank-loss actions, and
     ``result.status`` reading ``recovered`` when the solve converged
     after at least one repair.  ``session`` itself is left untouched.

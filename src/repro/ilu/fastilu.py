@@ -27,7 +27,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.backend import get_backend
 from repro.ilu.iluk import (
     _row_pointer,
     _run_starts,
@@ -372,35 +371,27 @@ class FastIlu:
 
     # ------------------------------------------------------------------
     def _run_sweeps(self, a_l, a_u, l_vals, u_vals, eng):
-        """The Jacobi sweep loop, routed through the ambient backend.
+        """The Jacobi sweep loop.
 
         One sweep is two flat gathers, one segmented reduction, one
         scatter and the damped elementwise update -- the fused-kernel
-        shape.  The numpy path is bit-identical to the pre-refactor
-        inline sweeps; other backends sync a scalar per sweep for the
-        pivot-breakdown check (documented tolerance, not bit-identity).
+        shape.
         """
-        bk = get_backend()
-        a_l = bk.asarray(a_l)
-        a_u = bk.asarray(a_u)
-        l_vals = bk.asarray(l_vals)
-        u_vals = bk.asarray(u_vals)
         sym = self.symbolic_record
         l_cols = sym.l_indices
         n_seg = sym.seg_starts.size
         w = self.damping
         for sweep in range(self.sweeps):
-            prods = bk.take(l_vals, sym.gather_l) * bk.take(u_vals, sym.gather_u)
-            sums = bk.segment_sum(prods, sym.seg_starts) if n_seg else bk.zeros(0)
+            prods = l_vals[sym.gather_l] * u_vals[sym.gather_u]
+            sums = np.add.reduceat(prods, sym.seg_starts) if n_seg else np.zeros(0)
             # scatter segment sums to S entries (every segment is inside S)
-            c = bk.zeros(sym.pind.size, dtype=np.float64)
-            bk.put(c, sym.seg_targets, sums)
-            c_l = bk.take(c, sym.lower_idx)
-            c_u = bk.take(c, sym.upper_idx)
-            u_diag = bk.take(u_vals, sym.diag_pos)
-            u_diag_host = u_diag if bk.is_numpy else bk.to_numpy(u_diag)
-            if np.any(u_diag_host == 0):  # backend-ok: host breakdown check
-                bad = int(np.flatnonzero(u_diag_host == 0)[0])  # backend-ok
+            c = np.zeros(sym.pind.size)
+            c[sym.seg_targets] = sums
+            c_l = c[sym.lower_idx]
+            c_u = c[sym.upper_idx]
+            u_diag = u_vals[sym.diag_pos]
+            if np.any(u_diag == 0):
+                bad = int(np.flatnonzero(u_diag == 0)[0])
                 raise PivotBreakdownError(
                     f"zero pivot during FastILU sweep at row {bad}",
                     index=bad,
@@ -413,7 +404,7 @@ class FastIlu:
             # behaves between Jacobi and Gauss-Seidel; damping is the
             # FastILU knob listed in the paper's Table I)
             # L: subtract the k=j term (included in the masked product)
-            ud_l = bk.take(u_diag, l_cols)
+            ud_l = u_diag[l_cols]
             new_l = (a_l - (c_l - l_vals * ud_l)) / ud_l
             new_u = a_u - c_u
             prev_l, prev_u = l_vals, u_vals
@@ -423,15 +414,13 @@ class FastIlu:
             # for a converging iteration and grows geometrically on the
             # stiff blocks where the synchronous sweeps diverge
             self.update_norms.append(
-                bk.norm(l_vals - prev_l) + bk.norm(u_vals - prev_u)
+                float(np.linalg.norm(l_vals - prev_l))
+                + float(np.linalg.norm(u_vals - prev_u))
             )
             if eng is not None:
                 # fault injection (fastilu_divergence): amplify iterates
-                pl, pu = eng.fastilu_perturb(
-                    sweep, bk.to_numpy(l_vals), bk.to_numpy(u_vals)
-                )
-                l_vals, u_vals = bk.asarray(pl), bk.asarray(pu)
-        return bk.to_numpy(l_vals), bk.to_numpy(u_vals)
+                l_vals, u_vals = eng.fastilu_perturb(sweep, l_vals, u_vals)
+        return l_vals, u_vals
 
     # ------------------------------------------------------------------
     def residual_norm(self, a: CsrMatrix) -> float:

@@ -60,13 +60,13 @@ def cg(
 
     tr = get_tracer()
     red = tr.reduce_counter()
-    bk, apply_a, apply_m, b, x = _start(a, b, preconditioner, x0)
+    apply_a, apply_m, b, x = _start(a, b, preconditioner, x0)
     with tr.span("krylov/spmv"):
         r = b - apply_a(x)
     z = apply_m(r)
-    p = bk.copy(z)
-    rz = float(red.allreduce(float(bk.dot(r, z)))[0])
-    r0 = float(np.sqrt(red.allreduce(float(bk.dot(r, r)))[0]))  # backend-ok: host scalar
+    p = np.array(z, copy=True)
+    rz = float(red.allreduce(float(r @ z))[0])
+    r0 = float(np.sqrt(red.allreduce(float(r @ r))[0]))
     residuals = [r0]
     if r0 == 0.0:
         return CgResult(
@@ -79,8 +79,8 @@ def cg(
     while it < maxiter:
         with tr.span("krylov/spmv"):
             ap = apply_a(p)
-        pap = float(red.allreduce(float(bk.dot(p, ap)))[0])
-        if not np.isfinite(pap):  # backend-ok: host scalar check
+        pap = float(red.allreduce(float(p @ ap))[0])
+        if not np.isfinite(pap):
             breakdown_reason = "nonfinite"
             break
         if pap <= 0.0:
@@ -92,21 +92,21 @@ def cg(
         r = r - alpha * ap
         it += 1
         if callback is not None:
-            callback(it, bk.to_numpy(x))
-        rn = float(np.sqrt(red.allreduce(float(bk.dot(r, r)))[0]))  # backend-ok: host scalar
+            callback(it, x)
+        rn = float(np.sqrt(red.allreduce(float(r @ r))[0]))
         residuals.append(rn)
         if guard is not None:
             reason = guard.on_residual(it, rn)
             if reason is not None:
                 breakdown_reason = reason
-                if not bk.all_finite(x):
+                if not np.all(np.isfinite(x)):
                     x = x_prev  # roll back to the last finite iterate
                 break
         if rn <= rtol * r0:
             converged = True
             break
         z = apply_m(r)
-        rz_new = float(red.allreduce(float(bk.dot(r, z)))[0])
+        rz_new = float(red.allreduce(float(r @ z))[0])
         beta = rz_new / rz
         rz = rz_new
         p = z + beta * p

@@ -15,7 +15,6 @@ from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.backend import get_backend
 from repro.krylov.reduce import ReduceCounter
 from repro.krylov.status import SolveStatus
 from repro.obs import get_tracer
@@ -84,39 +83,23 @@ def _as_apply(op: Optional[Operator]):
 
 
 def _start(a, b, preconditioner, x0):
-    """Common solver preamble on the backend of ``b``.
+    """Common solver preamble.
 
-    Returns ``(bk, apply_a, apply_m, b, x)``: the operator and the
+    Returns ``(apply_a, apply_m, b, x)``: the operator and the
     preconditioner (an object's ``apply`` wins over ``matvec``) as
-    backend-lifted callables, the float64 right-hand side and the
-    starting iterate (zero, or a copy of ``x0``).
+    callables, the float64 right-hand side (``b`` itself when it already
+    is float64) and the starting iterate (zero, or a copy of ``x0``).
     """
     if preconditioner is not None and hasattr(preconditioner, "apply"):
         apply_m = preconditioner.apply
     else:
         apply_m = _as_apply(preconditioner)
-    bk = get_backend(b)
-    b = bk.astype(bk.asarray(b), np.float64)
+    b = np.asarray(b).astype(np.float64, copy=False)
     if x0 is None:
-        x = bk.zeros(b.shape[0], dtype=np.float64)
+        x = np.zeros(b.shape[0])
     else:
-        x = bk.astype(bk.copy(bk.asarray(x0)), np.float64)
-    return bk, _bk_apply(_as_apply(a), bk), _bk_apply(apply_m, bk), b, x
-
-
-def _bk_apply(f, bk):
-    """Wrap an operator application for backend-routed Krylov loops.
-
-    Operators and preconditioners are host-facing (CSR matvec routes
-    itself; arbitrary callables expect numpy), so the wrapper hands them
-    a host array and lifts the result back to the solve's backend.  On
-    the numpy backend both conversions are identities, preserving
-    bit-identity; on other backends this is the documented host
-    round-trip per operator application.
-    """
-    if bk.is_numpy:
-        return f
-    return lambda v: bk.asarray(f(bk.to_numpy(v)))
+        x = np.asarray(x0).astype(np.float64)
+    return _as_apply(a), apply_m, b, x
 
 
 def gmres(
@@ -179,12 +162,12 @@ def gmres(
         )
     tr = get_tracer()
     red = tr.reduce_counter()
-    bk, apply_a, apply_m, b, x = _start(a, b, preconditioner, x0)
+    apply_a, apply_m, b, x = _start(a, b, preconditioner, x0)
     n = b.shape[0]
 
     with tr.span("krylov/spmv"):
         r = b - apply_a(x)
-    beta0 = float(np.sqrt(red.allreduce(float(bk.dot(r, r)))[0]))
+    beta0 = float(np.sqrt(red.allreduce(float(r @ r))[0]))
     residuals = [beta0]
     if beta0 == 0.0:
         return GmresResult(
@@ -202,14 +185,14 @@ def gmres(
         cycles += 1
         with tr.span("krylov/spmv"):
             r = b - apply_a(x)
-        beta = float(np.sqrt(red.allreduce(float(bk.dot(r, r)))[0]))
+        beta = float(np.sqrt(red.allreduce(float(r @ r))[0]))
         if beta <= tol_abs:
             converged = True
             break
         m = min(restart, maxiter - total_iters)
-        v = bk.empty((m + 1, n), dtype=np.float64)
-        z = bk.empty((m, n), dtype=np.float64)  # preconditioned directions
-        # host least-squares state (Hessenberg + Givens) stays numpy
+        v = np.empty((m + 1, n))
+        z = np.empty((m, n))  # preconditioned directions
+        # least-squares state: Hessenberg + Givens
         h = np.zeros((m + 1, m))
         cs = np.zeros(m)
         sn = np.zeros(m)
@@ -256,7 +239,7 @@ def gmres(
         # solution update from the cycle
         if j_used:
             y = _back_substitute(h, g, j_used)
-            x = x + bk.gemv(z[:j_used].T, bk.asarray(y))
+            x = x + z[:j_used].T @ y
         true_norm = None
         if converged:
             # explicit residual test (Belos-style): the recurrence
@@ -264,13 +247,13 @@ def gmres(
             # against the true residual and keep iterating on failure.
             with tr.span("krylov/spmv"):
                 r = b - apply_a(x)
-            true_norm = float(np.sqrt(red.allreduce(float(bk.dot(r, r)))[0]))
+            true_norm = float(np.sqrt(red.allreduce(float(r @ r))[0]))
             true_residuals.append((total_iters, true_norm))
             converged = true_norm <= tol_abs * (1 + 1e-12)
         if observer is not None:
             observer.on_cycle(
-                basis=bk.to_numpy(v[: j_used + 1]),
-                x=bk.to_numpy(x),
+                basis=v[: j_used + 1],
+                x=x,
                 estimate=abs(g[j_used]) if j_used else beta,
                 true_norm=true_norm,
             )
@@ -340,27 +323,24 @@ def _orthogonalize(
     stateless call behaves like the first iteration of a cycle.
     """
     jp1 = v.shape[0]
-    bk = get_backend(w)
     if variant == "mgs":
-        h = np.empty(jp1)  # backend-ok: host projection coefficients
+        h = np.empty(jp1)
         for i in range(jp1):
-            h[i] = red.allreduce(float(bk.dot(v[i], w)))[0]
+            h[i] = red.allreduce(float(v[i] @ w))[0]
             w = w - h[i] * v[i]
-        hnext = float(np.sqrt(red.allreduce(float(bk.dot(w, w)))[0]))  # backend-ok: host scalar
+        hnext = float(np.sqrt(red.allreduce(float(w @ w))[0]))
         return h, hnext, w
     if variant == "cgs":
-        h = red.allreduce(bk.to_numpy(bk.dot(v, w))).copy()
-        w = w - bk.gemv(v.T, bk.asarray(h))
-        hnext = float(np.sqrt(red.allreduce(float(bk.dot(w, w)))[0]))  # backend-ok: host scalar
+        h = red.allreduce(v @ w).copy()
+        w = w - v.T @ h
+        hnext = float(np.sqrt(red.allreduce(float(w @ w))[0]))
         return h, hnext, w
     # single_reduce: batch projections and the squared norm in ONE reduce
-    payload = np.concatenate(  # backend-ok: host reduction payload
-        [bk.to_numpy(bk.dot(v, w)), [float(bk.dot(w, w))]]
-    )
+    payload = np.concatenate([v @ w, [float(w @ w)]])
     payload = red.allreduce(payload)
     h = payload[:jp1].copy()
     wtw = payload[jp1]
-    w = w - bk.gemv(v.T, bk.asarray(h))
+    w = w - v.T @ h
     # lagged (Pythagorean) norm: ||w_orth||^2 = ||w||^2 - ||h||^2
     est = wtw - float(h @ h)
     if state is None:
@@ -380,18 +360,16 @@ def _orthogonalize(
     gamma = state["gamma"] * max(amp, 1.0) ** 2
     if est > 0.0 and gamma <= _ORTHO_LOSS_BUDGET:
         state["gamma"] = gamma
-        return h, float(np.sqrt(est)), w  # backend-ok: host scalar
+        return h, float(np.sqrt(est)), w
     # selective reorthogonalization: a second batched pass restores
     # MGS-level stability (and resets the error tracking) at the price
     # of one extra reduce in these iterations.
     state["gamma"] = _ORTHO_EPS
-    payload = np.concatenate(  # backend-ok: host reduction payload
-        [bk.to_numpy(bk.dot(v, w)), [float(bk.dot(w, w))]]
-    )
+    payload = np.concatenate([v @ w, [float(w @ w)]])
     payload = red.allreduce(payload)
     h2 = payload[:jp1]
     wtw2 = payload[jp1]
-    w = w - bk.gemv(v.T, bk.asarray(h2))
+    w = w - v.T @ h2
     h = h + h2
     est2 = wtw2 - float(h2 @ h2)
     if est2 <= 0.0:
@@ -399,7 +377,7 @@ def _orthogonalize(
         # (tiny but real) new direction survives: reporting hnext = 0
         # here would read as a lucky breakdown and end the cycle early.
         # Pay one explicit norm reduction to distinguish the two cases.
-        hnext = float(np.sqrt(red.allreduce(float(bk.dot(w, w)))[0]))  # backend-ok: host scalar
+        hnext = float(np.sqrt(red.allreduce(float(w @ w))[0]))
     else:
-        hnext = float(np.sqrt(est2))  # backend-ok: host scalar
+        hnext = float(np.sqrt(est2))
     return h, hnext, w

@@ -71,7 +71,7 @@ def pipelined_cg(
 
     tr = get_tracer()
     red = tr.reduce_counter()
-    _, apply_a, apply_m, b, x = _start(a, b, preconditioner, x0)
+    apply_a, apply_m, b, x = _start(a, b, preconditioner, x0)
 
     with tr.span("krylov/spmv"):
         r = b - apply_a(x)

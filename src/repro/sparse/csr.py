@@ -1,11 +1,10 @@
 """Compressed-sparse-row (CSR) matrices.
 
 The central storage format of the package.  The structure arrays
-(``indptr``/``indices``) are host numpy; the value kernels (SpMV,
-SpMM, transpose product) are routed through the pluggable
-:mod:`repro.backend` array API, with numpy as the bit-identical
-default.  The class is deliberately small and
-explicit -- the factorizations, triangular solves and Schwarz
+(``indptr``/``indices``) are pattern-only and never mutated; the value
+kernels (SpMV, SpMM, transpose product) are vectorised numpy gathers
+and segmented reductions over them.  The class is deliberately small
+and explicit -- the factorizations, triangular solves and Schwarz
 operators are built on top of it rather than hidden inside it.
 """
 
@@ -15,9 +14,41 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.backend import check_out_dtype, get_backend
-
 __all__ = ["CsrMatrix", "eye", "diags"]
+
+
+def _check_shape(kernel: str, a_shape, what: str, shape, expected) -> None:
+    """Reject a mis-sized operand or ``out=`` buffer of a CSR kernel.
+
+    Without it a long operand is silently truncated by the column
+    gather and a short one fails deep inside it with a bare
+    ``IndexError``.
+    """
+    if shape != expected:
+        raise ValueError(
+            f"CsrMatrix.{kernel}: {what} shape {shape} does not fit the "
+            f"{a_shape[0]}x{a_shape[1]} matrix (expected {expected})"
+        )
+
+
+def _check_out_dtype(out_dtype: np.dtype, result_dtype: np.dtype, kernel: str) -> None:
+    """Reject an ``out=`` buffer that would silently truncate.
+
+    Writing ``out[nonempty] = np.add.reduceat(...)`` silently downcasts
+    when the product promotes past the buffer dtype (a float32 ``out``
+    against a float64 product on the half-precision operator path), so
+    the buffer must hold the promoted dtype losslessly.
+    """
+    if out_dtype == result_dtype:
+        return
+    if np.can_cast(result_dtype, out_dtype, casting="safe"):
+        return
+    raise TypeError(
+        f"{kernel}: out buffer dtype {out_dtype} cannot hold the "
+        f"promoted result dtype {result_dtype} without truncation; "
+        f"pass an out buffer of dtype {result_dtype} or cast the "
+        "result explicitly"
+    )
 
 
 class CsrMatrix:
@@ -235,38 +266,33 @@ class CsrMatrix:
     def matvec(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Sparse matrix--vector product ``A @ x``.
 
-        A gather followed by a segmented reduction -- the array-API
-        analogue of the row-parallel CSR SpMV kernel, routed through
-        :func:`repro.backend.get_backend` (numpy default,
-        bit-identical).
+        A gather followed by a segmented reduction -- the numpy
+        analogue of the row-parallel CSR SpMV kernel.
 
         The product is computed and returned in the promoted dtype
         ``result_type(A.dtype, x.dtype)``.  An ``out=`` buffer that
         cannot hold that dtype losslessly raises ``TypeError`` instead
         of silently truncating (the float32-buffer downcast bug of the
-        half-precision operator path).
+        half-precision operator path); an ``x`` that is not
+        ``(n_cols,)`` or an ``out`` that is not ``(n_rows,)`` raises
+        ``ValueError``.
         """
-        bk = get_backend(x)
-        x = bk.asarray(x)
-        result_dtype = bk.result_type(self.dtype, x)
+        x = np.asarray(x)
+        _check_shape("matvec", self.shape, "operand", x.shape, (self.n_cols,))
+        result_dtype = np.result_type(self.dtype, x)
         if out is not None:
-            if not bk.owns(out):
-                raise TypeError(
-                    "CsrMatrix.matvec: out buffer must belong to the "
-                    f"operand's backend ({bk.name})"
-                )
-            check_out_dtype(bk.dtype_of(out), result_dtype, "CsrMatrix.matvec")
-        prods = bk.asarray(self.data) * bk.take(x, self.indices)
-        acc = bk.astype(prods, result_dtype)
+            _check_shape("matvec", self.shape, "out", np.shape(out), (self.n_rows,))
+            _check_out_dtype(out.dtype, result_dtype, "CsrMatrix.matvec")
+        acc = (self.data * x[self.indices]).astype(result_dtype, copy=False)
         if out is None:
-            out = bk.zeros(self.n_rows, dtype=result_dtype)
+            out = np.zeros(self.n_rows, dtype=result_dtype)
         else:
             out[:] = 0
         if self.nnz == 0:
             return out
         nonempty, starts = self._spmv_segments()
         if nonempty.size:
-            bk.put(out, nonempty, bk.segment_sum(acc, starts))
+            out[nonempty] = np.add.reduceat(acc, starts)
         return out
 
     def matmat(self, x: np.ndarray) -> np.ndarray:
@@ -278,16 +304,20 @@ class CsrMatrix:
         a zero-nnz matrix whatever the operand dtypes -- the block
         GMRES/CG deflated-shard inconsistency with :meth:`matvec`.
         """
-        bk = get_backend(x)
-        x = bk.asarray(x)
+        x = np.asarray(x)
         if x.ndim == 1:
             return self.matvec(x)
-        result_dtype = bk.result_type(self.dtype, x)
-        prods = bk.asarray(self.data)[:, None] * bk.take(x, self.indices)
-        out = bk.zeros((self.n_rows, x.shape[1]), dtype=result_dtype)
+        _check_shape(
+            "matmat", self.shape, "operand", x.shape, (self.n_cols,) + x.shape[1:2]
+        )
+        result_dtype = np.result_type(self.dtype, x)
+        prods = self.data[:, None] * x[self.indices]
+        out = np.zeros((self.n_rows, x.shape[1]), dtype=result_dtype)
         nonempty, starts = self._spmv_segments()
         if nonempty.size:
-            bk.put(out, nonempty, bk.segment_sum(bk.astype(prods, result_dtype), starts, axis=0))
+            out[nonempty] = np.add.reduceat(
+                prods.astype(result_dtype, copy=False), starts, axis=0
+            )
         return out
 
     def __matmul__(self, other):
@@ -301,23 +331,21 @@ class CsrMatrix:
         """Transpose product ``A.T @ y`` without forming the transpose.
 
         A 2-D ``y`` is a block of columns, accumulated one column at a
-        time (the 1-D scatter is the fast path of every backend), so
-        column ``j`` of the result equals ``rmatvec(y[:, j])`` bit for
-        bit.
+        time (``np.add.at`` on a vector), so column ``j`` of the result
+        equals ``rmatvec(y[:, j])`` bit for bit.
         """
-        bk = get_backend(y)
-        y = bk.asarray(y)
+        y = np.asarray(y)
+        _check_shape(
+            "rmatvec", self.shape, "operand", y.shape, (self.n_rows,) + y.shape[1:2]
+        )
+        result_dtype = np.result_type(self.dtype, y)
         if y.ndim == 2:
-            out = bk.zeros(
-                (self.n_cols, y.shape[1]), dtype=bk.result_type(self.dtype, y)
-            )
+            out = np.zeros((self.n_cols, y.shape[1]), dtype=result_dtype)
             for j in range(y.shape[1]):
                 out[:, j] = self.rmatvec(y[:, j])
             return out
-        out = bk.zeros(self.n_cols, dtype=bk.result_type(self.dtype, y))
-        bk.scatter_add_into(
-            out, self.indices, bk.asarray(self.data) * bk.take(y, self.expanded_rows())
-        )
+        out = np.zeros(self.n_cols, dtype=result_dtype)
+        np.add.at(out, self.indices, self.data * y[self.expanded_rows()])
         return out
 
     def transpose(self) -> "CsrMatrix":

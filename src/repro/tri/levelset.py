@@ -18,7 +18,6 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import get_backend
 from repro.machine.kernels import KernelProfile
 from repro.sparse.csr import CsrMatrix
 
@@ -29,8 +28,8 @@ def _level_schedule_reference(t: CsrMatrix, lower: bool = True) -> np.ndarray:
     """The seed row-at-a-time schedule (executable spec + bench baseline).
 
     O(n) python-loop formulation; :func:`level_schedule` must match it
-    bit for bit (the backend test suite and ``python -m repro.bench
-    --backend`` both compare against this).
+    bit for bit (``tests/tri/test_vectorized.py`` and ``python -m
+    repro.bench --kernels`` both compare against this).
     """
     n = t.n_rows
     level = np.zeros(n, dtype=np.int64)
@@ -304,28 +303,23 @@ class LevelScheduledTriangular:
         ``b`` may be a vector or a 2-D array of right-hand-side columns
         (the coarse-basis extension solves use many columns at once);
         column ``j`` of the 2-D result equals the 1-D solve of column
-        ``j`` bit for bit.  Routed through the array backend of ``b``:
-        numpy arrays take the bit-identical numpy path; backend tensors
-        are solved on their device and returned as the same type.
+        ``j`` bit for bit.
         """
-        bk = get_backend(b)
-        b = bk.asarray(b)
-        x = bk.astype(bk.copy(b), bk.result_type(self.dtype, b))
+        b = np.asarray(b)
+        x = b.astype(np.result_type(self.dtype, b))
         columns = x.ndim == 2
         for rows, cols, vals, starts, diag in self._plan:
             if cols.size:
-                xc = bk.take(x, cols)
-                vals = bk.asarray(vals)
+                xc = x[cols]
                 prods = xc * vals[:, None] if columns else vals * xc
-                xr = bk.take(x, rows) - bk.segment_sum(prods, starts, axis=0)
+                xr = x[rows] - np.add.reduceat(prods, starts, axis=0)
             elif diag is None:
                 continue
             else:
-                xr = bk.take(x, rows)
+                xr = x[rows]
             if diag is not None:
-                diag = bk.asarray(diag)
                 xr = xr / (diag[:, None] if columns else diag)
-            bk.put(x, rows, xr)
+            x[rows] = xr
         return x
 
     # ------------------------------------------------------------------

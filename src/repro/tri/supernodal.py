@@ -14,8 +14,8 @@ Execution is batched the way the device kernel is: the supernodes of a
 level that share a width and a below-row count form one *class*, the
 diagonal blocks are inverted once at numeric time (as Kokkos-Kernels
 does), and a class runs as two stacked matrix products plus one
-accumulating scatter.  The dense kernels delegate to BLAS/LAPACK via the
-array backend -- exactly as the modelled solvers delegate to cuBLAS.
+accumulating scatter.  The dense kernels delegate to BLAS/LAPACK through
+numpy -- exactly as the modelled solvers delegate to cuBLAS.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import get_backend
 from repro.machine.kernels import KernelProfile
 
 __all__ = ["detect_supernodes", "SupernodeSchedule", "SupernodalTriangular"]
@@ -400,71 +399,65 @@ class SupernodalTriangular:
     def solve_forward(self, b: np.ndarray) -> np.ndarray:
         """Solve ``L x = b`` (1-D, or 2-D with one system per column).
 
-        Routed through the array backend of ``b``.  Per class: gather
-        the column slices, multiply by the inverted diagonal blocks,
-        multiply by the panels, and scatter-*accumulate* the updates --
-        same-level sibling supernodes may update the same parent row.
+        Per class: gather the column slices, multiply by the inverted
+        diagonal blocks, multiply by the panels, and scatter-*accumulate*
+        the updates -- same-level sibling supernodes may update the same
+        parent row.
         """
-        bk = get_backend(b)
-        xt = self._rows_of(bk, b)
+        xt = self._rows_of(b)
         for (_, _, cols, rows), stack, dinv in zip(
             self.schedule.classes, self._stacks, self._dinv
         ):
             w = cols.shape[1]
-            xs = bk.batched_matmul(
-                bk.asarray(dinv), bk.take(xt, cols, axis=1)[..., None]
-            )
-            bk.put(xt, cols, xs[..., 0], axis=1)
+            xs = dinv @ xt.take(cols, axis=1)[..., None]
+            xt[:, cols] = xs[..., 0]
             if rows.size:
-                upd = -bk.batched_matmul(bk.asarray(stack)[:, w:], xs)
+                upd = -(stack[:, w:] @ xs)
                 flat = rows.reshape(-1)
                 for j in range(xt.shape[0]):
-                    bk.scatter_add_into(xt[j], flat, upd[j].reshape(-1))
-        return self._columns_of(bk, xt, b)
+                    np.add.at(xt[j], flat, upd[j].reshape(-1))
+        return self._columns_of(xt, b)
 
     def solve_backward(self, b: np.ndarray) -> np.ndarray:
-        """Solve ``L^T x = b`` (1-D or 2-D ``b``); backend-routed."""
-        bk = get_backend(b)
-        xt = self._rows_of(bk, b)
+        """Solve ``L^T x = b`` (1-D or 2-D ``b``)."""
+        xt = self._rows_of(b)
         for (_, _, cols, rows), stack, dinv in zip(
             reversed(self.schedule.classes),
             reversed(self._stacks),
             reversed(self._dinv),
         ):
             w = cols.shape[1]
-            rhs = bk.take(xt, cols, axis=1)[..., None]
+            rhs = xt.take(cols, axis=1)[..., None]
             if rows.size:
-                panel_t = bk.asarray(stack)[:, w:].swapaxes(1, 2)
-                rhs = rhs - bk.batched_matmul(
-                    panel_t, bk.take(xt, rows, axis=1)[..., None]
-                )
-            xs = bk.batched_matmul(bk.asarray(dinv).swapaxes(1, 2), rhs)
-            bk.put(xt, cols, xs[..., 0], axis=1)
-        return self._columns_of(bk, xt, b)
+                panel_t = stack[:, w:].swapaxes(1, 2)
+                rhs = rhs - panel_t @ xt.take(rows, axis=1)[..., None]
+            xs = dinv.swapaxes(1, 2) @ rhs
+            xt[:, cols] = xs[..., 0]
+        return self._columns_of(xt, b)
 
-    def _rows_of(self, bk, b):
+    def _rows_of(self, b):
         """A fresh ``(k, n)`` working copy of ``b``: one system per row.
 
         Columns become contiguous rows so that a batch entry sees the
         same operand layout in a ``k``-column solve as in a 1-D one.
         """
-        b = bk.asarray(b)
-        dtype = bk.result_type(self.dtype, b)
+        b = np.asarray(b)
+        dtype = np.result_type(self.dtype, b)
         if b.ndim == 1:
-            return bk.astype(bk.copy(b), dtype)[None, :]
+            return b.astype(dtype)[None, :]
         cols = [b[:, j] for j in range(b.shape[1])]
         if not cols:
-            return bk.zeros((0, self.n), dtype=dtype)
-        return bk.astype(bk.stack(cols, axis=0), dtype)
+            return np.zeros((0, self.n), dtype=dtype)
+        return np.stack(cols, axis=0).astype(dtype, copy=False)
 
     @staticmethod
-    def _columns_of(bk, xt, b):
+    def _columns_of(xt, b):
         """Undo :meth:`_rows_of`: back to the shape of ``b``."""
         if len(b.shape) == 1:
             return xt[0]
         if xt.shape[0] == 0:
-            return bk.zeros(tuple(b.shape), dtype=bk.dtype_of(xt))
-        return bk.stack([xt[j] for j in range(xt.shape[0])], axis=1)
+            return np.zeros(tuple(b.shape), dtype=xt.dtype)
+        return np.stack([xt[j] for j in range(xt.shape[0])], axis=1)
 
     # ------------------------------------------------------------------
     def kernel_profile(self) -> KernelProfile:

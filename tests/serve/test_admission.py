@@ -7,7 +7,6 @@ import pytest
 from repro.serve.admission import (
     AdmissionConfig,
     AdmissionController,
-    Arrival,
     ArrivalTrace,
     ShardLoadEstimator,
     TokenBucket,

@@ -150,6 +150,54 @@ class TestHelpers:
         np.testing.assert_allclose(dense[2, cols], vals)
 
 
+class TestOperandShape:
+    """A mis-sized operand or ``out=`` raises ``ValueError`` naming the
+    kernel and both shapes, instead of a silently truncated result or a
+    bare ``IndexError`` from the column gather."""
+
+    @pytest.fixture
+    def a(self):
+        return random_csr(5, 7, seed=17)  # matvec takes 7 entries, rmatvec 5
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_matvec(self, a, delta):
+        with pytest.raises(ValueError, match=rf"matvec: operand shape \({7 + delta},\).*5x7"):
+            a.matvec(np.ones(7 + delta))
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_matmat(self, a, delta):
+        with pytest.raises(ValueError, match=rf"matmat: operand shape \({7 + delta}, 2\).*5x7"):
+            a.matmat(np.ones((7 + delta, 2)))
+
+    def test_matmat_rejects_three_dimensional_operand(self, a):
+        with pytest.raises(ValueError, match=r"matmat: operand shape \(7, 2, 2\)"):
+            a.matmat(np.ones((7, 2, 2)))
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    @pytest.mark.parametrize("columns", [None, 2])
+    def test_rmatvec(self, a, delta, columns):
+        y = np.ones(5 + delta if columns is None else (5 + delta, columns))
+        with pytest.raises(ValueError, match=r"rmatvec: operand shape .*5x7"):
+            a.rmatvec(y)
+
+    @pytest.mark.parametrize("size", [4, 6])
+    def test_matvec_out(self, a, size):
+        with pytest.raises(ValueError, match=rf"matvec: out shape \({size},\).*5x7"):
+            a.matvec(np.ones(7), out=np.zeros(size))
+
+    def test_square_operator_off_by_one(self):
+        a = random_csr(48, 48, seed=18, ensure_diag=True)
+        for call in (
+            lambda: a.matvec(np.ones(51)),
+            lambda: a.matvec(np.ones(47)),
+            lambda: a.rmatvec(np.ones(51)),
+            lambda: a.matmat(np.ones((51, 2))),
+            lambda: a.matvec(np.ones(48), out=np.zeros(50)),
+        ):
+            with pytest.raises(ValueError, match="48x48"):
+                call()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     m=st.integers(1, 12),

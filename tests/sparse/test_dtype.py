@@ -1,4 +1,4 @@
-"""Dtype-promotion regressions fixed by the backend sweep.
+"""Dtype-promotion regressions of the CSR value kernels.
 
 Two seed bugs are pinned here:
 
@@ -12,7 +12,7 @@ Two seed bugs are pinned here:
 import numpy as np
 import pytest
 
-from repro.sparse.csr import CsrMatrix
+from repro.sparse.csr import CsrMatrix, _check_out_dtype
 
 
 def small_csr(dtype=np.float64):
@@ -88,3 +88,12 @@ class TestPromotion:
         y = np.ones(3, dtype=np.float32)
         assert a.rmatvec(y).dtype == np.float32  # bincount would force f64
         np.testing.assert_allclose(a.rmatvec(y), a.todense().T @ y)
+
+
+class TestCheckOutDtype:
+    def test_safe_cast_passes(self):
+        _check_out_dtype(np.dtype(np.float64), np.dtype(np.float32), "k")
+
+    def test_downcast_raises(self):
+        with pytest.raises(TypeError, match="k"):
+            _check_out_dtype(np.dtype(np.float32), np.dtype(np.float64), "k")

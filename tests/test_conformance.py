@@ -109,14 +109,3 @@ def test_reuse_rungs_skip_the_cold_build(problem, updates, policy):
         assert again.trace.find(rung)
         assert not again.trace.find("setup/overlap")
     assert first.trace.find("setup/overlap")
-
-
-def test_backend_is_honoured_under_rank_loss_protection(problem):
-    from repro.backend import NumpyBackend
-
-    base = SolverSession(problem, partition=(2, 2, 1)).solve()
-    res = SolverSession(
-        problem, partition=(2, 2, 1), policy=FaultToleranceConfig(),
-        backend=NumpyBackend(),
-    ).solve()
-    assert np.array_equal(res.x, base.x)

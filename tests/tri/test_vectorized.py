@@ -9,7 +9,7 @@ is not a meaningful notion; any difference is a bug.
 import numpy as np
 import pytest
 
-from repro.bench.backend_bench import laplace_lower_structure, run_backend_bench
+from repro.bench.kernel_bench import laplace_lower_structure, run_kernel_bench
 from repro.ilu.fastilu import _diag_positions, _diag_positions_reference
 from repro.sparse.csr import CsrMatrix
 from repro.tri.levelset import _level_schedule_reference, level_schedule
@@ -110,7 +110,7 @@ class TestDiagPositions:
 
 class TestBenchHarness:
     def test_small_run_bit_identical(self):
-        report = run_backend_bench(nx=6, repeats=1)
+        report = run_kernel_bench(nx=6, repeats=1)
         assert report["violations"] == []  # speedup gate only at n >= 100k
         for rec in report["paths"].values():
             assert rec["bit_identical"]

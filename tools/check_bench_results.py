@@ -5,7 +5,7 @@ The modeled-clock benches are deterministic (seeded problems, model
 seconds), so a refactor that claims "same outputs" can prove it: each
 bench below is rerun with its CI command into a temporary directory and
 ``cmp``'d against the committed copy in ``benchmarks/results/``.
-``BENCH_backend.json`` and ``BENCH_wall.json`` hold wall seconds and are
+``BENCH_kernels.json`` and ``BENCH_wall.json`` hold wall seconds and are
 excluded.
 
 Run: ``python tools/check_bench_results.py [NAME ...]`` from the repo
