@@ -18,8 +18,8 @@ and the two ILU setup loops vectorised after it:
 
 Each is timed against its retained ``*_reference`` seed implementation
 on the same inputs and checked for bit-identical outputs.  The
-acceptance gate (enforced by ``python -m repro.bench --kernels`` and
-CI) is a >= 2x speedup on ``level_schedule`` at n >= 100k rows, the
+acceptance gate (enforced by ``python -m repro kernels`` and CI) is
+a >= 2x speedup on ``level_schedule`` at n >= 100k rows, the
 ``iluk_symbolic`` / ``scatter_to_pattern`` floors below at the same
 full size, plus exact equality everywhere.
 
@@ -49,7 +49,9 @@ from repro.sparse.csr import CsrMatrix
 from repro.tri.levelset import _level_schedule_reference, level_schedule
 from repro.tri.supernodal import _detect_supernodes_reference, detect_supernodes
 
-__all__ = ["laplace_lower_structure", "fastilu_blocks", "run_kernel_bench"]
+__all__ = [
+    "laplace_lower_structure", "fastilu_blocks", "run_kernel_bench", "summary"
+]
 
 #: the ISSUE acceptance floor: the de-looped scheduler must be at least
 #: this much faster than the seed loop at n >= 100k
@@ -234,3 +236,13 @@ def run_kernel_bench(nx: int = 48, repeats: int = 3) -> Dict:
         },
         "violations": violations,
     }
+
+
+def summary(doc: Dict) -> List[str]:
+    """One timing line per kernel."""
+    return [
+        f"{name:18s}: {rec['reference_seconds']:.3e}s -> "
+        f"{rec['vectorized_seconds']:.3e}s ({rec['speedup']:.1f}x, "
+        f"bit_identical={rec['bit_identical']})"
+        for name, rec in sorted(doc["paths"].items())
+    ]

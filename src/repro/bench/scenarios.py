@@ -46,6 +46,7 @@ __all__ = [
     "high_contrast",
     "nearly_incompressible_elasticity",
     "run_scenarios",
+    "summary",
 ]
 
 
@@ -327,3 +328,16 @@ def run_scenarios(
         "rows": rows,
         "violations": violations,
     }
+
+
+def summary(doc: Dict) -> List[str]:
+    """One GDSW-vs-spectral line per scenario."""
+    return [
+        f"{row['scenario']:34s}: gdsw "
+        f"{row['gdsw']['iterations']:4d} its (nc "
+        f"{row['gdsw']['n_coarse']}) vs spectral "
+        f"{row['spectral']['iterations']:4d} its (nc "
+        f"{row['spectral']['n_coarse']})"
+        f"{' [gated]' if row['gated'] else ''}"
+        for row in doc["rows"]
+    ]

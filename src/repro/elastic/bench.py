@@ -1,7 +1,8 @@
 """The elastic-chaos benchmark behind ``BENCH_elastic.json``.
 
-``python -m repro.elastic`` replays a seeded straggler + load-surge
-trace through :class:`~repro.serve.service.SolverService` twice:
+``python -m repro chaos --suite straggler`` replays a seeded
+straggler + load-surge trace through
+:class:`~repro.serve.service.SolverService` twice:
 
 * **static** -- the service eats the straggler: every batch inside the
   slow window is priced at the straggler's inflated critical path, the
@@ -36,7 +37,7 @@ from typing import Dict, List
 
 import numpy as np
 
-__all__ = ["run_elastic_bench"]
+__all__ = ["run_elastic_bench", "summary"]
 
 
 def _counters(service) -> Dict[str, float]:
@@ -243,3 +244,17 @@ def run_elastic_bench(
         },
         "violations": violations,
     }
+
+
+def summary(doc: dict) -> List[str]:
+    """Static vs elastic makespans and the staleness pricing."""
+    st, el = doc["static"], doc["elastic"]
+    return [
+        f"static   makespan {st['makespan_seconds']:.4f}s  "
+        f"slo-violations {st['slo_violation_rate']:.3f}",
+        f"elastic  makespan {el['makespan_seconds']:.4f}s  "
+        f"slo-violations {el['slo_violation_rate']:.3f}  "
+        f"scales {el['scale_events']}",
+        f"async    {doc['staleness']['async_seconds']:.4f}s vs "
+        f"sync {doc['staleness']['sync_seconds']:.4f}s",
+    ]

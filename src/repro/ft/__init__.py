@@ -22,8 +22,9 @@ implements the standard HPC recovery stack over it:
   :class:`RankLossProtection` threading all of the above through the
   session's one solve pipeline (:func:`solve_fault_tolerant` is the
   functional spelling);
-* ``python -m repro.ft`` -- the chaos matrix (kill-phase x strategy)
-  emitting ``BENCH_ft.json`` for the CI ``chaos-ft`` gate.
+* ``python -m repro chaos --suite rank`` -- the chaos matrix
+  (kill-phase x strategy) emitting ``BENCH_ft.json`` for the CI
+  ``chaos-ft`` gate.
 """
 
 from repro.ft.checkpoint import CheckpointStore

@@ -1,6 +1,6 @@
-"""Rank-loss chaos driver: the kill matrix as an executable check.
+"""Rank-loss chaos matrix: the kill matrix as an executable check.
 
-``PYTHONPATH=src python -m repro.ft`` sweeps kill-phase
+``python -m repro chaos --suite rank`` sweeps kill-phase
 (``setup`` / ``apply`` / ``reduce``) x recovery strategy
 (``shrink`` / ``respawn``) over a Laplace and a nearly-incompressible
 (``nu = 0.49``) elasticity problem, plus per problem:
@@ -11,22 +11,21 @@
 * a **fault-free** arm measuring the checkpoint overhead against the
   modeled solve time.
 
-Results land in ``BENCH_ft.json`` (``--out``); the CI ``chaos-ft`` job
-fails when any recovered arm misses the 1e-7 tolerance, any recovered
-arm needs more than twice the fault-free iterations, any control arm
-survives, or the fault-free checkpoint overhead exceeds 5% of the
-modeled solve time.  Exit status: 0 when every cell behaves.
+The CI ``chaos-ft`` job writes the document to ``BENCH_ft.json``
+(``--out``) and fails when any recovered arm misses the 1e-7
+tolerance, any recovered arm needs more than twice the fault-free
+iterations, any control arm survives, or the fault-free checkpoint
+overhead exceeds 5% of the modeled solve time; each such cell is one
+entry of the document's ``violations``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
+from typing import List
 
 import numpy as np
 
-__all__ = ["main", "run_matrix"]
+__all__ = ["run_matrix", "summary"]
 
 _RTOL = 1e-7
 #: kill op indexes a few operations into each phase, so setup kills
@@ -154,83 +153,51 @@ def _fault_free_cell(problem, baseline):
     }
 
 
-def run_matrix(which: str = "all", seed: int = 7, out=sys.stdout) -> dict:
+def _line(pname: str, rec: dict) -> str:
+    """The human line of one cell record."""
+    mark = "ok " if rec["ok"] else "BAD"
+    if "arm" not in rec:
+        return (
+            f"[{mark}] {pname:<10} kill@{rec['phase']:<6} "
+            f"{rec['strategy']:<7} status={rec['status']} "
+            f"iters={rec['iterations']}/{rec['baseline_iterations']} "
+            f"relres={rec['final_relres']:.2e}"
+        )
+    detail = rec.get("detail") or (
+        f"overhead={rec['checkpoint_overhead']:.2%} "
+        f"bit_identical={rec['bit_identical']}"
+    )
+    return f"[{mark}] {pname:<10} {rec['arm']:<16} {detail}"
+
+
+def run_matrix(problem: str = "all", seed: int = 7) -> dict:
     """Run the kill matrix; returns the BENCH_ft document."""
     from repro.ft.plan import PHASES
 
     doc = {"seed": int(seed), "rtol": _RTOL, "problems": {}}
-    bad = 0
-    for pname, problem in _problems(which):
-        baseline = _session(problem, False).solve()
-        cells = []
-        for phase in PHASES:
-            for strategy in ("shrink", "respawn"):
-                rec = _cell(problem, baseline.iterations, phase, strategy,
-                            seed)
-                cells.append(rec)
-                mark = "ok " if rec["ok"] else "BAD"
-                print(
-                    f"[{mark}] {pname:<10} kill@{phase:<6} {strategy:<7} "
-                    f"status={rec['status']} iters={rec['iterations']}"
-                    f"/{rec['baseline_iterations']} "
-                    f"relres={rec['final_relres']:.2e}",
-                    file=out,
-                )
-                bad += 0 if rec["ok"] else 1
-        for rec in (_control_cell(problem, seed),
-                    _fault_free_cell(problem, baseline)):
-            cells.append(rec)
-            mark = "ok " if rec["ok"] else "BAD"
-            arm = rec["arm"]
-            detail = rec.get("detail") or (
-                f"overhead={rec['checkpoint_overhead']:.2%} "
-                f"bit_identical={rec['bit_identical']}"
-            )
-            print(f"[{mark}] {pname:<10} {arm:<16} {detail}", file=out)
-            bad += 0 if rec["ok"] else 1
+    violations: List[str] = []
+    for pname, prob in _problems(problem):
+        baseline = _session(prob, False).solve()
+        cells = [
+            _cell(prob, baseline.iterations, phase, strategy, seed)
+            for phase in PHASES
+            for strategy in ("shrink", "respawn")
+        ]
+        cells.append(_control_cell(prob, seed))
+        cells.append(_fault_free_cell(prob, baseline))
+        violations.extend(_line(pname, c) for c in cells if not c["ok"])
         doc["problems"][pname] = {
             "baseline_iterations": int(baseline.iterations),
             "cells": cells,
         }
-    doc["bad"] = bad
+    doc["violations"] = violations
     return doc
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.ft",
-        description="run the deterministic rank-loss kill matrix",
-    )
-    parser.add_argument(
-        "--problem", choices=("laplace", "elasticity", "all"),
-        default="all", help="which problem family to kill (default: all)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=7, help="failure-plan seed (default: 7)"
-    )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="emit the matrix as JSON on stdout (human lines go to stderr)",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_ft.json",
-        help="benchmark document path (default: BENCH_ft.json)",
-    )
-    args = parser.parse_args(argv)
-    human = sys.stderr if args.json else sys.stdout
-    doc = run_matrix(which=args.problem, seed=args.seed, out=human)
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    if args.json:
-        json.dump(doc, sys.stdout, indent=2)
-        print()
-    if doc["bad"]:
-        print(f"{doc['bad']} kill cell(s) misbehaved", file=sys.stderr)
-        return 1
-    print("kill matrix clean", file=human)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def summary(doc: dict) -> List[str]:
+    """One line per cell."""
+    return [
+        _line(pname, c)
+        for pname, rec in doc["problems"].items()
+        for c in rec["cells"]
+    ]

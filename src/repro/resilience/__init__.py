@@ -14,9 +14,9 @@ stack survive them:
   on purpose so the ladder is testable;
 * :mod:`repro.resilience.engine` -- the ambient engine threading it all
   through the solver, plus the per-run :class:`HealthReport`;
-* ``python -m repro.resilience`` -- the chaos driver CI runs: every
-  fault kind on Laplace and elasticity, failing on any unrecovered
-  solve.
+* ``python -m repro chaos --suite precond`` -- the chaos matrix CI
+  runs (:mod:`repro.resilience.chaos`): every fault kind on Laplace
+  and elasticity, failing on any unrecovered solve.
 
 Typical use::
 

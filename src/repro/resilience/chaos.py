@@ -1,6 +1,6 @@
-"""Chaos driver: the fault matrix as an executable check.
+"""Chaos matrix: every preconditioner fault kind as an executable check.
 
-``PYTHONPATH=src python -m repro.resilience`` runs every fault kind of
+``python -m repro chaos --suite precond`` runs every fault kind of
 :data:`~repro.resilience.inject.FAULT_KINDS` against a Laplace and an
 elasticity problem, each under two arms:
 
@@ -12,19 +12,18 @@ elasticity problem, each under two arms:
   doing the work.
 
 The seeds are fixed, so the matrix is deterministic; the CI ``chaos``
-job runs this module and fails on any unrecovered (or unexpectedly
-healthy) cell.  Exit status: 0 when every cell behaves, 1 otherwise.
+job runs it and fails on any unrecovered (or unexpectedly healthy)
+cell, each of which is one entry of the document's ``violations``.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 import warnings
+from typing import List
 
 import numpy as np
 
-__all__ = ["main", "run_matrix"]
+__all__ = ["run_matrix", "summary"]
 
 #: per-kind rank the fault lands on (subdomain 1 exists in every 2x2x2 box)
 _FAULT_RANK = 1
@@ -98,78 +97,42 @@ def _run_cell(problem, kind: str, resilient: bool, seed: int, maxiter: int):
     return True, "fails as expected: " + detail
 
 
-def run_matrix(which: str = "all", seed: int = 7, maxiter: int = 1000,
-               control_maxiter: int = 150, out=sys.stdout,
-               records=None) -> int:
-    """Run the full fault matrix; returns the number of bad cells.
+def run_matrix(problem: str = "all", seed: int = 7, maxiter: int = 1000,
+               control_maxiter: int = 150) -> dict:
+    """Run the full fault matrix; returns the chaos document.
 
-    When ``records`` is a list, one dict per cell is appended to it
-    (the ``--json`` machine-readable output).
+    One record per cell under ``cells``; every misbehaving cell is also
+    one line of ``violations``.
     """
     from repro.resilience.inject import FAULT_KINDS
 
-    bad = 0
-    for pname, problem in _problems(which):
+    cells = []
+    violations: List[str] = []
+    for pname, prob in _problems(problem):
         for kind in FAULT_KINDS:
             for resilient in (True, False):
                 arm = "resilient" if resilient else "control"
                 ok, detail = _run_cell(
-                    problem, kind, resilient, seed,
+                    prob, kind, resilient, seed,
                     maxiter if resilient else control_maxiter,
                 )
-                mark = "ok " if ok else "BAD"
-                print(
-                    f"[{mark}] {pname:<10} {kind:<20} {arm:<9} {detail}",
-                    file=out,
-                )
-                if records is not None:
-                    records.append({
-                        "problem": pname,
-                        "fault": kind,
-                        "arm": arm,
-                        "ok": bool(ok),
-                        "detail": detail,
-                        "seed": int(seed),
-                    })
-                bad += 0 if ok else 1
-    return bad
+                cells.append({
+                    "problem": pname,
+                    "fault": kind,
+                    "arm": arm,
+                    "ok": bool(ok),
+                    "detail": detail,
+                    "seed": int(seed),
+                })
+                if not ok:
+                    violations.append(f"{pname} {kind} {arm}: {detail}")
+    return {"seed": int(seed), "cells": cells, "violations": violations}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.resilience",
-        description="run the deterministic fault-injection matrix",
-    )
-    parser.add_argument(
-        "--problem", choices=("laplace", "elasticity", "all"),
-        default="all", help="which problem family to fault (default: all)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=7, help="fault-plan seed (default: 7)"
-    )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="emit the matrix as JSON on stdout (human lines go to stderr)",
-    )
-    args = parser.parse_args(argv)
-    records = [] if args.json else None
-    out = sys.stderr if args.json else sys.stdout
-    bad = run_matrix(which=args.problem, seed=args.seed, out=out,
-                     records=records)
-    if args.json:
-        import json
-
-        json.dump(
-            {"seed": args.seed, "bad": bad, "cells": records},
-            sys.stdout, indent=2,
-        )
-        print()
-    if bad:
-        print(f"{bad} chaos cell(s) misbehaved", file=sys.stderr)
-        return 1
-    print("chaos matrix clean", file=out)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def summary(doc: dict) -> List[str]:
+    """One line per cell."""
+    return [
+        f"[{'ok ' if c['ok'] else 'BAD'}] {c['problem']:<10} "
+        f"{c['fault']:<20} {c['arm']:<9} {c['detail']}"
+        for c in doc["cells"]
+    ]

@@ -45,10 +45,7 @@ __all__ = [
 #: every action kind the resilience subsystem can record;
 #: ``rank_shrink`` / ``rank_respawn`` / ``interpolated_restart`` are the
 #: rank-loss rung (process death is beyond any local remedy -- the
-#: ladder's last resort, handled by :mod:`repro.ft`), and
-#: ``rank_scale_in`` / ``rank_scale_out`` are the *planned* analogues:
-#: the same merge/split repartitions invoked deliberately by the elastic
-#: scaling policy of :mod:`repro.elastic` rather than forced by a death
+#: ladder's last resort, handled by :mod:`repro.ft`)
 ACTION_KINDS = (
     "boost_damping",
     "diagonal_shift",
@@ -62,8 +59,6 @@ ACTION_KINDS = (
     "rank_shrink",
     "rank_respawn",
     "interpolated_restart",
-    "rank_scale_in",
-    "rank_scale_out",
 )
 
 #: the *service*-level rung above the solver ladder: what
@@ -72,7 +67,6 @@ ACTION_KINDS = (
 #: action taxonomy (docs/robustness.md tabulates both ladders together).
 SERVICE_ACTION_KINDS = (
     "shed",
-    "retry_backoff",
     "circuit_open",
     "degrade_rtol",
     "degrade_precision",

@@ -23,7 +23,7 @@ model has always *priced* this split
   :meth:`~repro.api.SolverSession.solve_sequence`.
 
 The k-solve sequence benchmark behind ``BENCH_reuse.json`` runs as
-``python -m repro.reuse`` (see :mod:`repro.reuse.bench`).
+``python -m repro reuse`` (see :mod:`repro.reuse.bench`).
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ Two invariants are asserted (and reported as ``violations``):
 2. iteration counts of the reused solves equal the cold counts solve by
    solve (the default reuse path is bit-identical).
 
-Run as ``python -m repro.reuse [--out BENCH_reuse.json]``; exits nonzero
+Run as ``python -m repro reuse [--out BENCH_reuse.json]``; exits nonzero
 on any violation so CI can gate on it.
 """
 
@@ -30,7 +30,7 @@ from typing import List, Optional
 
 import numpy as np
 
-__all__ = ["run_reuse_bench", "REUSE_KINDS"]
+__all__ = ["run_reuse_bench", "summary", "REUSE_KINDS"]
 
 #: local solver kinds benchmarked (Table I of the paper)
 REUSE_KINDS = ("tacho", "superlu", "iluk", "fastilu")
@@ -137,3 +137,15 @@ def run_reuse_bench(
         "kinds": kinds,
         "violations": violations,
     }
+
+
+def summary(doc: dict) -> List[str]:
+    """One amortization line per solver kind."""
+    return [
+        f"{kind:8s} "
+        f"({'reusable' if rec['symbolic_reusable'] else 're-symbolic'}): "
+        f"first {rec['first_setup_seconds']:.3e}s, "
+        f"amortized {min(rec['amortized_setup_seconds']):.3e}s, "
+        f"iters {rec['iterations']}"
+        for kind, rec in sorted(doc["kinds"].items())
+    ]

@@ -22,9 +22,9 @@ existing stack for them --
 * :mod:`repro.serve.guard` -- per-shard circuit breakers, seeded-
   backoff retries, the pressure-driven degradation ladder;
 * :mod:`repro.serve.bench` -- the tenant-count sweep behind
-  ``BENCH_serve.json`` (``python -m repro.serve --bench``);
+  ``BENCH_serve.json`` (``python -m repro serve``);
 * :mod:`repro.serve.overload` -- the overload chaos bench behind
-  ``BENCH_slo.json`` (``python -m repro.serve --overload``).
+  ``BENCH_slo.json`` (``python -m repro chaos --suite overload``).
 
 Quick start::
 

@@ -23,7 +23,7 @@ they fail:
    corresponding single-RHS GMRES count within
    :data:`~repro.krylov.block.BLOCK_ITERATION_TOLERANCE`.
 
-Run as ``python -m repro.serve --bench [--out BENCH_serve.json]``;
+Run as ``python -m repro serve [--out BENCH_serve.json]``;
 exits nonzero on any violation so CI can gate on it.
 """
 
@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.serve.overload import _percentile
 
-__all__ = ["run_serve_bench"]
+__all__ = ["run_serve_bench", "summary"]
 
 
 def _stream(service, fp, rhs_list, tenants):
@@ -174,3 +174,18 @@ def run_serve_bench(
         "tenants": by_tenants,
         "violations": violations,
     }
+
+
+def summary(doc: dict) -> List[str]:
+    """One throughput line per tenant count."""
+    lines = []
+    for t, rec in sorted(doc["tenants"].items(), key=lambda kv: int(kv[0])):
+        mm = rec["modes"]
+        lines.append(
+            f"t={t:>2s}: unbatched "
+            f"{mm['unbatched']['requests_per_second']:.2f} req/s, "
+            f"concurrent {mm['concurrent']['requests_per_second']:.2f}, "
+            f"batched {mm['batched']['requests_per_second']:.2f} "
+            f"(p99 {mm['batched']['p99_latency_seconds']:.3e}s)"
+        )
+    return lines

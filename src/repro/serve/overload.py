@@ -1,6 +1,6 @@
 """The overload chaos benchmark behind ``BENCH_slo.json``.
 
-``python -m repro.serve --overload`` replays seeded Poisson arrival
+``python -m repro chaos --suite overload`` replays seeded Poisson arrival
 traces (:class:`~repro.serve.admission.ArrivalTrace`) at 1--16x the
 service's calibrated capacity, with seeded *transient* solver faults
 injected (:class:`FaultInjector` -- a faulted batch raises; its retry
@@ -44,7 +44,9 @@ import numpy as np
 
 from repro.serve.guard import seeded_jitter
 
-__all__ = ["FaultInjector", "InjectedSolverFault", "run_overload_bench"]
+__all__ = [
+    "FaultInjector", "InjectedSolverFault", "run_overload_bench", "summary"
+]
 
 
 class InjectedSolverFault(RuntimeError):
@@ -349,3 +351,26 @@ def run_overload_bench(
         },
         "violations": violations,
     }
+
+
+def summary(doc: dict) -> List[str]:
+    """One guarded-vs-unguarded line per multiplier, then the 1x identity."""
+    lines = []
+    for m, arms in sorted(
+        doc["multipliers"].items(), key=lambda kv: float(kv[0])
+    ):
+        g, u = arms["guarded"], arms["unguarded"]
+        lines.append(
+            f"x{m:>2s}: violations guarded "
+            f"{g['slo_violation_rate']:.2f} vs unguarded "
+            f"{u['slo_violation_rate']:.2f}; goodput "
+            f"{g['goodput_rps']:.2f} vs {u['goodput_rps']:.2f} "
+            f"req/s; shed {g['shed_rate']:.2f}; retries {g['retries']}"
+        )
+    ident = doc["no_fault_identity"]
+    lines.append(
+        f"1x no-fault identity: identical={ident['identical']} "
+        f"sheds={ident['sheds']} retries={ident['retries']} "
+        f"degraded={ident['degraded_batches']}"
+    )
+    return lines

@@ -29,7 +29,7 @@ def _level_schedule_reference(t: CsrMatrix, lower: bool = True) -> np.ndarray:
 
     O(n) python-loop formulation; :func:`level_schedule` must match it
     bit for bit (``tests/tri/test_vectorized.py`` and ``python -m
-    repro.bench --kernels`` both compare against this).
+    repro kernels`` both compare against this).
     """
     n = t.n_rows
     level = np.zeros(n, dtype=np.int64)

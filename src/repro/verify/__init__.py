@@ -13,7 +13,7 @@ Three layers of defense against silently-wrong numbers:
   the communication counters the simulated MPI layer recorded.
 
 Entry points: ``SolverSession(problem, verify=True)`` runs the suite
-after every solve; ``python -m repro.verify`` runs it standalone for CI.
+after every solve; ``python -m repro verify`` runs it standalone for CI.
 """
 
 from repro.verify.cost_audit import AuditEntry, CostModelAudit, audit_cost_model

@@ -259,10 +259,8 @@ class TestSequenceProtection:
 
 class TestChaosMatrixSmoke:
     def test_laplace_column_clean(self, problem):
-        import io
+        from repro.resilience.chaos import run_matrix, summary
 
-        from repro.resilience.__main__ import run_matrix
-
-        buf = io.StringIO()
-        bad = run_matrix(which="laplace", seed=7, out=buf)
-        assert bad == 0, buf.getvalue()
+        doc = run_matrix(problem="laplace", seed=7)
+        assert all(c["ok"] for c in doc["cells"]), "\n".join(summary(doc))
+        assert doc["violations"] == []

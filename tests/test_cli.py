@@ -1,0 +1,132 @@
+"""``python -m repro``: one CLI, one emit path, shared flags.
+
+Runners are replaced by stubs returning a fixed document, so these
+tests exercise only the command line: parsing, where each output goes,
+and the exit status.
+"""
+
+import importlib
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+from repro.__main__ import CHAOS_SUITES, SUITES, main
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+SUBCOMMANDS = ("verify", "kernels", "scenarios", "reuse", "serve", "chaos")
+
+
+def _argv(suite):
+    if suite in CHAOS_SUITES:
+        return ["chaos", "--suite", suite]
+    return [suite]
+
+
+@pytest.fixture()
+def stub(monkeypatch):
+    """Replace every runner; records each call as (suite, kwargs)."""
+    stub = SimpleNamespace(calls=[], doc={"violations": [], "answer": 42})
+
+    for suite, (module_name, runner, _) in SUITES.items():
+        module = importlib.import_module(module_name)
+
+        def fake(_suite=suite, **kwargs):
+            stub.calls.append((_suite, kwargs))
+            return json.loads(json.dumps(stub.doc))
+
+        monkeypatch.setattr(module, runner, fake)
+        monkeypatch.setattr(module, "summary", lambda d: ["stub line"])
+    return stub
+
+
+def test_help_lists_the_six_subcommands():
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "--help"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in proc.stdout
+
+
+def test_chaos_offers_exactly_four_suites(capsys):
+    with pytest.raises(SystemExit):
+        main(["chaos", "--help"])
+    assert "{precond,rank,straggler,overload}" in capsys.readouterr().out
+    assert CHAOS_SUITES == ("precond", "rank", "straggler", "overload")
+    assert set(SUITES) == set(SUBCOMMANDS) - {"chaos"} | set(CHAOS_SUITES)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_json_stdout_is_pure_json(suite, stub, capsys):
+    assert main(_argv(suite) + ["--json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == stub.doc
+    assert f"[{suite}] stub line" in captured.err
+    assert [s for s, _ in stub.calls] == [suite]
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_exit_status_follows_violations(suite, stub, capsys):
+    stub.doc["violations"] = ["broken"]
+    assert main(_argv(suite)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"[{suite}] VIOLATION: broken" in captured.err
+    stub.doc["violations"] = []
+    assert main(_argv(suite)) == 0
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_files_only_with_out(suite, stub, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    main(_argv(suite) + ["--json"])
+    assert list(tmp_path.iterdir()) == []
+    main(_argv(suite) + ["--out", "doc.json"])
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+    text = (tmp_path / "doc.json").read_text()
+    assert text == json.dumps(stub.doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_shared_flags_reach_the_runners(stub):
+    main(["chaos", "--suite", "rank", "--seed", "3", "--problem", "laplace"])
+    main(["verify", "--problem", "elasticity", "--precisions", "double",
+          "--no-diff"])
+    main(["scenarios"])
+    main(["kernels"])
+    assert stub.calls == [
+        ("rank", {"problem": "laplace", "seed": 3}),
+        ("verify", {"problem": "elasticity", "precisions": ("double",),
+                    "diff": False}),
+        ("scenarios", {"seed": 7}),
+        ("kernels", {}),
+    ]
+
+
+def test_problem_rejected_where_it_does_not_apply(stub):
+    with pytest.raises(SystemExit):
+        main(["chaos", "--suite", "overload", "--problem", "laplace"])
+    assert stub.calls == []
+
+
+def test_one_main_module():
+    mains = sorted((REPO_ROOT / "src" / "repro").rglob("__main__.py"))
+    assert mains == [REPO_ROOT / "src" / "repro" / "__main__.py"]
+
+
+def test_no_per_package_module_commands_remain():
+    pattern = re.compile(r"-m\s+repro\.[a-z]")
+    stale = []
+    for top in ("docs", "src", ".claude"):
+        for path in sorted((REPO_ROOT / top).rglob("*")):
+            if path.is_file() and path.suffix in (".md", ".py"):
+                stale += [
+                    f"{path.relative_to(REPO_ROOT)}: {m.group()}"
+                    for m in pattern.finditer(path.read_text())
+                ]
+    assert not stale, "\n".join(stale)

@@ -31,11 +31,11 @@ RESULTS = REPO_ROOT / "benchmarks" / "results"
 #: bench name -> module arguments of its CI command (``--out`` appended);
 #: the ``bench`` matrix in .github/workflows/ci.yml runs the same lines
 BENCHES: Dict[str, List[str]] = {
-    "reuse": ["repro.reuse"],
-    "serve": ["repro.serve", "--bench"],
-    "slo": ["repro.serve", "--overload", "--seed", "0", "--json"],
-    "scenarios": ["repro.bench", "--scenarios", "--seed", "7"],
-    "elastic": ["repro.elastic", "--seed", "7"],
+    "reuse": ["repro", "reuse"],
+    "serve": ["repro", "serve"],
+    "slo": ["repro", "chaos", "--suite", "overload", "--seed", "0", "--json"],
+    "scenarios": ["repro", "scenarios", "--seed", "7"],
+    "elastic": ["repro", "chaos", "--suite", "straggler", "--seed", "7"],
 }
 
 
