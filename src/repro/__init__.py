@@ -68,7 +68,6 @@ from repro.ft import (
     FaultToleranceConfig,
     FtReport,
     RankFailedError,
-    RankFailurePlan,
 )
 from repro.krylov import ReduceCounter, SolveStatus, cg, gmres
 from repro.obs import Tracer, get_tracer, use_tracer
@@ -109,7 +108,6 @@ __all__ = [
     "OneLevelSchwarz",
     "PatternChangedError",
     "RankFailedError",
-    "RankFailurePlan",
     "ReduceCounter",
     "ResilienceConfig",
     "ReuseConfig",

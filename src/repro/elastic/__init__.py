@@ -23,9 +23,10 @@ pieces:
   makespan at zero SLO violations, while no-trigger runs stay
   bit-identical to plain solves.
 
-The straggler *fault model* itself lives with its rank-loss sibling in
-:class:`repro.ft.plan.StragglerPlan`; pricing in
-:mod:`repro.runtime.timings` (``rank_factors=`` / ``exclude_ranks=``).
+The straggler *fault model* itself is the ``slow_rank`` kind of the one
+seeded :class:`repro.resilience.inject.FaultPlan`, beside its
+``rank_loss`` sibling; pricing in :mod:`repro.runtime.timings`
+(``rank_factors=`` / ``exclude_ranks=``).
 """
 
 from repro.elastic.async_schwarz import (

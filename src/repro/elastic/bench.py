@@ -77,8 +77,8 @@ def run_elastic_bench(
     from repro.elastic.async_schwarz import async_solve_seconds, solve_async
     from repro.elastic.policy import ElasticConfig
     from repro.fem import laplace_3d
-    from repro.ft.plan import StragglerPlan
     from repro.krylov.gmres import gmres
+    from repro.resilience.inject import FaultPlan
     from repro.reuse import ArtifactCache, use_artifact_cache
     from repro.runtime.layout import JobLayout
     from repro.runtime.timings import block_iteration_seconds
@@ -153,17 +153,17 @@ def run_elastic_bench(
     )
     window_start = 4.0 * batch_seconds
     window = 60.0 * batch_seconds
-    plan = StragglerPlan.single(
-        rank=1, factor=straggler_factor,
+    plan = FaultPlan.single(
+        "slow_rank", rank=1, magnitude=straggler_factor,
         start=window_start, duration=window, seed=seed,
     )
     svc_static, resp_static = run_arm(
         problem, layout, surge_trace, deadline=deadline, seed=seed,
-        stragglers=plan,
+        fault_plan=plan,
     )
     svc_elastic, resp_elastic = run_arm(
         problem, layout, surge_trace, deadline=deadline, seed=seed,
-        stragglers=plan, elastic=elastic,
+        fault_plan=plan, elastic=elastic,
     )
     static = _arm_metrics(svc_static, resp_static, n_requests)
     elastic_arm = _arm_metrics(svc_elastic, resp_elastic, n_requests)

@@ -5,7 +5,8 @@ reactions.  It watches two signals:
 
 * per-rank modeled utilization -- the iteration-cost vector from
   :func:`~repro.runtime.timings.per_rank_iteration_seconds`, inflated
-  by the active :class:`~repro.ft.plan.StragglerPlan` factors; and
+  by the active ``slow_rank`` factors of the service's
+  :class:`~repro.resilience.inject.FaultPlan`; and
 * the backlog -- queued batches and the
   :class:`~repro.serve.load.ShardLoadEstimator`'s per-batch seconds.
 

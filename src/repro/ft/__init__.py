@@ -11,7 +11,8 @@ implements the standard HPC recovery stack over it:
   :class:`RankFailedError` on any op touching a dead rank; repaired by
   :meth:`~FaultTolerantComm.shrink` or
   :meth:`~FaultTolerantComm.respawn`;
-* :class:`RankFailurePlan` -- seeded, phase-keyed death schedules;
+* deaths are scheduled as ``rank_loss`` specs of the one seeded
+  :class:`~repro.resilience.inject.FaultPlan` (phase-keyed, fire once);
 * :class:`CheckpointStore` -- diskless in-memory checkpoints with
   neighbor (buddy) replication, priced as halo traffic;
 * :func:`~repro.ft.recovery.interpolated_restart` -- restart iterate
@@ -37,29 +38,16 @@ from repro.ft.driver import (
     RankLossProtection,
     solve_fault_tolerant,
 )
-from repro.ft.plan import (
-    PHASES,
-    RankFailure,
-    RankFailurePlan,
-    SlowRank,
-    StragglerPlan,
-)
 from repro.ft.recovery import (
     interpolated_restart,
     local_fingerprints,
-    rank_loss_action,
     repair_respawn,
     repair_shrink,
 )
 
 __all__ = [
-    "PHASES",
     "STRATEGIES",
     "CHECKPOINT_TAG",
-    "RankFailure",
-    "RankFailurePlan",
-    "SlowRank",
-    "StragglerPlan",
     "RankFailedError",
     "FaultTolerantComm",
     "CheckpointStore",
@@ -68,7 +56,6 @@ __all__ = [
     "FtReport",
     "RankLossProtection",
     "solve_fault_tolerant",
-    "rank_loss_action",
     "local_fingerprints",
     "repair_shrink",
     "repair_respawn",

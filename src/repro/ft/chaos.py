@@ -65,12 +65,14 @@ def _session(problem, ft_config):
 def _cell(problem, baseline_iters: int, phase: str, strategy: str,
           seed: int):
     """One protected kill cell; returns a record dict."""
-    from repro.ft import FaultToleranceConfig, RankFailurePlan
+    from repro.ft import FaultToleranceConfig
+    from repro.resilience.inject import FaultPlan
 
-    plan = RankFailurePlan.single(
-        _KILL_RANK, phase, _KILL_OPS[phase], seed=seed
+    plan = FaultPlan.single(
+        "rank_loss", _KILL_RANK, phase=phase,
+        occurrence=_KILL_OPS[phase], seed=seed,
     )
-    cfg = FaultToleranceConfig(plan=plan, strategy=strategy)
+    cfg = FaultToleranceConfig(fault_plan=plan, strategy=strategy)
     res = _session(problem, cfg).solve()
     recovered = bool(
         res.converged
@@ -100,16 +102,14 @@ def _cell(problem, baseline_iters: int, phase: str, strategy: str,
 
 def _control_cell(problem, seed: int):
     """Protection off: the death must take the solve down."""
-    from repro.ft import (
-        FaultToleranceConfig,
-        RankFailedError,
-        RankFailurePlan,
-    )
+    from repro.ft import FaultToleranceConfig, RankFailedError
+    from repro.resilience.inject import FaultPlan
 
-    plan = RankFailurePlan.single(
-        _KILL_RANK, "apply", _KILL_OPS["apply"], seed=seed
+    plan = FaultPlan.single(
+        "rank_loss", _KILL_RANK, phase="apply",
+        occurrence=_KILL_OPS["apply"], seed=seed,
     )
-    cfg = FaultToleranceConfig(plan=plan, protect=False)
+    cfg = FaultToleranceConfig(fault_plan=plan, protect=False)
     try:
         res = _session(problem, cfg).solve()
     except RankFailedError as err:
@@ -172,7 +172,7 @@ def _line(pname: str, rec: dict) -> str:
 
 def run_matrix(problem: str = "all", seed: int = 7) -> dict:
     """Run the kill matrix; returns the BENCH_ft document."""
-    from repro.ft.plan import PHASES
+    from repro.resilience.inject import PHASES
 
     doc = {"seed": int(seed), "rtol": _RTOL, "problems": {}}
     violations: List[str] = []

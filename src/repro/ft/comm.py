@@ -13,7 +13,8 @@ resumes.
 :class:`FaultTolerantComm` reproduces exactly that surface on top of a
 sequential :class:`~repro.runtime.simmpi.SimComm`:
 
-* a :class:`~repro.ft.plan.RankFailurePlan` kills ranks at chosen
+* the ``rank_loss`` specs of a
+  :class:`~repro.resilience.inject.FaultPlan` kill ranks at chosen
   (phase, op) points;
 * every ``send``/``recv``/``allreduce``/``barrier`` first polls the
   plan, then raises :class:`RankFailedError` -- naming the dead ranks,
@@ -36,9 +37,8 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.ft.plan import PHASES, RankFailurePlan
 from repro.obs import get_tracer, use_tracer
-from repro.resilience.inject import FaultEvent
+from repro.resilience.inject import PHASES, FaultEvent, FaultPlan
 from repro.runtime.simmpi import SimComm
 
 __all__ = ["RankFailedError", "FaultTolerantComm", "CHECKPOINT_TAG"]
@@ -79,9 +79,12 @@ class FaultTolerantComm:
     ----------
     size:
         Initial rank count.
-    plan:
-        Scheduled deaths (:class:`~repro.ft.plan.RankFailurePlan`);
-        None never kills (but :meth:`kill` still works for tests).
+    fault_plan:
+        Scheduled deaths (the ``rank_loss`` specs of a
+        :class:`~repro.resilience.inject.FaultPlan`); None never kills
+        (but :meth:`kill` still works for tests).  A spec naming a rank
+        outside the communicator raises ``ValueError``: it could never
+        fire.
 
     Attributes
     ----------
@@ -100,10 +103,16 @@ class FaultTolerantComm:
         keys.
     """
 
-    def __init__(self, size: int, plan: Optional[RankFailurePlan] = None) -> None:
+    def __init__(self, size: int, fault_plan: Optional[FaultPlan] = None) -> None:
+        for spec in fault_plan.faults if fault_plan is not None else ():
+            if spec.kind == "rank_loss" and spec.rank >= size:
+                raise ValueError(
+                    f"{spec.describe()}: rank {spec.rank} is outside the "
+                    f"communicator of size {size}"
+                )
         self.base = SimComm(size)
         self.alive: List[bool] = [True] * size
-        self.plan = plan
+        self.fault_plan = fault_plan
         self.phase = "setup"
         self._phase_ops = {p: 0 for p in PHASES}
         self.failures: List[FaultEvent] = []
@@ -158,8 +167,8 @@ class FaultTolerantComm:
         """Advance the phase op counter and fire any due deaths."""
         idx = self._phase_ops[self.phase]
         self._phase_ops[self.phase] = idx + 1
-        if self.plan is not None:
-            for rank in self.plan.due(self.phase, idx):
+        if self.fault_plan is not None:
+            for rank in self.fault_plan.due(self.phase, idx):
                 self.kill(rank)
 
     def _raise_failed(self, op: str) -> None:

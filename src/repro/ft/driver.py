@@ -9,7 +9,8 @@ coarse-residual allreduce through a
 its values through one fault-tolerant ``allreduce``, and the setup phase
 replays the overlap import -- so a scheduled process death surfaces
 exactly where a distributed run would see it, as a
-:class:`~repro.ft.comm.RankFailedError` in the phase the plan names.
+:class:`~repro.ft.comm.RankFailedError` in the phase a ``rank_loss``
+spec of the :class:`~repro.resilience.inject.FaultPlan` names.
 
 The restart loop (:func:`repro.krylov.driver.solve_with_restarts`)
 catches the error and calls :meth:`RankLossProtection.recover`, which
@@ -53,11 +54,9 @@ import numpy as np
 from repro.dd.wrapper import OperatorWrapper, unwrap
 from repro.ft.checkpoint import CheckpointStore
 from repro.ft.comm import FaultTolerantComm, RankFailedError
-from repro.ft.plan import RankFailurePlan
 from repro.ft.recovery import (
     interpolated_restart,
     local_fingerprints,
-    rank_loss_action,
     repair_respawn,
     repair_shrink,
 )
@@ -66,7 +65,8 @@ from repro.krylov.status import SolveStatus
 from repro.obs import get_tracer
 from repro.resilience.detect import KrylovGuard
 from repro.resilience.engine import HealthReport
-from repro.resilience.policy import RecoveryAction
+from repro.resilience.inject import FaultPlan
+from repro.resilience.policy import RecoveryAction, RecoveryPolicy
 
 __all__ = [
     "STRATEGIES",
@@ -92,9 +92,10 @@ class FaultToleranceConfig:
 
     Attributes
     ----------
-    plan:
-        Scheduled deaths (:class:`~repro.ft.plan.RankFailurePlan`);
-        None runs fully protected but fault-free.
+    fault_plan:
+        Scheduled deaths (the ``rank_loss`` specs of a
+        :class:`~repro.resilience.inject.FaultPlan`); None runs fully
+        protected but fault-free.
     strategy:
         ``"shrink"`` merges a dead subdomain into a neighbor and
         continues with fewer ranks; ``"respawn"`` replaces the dead
@@ -110,7 +111,7 @@ class FaultToleranceConfig:
         Recovery budget; one more failure than this raises.
     """
 
-    plan: Optional[RankFailurePlan] = None
+    fault_plan: Optional[FaultPlan] = None
     strategy: str = "shrink"
     checkpoint_interval: int = 5
     protect: bool = True
@@ -333,7 +334,7 @@ class RankLossProtection(Protection):
 
     @property
     def injecting(self) -> bool:
-        return self.config.plan is not None
+        return self.config.fault_plan is not None
 
     @contextmanager
     def context(self):
@@ -367,7 +368,7 @@ class RankLossProtection(Protection):
         ft = self.config
         dec = unwrap(operator).dec
         if self.comm is None:
-            self.comm = FaultTolerantComm(dec.n_subdomains, plan=ft.plan)
+            self.comm = FaultTolerantComm(dec.n_subdomains, ft.fault_plan)
             self.ft_op = FtOperator(operator, self.comm)
         else:
             self.ft_op.rebind(operator)
@@ -443,7 +444,9 @@ class RankLossProtection(Protection):
                     f"rank(s) {dead} lost during {err.phase}; respawned "
                     f"replacement(s): " + "; ".join(lines)
                 )
-            self.actions.append(rank_loss_action(dead, ft.strategy, detail))
+            self.actions.append(
+                RecoveryPolicy().rank_loss_rung(dead, ft.strategy, detail)
+            )
             ft_op.rebind(operator)
             # 4. the repair's own communication (can re-fail)
             _setup_exchange(ft_op, comm)

@@ -36,32 +36,14 @@ import numpy as np
 from repro.dd.wrapper import unwrap
 from repro.ft.checkpoint import CheckpointStore
 from repro.obs import get_tracer
-from repro.resilience.policy import RecoveryAction, RecoveryPolicy
 from repro.reuse.fingerprint import values_fingerprint
 
 __all__ = [
-    "rank_loss_action",
     "local_fingerprints",
     "repair_shrink",
     "repair_respawn",
     "interpolated_restart",
 ]
-
-
-def rank_loss_action(
-    dead: List[int], strategy: str, detail: str = ""
-) -> RecoveryAction:
-    """The rank-loss rung of the escalation ladder as a recorded action.
-
-    Delegates the rung semantics (kind, default wording) to
-    :meth:`repro.resilience.policy.RecoveryPolicy.rank_loss_rung` so the
-    ladder lives in one place; ``detail`` overrides the wording with
-    run-specific context.
-    """
-    action = RecoveryPolicy().rank_loss_rung(dead, strategy)
-    if detail:
-        action = RecoveryAction(action.kind, action.rank, detail)
-    return action
 
 
 def local_fingerprints(operator) -> List[str]:

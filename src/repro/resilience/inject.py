@@ -22,13 +22,28 @@ Two additional kinds target the simulated MPI layer directly
 (``msg_drop`` / ``msg_corrupt``: drop or corrupt a matched
 ``(src, dst, tag)`` halo message in :class:`~repro.runtime.simmpi.SimComm`).
 
-Every fault that actually fires is recorded as a :class:`FaultEvent`
-(and counted on the ambient tracer as ``resilience_faults``), so a
-health report can state exactly what was injected where.
+Two more describe the process itself (:data:`RANK_FAULT_KINDS`):
+
+* ``rank_loss`` -- the rank dies at the ``occurrence``-th communication
+  op of solver ``phase`` (one of :data:`PHASES`);
+  :class:`~repro.ft.comm.FaultTolerantComm` polls :meth:`FaultPlan.due`;
+* ``slow_rank`` -- the rank's kernel and message times inflate by
+  ``magnitude`` for the model-time window ``[start, start + duration)``;
+  pricing reads :meth:`FaultPlan.factor_at`
+  (:mod:`repro.runtime.timings` ``rank_factors=``), ``SimComm`` tallies
+  ``delayed`` messages via :meth:`FaultPlan.is_slow_channel`, and
+  :mod:`repro.elastic` scales around the slow host.
+
+Every preconditioner or message fault that actually fires is recorded
+as a :class:`FaultEvent` (and counted on the ambient tracer as
+``resilience_faults``), so a health report can state exactly what was
+injected where.  A rank loss is recorded by the communicator that
+suffers it (``ft_failures``), a slowdown by the pricing it inflates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -36,7 +51,15 @@ import numpy as np
 
 from repro.obs import get_tracer
 
-__all__ = ["FAULT_KINDS", "COMM_FAULT_KINDS", "FaultSpec", "FaultEvent", "FaultPlan"]
+__all__ = [
+    "FAULT_KINDS",
+    "COMM_FAULT_KINDS",
+    "RANK_FAULT_KINDS",
+    "PHASES",
+    "FaultSpec",
+    "FaultEvent",
+    "FaultPlan",
+]
 
 #: session-injectable fault kinds (the CI chaos matrix iterates these)
 FAULT_KINDS = (
@@ -48,6 +71,14 @@ FAULT_KINDS = (
 )
 #: faults injected directly into the simulated MPI communicator
 COMM_FAULT_KINDS = ("msg_drop", "msg_corrupt")
+#: faults of a whole rank: its death, or a window of slowness
+RANK_FAULT_KINDS = ("rank_loss", "slow_rank")
+
+#: the solver phases a ``rank_loss`` can be scheduled in:
+#: ``setup`` -- during preconditioner construction (overlap import);
+#: ``apply`` -- during a preconditioner application (halo exchange /
+#: coarse allreduce); ``reduce`` -- during a Krylov global reduction.
+PHASES = ("setup", "apply", "reduce")
 
 _DEFAULT_MAGNITUDE = {
     "halo_corrupt": 0.5,  # fraction of halo entries overwritten with NaN
@@ -70,10 +101,14 @@ class FaultSpec:
     Attributes
     ----------
     kind:
-        One of :data:`FAULT_KINDS` or :data:`COMM_FAULT_KINDS`.
+        One of :data:`FAULT_KINDS`, :data:`COMM_FAULT_KINDS` or
+        :data:`RANK_FAULT_KINDS`.
     rank:
-        Target subdomain (setup/apply faults) or destination rank
-        (comm faults).
+        Target subdomain (setup/apply faults), destination rank (comm
+        faults), the rank that dies (``rank_loss``, in the
+        communicator's numbering when it fires) or the physical host
+        that slows down (``slow_rank``; elastic repartitions remap
+        subdomains over hosts).
     at_apply:
         Preconditioner-apply index at which an apply-time fault first
         fires (a few healthy applies first, so recovery has a finite
@@ -85,10 +120,18 @@ class FaultSpec:
         ``precond_nan``/``precision_overflow``/comm faults.
     magnitude:
         Kind-specific severity (see :data:`_DEFAULT_MAGNITUDE`); None
-        selects the default.
+        selects the default.  For ``slow_rank`` it is the slowdown
+        factor, required and ``>= 1``.
     src, tag, occurrence:
         Comm-fault channel selector: the ``occurrence``-th message on
-        ``(src, rank, tag)`` is dropped/corrupted.
+        ``(src, rank, tag)`` is dropped/corrupted.  For ``rank_loss``,
+        ``occurrence`` is the zero-based op index within ``phase``
+        (counted over the whole run, across restarts).
+    phase:
+        ``rank_loss`` only: one of :data:`PHASES`.
+    start, duration:
+        ``slow_rank`` only: the window in model seconds on the consuming
+        run's clock (``math.inf`` duration: a permanent degradation).
     """
 
     kind: str
@@ -99,14 +142,39 @@ class FaultSpec:
     src: int = 0
     tag: int = 0
     occurrence: int = 0
+    phase: Optional[str] = None
+    start: float = 0.0
+    duration: float = math.inf
 
     def __post_init__(self) -> None:
-        valid = FAULT_KINDS + COMM_FAULT_KINDS
+        valid = FAULT_KINDS + COMM_FAULT_KINDS + RANK_FAULT_KINDS
         if self.kind not in valid:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; valid kinds: "
                 + ", ".join(repr(k) for k in valid)
             )
+        for name in ("rank", "occurrence", "at_apply"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{self.kind} fault: {name} must be >= 0, "
+                    f"got {getattr(self, name)}"
+                )
+        if self.kind == "rank_loss" and self.phase not in PHASES:
+            raise ValueError(
+                f"unknown failure phase {self.phase!r}; valid phases: "
+                + ", ".join(repr(p) for p in PHASES)
+            )
+        if self.kind == "slow_rank":
+            if self.magnitude is None or self.magnitude < 1.0:
+                raise ValueError(
+                    f"slowdown factor must be >= 1, got {self.magnitude}"
+                )
+            if self.start < 0.0:
+                raise ValueError(f"start must be >= 0, got {self.start}")
+            if self.duration <= 0.0:
+                raise ValueError(
+                    f"duration must be positive, got {self.duration}"
+                )
 
     @property
     def severity(self) -> float:
@@ -123,6 +191,18 @@ class FaultSpec:
         if self.repeat is not None:
             return bool(self.repeat)
         return self.kind in ("halo_corrupt", "pivot_breakdown", "fastilu_divergence")
+
+    def describe(self) -> str:
+        """One-line description of this fault."""
+        if self.kind == "rank_loss":
+            return f"rank {self.rank} dies at {self.phase} op {self.occurrence}"
+        if self.kind == "slow_rank":
+            return (
+                f"rank {self.rank} x{self.magnitude:g} for "
+                + ("ever" if math.isinf(self.duration) else f"{self.duration:g}s")
+                + f" from t={self.start:g}"
+            )
+        return f"{self.kind}@rank{self.rank}"
 
 
 @dataclass(frozen=True)
@@ -162,9 +242,7 @@ class FaultPlan:
 
     def describe(self) -> str:
         """One-line summary for traces and reports."""
-        return ", ".join(
-            f"{f.kind}@rank{f.rank}" for f in self.faults
-        ) or "(empty)"
+        return "; ".join(f.describe() for f in self.faults) or "(empty)"
 
     # ------------------------------------------------------------------
     def _record(self, spec: FaultSpec, detail: str) -> None:
@@ -284,13 +362,7 @@ class FaultPlan:
         return 1.0
 
     # -- comm faults (SimComm) -----------------------------------------
-    def _comm_match(self, kind: str, src: int, dst: int, tag: int):
-        # seen-counts are keyed by kind as well as channel: a single send
-        # consults both msg_drop and msg_corrupt, and each consultation
-        # must observe the same occurrence index.
-        key = (src, dst, tag)
-        seen = self._comm_seen.get((kind, key), 0)
-        self._comm_seen[(kind, key)] = seen + 1
+    def _comm_match(self, kind: str, key: Tuple[int, int, int], seen: int):
         for spec in self.faults:
             if spec.kind != kind:
                 continue
@@ -301,22 +373,28 @@ class FaultPlan:
             return spec
         return None
 
-    def should_drop(self, src: int, dst: int, tag: int) -> bool:
-        """Consume one send; True when a ``msg_drop`` fault eats it."""
-        spec = self._comm_match("msg_drop", src, dst, tag)
-        if spec is None:
-            return False
-        self._record(
-            spec, f"dropped message {spec.occurrence} on channel "
-            f"(src={src}, dst={dst}, tag={tag})"
-        )
-        return True
+    def on_send(self, src: int, dst: int, tag: int, payload):
+        """Consume one send; returns ``(dropped, payload)``.
 
-    def corrupt_payload(self, src: int, dst: int, tag: int, payload):
-        """Corrupt a matched ``msg_corrupt`` payload (NaN overwrite)."""
-        spec = self._comm_match("msg_corrupt", src, dst, tag)
+        One occurrence counter per ``(src, dst, tag)`` channel counts
+        every send, dropped or not, so a ``msg_drop`` never shifts the
+        message a later ``msg_corrupt`` targets.  A drop pre-empts a
+        corruption matched on the same message; a matched ``msg_corrupt``
+        NaN-overwrites half of an array payload.
+        """
+        key = (src, dst, tag)
+        seen = self._comm_seen.get(key, 0)
+        self._comm_seen[key] = seen + 1
+        spec = self._comm_match("msg_drop", key, seen)
+        if spec is not None:
+            self._record(
+                spec, f"dropped message {seen} on channel "
+                f"(src={src}, dst={dst}, tag={tag})"
+            )
+            return True, payload
+        spec = self._comm_match("msg_corrupt", key, seen)
         if spec is None or not isinstance(payload, np.ndarray):
-            return payload
+            return False, payload
         payload = payload.copy()
         flat = payload.reshape(-1)
         k = max(1, flat.size // 2)
@@ -324,9 +402,60 @@ class FaultPlan:
         flat[pick] = np.nan
         self._record(
             spec, f"corrupted {k}/{flat.size} values of message "
-            f"{spec.occurrence} on channel (src={src}, dst={dst}, tag={tag})"
+            f"{seen} on channel (src={src}, dst={dst}, tag={tag})"
         )
-        return payload
+        return False, payload
+
+    # -- rank faults ----------------------------------------------------
+    def due(self, phase: str, op_index: int) -> List[int]:
+        """Ranks whose ``rank_loss`` triggers at this phase op.
+
+        Each spec fires once.  Nothing is recorded here: the
+        communicator that kills the rank owns the event and the
+        ``ft_failures`` count.
+        """
+        return [
+            spec.rank
+            for spec in self.faults
+            if spec.kind == "rank_loss"
+            and spec.phase == phase
+            and spec.occurrence == op_index
+            and self._armed(spec, ("rank_loss",))
+        ]
+
+    def factor_at(self, rank: int, t: float) -> float:
+        """Slowdown factor of ``rank`` at model time ``t`` (1.0 if healthy).
+
+        Windows are half-open, ``[start, start + duration)``; overlapping
+        windows on one rank compose by taking the worst (largest) factor.
+        """
+        factor = 1.0
+        for spec in self.faults:
+            if (
+                spec.kind == "slow_rank"
+                and spec.rank == rank
+                and spec.start <= t < spec.start + spec.duration
+            ):
+                factor = max(factor, spec.magnitude)
+        return factor
+
+    @property
+    def slow_ranks(self) -> List[int]:
+        """Distinct ranks with at least one ``slow_rank`` window (sorted)."""
+        return sorted({f.rank for f in self.faults if f.kind == "slow_rank"})
+
+    def is_slow_channel(self, src: int, dst: int, tag: int) -> bool:
+        """Whether a message on ``(src, dst, tag)`` touches a slow rank.
+
+        :class:`~repro.runtime.simmpi.SimComm` consults this on every
+        delivered send to tally ``delayed`` messages -- the op-count
+        evidence that the straggler's traffic really crosses the
+        channels the pricing inflates.  Window timing is ignored here:
+        the sequential simulator has no clock, so any planned window
+        marks the rank's channels.
+        """
+        slow = self.slow_ranks
+        return src in slow or dst in slow
 
     # ------------------------------------------------------------------
     def reset(self) -> "FaultPlan":

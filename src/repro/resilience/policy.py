@@ -177,7 +177,7 @@ class RecoveryPolicy:
         return LadderState(rank=rank, spec=spec)
 
     def rank_loss_rung(
-        self, dead_ranks, strategy: str = "shrink"
+        self, dead_ranks, strategy: str = "shrink", detail: str = ""
     ) -> RecoveryAction:
         """The ladder's terminal rung: the process itself is gone.
 
@@ -185,7 +185,9 @@ class RecoveryPolicy:
         a rank loss skips straight past them.  ``strategy`` selects the
         :mod:`repro.ft` repair (``"shrink"`` merges the dead subdomain
         into a neighbor, ``"respawn"`` rebuilds it from checkpoint) and
-        the returned action records the decision for the health report.
+        the returned action records the decision for the health report;
+        ``detail`` overrides its default wording with run-specific
+        context.
         """
         if strategy not in ("shrink", "respawn"):
             raise ValueError(
@@ -197,7 +199,8 @@ class RecoveryPolicy:
         return RecoveryAction(
             kind,
             dead[0] if dead else -1,
-            f"rank(s) {dead} lost (beyond local remedies); repairing the "
+            detail
+            or f"rank(s) {dead} lost (beyond local remedies); repairing the "
             f"communicator and preconditioner by {strategy}",
         )
 

@@ -55,14 +55,15 @@ class SimComm:
     A :class:`~repro.resilience.inject.FaultPlan` attached as
     ``fault_plan`` lets tests drop (``msg_drop``) or NaN-corrupt
     (``msg_corrupt``) selected messages at the send side; ``dropped``
-    counts the messages a fault ate.
+    counts the messages a fault ate.  The plan is asked once per send,
+    so both kinds count occurrences on the same per-channel counter.
 
-    A :class:`~repro.ft.plan.StragglerPlan` attached as ``slow_plan``
-    tallies ``delayed`` for every message whose channel touches a slow
-    rank.  Payloads are never altered (a straggler is late, not wrong);
-    the counter is the op-count evidence that the traffic the pricing
-    layer inflates (``rank_factors=`` in :mod:`repro.runtime.timings`)
-    actually crosses the slow rank's channels.
+    The same plan's ``slow_rank`` specs tally ``delayed`` for every
+    delivered message whose channel touches a slow rank.  Payloads are
+    never altered (a straggler is late, not wrong); the counter is the
+    op-count evidence that the traffic the pricing layer inflates
+    (``rank_factors=`` in :mod:`repro.runtime.timings`) actually crosses
+    the slow rank's channels.
     """
 
     size: int
@@ -75,7 +76,6 @@ class SimComm:
     dropped: int = 0
     delayed: int = 0
     fault_plan: Optional[Any] = None
-    slow_plan: Optional[Any] = None
     _queues: Dict[Tuple[int, int, int], Deque[Any]] = field(default_factory=dict)
     _channel_doubles: Dict[Tuple[int, int], int] = field(default_factory=dict)
 
@@ -116,16 +116,14 @@ class SimComm:
         self._check_rank(src, op="send", src=src, dst=dst, tag=tag)
         self._check_rank(dst, op="send", src=src, dst=dst, tag=tag)
         if self.fault_plan is not None:
-            if self.fault_plan.should_drop(src, dst, tag):
+            dropped, payload = self.fault_plan.on_send(src, dst, tag, payload)
+            if dropped:
                 self.dropped += 1
                 self.sends += 1
                 return
-            payload = self.fault_plan.corrupt_payload(src, dst, tag, payload)
-        if self.slow_plan is not None and self.slow_plan.is_slow_channel(
-            src, dst, tag
-        ):
-            self.delayed += 1
-            get_tracer().count("delayed_messages", 1.0)
+            if self.fault_plan.is_slow_channel(src, dst, tag):
+                self.delayed += 1
+                get_tracer().count("delayed_messages", 1.0)
         self._queues.setdefault((src, dst, tag), deque()).append(payload)
         self.sends += 1
         nbytes = int(payload.nbytes) if isinstance(payload, np.ndarray) else 0

@@ -182,7 +182,7 @@ def trace_solver(
 
     ``rank_factors`` (optional, one multiplier >= 1 per rank) inflates a
     rank's setup and per-iteration seconds before the max -- the
-    straggler fault model of :class:`~repro.ft.plan.StragglerPlan`
+    ``slow_rank`` faults of a :class:`~repro.resilience.inject.FaultPlan`
     priced onto the critical path.  None is the healthy default and
     changes nothing.
 

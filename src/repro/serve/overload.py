@@ -175,7 +175,7 @@ def _run_arm(
     """Serve one bound trace on a fresh service; returns (service, responses).
 
     ``service_options`` go to :class:`SolverService` (``admission=``,
-    ``guard=``, ``elastic=``, ``stragglers=``, ``max_batch=``).
+    ``guard=``, ``elastic=``, ``fault_plan=``, ``max_batch=``).
     """
     from repro.reuse import ArtifactCache, use_artifact_cache
     from repro.serve.request import SolveRequest

@@ -149,12 +149,13 @@ class SolverService:
         capacity scales in.  Every repartition is billed on the modeled
         clock and gated on projected relief.  None (default) keeps the
         static rank pool -- bit-identical to the pre-elastic service.
-    stragglers:
-        :class:`~repro.ft.plan.StragglerPlan` pricing seeded slow-rank
-        windows onto the modeled clock (setup and per-iteration costs
-        inflate while a window is active).  Works with or without
-        ``elastic=``: without, the service simply eats the slowdown
-        (the static arm of the elastic benchmark).
+    fault_plan:
+        :class:`~repro.resilience.inject.FaultPlan` whose ``slow_rank``
+        specs price seeded slow-rank windows onto the modeled clock
+        (setup and per-iteration costs inflate while a window is
+        active).  Works with or without ``elastic=``: without, the
+        service simply eats the slowdown (the static arm of the elastic
+        benchmark).
     """
 
     def __init__(
@@ -167,7 +168,7 @@ class SolverService:
         guard: Optional[GuardConfig] = None,
         fault_injector: Optional[Callable] = None,
         elastic: "Optional[object]" = None,
-        stragglers: "Optional[object]" = None,
+        fault_plan: "Optional[object]" = None,
     ) -> None:
         if layout is None:
             from repro.bench.harness import model_machine
@@ -210,7 +211,7 @@ class SolverService:
         self._pending_shed: List[SolveResponse] = []
         # -- elastic runtime state -------------------------------------
         self._elastic = elastic
-        self._stragglers = stragglers
+        self._fault_plan = fault_plan
         #: scale-out / scale-in / scale-around actions executed
         self.scale_outs = 0
         self.scale_ins = 0
@@ -220,7 +221,7 @@ class SolverService:
         self._scalers: Dict[Tuple, object] = {}
         self._shard_layouts: Dict[Tuple, JobLayout] = {}
         # per-shard map: subdomain index -> physical host id (the
-        # StragglerPlan describes hosts; repartitions remap subdomains)
+        # slow_rank faults name hosts; repartitions remap subdomains)
         self._rank_hosts: Dict[Tuple, List[int]] = {}
         self._autoscaled: set = set()
 
@@ -478,14 +479,14 @@ class SolverService:
         splits.  All-healthy returns None so the healthy pricing path is
         byte-for-byte the pre-straggler one.
         """
-        if self._stragglers is None:
+        if self._fault_plan is None:
             return None
         hosts = self._rank_hosts.get(shard)
         if hosts is None or len(hosts) != n_ranks:
             hosts = list(range(n_ranks))
             self._rank_hosts[shard] = hosts
         factors = np.array(
-            [self._stragglers.factor_at(h, t) for h in hosts],
+            [self._fault_plan.factor_at(h, t) for h in hosts],
             dtype=np.float64,
         )
         if np.all(factors == 1.0):
@@ -558,7 +559,7 @@ class SolverService:
             if final.kind == "scale_out":
                 fresh = max(
                     hosts
-                    + (self._stragglers.ranks if self._stragglers else [])
+                    + (self._fault_plan.slow_ranks if self._fault_plan else [])
                 ) + 1
                 hosts = hosts + [fresh]
                 self.scale_outs += 1

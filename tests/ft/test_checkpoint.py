@@ -5,12 +5,8 @@ import pytest
 
 from repro.dd.decomposition import Decomposition
 from repro.fem import laplace_3d
-from repro.ft import (
-    CheckpointStore,
-    FaultTolerantComm,
-    RankFailedError,
-    RankFailurePlan,
-)
+from repro.ft import CheckpointStore, FaultTolerantComm, RankFailedError
+from repro.resilience.inject import FaultPlan
 
 
 @pytest.fixture(scope="module")
@@ -68,8 +64,8 @@ class TestCheckpointStore:
     def test_death_mid_checkpoint_leaves_no_torn_state(self, dec):
         # rank 1 dies on the second op the snapshot issues: the
         # snapshot must unwind without committing any partial copies
-        plan = RankFailurePlan.single(1, "apply", 1)
-        comm = FaultTolerantComm(dec.n_subdomains, plan=plan)
+        plan = FaultPlan.single("rank_loss", 1, phase="apply", occurrence=1)
+        comm = FaultTolerantComm(dec.n_subdomains, plan)
         comm.set_phase("apply")
         store = CheckpointStore(dec)
         n = laplace_3d(6).a.n_rows

@@ -6,12 +6,8 @@ import pytest
 
 from repro.api import KrylovConfig, SolverSession
 from repro.fem import elasticity_3d, laplace_3d
-from repro.ft import (
-    FaultToleranceConfig,
-    RankFailedError,
-    RankFailure,
-    RankFailurePlan,
-)
+from repro.ft import FaultToleranceConfig, RankFailedError
+from repro.resilience.inject import FaultPlan, FaultSpec
 
 RTOL = 1e-7
 KILL_OPS = {"setup": 2, "apply": 30, "reduce": 10}
@@ -38,8 +34,10 @@ def elasticity_baseline(elasticity049):
 
 
 def _ft_solve(problem, phase, strategy, rank=1, **kw):
-    plan = RankFailurePlan.single(rank, phase, KILL_OPS[phase])
-    cfg = FaultToleranceConfig(plan=plan, strategy=strategy, **kw)
+    plan = FaultPlan.single(
+        "rank_loss", rank, phase=phase, occurrence=KILL_OPS[phase]
+    )
+    cfg = FaultToleranceConfig(fault_plan=plan, strategy=strategy, **kw)
     return SolverSession(
         problem, partition=(2, 2, 1), policy=cfg
     ).solve()
@@ -91,10 +89,13 @@ class TestControlArm:
         assert "MPI_ERR_PROC_FAILED" in str(ei.value)
 
     def test_failure_budget_enforced(self, laplace):
-        plan = RankFailurePlan(
-            [RankFailure(r, "reduce", 2 * r) for r in (1, 2, 3)]
+        plan = FaultPlan(
+            [
+                FaultSpec("rank_loss", rank=r, phase="reduce", occurrence=2 * r)
+                for r in (1, 2, 3)
+            ]
         )
-        cfg = FaultToleranceConfig(plan=plan, max_failures=1)
+        cfg = FaultToleranceConfig(fault_plan=plan, max_failures=1)
         with pytest.raises(RankFailedError):
             SolverSession(
                 laplace, partition=(2, 2, 1), policy=cfg
@@ -164,7 +165,9 @@ class TestSequenceProtection:
         kill_at = comm._phase_ops["apply"] + KILL_OPS["apply"]
 
         cfg = FaultToleranceConfig(
-            plan=RankFailurePlan.single(1, "apply", kill_at)
+            fault_plan=FaultPlan.single(
+                "rank_loss", 1, phase="apply", occurrence=kill_at
+            )
         )
         session = SolverSession(laplace, partition=(2, 2, 1), policy=cfg)
         first = session.solve()
@@ -219,9 +222,9 @@ class TestDriverSurface:
 
     def test_cg_recovers_from_checkpoint(self, laplace):
         kry = KrylovConfig(method="cg")
-        plan = RankFailurePlan.single(1, "reduce", 20)
+        plan = FaultPlan.single("rank_loss", 1, phase="reduce", occurrence=20)
         cfg = FaultToleranceConfig(
-            plan=plan, strategy="respawn", checkpoint_interval=3
+            fault_plan=plan, strategy="respawn", checkpoint_interval=3
         )
         res = SolverSession(laplace, partition=(2, 2, 1), krylov=kry,
                             policy=cfg).solve()

@@ -1,44 +1,37 @@
-"""RankFailurePlan scheduling and ULFM communicator semantics."""
+"""``rank_loss`` fault scheduling and ULFM communicator semantics."""
 
 import numpy as np
 import pytest
 
-from repro.ft import (
-    FaultTolerantComm,
-    RankFailedError,
-    RankFailure,
-    RankFailurePlan,
-)
+from repro.ft import FaultTolerantComm, RankFailedError
 from repro.obs import Tracer, use_tracer
+from repro.resilience.inject import FaultPlan, FaultSpec
+
+
+def _kill(rank, phase, op):
+    return FaultPlan.single("rank_loss", rank, phase=phase, occurrence=op)
 
 
 class TestRankFailurePlan:
     def test_phase_validated(self):
         with pytest.raises(ValueError, match="valid phases"):
-            RankFailure(0, "krylov")
+            FaultSpec("rank_loss", rank=0, phase="krylov")
 
     def test_negative_op_rejected(self):
-        with pytest.raises(ValueError, match="op_index"):
-            RankFailure(0, "apply", -1)
+        with pytest.raises(ValueError, match="occurrence"):
+            FaultSpec("rank_loss", rank=0, phase="apply", occurrence=-1)
 
     def test_due_fires_exactly_once(self):
-        plan = RankFailurePlan.single(2, "apply", 5)
+        plan = _kill(2, "apply", 5)
         assert plan.due("apply", 4) == []
         assert plan.due("reduce", 5) == []
         assert plan.due("apply", 5) == [2]
         assert plan.due("apply", 5) == []
-        assert plan.pending == 0
-
-    def test_random_plan_deterministic(self):
-        a = RankFailurePlan.random_failures(8, count=3, seed=42)
-        b = RankFailurePlan.random_failures(8, count=3, seed=42)
-        assert a.failures == b.failures
-        assert all(f.rank < 8 for f in a.failures)
+        assert not plan.fired  # the communicator records the death
 
     def test_describe(self):
-        plan = RankFailurePlan.single(1, "reduce", 7)
-        assert "rank 1 dies at reduce op 7" in plan.describe()
-        assert "no failures" in RankFailurePlan([]).describe()
+        assert _kill(1, "reduce", 7).describe() == "rank 1 dies at reduce op 7"
+        assert FaultPlan([]).describe() == "(empty)"
 
 
 class TestUlfmSemantics:
@@ -66,8 +59,7 @@ class TestUlfmSemantics:
             comm.barrier()
 
     def test_plan_fires_at_phase_op(self):
-        plan = RankFailurePlan.single(1, "reduce", 1)
-        comm = FaultTolerantComm(4, plan=plan)
+        comm = FaultTolerantComm(4, _kill(1, "reduce", 1))
         comm.set_phase("reduce")
         comm.allreduce([np.ones(1)] * 4)  # reduce op 0: everyone alive
         with pytest.raises(RankFailedError) as ei:

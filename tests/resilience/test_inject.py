@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.ft import FaultTolerantComm
 from repro.resilience.inject import (
     COMM_FAULT_KINDS,
     FAULT_KINDS,
+    RANK_FAULT_KINDS,
     FaultPlan,
     FaultSpec,
 )
@@ -116,30 +118,90 @@ class TestApplyFaults:
 
 class TestCommFaults:
     def test_occurrence_matching_is_per_kind(self):
-        """A send consults drop and corrupt in sequence; both must see
-        the same occurrence index for the same message."""
+        """Drop and corrupt specs count the same per-channel sends: one
+        ``on_send`` per message, whichever kind matches."""
         plan = FaultPlan(
             [FaultSpec(kind="msg_corrupt", src=0, rank=1, tag=0, occurrence=1)],
             seed=1,
         )
         msg = np.ones(6)
-        # message 0: drop consulted first, then corrupt -- must not fire
-        assert not plan.should_drop(0, 1, 0)
-        out0 = plan.corrupt_payload(0, 1, 0, msg)
-        assert np.all(np.isfinite(out0))
-        # message 1: fires
-        assert not plan.should_drop(0, 1, 0)
-        out1 = plan.corrupt_payload(0, 1, 0, msg)
-        assert np.isnan(out1).any()
+        dropped, out0 = plan.on_send(0, 1, 0, msg)  # message 0: untouched
+        assert not dropped and np.all(np.isfinite(out0))
+        dropped, out1 = plan.on_send(0, 1, 0, msg)  # message 1: fires
+        assert not dropped and np.isnan(out1).any()
 
     def test_drop_matches_exact_channel(self):
         plan = FaultPlan(
             [FaultSpec(kind="msg_drop", src=2, rank=3, tag=7, occurrence=0)]
         )
-        assert not plan.should_drop(2, 3, 6)  # wrong tag
-        assert not plan.should_drop(2, 1, 7)  # wrong dst
-        assert plan.should_drop(2, 3, 7)
-        assert not plan.should_drop(2, 3, 7)  # one-shot
+        assert not plan.on_send(2, 3, 6, None)[0]  # wrong tag
+        assert not plan.on_send(2, 1, 7, None)[0]  # wrong dst
+        assert plan.on_send(2, 3, 7, None)[0]
+        assert not plan.on_send(2, 3, 7, None)[0]  # one-shot
 
     def test_kind_constants_disjoint(self):
         assert not set(FAULT_KINDS) & set(COMM_FAULT_KINDS)
+        assert not set(FAULT_KINDS + COMM_FAULT_KINDS) & set(RANK_FAULT_KINDS)
+
+
+def _loss(rank, **kw):
+    return FaultPlan.single("rank_loss", rank, phase="apply", **kw)
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: FaultSpec("pivot_breakdown", rank=-1), "rank must be >= 0"),
+        (lambda: FaultSpec("msg_drop", occurrence=-3), "occurrence must be >= 0"),
+        (lambda: FaultSpec("precond_nan", at_apply=-1), "at_apply must be >= 0"),
+        (lambda: FaultSpec("rank_loss", phase="krylov"), "valid phases"),
+        (lambda: FaultSpec("slow_rank", magnitude=0.5), "factor must be >= 1"),
+        (lambda: FaultSpec("slow_rank", magnitude=2.0, start=-1.0),
+         "start must be >= 0"),
+        (lambda: FaultSpec("slow_rank", magnitude=2.0, duration=0.0),
+         "duration must be positive"),
+        (lambda: FaultTolerantComm(4, _loss(9)),
+         r"rank 9 dies at apply op 0: .*communicator of size 4"),
+    ],
+    ids=["negative-rank", "negative-occurrence", "negative-at-apply",
+         "unknown-phase", "factor-below-one", "negative-start",
+         "empty-window", "rank-outside-comm"],
+)
+def test_specs_that_could_never_fire_are_rejected(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+class TestRankFaults:
+    def test_slow_rank_describes_itself_as_the_elastic_bench_records(self):
+        plan = FaultPlan.single(
+            "slow_rank", rank=1, magnitude=8.0,
+            start=0.009956019, duration=0.14934028,
+        )
+        assert plan.describe() == "rank 1 x8 for 0.14934s from t=0.00995602"
+
+    def test_slow_ranks_sorted_and_distinct(self):
+        plan = FaultPlan(
+            [
+                FaultSpec("slow_rank", rank=r, magnitude=2.0)
+                for r in (3, 1, 3)
+            ]
+            + [FaultSpec("rank_loss", rank=0, phase="setup")]
+        )
+        assert plan.slow_ranks == [1, 3]
+        assert plan.is_slow_channel(0, 3, 0)
+        assert not plan.is_slow_channel(0, 2, 0)
+
+    def test_rank_faults_leave_the_other_hooks_alone(self):
+        plan = FaultPlan(
+            [
+                FaultSpec("rank_loss", rank=1, phase="apply"),
+                FaultSpec("slow_rank", rank=1, magnitude=4.0),
+            ]
+        )
+        y = np.ones(4)
+        assert plan.output_fault(2, y) is y
+        assert plan.input_scale(2) == 1.0
+        assert plan.on_send(0, 1, 0, y) == (False, y)
+        assert plan.due("apply", 0) == [1]
+        assert not plan.fired

@@ -72,6 +72,26 @@ class TestCommFaults:
         np.testing.assert_array_equal(comm.recv(2, 0, tag=5), np.ones(2))
         np.testing.assert_array_equal(comm.recv(1, 0, tag=4), np.ones(2))
 
+    def test_drop_does_not_shift_a_later_corrupt(self):
+        # both kinds count occurrences on one per-channel counter, so
+        # the corrupt aimed at message 1 hits message 1 even though
+        # message 0 was dropped
+        plan = FaultPlan(
+            [
+                FaultSpec(kind="msg_drop", src=0, rank=1, occurrence=0),
+                FaultSpec(kind="msg_corrupt", src=0, rank=1, occurrence=1),
+            ],
+            seed=3,
+        )
+        comm = SimComm(size=2, fault_plan=plan)
+        for _ in range(3):
+            comm.send(0, 1, np.ones(6))
+        assert comm.dropped == 1
+        assert np.isnan(comm.recv(1, 0)).any()  # message 1
+        assert np.all(np.isfinite(comm.recv(1, 0)))  # message 2
+        assert [e.kind for e in plan.fired] == ["msg_drop", "msg_corrupt"]
+        assert "message 1 " in plan.fired[1].detail
+
     def test_no_plan_is_the_seed_path(self):
         comm = SimComm(size=2)
         comm.send(0, 1, np.ones(4))

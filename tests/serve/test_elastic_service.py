@@ -5,8 +5,8 @@ import pytest
 
 from repro.elastic import ElasticConfig
 from repro.fem import laplace_3d
-from repro.ft import StragglerPlan
 from repro.krylov.status import SolveStatus
+from repro.resilience.inject import FaultPlan
 from repro.reuse import ArtifactCache, use_artifact_cache
 from repro.serve import SolveRequest, SolverService
 
@@ -37,26 +37,26 @@ def _run(problem, n=6, **service_kw):
 
 class TestScaleAround:
     def test_straggler_triggers_merge_and_still_converges(self, problem):
-        plan = StragglerPlan.single(1, 8.0)
+        plan = FaultPlan.single("slow_rank", 1, magnitude=8.0)
         service, responses = _run(
-            problem, elastic=ElasticConfig(), stragglers=plan
+            problem, elastic=ElasticConfig(), fault_plan=plan
         )
         assert all(r.status is SolveStatus.CONVERGED for r in responses)
         assert service.scale_arounds >= 1
         assert service.repartition_seconds > 0.0
 
     def test_elastic_beats_static_under_straggler(self, problem):
-        plan = StragglerPlan.single(1, 8.0)
-        static, r1 = _run(problem, stragglers=plan)
+        plan = FaultPlan.single("slow_rank", 1, magnitude=8.0)
+        static, r1 = _run(problem, fault_plan=plan)
         elastic, r2 = _run(
-            problem, elastic=ElasticConfig(), stragglers=plan
+            problem, elastic=ElasticConfig(), fault_plan=plan
         )
         assert all(r.status is SolveStatus.CONVERGED for r in r1 + r2)
         assert elastic.clock < static.clock
 
     def test_straggler_pricing_slows_static_service(self, problem):
         healthy, _ = _run(problem)
-        slowed, _ = _run(problem, stragglers=StragglerPlan.single(1, 8.0))
+        slowed, _ = _run(problem, fault_plan=FaultPlan.single("slow_rank", 1, magnitude=8.0))
         assert slowed.clock > healthy.clock
 
 
@@ -76,10 +76,12 @@ class TestNoTriggerIdentity:
 
     def test_elastic_inactive_with_healthy_stragglers_window(self, problem):
         # window far in the future: factors are all 1.0 at serve time
-        plan = StragglerPlan.single(1, 8.0, start=1e9, duration=1.0)
+        plan = FaultPlan.single(
+            "slow_rank", 1, magnitude=8.0, start=1e9, duration=1.0
+        )
         plain, r1 = _run(problem)
         idle, r2 = _run(
-            problem, elastic=ElasticConfig(), stragglers=plan
+            problem, elastic=ElasticConfig(), fault_plan=plan
         )
         assert idle.scale_arounds == 0
         assert idle.clock == plain.clock

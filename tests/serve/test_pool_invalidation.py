@@ -84,7 +84,7 @@ class TestAdoptRepartition:
 class TestServiceRepartitionInvalidation:
     def test_scale_around_swaps_the_cached_decomposition(self):
         from repro.elastic import ElasticConfig
-        from repro.ft import StragglerPlan
+        from repro.resilience.inject import FaultPlan
 
         problem = laplace_3d(5, 5, 5)
         cache = ArtifactCache()
@@ -93,7 +93,7 @@ class TestServiceRepartitionInvalidation:
                 layout=None,
                 max_batch=2,
                 elastic=ElasticConfig(cooldown_seconds=0.0),
-                stragglers=StragglerPlan.single(1, 8.0),
+                fault_plan=FaultPlan.single("slow_rank", 1, magnitude=8.0),
             )
             fp = service.register(problem.a)
             for _ in range(4):

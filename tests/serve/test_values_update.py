@@ -104,14 +104,14 @@ def test_elastic_repartition_survives_a_values_update(operators):
     refactorizes the repaired 3-subdomain operator instead of reverting
     the shard to its requested 4-subdomain partition."""
     from repro.elastic import ElasticConfig
-    from repro.ft import StragglerPlan
+    from repro.resilience.inject import FaultPlan
 
     a, a_new, rhs = operators
     with use_artifact_cache(ArtifactCache()):
         service = SolverService(
             max_batch=2,
             elastic=ElasticConfig(cooldown_seconds=0.0),
-            stragglers=StragglerPlan.single(1, 8.0),
+            fault_plan=FaultPlan.single("slow_rank", 1, magnitude=8.0),
         )
         fp = service.register(a)
         for _ in range(4):

@@ -119,14 +119,26 @@ def test_one_main_module():
     assert mains == [REPO_ROOT / "src" / "repro" / "__main__.py"]
 
 
+def _stale(pattern, tops):
+    """Every match of ``pattern`` in the .md/.py files under ``tops``."""
+    return [
+        f"{path.relative_to(REPO_ROOT)}: {m.group()}"
+        for top in tops
+        for path in sorted((REPO_ROOT / top).rglob("*"))
+        if path.is_file() and path.suffix in (".md", ".py")
+        for m in re.finditer(pattern, path.read_text())
+    ]
+
+
 def test_no_per_package_module_commands_remain():
-    pattern = re.compile(r"-m\s+repro\.[a-z]")
-    stale = []
-    for top in ("docs", "src", ".claude"):
-        for path in sorted((REPO_ROOT / top).rglob("*")):
-            if path.is_file() and path.suffix in (".md", ".py"):
-                stale += [
-                    f"{path.relative_to(REPO_ROOT)}: {m.group()}"
-                    for m in pattern.finditer(path.read_text())
-                ]
+    stale = _stale(r"-m\s+repro\.[a-z]", ("docs", "src", ".claude"))
+    assert not stale, "\n".join(stale)
+
+
+def test_one_fault_plan_type():
+    stale = _stale(
+        r"RankFailurePlan|StragglerPlan|SlowRank|slow_plan|stragglers="
+        r"|repro\.ft\.plan",
+        ("docs", "src", "examples", ".claude"),
+    )
     assert not stale, "\n".join(stale)
