@@ -144,6 +144,15 @@ class BoundedStalenessSchwarz(OperatorWrapper):
         return self.inner.apply(v_eff)
 
 
+#: stale applications a bounded-staleness solve may serve before the
+#: guard forces the synchronous fallback
+MAX_STALE_APPLIES = 200
+#: stagnation window under staleness: tighter than the generic guard's,
+#: since stagnation with stale data in play is expected to be the
+#: staleness's fault (the reaction is a flush, not a solver fallback)
+STALE_STALL_WINDOW = 30
+
+
 class StalenessGuard(KrylovGuard):
     """Watchdog for a bounded-staleness solve (budget + stagnation).
 
@@ -152,36 +161,26 @@ class StalenessGuard(KrylovGuard):
     are in play it reports
 
     * ``"staleness_budget"`` -- the operator has served more stale
-      applications than ``max_stale_applies`` allows (the guard's
+      applications than :data:`MAX_STALE_APPLIES` allows (the guard's
       ``extra`` predicate);
     * ``"stale_stagnation"`` -- the best residual estimate failed to
-      improve by ``stall_factor`` within ``stall_window`` iterations (a
-      tighter window than the generic guard: stagnation under staleness
-      is *expected* to be the staleness's fault, so the reaction is a
-      flush, not a solver fallback).
+      improve by the generic ``stall_factor`` within
+      :data:`STALE_STALL_WINDOW` iterations.
 
     Without stale ranks only the non-finite check remains.
     """
 
-    def __init__(
-        self,
-        operator: BoundedStalenessSchwarz,
-        max_stale_applies: int = 200,
-        stall_window: int = 30,
-        stall_factor: float = 0.999,
-    ) -> None:
+    def __init__(self, operator: BoundedStalenessSchwarz) -> None:
         stale = bool(operator.stale_ranks)
         super().__init__(
-            stall_window=stall_window if stale else 0,
-            stall_factor=stall_factor,
+            stall_window=STALE_STALL_WINDOW if stale else 0,
             stall_reason="stale_stagnation",
             extra=self._over_budget if stale else None,
         )
         self.operator = operator
-        self.max_stale_applies = max_stale_applies
 
     def _over_budget(self) -> Optional[str]:
-        if self.operator.stale_applies > self.max_stale_applies:
+        if self.operator.stale_applies > MAX_STALE_APPLIES:
             return "staleness_budget"
         return None
 
@@ -241,10 +240,6 @@ def solve_async(
     stale_ranks: Iterable[int],
     max_staleness: int = 2,
     rtol: float = 1e-8,
-    restart: int = 30,
-    maxiter: int = 1000,
-    max_stale_applies: int = 200,
-    stall_window: int = 30,
 ) -> AsyncSolveResult:
     """Bounded-staleness GMRES solve with guarded synchronous fallback.
 
@@ -253,15 +248,14 @@ def solve_async(
     trips, the solve resumes bulk-synchronously from the last finite
     iterate with the residual target *re-anchored* (the restart loop's
     anchor rule), so the combined solve still meets the original
-    ``rtol`` against the original right-hand side.
+    ``rtol`` against the original right-hand side.  GMRES runs with the
+    :class:`~repro.config.KrylovConfig` restart length and iteration cap.
     """
     op = BoundedStalenessSchwarz(
         precond, stale_ranks, max_staleness=max_staleness
     )
-    fallback = _SyncFallback(StalenessGuard(
-        op, max_stale_applies=max_stale_applies, stall_window=stall_window
-    ))
-    kry = KrylovConfig(rtol=rtol, restart=restart, maxiter=maxiter)
+    fallback = _SyncFallback(StalenessGuard(op))
+    kry = KrylovConfig(rtol=rtol)
     with get_tracer().span("elastic/async_solve") as sp:
         sp.annotate(
             stale_ranks=list(op.stale_ranks), max_staleness=max_staleness

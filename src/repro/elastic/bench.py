@@ -106,13 +106,7 @@ def run_elastic_bench(
     # straggler holding the whole window's critical path
     deadline = 5.0 * straggler_factor * per_request_seconds
 
-    elastic = ElasticConfig(
-        min_ranks=2,
-        max_ranks=8,
-        straggler_factor=1.5,
-        backlog_batches=4,
-        cooldown_seconds=2.0 * batch_seconds,
-    )
+    elastic = ElasticConfig(cooldown_seconds=2.0 * batch_seconds)
 
     # ---- section 1: no-trigger identity -------------------------------
     quiet_trace = ArrivalTrace.poisson(

@@ -49,60 +49,37 @@ __all__ = [
 ]
 
 
+#: subdomain-count bounds the policy may not cross
+MIN_RANKS = 2
+MAX_RANKS = 8
+#: slowdown factor at or above which a rank counts as a straggler
+#: worth scaling around
+STRAGGLER_FACTOR = 1.5
+#: queued batches (same shard) at or above which scale-out is considered
+BACKLOG_BATCHES = 4
+#: a rank whose share of the critical-path cost is below this (with an
+#: empty queue) is a scale-in candidate
+IDLE_UTILIZATION = 0.25
+
+
 @dataclass(frozen=True)
 class ElasticConfig:
-    """Tuning knobs of the elastic runtime.
+    """The elastic runtime's one tuned value; its thresholds are the
+    module constants above.
 
     Attributes
     ----------
-    min_ranks, max_ranks:
-        Subdomain-count bounds the policy may not cross.
-    straggler_factor:
-        Slowdown factor at or above which a rank counts as a straggler
-        worth scaling around.
-    backlog_batches:
-        Queued batches (same shard) at or above which scale-out is
-        considered.
-    idle_utilization:
-        A rank whose share of the critical-path cost is below this (with
-        an empty queue) is a scale-in candidate.
     cooldown_seconds:
         Minimum model-clock gap between consecutive scaling actions
-        (repartition hysteresis).
-    bill_relief:
-        When True (default), a grow/shrink only fires if the projected
-        relief exceeds the repartition cost.  False is the
-        chaos-testing override.
-    max_staleness:
-        Staleness bound handed to the asynchronous Schwarz path while a
-        straggler is being scaled around.
+        (repartition hysteresis), >= 0.
     """
 
-    min_ranks: int = 2
-    max_ranks: int = 32
-    straggler_factor: float = 1.5
-    backlog_batches: int = 4
-    idle_utilization: float = 0.25
     cooldown_seconds: float = 0.0
-    bill_relief: bool = True
-    max_staleness: int = 2
 
     def __post_init__(self) -> None:
-        if self.min_ranks < 1:
-            raise ValueError(f"min_ranks must be >= 1, got {self.min_ranks}")
-        if self.max_ranks < self.min_ranks:
+        if self.cooldown_seconds < 0:
             raise ValueError(
-                f"max_ranks ({self.max_ranks}) must be >= min_ranks "
-                f"({self.min_ranks})"
-            )
-        if self.straggler_factor < 1.0:
-            raise ValueError(
-                f"straggler_factor must be >= 1, got {self.straggler_factor}"
-            )
-        if not (0.0 <= self.idle_utilization < 1.0):
-            raise ValueError(
-                f"idle_utilization must be in [0, 1), got "
-                f"{self.idle_utilization}"
+                f"cooldown_seconds must be >= 0, got {self.cooldown_seconds}"
             )
 
 
@@ -206,8 +183,7 @@ class ScalingPolicy:
         backlog, so treating the cause first avoids splitting a
         subdomain whose slowness is the host's fault.
         """
-        cfg = self.config
-        if clock - self._last_action_clock < cfg.cooldown_seconds:
+        if clock - self._last_action_clock < self.config.cooldown_seconds:
             return None
         rank_costs = np.asarray(rank_costs, dtype=np.float64)
         n = rank_costs.size
@@ -223,42 +199,42 @@ class ScalingPolicy:
         )
 
         # -- scale-around: a straggler owns the critical path ------------
-        if rank_factors is not None and n > cfg.min_ranks:
+        if rank_factors is not None and n > MIN_RANKS:
             factors = np.asarray(rank_factors, dtype=np.float64)
             r = int(np.argmax(factors))
-            if factors[r] >= cfg.straggler_factor and rank_costs[r] >= now:
+            if factors[r] >= STRAGGLER_FACTOR and rank_costs[r] >= now:
                 # after merging r away, a neighbor carries both loads
                 others = np.delete(healthy, r)
                 after = float(others.max()) + float(healthy[r])
                 relief_per_batch = batch_seconds * max(0.0, 1.0 - after / now)
                 relief = (queued_batches + 1) * relief_per_batch
-                if relief > repartition_cost or not cfg.bill_relief:
+                if relief > repartition_cost:
                     return ScalingDecision(
                         kind="scale_around",
                         rank=r,
                         reason=(
                             f"rank {r} straggling x{factors[r]:g} "
-                            f"(threshold x{cfg.straggler_factor:g})"
+                            f"(threshold x{STRAGGLER_FACTOR:g})"
                         ),
                         projected_relief_seconds=relief,
                         repartition_cost_seconds=repartition_cost,
                     )
 
         # -- scale-out: the queue outruns capacity -----------------------
-        if queued_batches >= cfg.backlog_batches and n < cfg.max_ranks:
+        if queued_batches >= BACKLOG_BATCHES and n < MAX_RANKS:
             r = int(np.argmax(rank_costs))
             others = np.delete(rank_costs, r)
             second = float(others.max()) if others.size else 0.0
             after = max(second, float(rank_costs[r]) / 2.0)
             relief_per_batch = batch_seconds * max(0.0, 1.0 - after / now)
             relief = queued_batches * relief_per_batch
-            if relief > repartition_cost or not cfg.bill_relief:
+            if relief > repartition_cost:
                 return ScalingDecision(
                     kind="scale_out",
                     rank=r,
                     reason=(
                         f"{queued_batches} batches queued "
-                        f"(threshold {cfg.backlog_batches}); splitting "
+                        f"(threshold {BACKLOG_BATCHES}); splitting "
                         f"heaviest rank {r}"
                     ),
                     projected_relief_seconds=relief,
@@ -268,18 +244,18 @@ class ScalingPolicy:
         # -- scale-in: idle capacity with an empty queue -----------------
         if (
             queued_batches == 0
-            and n > cfg.min_ranks
+            and n > MIN_RANKS
             and (rank_factors is None or float(np.max(rank_factors)) == 1.0)
         ):
             r = int(np.argmin(healthy))
-            if float(healthy[r]) / now < cfg.idle_utilization:
+            if float(healthy[r]) / now < IDLE_UTILIZATION:
                 return ScalingDecision(
                     kind="scale_in",
                     rank=r,
                     reason=(
                         f"rank {r} at "
                         f"{float(healthy[r]) / now:.0%} utilization "
-                        f"(threshold {cfg.idle_utilization:.0%}) with an "
+                        f"(threshold {IDLE_UTILIZATION:.0%}) with an "
                         "empty queue"
                     ),
                     projected_relief_seconds=0.0,

@@ -80,6 +80,9 @@ __all__ = [
 #: valid rank-loss recovery strategies
 STRATEGIES = ("shrink", "respawn")
 
+#: rank-loss recoveries one solve may run; one more failure raises
+MAX_FAILURES = 4
+
 #: message tag of the apply-phase halo import replay
 HALO_TAG = 4
 #: message tag of the setup-phase overlap import replay
@@ -88,7 +91,10 @@ SETUP_TAG = 5
 
 @dataclass(frozen=True)
 class FaultToleranceConfig:
-    """Rank-loss protection knobs (``SolverSession(policy=)``).
+    """Rank-loss protection (``SolverSession(policy=)``).
+
+    The checkpoint cadence is the :class:`~repro.ft.checkpoint.CheckpointStore`
+    default and the recovery budget is :data:`MAX_FAILURES`.
 
     Attributes
     ----------
@@ -100,37 +106,21 @@ class FaultToleranceConfig:
         ``"shrink"`` merges a dead subdomain into a neighbor and
         continues with fewer ranks; ``"respawn"`` replaces the dead
         process and rebuilds its state from checkpoint.
-    checkpoint_interval:
-        Snapshot cadence in Krylov iterations (GMRES snapshots at the
-        first cycle boundary past the cadence).
     protect:
         False is the control arm: no recovery --
         :class:`~repro.ft.comm.RankFailedError` propagates to the
         caller, demonstrating what an unguarded run does.
-    max_failures:
-        Recovery budget; one more failure than this raises.
     """
 
     fault_plan: Optional[FaultPlan] = None
     strategy: str = "shrink"
-    checkpoint_interval: int = 5
     protect: bool = True
-    max_failures: int = 4
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown rank-loss strategy {self.strategy!r}; valid "
                 "values: " + ", ".join(repr(s) for s in STRATEGIES)
-            )
-        if self.checkpoint_interval < 1:
-            raise ValueError(
-                f"checkpoint_interval must be >= 1, got "
-                f"{self.checkpoint_interval}"
-            )
-        if self.max_failures < 0:
-            raise ValueError(
-                f"max_failures must be >= 0, got {self.max_failures}"
             )
 
     def protection(self, session=None) -> "RankLossProtection":
@@ -372,7 +362,7 @@ class RankLossProtection(Protection):
             self.ft_op = FtOperator(operator, self.comm)
         else:
             self.ft_op.rebind(operator)
-        self.store = CheckpointStore(dec, interval=ft.checkpoint_interval)
+        self.store = CheckpointStore(dec)
         self.actions: List[RecoveryAction] = []
         self.detections: List[str] = []
         self.ft_report = FtReport(strategy=ft.strategy, store=self.store)
@@ -407,7 +397,7 @@ class RankLossProtection(Protection):
         ft, comm, store = self.config, self.comm, self.store
         if not isinstance(err, RankFailedError):
             return None  # a numerical breakdown is not this policy's to fix
-        if comm.ft_failures > ft.max_failures:
+        if comm.ft_failures > MAX_FAILURES:
             return None
         operator = ft_op.inner
         dead = list(err.dead_ranks)

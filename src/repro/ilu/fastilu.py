@@ -342,8 +342,7 @@ class FastIlu:
         self.diverged = False
         l_vals, u_vals = self._run_sweeps(a_l, a_u, l_vals, u_vals, eng)
 
-        growth_tol = eng.growth_tol if eng is not None else 10.0
-        self.diverged = sweep_divergence(self.update_norms, growth_tol)
+        self.diverged = sweep_divergence(self.update_norms)
         if self.diverged and eng is not None and eng.detect:
             raise DivergenceError(
                 "FastILU Jacobi sweeps diverged: per-sweep update norms "

@@ -32,7 +32,7 @@ Span taxonomy (the names the instrumented stack emits)::
     reuse/spectral_reuse reuse/spectral_rebuild
     serve/batch          serve/solve
     serve/admit          serve/shed           serve/retry
-    serve/degrade        serve/autoscale
+    serve/degrade
     ft/precond_repair    elastic/precond_repair
     elastic/scale_out    elastic/scale_in     elastic/scale_around
 

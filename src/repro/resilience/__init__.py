@@ -18,6 +18,15 @@ stack survive them:
   runs (:mod:`repro.resilience.chaos`): every fault kind on Laplace
   and elasticity, failing on any unrecovered solve.
 
+:class:`ResilienceConfig` has two fields: ``fault_plan`` and
+``protect`` (detection and recovery together; ``False`` is the chaos
+control arm).  Every threshold is a module constant --
+:data:`~repro.resilience.detect.PIVOT_RTOL` and
+:data:`~repro.resilience.detect.GROWTH_TOL` for the detectors, the
+ladder bounds of :mod:`repro.resilience.policy`, and
+:data:`~repro.resilience.engine.MAX_RESTARTS` (docs/robustness.md
+tabulates them).
+
 Typical use::
 
     from repro import SolverSession, ResilienceConfig, FaultPlan

@@ -4,9 +4,10 @@
 :data:`~repro.resilience.inject.FAULT_KINDS` against a Laplace and an
 elasticity problem, each under two arms:
 
-* **resilient** -- detection and recovery on: the solve must reach the
-  session tolerance (``status`` ``converged`` or ``recovered``);
-* **control** -- the same faults with detection and recovery off: the
+* **resilient** -- ``protect=True``, detection and recovery on: the
+  solve must reach the session tolerance (``status`` ``converged`` or
+  ``recovered``);
+* **control** -- the same faults with ``protect=False``: the
   solve must demonstrably fail (non-converged residual or a raised
   breakdown), proving the injected fault is real and the recovery is
   doing the work.
@@ -60,9 +61,7 @@ def _run_cell(problem, kind: str, resilient: bool, seed: int, maxiter: int):
     from repro.resilience.inject import FaultPlan
 
     plan = FaultPlan.single(kind, rank=_FAULT_RANK, seed=seed)
-    cfg = ResilienceConfig(
-        fault_plan=plan, detect=resilient, recover=resilient
-    )
+    cfg = ResilienceConfig(fault_plan=plan, protect=resilient)
     session = SolverSession(
         problem,
         partition=(2, 2, 2),

@@ -31,6 +31,8 @@ __all__ = [
     "DivergenceError",
     "FloatOverflowError",
     "BREAKDOWN_EXCEPTIONS",
+    "GROWTH_TOL",
+    "PIVOT_RTOL",
     "nonfinite_count",
     "check_pivot",
     "sweep_divergence",
@@ -125,6 +127,12 @@ BREAKDOWN_EXCEPTIONS = (
 )
 
 
+#: relative near-zero pivot threshold of the factorization guards
+PIVOT_RTOL = 1e-14
+#: FastILU divergence threshold: last over first sweep-update norm
+GROWTH_TOL = 10.0
+
+
 # ----------------------------------------------------------------------
 def nonfinite_count(values: np.ndarray) -> int:
     """Number of NaN/Inf entries (the basic health check)."""
@@ -132,7 +140,8 @@ def nonfinite_count(values: np.ndarray) -> int:
 
 
 def check_pivot(
-    value: float, scale: float, index: int, solver: str, rtol: float = 1e-14
+    value: float, scale: float, index: int, solver: str,
+    rtol: float = PIVOT_RTOL,
 ) -> None:
     """Raise :class:`PivotBreakdownError` on a zero/near-zero pivot.
 
@@ -152,9 +161,7 @@ def check_pivot(
         )
 
 
-def sweep_divergence(
-    update_norms: Sequence[float], growth_tol: float = 10.0
-) -> bool:
+def sweep_divergence(update_norms: Sequence[float]) -> bool:
     """Did a fixed-point iteration's update norms diverge?
 
     The Chow--Patel iteration is only locally convergent: on stiff
@@ -162,7 +169,7 @@ def sweep_divergence(
     update by a roughly constant factor per sweep (measured ~50x on a
     nu=0.49 subdomain) where a converging run contracts.  The detector
     fires when the last update norm is non-finite or exceeds
-    ``growth_tol`` times the first sweep's norm.
+    :data:`GROWTH_TOL` times the first sweep's norm.
     """
     norms = [float(n) for n in update_norms]
     if not norms:
@@ -172,7 +179,7 @@ def sweep_divergence(
     first = norms[0]
     if first <= 0.0:
         return False
-    return norms[-1] > growth_tol * first
+    return norms[-1] > GROWTH_TOL * first
 
 
 # ----------------------------------------------------------------------

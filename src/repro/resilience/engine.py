@@ -50,10 +50,11 @@ from repro.obs import get_tracer
 from repro.resilience.context import use_engine
 from repro.resilience.detect import (
     BREAKDOWN_EXCEPTIONS,
+    PIVOT_RTOL,
     DivergenceError,
     FloatOverflowError,
+    KrylovGuard,
 )
-from repro.resilience.detect import KrylovGuard
 from repro.resilience.inject import FaultEvent, FaultPlan
 from repro.resilience.policy import LadderState, RecoveryAction, RecoveryPolicy
 
@@ -65,50 +66,37 @@ __all__ = [
 ]
 
 
+#: Krylov restarts-from-last-finite-iterate before giving up
+MAX_RESTARTS = 3
+
+
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Knobs of the breakdown-tolerant runtime.
+    """Switches of the breakdown-tolerant runtime.
+
+    The thresholds are module constants: :data:`MAX_RESTARTS` here,
+    :data:`~repro.resilience.detect.PIVOT_RTOL` and
+    :data:`~repro.resilience.detect.GROWTH_TOL` for the detectors, the
+    :class:`~repro.resilience.detect.KrylovGuard` defaults for
+    stagnation, and the ladder bounds of
+    :mod:`repro.resilience.policy`.
 
     Attributes
     ----------
-    detect:
-        Run the in-flight health checks (NaN/Inf, stagnation, relative
-        pivot tests, FastILU divergence, float32 overflow).
-    recover:
-        Act on detections (escalation ladder, halo sanitization,
-        precision promotion, Krylov restarts).  ``detect=False,
-        recover=False`` with a fault plan reproduces the seed-era
-        behavior under faults -- the control arm of the chaos matrix.
     fault_plan:
         Faults to inject (:class:`~repro.resilience.inject.FaultPlan`);
         None solves faithfully.
-    max_restarts:
-        Krylov restarts-from-last-finite-iterate before giving up.
-    stall_window, stall_factor:
-        Stagnation detector: the best residual estimate must improve by
-        ``stall_factor`` within any ``stall_window`` iterations.
-    pivot_rtol:
-        Relative near-zero pivot threshold of the factorization guards.
-    growth_tol:
-        FastILU divergence threshold (last/first sweep-update ratio).
-    max_damping_boosts, min_damping, shift0, shift_growth, max_shift:
-        Escalation-ladder knobs (see
-        :class:`~repro.resilience.policy.RecoveryPolicy`).
+    protect:
+        Run the in-flight health checks (NaN/Inf, stagnation, relative
+        pivot tests, FastILU divergence, float32 overflow) and act on
+        them (escalation ladder, halo sanitization, precision
+        promotion, Krylov restarts).  False with a fault plan
+        reproduces the seed-era behavior under faults -- the control
+        arm of the chaos matrix.
     """
 
-    detect: bool = True
-    recover: bool = True
     fault_plan: Optional[FaultPlan] = None
-    max_restarts: int = 3
-    stall_window: int = 120
-    stall_factor: float = 0.999
-    pivot_rtol: float = 1e-14
-    growth_tol: float = 10.0
-    max_damping_boosts: int = 2
-    min_damping: float = 0.15
-    shift0: float = 1e-8
-    shift_growth: float = 100.0
-    max_shift: float = 4.0
+    protect: bool = True
 
     def protection(self, session=None) -> "ResilienceEngine":
         """A fresh engine (one per cold build); ``session`` supplies the
@@ -186,13 +174,7 @@ class ResilienceEngine(Protection):
     ) -> None:
         self.config = config
         self.plan = config.fault_plan
-        self.policy = RecoveryPolicy(
-            max_damping_boosts=config.max_damping_boosts,
-            min_damping=config.min_damping,
-            shift0=config.shift0,
-            shift_growth=config.shift_growth,
-            max_shift=config.max_shift,
-        )
+        self.policy = RecoveryPolicy()
         #: ``rebuild(precision=)`` -> a fresh preconditioner (promotion)
         self._rebuild = rebuild
         # -- operator lifetime ------------------------------------------
@@ -219,22 +201,17 @@ class ResilienceEngine(Protection):
     # -- configuration views -------------------------------------------
     @property
     def detect(self) -> bool:
-        """Are the health checks on?"""
-        return self.config.detect
+        """Are the health checks (and the recovery acting on them) on?"""
+        return self.config.protect
 
     @property
     def pivot_rtol(self) -> float:
         """Relative pivot threshold for the factorization kernels.
 
-        0.0 (exact-zero check only, the seed behavior) when detection
+        0.0 (exact-zero check only, the seed behavior) when protection
         is off.
         """
-        return self.config.pivot_rtol if self.config.detect else 0.0
-
-    @property
-    def growth_tol(self) -> float:
-        """FastILU sweep-divergence threshold."""
-        return self.config.growth_tol
+        return PIVOT_RTOL if self.config.protect else 0.0
 
     # -- the protection protocol (repro.krylov.driver) ------------------
     @property
@@ -254,10 +231,7 @@ class ResilienceEngine(Protection):
         """A fresh Krylov health monitor (None when detection is off)."""
         if not self.detect:
             return None
-        return KrylovGuard(
-            stall_window=self.config.stall_window,
-            stall_factor=self.config.stall_factor,
-        )
+        return KrylovGuard()
 
     def report(self, result):
         """``recovered`` when the solve converged only thanks to actions."""
@@ -348,7 +322,7 @@ class ResilienceEngine(Protection):
                     self.record_detection(
                         f"rank {state.rank}: {type(err).__name__}: {err}"
                     )
-                    if not self.config.recover:
+                    if not self.detect:
                         raise
                     action = self.policy.escalate(state, err)
                     if action is None:
@@ -411,19 +385,18 @@ class ResilienceEngine(Protection):
                 f"apply {self.apply_index}",
                 once_key=("halo", rank),
             )
-            if self.config.recover:
-                v = np.where(bad, 0.0, v)
-                self.sanitized_values += nbad
-                get_tracer().count("resilience_sanitized_values", float(nbad))
-                self.record_action(
-                    RecoveryAction(
-                        "sanitize_halo",
-                        rank,
-                        f"subdomain {rank}: zeroing non-finite imported "
-                        f"halo values before the local solve",
-                    ),
-                    once_key=("sanitize", rank),
-                )
+            v = np.where(bad, 0.0, v)
+            self.sanitized_values += nbad
+            get_tracer().count("resilience_sanitized_values", float(nbad))
+            self.record_action(
+                RecoveryAction(
+                    "sanitize_halo",
+                    rank,
+                    f"subdomain {rank}: zeroing non-finite imported "
+                    f"halo values before the local solve",
+                ),
+                once_key=("sanitize", rank),
+            )
         return v
 
     def _drop_nonfinite(self, x, what: str, once_key, action=None):
@@ -433,8 +406,6 @@ class ResilienceEngine(Protection):
         self.record_detection(
             f"{what} at apply {self.apply_index}", once_key=once_key
         )
-        if not self.config.recover:
-            return x
         if action is not None:
             self.record_action(action(), once_key=("drop",) + once_key)
         return np.zeros_like(x)
@@ -468,7 +439,7 @@ class ResilienceEngine(Protection):
         and resumes from the last finite iterate; None gives up
         (recovery off or the restart budget spent).
         """
-        if not self.config.recover or self.restarts >= self.config.max_restarts:
+        if not self.detect or self.restarts >= MAX_RESTARTS:
             return None
         self.restarts += 1
         reason = failure.breakdown_reason

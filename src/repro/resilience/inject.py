@@ -34,6 +34,17 @@ Two more describe the process itself (:data:`RANK_FAULT_KINDS`):
   ``delayed`` messages via :meth:`FaultPlan.is_slow_channel`, and
   :mod:`repro.elastic` scales around the slow host.
 
+One more is a fault of the serving layer (:data:`SERVICE_FAULT_KINDS`):
+
+* ``batch_fault`` -- a transient failure of one whole service batch:
+  the batch faults when ``seeded_jitter(seed, "fault:" + head_id,
+  attempt) < magnitude``, where ``head_id`` is the batch's first
+  request and ``attempt`` that request's failure count so far.  The
+  decision is a pure hash, so replays are bit-identical, and a retried
+  batch re-rolls with the bumped attempt counter -- exactly the failure
+  mode retry-with-backoff exists for
+  (:meth:`FaultPlan.batch_faulted`).
+
 Every preconditioner or message fault that actually fires is recorded
 as a :class:`FaultEvent` (and counted on the ambient tracer as
 ``resilience_faults``), so a health report can state exactly what was
@@ -43,7 +54,9 @@ suffers it (``ft_failures``), a slowdown by the pricing it inflates.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -55,10 +68,12 @@ __all__ = [
     "FAULT_KINDS",
     "COMM_FAULT_KINDS",
     "RANK_FAULT_KINDS",
+    "SERVICE_FAULT_KINDS",
     "PHASES",
     "FaultSpec",
     "FaultEvent",
     "FaultPlan",
+    "seeded_jitter",
 ]
 
 #: session-injectable fault kinds (the CI chaos matrix iterates these)
@@ -73,6 +88,8 @@ FAULT_KINDS = (
 COMM_FAULT_KINDS = ("msg_drop", "msg_corrupt")
 #: faults of a whole rank: its death, or a window of slowness
 RANK_FAULT_KINDS = ("rank_loss", "slow_rank")
+#: transient failures of a whole service batch (:mod:`repro.serve`)
+SERVICE_FAULT_KINDS = ("batch_fault",)
 
 #: the solver phases a ``rank_loss`` can be scheduled in:
 #: ``setup`` -- during preconditioner construction (overlap import);
@@ -94,6 +111,21 @@ _DEFAULT_MAGNITUDE = {
 }
 
 
+def seeded_jitter(seed: int, request_id: str, attempt: int) -> float:
+    """Deterministic value in ``[0, 1)`` for one attempt of one request.
+
+    blake2b over ``(seed, request_id, attempt)``; the same triple maps
+    to the same value on every replay, machine, and Python run
+    (``PYTHONHASHSEED``-independent).  Drives the ``batch_fault``
+    decision and the serving guard's retry jitter.
+    """
+    h = hashlib.blake2b(
+        f"{seed}:{request_id}:{attempt}".encode(), digest_size=8
+    ).digest()
+    (val,) = struct.unpack(">Q", h)
+    return val / float(1 << 64)
+
+
 @dataclass(frozen=True)
 class FaultSpec:
     """One fault to inject.
@@ -101,8 +133,8 @@ class FaultSpec:
     Attributes
     ----------
     kind:
-        One of :data:`FAULT_KINDS`, :data:`COMM_FAULT_KINDS` or
-        :data:`RANK_FAULT_KINDS`.
+        One of :data:`FAULT_KINDS`, :data:`COMM_FAULT_KINDS`,
+        :data:`RANK_FAULT_KINDS` or :data:`SERVICE_FAULT_KINDS`.
     rank:
         Target subdomain (setup/apply faults), destination rank (comm
         faults), the rank that dies (``rank_loss``, in the
@@ -121,7 +153,8 @@ class FaultSpec:
     magnitude:
         Kind-specific severity (see :data:`_DEFAULT_MAGNITUDE`); None
         selects the default.  For ``slow_rank`` it is the slowdown
-        factor, required and ``>= 1``.
+        factor, required and ``>= 1``; for ``batch_fault`` the
+        per-attempt fault probability, required and in ``[0, 1)``.
     src, tag, occurrence:
         Comm-fault channel selector: the ``occurrence``-th message on
         ``(src, rank, tag)`` is dropped/corrupted.  For ``rank_loss``,
@@ -147,7 +180,10 @@ class FaultSpec:
     duration: float = math.inf
 
     def __post_init__(self) -> None:
-        valid = FAULT_KINDS + COMM_FAULT_KINDS + RANK_FAULT_KINDS
+        valid = (
+            FAULT_KINDS + COMM_FAULT_KINDS + RANK_FAULT_KINDS
+            + SERVICE_FAULT_KINDS
+        )
         if self.kind not in valid:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; valid kinds: "
@@ -175,6 +211,12 @@ class FaultSpec:
                 raise ValueError(
                     f"duration must be positive, got {self.duration}"
                 )
+        if self.kind == "batch_fault" and not (
+            self.magnitude is not None and 0.0 <= self.magnitude < 1.0
+        ):
+            raise ValueError(
+                f"batch fault rate must be in [0, 1), got {self.magnitude}"
+            )
 
     @property
     def severity(self) -> float:
@@ -202,6 +244,8 @@ class FaultSpec:
                 + ("ever" if math.isinf(self.duration) else f"{self.duration:g}s")
                 + f" from t={self.start:g}"
             )
+        if self.kind == "batch_fault":
+            return f"batch_fault p={self.magnitude:g}"
         return f"{self.kind}@rank{self.rank}"
 
 
@@ -456,6 +500,24 @@ class FaultPlan:
         """
         slow = self.slow_ranks
         return src in slow or dst in slow
+
+    # -- service faults -------------------------------------------------
+    def batch_faulted(self, head_id: str, attempt: int) -> bool:
+        """Does the batch headed by ``head_id`` fault on ``attempt``?
+
+        A pure hash per ``batch_fault`` spec (see the module
+        docstring); a fired fault is recorded like every other kind.
+        """
+        for spec in self.faults:
+            if spec.kind != "batch_fault":
+                continue
+            if seeded_jitter(self.seed, f"fault:{head_id}", attempt) < spec.magnitude:
+                self._record(
+                    spec, f"injected transient fault (batch head "
+                    f"{head_id}, attempt {attempt})"
+                )
+                return True
+        return False
 
     # ------------------------------------------------------------------
     def reset(self) -> "FaultPlan":

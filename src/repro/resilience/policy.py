@@ -76,6 +76,17 @@ SERVICE_ACTION_KINDS = (
     "scale_around",
 )
 
+#: damping halvings tried before falling back off FastILU
+MAX_DAMPING_BOOSTS = 2
+#: floor under which FastILU damping is not pushed further
+MIN_DAMPING = 0.15
+#: first relative diagonal shift of the pivot rung
+SHIFT0 = 1e-8
+#: per-retry growth factor of the diagonal shift
+SHIFT_GROWTH = 100.0
+#: shift cap: beyond it the ladder falls back to the next solver
+MAX_SHIFT = 4.0
+
 #: the fallback chain (rung above each solver kind)
 _FALLBACK_NEXT = {"fastilu": "iluk", "iluk": "tacho", "tacho": "superlu", "superlu": None}
 _FALLBACK_ACTION = {"iluk": "fallback_iluk", "tacho": "fallback_exact", "superlu": "fallback_superlu"}
@@ -146,31 +157,14 @@ class LadderState:
 class RecoveryPolicy:
     """Decides the next recovery action for a broken subdomain.
 
-    Parameters
-    ----------
-    max_damping_boosts:
-        Damping halvings tried before falling back off FastILU.
-    min_damping:
-        Floor under which damping is not pushed further.
-    shift0, shift_growth, max_shift:
-        First relative diagonal shift, its per-retry growth factor, and
-        the cap beyond which the policy falls back to the next solver
-        instead of shifting harder.
+    The rungs are bounded by the module constants
+    :data:`MAX_DAMPING_BOOSTS` / :data:`MIN_DAMPING` (damping halvings
+    tried before falling back off FastILU, and the floor under which
+    damping is not pushed further) and :data:`SHIFT0` /
+    :data:`SHIFT_GROWTH` / :data:`MAX_SHIFT` (first relative diagonal
+    shift, its per-retry growth factor, and the cap beyond which the
+    policy falls back to the next solver instead of shifting harder).
     """
-
-    def __init__(
-        self,
-        max_damping_boosts: int = 2,
-        min_damping: float = 0.15,
-        shift0: float = 1e-8,
-        shift_growth: float = 100.0,
-        max_shift: float = 4.0,
-    ) -> None:
-        self.max_damping_boosts = max_damping_boosts
-        self.min_damping = min_damping
-        self.shift0 = shift0
-        self.shift_growth = shift_growth
-        self.max_shift = max_shift
 
     def initial_state(self, rank: int, spec: LocalSolverSpec) -> LadderState:
         """Fresh ladder state for one subdomain."""
@@ -227,7 +221,7 @@ class RecoveryPolicy:
         spec = state.spec
         if isinstance(error, DivergenceError) and spec.kind == "fastilu":
             damping = spec.factor_damping * 0.5
-            if state.boosts < self.max_damping_boosts and damping >= self.min_damping:
+            if state.boosts < MAX_DAMPING_BOOSTS and damping >= MIN_DAMPING:
                 state.boosts += 1
                 state.spec = replace(
                     spec,
@@ -243,8 +237,8 @@ class RecoveryPolicy:
         elif isinstance(error, (PivotBreakdownError, ZeroDivisionError)) or (
             error.__class__.__name__ == "LinAlgError"
         ):
-            shift = self.shift0 if state.shift == 0.0 else state.shift * self.shift_growth
-            if shift <= self.max_shift:
+            shift = SHIFT0 if state.shift == 0.0 else state.shift * SHIFT_GROWTH
+            if shift <= MAX_SHIFT:
                 state.shift = shift
                 return RecoveryAction(
                     "diagonal_shift",

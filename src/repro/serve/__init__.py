@@ -17,10 +17,14 @@ existing stack for them --
 * :mod:`repro.serve.service` -- :class:`~repro.serve.service.SolverService`,
   the modeled-clock request loop;
 * :mod:`repro.serve.admission` -- streaming arrival timelines
-  (:class:`~repro.serve.admission.ArrivalTrace`), token-bucket
-  admission, deadline-aware load shedding;
+  (:class:`~repro.serve.admission.ArrivalTrace`), bounded queues and
+  deadline-aware load shedding;
 * :mod:`repro.serve.guard` -- per-shard circuit breakers, seeded-
-  backoff retries, the pressure-driven degradation ladder;
+  backoff retries, the pressure-driven degradation ladder.  One
+  ``SolverService(guard=GuardConfig(...))`` turns admission, breakers,
+  retries and degradation on together; their thresholds are module
+  constants (docs/serving.md tabulates them) and the only settable
+  values are ``breaker_cooldown``, ``backoff_base`` and ``seed``;
 * :mod:`repro.serve.bench` -- the tenant-count sweep behind
   ``BENCH_serve.json`` (``python -m repro serve``);
 * :mod:`repro.serve.overload` -- the overload chaos bench behind
@@ -43,19 +47,12 @@ Quick start::
 """
 
 from repro.serve.admission import (
-    AdmissionConfig,
-    AdmissionController,
     Arrival,
     ArrivalTrace,
     ShardLoadEstimator,
-    TokenBucket,
+    admission_shed_reason,
 )
-from repro.serve.batcher import (
-    RequestBatch,
-    RequestBatcher,
-    autoscale_max_batch,
-    shard_key,
-)
+from repro.serve.batcher import RequestBatch, RequestBatcher, shard_key
 from repro.serve.guard import (
     CircuitBreaker,
     DegradationDecision,
@@ -69,8 +66,6 @@ from repro.serve.request import SolveRequest, SolveResponse
 from repro.serve.service import RegisteredOperator, SolverService
 
 __all__ = [
-    "AdmissionConfig",
-    "AdmissionController",
     "Arrival",
     "ArrivalTrace",
     "CircuitBreaker",
@@ -88,7 +83,6 @@ __all__ = [
     "SolveRequest",
     "SolveResponse",
     "SolverService",
-    "TokenBucket",
-    "autoscale_max_batch",
+    "admission_shed_reason",
     "shard_key",
 ]

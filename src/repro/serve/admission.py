@@ -1,4 +1,4 @@
-"""Streaming admission: arrival timelines, token buckets, load shedding.
+"""Streaming admission: arrival timelines and load shedding.
 
 PR 6's service was fed by ``submit()`` calls with no notion of *when*
 requests arrive: everything queued at the frozen clock, then one
@@ -14,20 +14,17 @@ side of the serving model:
   hot tenant dominating).  Times are model seconds on the service
   clock; the same ``(kind, rate, n, seed)`` always yields the same
   timeline.
-* :class:`TokenBucket` -- classic rate limiter on the modeled clock:
-  capacity ``capacity`` tokens, refilled at ``rate`` tokens per model
-  second; one admission spends one token.
-* :class:`AdmissionConfig` / :class:`AdmissionController` -- the
-  service's admission decision: bounded per-shard queues, the token
-  bucket, and deadline-aware *reject-on-admission* -- when the shard's
-  modeled backlog (queued requests times the shard's smoothed
-  per-request service seconds) already exceeds the arriving request's
-  deadline, the request is shed immediately with
+* :func:`admission_shed_reason` -- the guarded service's admission
+  decision: bounded per-shard queues (:data:`MAX_QUEUE_DEPTH`) and
+  deadline-aware *reject-on-admission* -- when the shard's modeled
+  backlog (queued requests times the shard's smoothed per-request
+  service seconds) already exceeds :data:`BACKLOG_FACTOR` times the
+  arriving request's deadline, the request is shed immediately with
   ``SolveStatus.SHED`` instead of being queued to fail slowly.
 
-The controller only ever *refuses* work; it never reorders or alters
-admitted requests, so a service with an admission controller that
-never fires is bit-identical to one without.
+Admission only ever *refuses* work; it never reorders or alters
+admitted requests, so a guarded service whose admission never fires is
+bit-identical to one without.
 """
 
 from __future__ import annotations
@@ -40,11 +37,18 @@ import numpy as np
 __all__ = [
     "Arrival",
     "ArrivalTrace",
-    "TokenBucket",
-    "AdmissionConfig",
-    "AdmissionController",
     "ShardLoadEstimator",
+    "admission_shed_reason",
 ]
+
+#: bound on queued requests per shard; arrivals beyond it are shed with
+#: reason ``"queue_full"``
+MAX_QUEUE_DEPTH = 64
+#: reject-on-admission threshold: shed when the shard's modeled backlog
+#: exceeds this many times the arriving request's deadline
+BACKLOG_FACTOR = 1.5
+#: weight of the newest batch in the load estimator's moving averages
+EWMA_ALPHA = 0.5
 
 
 @dataclass(frozen=True)
@@ -179,41 +183,6 @@ class ArrivalTrace:
         return cls(arrivals, "tenant_skewed", rate, seed)
 
 
-class TokenBucket:
-    """Token-bucket rate limiter on the modeled clock.
-
-    ``capacity`` tokens maximum, refilled continuously at ``rate``
-    tokens per model second.  ``try_take(now)`` spends one token when
-    available.  The clock is the *service's* modeled clock, so the
-    bucket is exactly as deterministic as the serving simulation.
-    """
-
-    def __init__(self, capacity: float, rate: float) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        if rate < 0:
-            raise ValueError(f"rate must be >= 0, got {rate}")
-        self.capacity = float(capacity)
-        self.rate = float(rate)
-        self.tokens = float(capacity)
-        self._last = 0.0
-
-    def _refill(self, now: float) -> None:
-        if now > self._last:
-            self.tokens = min(
-                self.capacity, self.tokens + (now - self._last) * self.rate
-            )
-            self._last = now
-
-    def try_take(self, now: float) -> bool:
-        """Spend one token at model time ``now``; False when empty."""
-        self._refill(now)
-        if self.tokens >= 1.0:
-            self.tokens -= 1.0
-            return True
-        return False
-
-
 class ShardLoadEstimator:
     """Smoothed service-time estimates, one pair per shard.
 
@@ -229,15 +198,13 @@ class ShardLoadEstimator:
       is the honest estimate of "what will this batch cost", used for
       degradation pressure and for billing failed batches.
 
+    Both average with weight :data:`EWMA_ALPHA` on the newest batch.
     Before the first observation both estimates are 0 (optimistic --
     the first batch always admits, which both seeds the estimates and
     keeps the no-load path untouched).
     """
 
-    def __init__(self, alpha: float = 0.5) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = float(alpha)
+    def __init__(self) -> None:
         self._per_request: Dict[Tuple, float] = {}
         self._per_batch: Dict[Tuple, float] = {}
 
@@ -249,14 +216,15 @@ class ShardLoadEstimator:
             self._per_request[shard] = per_req
         else:
             self._per_request[shard] = (
-                self.alpha * per_req + (1.0 - self.alpha) * prev
+                EWMA_ALPHA * per_req + (1.0 - EWMA_ALPHA) * prev
             )
         prev_b = self._per_batch.get(shard)
         if prev_b is None:
             self._per_batch[shard] = float(batch_seconds)
         else:
             self._per_batch[shard] = (
-                self.alpha * float(batch_seconds) + (1.0 - self.alpha) * prev_b
+                EWMA_ALPHA * float(batch_seconds)
+                + (1.0 - EWMA_ALPHA) * prev_b
             )
 
     def per_request_seconds(self, shard: Tuple) -> float:
@@ -273,78 +241,25 @@ class ShardLoadEstimator:
         return self.per_request_seconds(shard) * max(int(queued), 0)
 
 
-@dataclass(frozen=True)
-class AdmissionConfig:
-    """Knobs of the admission controller.
+def admission_shed_reason(
+    estimator: ShardLoadEstimator,
+    shard: Tuple,
+    queued_in_shard: int,
+    deadline: Optional[float],
+) -> Optional[str]:
+    """Admit (None) or shed (reason string) one arrival.
 
-    Attributes
-    ----------
-    max_queue_depth:
-        Bound on queued requests per shard; arrivals beyond it are shed
-        with reason ``"queue_full"``.
-    bucket_capacity, bucket_rate:
-        Token-bucket size and refill rate (tokens per model second).
-        ``bucket_rate=None`` disables rate limiting.
-    backlog_factor:
-        Reject-on-admission threshold: shed when the shard's modeled
-        backlog exceeds ``backlog_factor`` times the arriving request's
-        deadline.  Requests without a deadline are never backlog-shed.
-    shed_in_queue:
-        Also shed queued requests whose deadline has already passed
-        when their batch comes up for execution (reason
-        ``"deadline_passed"``).
+    ``"queue_full"`` at :data:`MAX_QUEUE_DEPTH` queued requests in the
+    shard; ``"admission_backlog"`` when the modeled backlog exceeds
+    :data:`BACKLOG_FACTOR` times the request's deadline (requests
+    without a deadline are never backlog-shed).  A pure function of the
+    queue state and the load estimator, so the decision stream is
+    deterministic.
     """
-
-    max_queue_depth: int = 64
-    bucket_capacity: float = 64.0
-    bucket_rate: Optional[float] = None
-    backlog_factor: float = 1.0
-    shed_in_queue: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_queue_depth < 1:
-            raise ValueError(
-                f"max_queue_depth must be >= 1, got {self.max_queue_depth}"
-            )
-        if self.backlog_factor <= 0:
-            raise ValueError(
-                f"backlog_factor must be positive, got {self.backlog_factor}"
-            )
-
-
-class AdmissionController:
-    """Applies :class:`AdmissionConfig` at request arrival.
-
-    :meth:`decide` returns ``None`` to admit, or a shed-reason string
-    (``"queue_full"`` / ``"rate_limited"`` / ``"admission_backlog"``)
-    when the request must be refused.  All three checks are pure
-    functions of the modeled clock, the queue state, and the load
-    estimator, so the decision stream is deterministic.
-    """
-
-    def __init__(self, config: AdmissionConfig, estimator: ShardLoadEstimator) -> None:
-        self.config = config
-        self.estimator = estimator
-        self.bucket = (
-            TokenBucket(config.bucket_capacity, config.bucket_rate)
-            if config.bucket_rate is not None
-            else None
-        )
-
-    def decide(
-        self,
-        now: float,
-        shard: Tuple,
-        queued_in_shard: int,
-        deadline: Optional[float],
-    ) -> Optional[str]:
-        """Admit (None) or shed (reason string) one arrival at ``now``."""
-        if queued_in_shard >= self.config.max_queue_depth:
-            return "queue_full"
-        if self.bucket is not None and not self.bucket.try_take(now):
-            return "rate_limited"
-        if deadline is not None:
-            backlog = self.estimator.backlog_seconds(shard, queued_in_shard)
-            if backlog > self.config.backlog_factor * deadline:
-                return "admission_backlog"
-        return None
+    if queued_in_shard >= MAX_QUEUE_DEPTH:
+        return "queue_full"
+    if deadline is not None:
+        backlog = estimator.backlog_seconds(shard, queued_in_shard)
+        if backlog > BACKLOG_FACTOR * deadline:
+            return "admission_backlog"
+    return None

@@ -25,38 +25,7 @@ from typing import Dict, List, Tuple
 
 from repro.serve.request import SolveRequest
 
-__all__ = ["RequestBatcher", "RequestBatch", "autoscale_max_batch", "shard_key"]
-
-
-def autoscale_max_batch(
-    precond, layout, cap: int = 32, improvement: float = 0.05
-) -> int:
-    """The batch width where modeled per-request latency stops improving.
-
-    Block solves amortize kernel launches and halo latency across
-    columns, so per-request cost
-    (:func:`~repro.runtime.timings.block_iteration_seconds` divided by
-    the width) falls as width grows -- until the width-proportional
-    flops/bytes dominate and the curve flattens.  Walking doubling
-    widths, the scan stops at the first step whose relative per-request
-    improvement falls below ``improvement`` (or at ``cap``) and returns
-    the last width that still paid for itself.  The service uses this to
-    size ``max_batch`` from the cost model instead of a static default.
-    """
-    from repro.runtime.timings import block_iteration_seconds
-
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    best_width = 1
-    best_per_req = block_iteration_seconds(precond, layout, 1)
-    width = 2
-    while width <= cap:
-        per_req = block_iteration_seconds(precond, layout, width) / width
-        if per_req >= best_per_req * (1.0 - improvement):
-            break
-        best_width, best_per_req = width, per_req
-        width *= 2
-    return best_width
+__all__ = ["RequestBatcher", "RequestBatch", "shard_key"]
 
 
 def shard_key(req: SolveRequest, pattern_fp: str) -> Tuple:

@@ -8,16 +8,18 @@ deadlines.
 
 * :class:`CircuitBreaker` -- per-shard, driven by the existing
   :class:`~repro.krylov.status.SolveStatus` taxonomy: ``closed`` while
-  batches converge, ``open`` after ``threshold`` consecutive
-  non-converged/raising batches (requests then shed fast with reason
-  ``"circuit_open"`` instead of burning modeled GPU seconds on a shard
-  that is demonstrably broken), ``half_open`` after ``cooldown`` model
-  seconds -- one probe batch is let through; success closes the
-  breaker, failure re-opens it with the cooldown doubled.
-* :class:`RetryPolicy` -- exponential backoff with *deterministic*
-  seeded jitter: the jitter for attempt ``k`` of request ``r`` is a
-  blake2b hash of ``(seed, r, k)`` mapped to ``[0, jitter)``, so a
-  replayed trace retries at bit-identical instants.  Retries are billed
+  batches converge, ``open`` after :data:`BREAKER_THRESHOLD`
+  consecutive non-converged/raising batches (requests then shed fast
+  with reason ``"circuit_open"`` instead of burning modeled GPU seconds
+  on a shard that is demonstrably broken), ``half_open`` after
+  ``breaker_cooldown`` model seconds -- one probe batch is let through;
+  success closes the breaker, failure re-opens it with the cooldown
+  doubled.
+* :class:`RetryPolicy` -- up to :data:`MAX_RETRIES` retries with
+  exponential backoff and *deterministic* seeded jitter: the jitter for
+  attempt ``k`` of request ``r`` is a blake2b hash of ``(seed, r, k)``
+  (:func:`~repro.resilience.inject.seeded_jitter`) mapped to ``[0,
+  JITTER)``, so a replayed trace retries at bit-identical instants.  Retries are billed
   as real model seconds (the failed attempt's service time is already
   on the clock) and are refused when the backoff would land past the
   request's deadline.
@@ -50,14 +52,13 @@ shared action taxonomy across the solver and service layers.
 
 from __future__ import annotations
 
-import hashlib
-import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.dd.precision import HalfPrecisionOperator
 from repro.dd.wrapper import OperatorWrapper
 from repro.machine.kernels import KernelProfile
+from repro.resilience.inject import seeded_jitter
 from repro.resilience.policy import SERVICE_ACTION_KINDS
 
 __all__ = [
@@ -68,103 +69,68 @@ __all__ = [
     "DegradationDecision",
     "GuardState",
     "OneLevelOperator",
-    "seeded_jitter",
 ]
 
 
-def seeded_jitter(seed: int, request_id: str, attempt: int) -> float:
-    """Deterministic jitter in ``[0, 1)`` for one retry of one request.
-
-    blake2b over ``(seed, request_id, attempt)``; the same triple maps
-    to the same jitter on every replay, machine, and Python run
-    (``PYTHONHASHSEED``-independent).
-    """
-    h = hashlib.blake2b(
-        f"{seed}:{request_id}:{attempt}".encode(), digest_size=8
-    ).digest()
-    (val,) = struct.unpack(">Q", h)
-    return val / float(1 << 64)
+#: consecutive failed batches that open a shard's breaker
+BREAKER_THRESHOLD = 3
+#: retry attempts per request beyond the first
+MAX_RETRIES = 2
+#: growth of the retry backoff per attempt
+BACKOFF_FACTOR = 2.0
+#: seeded jitter amplitude of the retry backoff (fraction of it)
+JITTER = 0.25
+#: deadline pressures (estimated batch seconds over the tightest
+#: deadline headroom) at which each degradation rung engages; the rungs
+#: are cumulative
+PRESSURE_RTOL = 1.0
+PRESSURE_PRECISION = 2.0
+PRESSURE_ONE_LEVEL = 4.0
+#: factor the tolerance is loosened by on the ``degrade_rtol`` rung
+#: (capped by each request's ``tolerance_budget``)
+RTOL_RELAX = 100.0
 
 
 @dataclass(frozen=True)
 class GuardConfig:
-    """Knobs of the serving guard (breakers + retries + degradation).
+    """The serving guard: admission, breakers, retries and degradation.
+
+    ``SolverService(guard=GuardConfig(...))`` turns all four on
+    together; their thresholds are the module constants above and
+    those of :mod:`repro.serve.admission`.
 
     Attributes
     ----------
-    breaker_threshold:
-        Consecutive failed batches that open a shard's breaker; 0
-        disables breakers.
     breaker_cooldown:
-        Model seconds an open breaker waits before the half-open probe.
-    max_retries:
-        Retry attempts per request beyond the first (0 disables).
-    backoff_base, backoff_factor, jitter:
-        Backoff for attempt ``k`` (1-based) is
-        ``backoff_base * backoff_factor**(k-1) * (1 + jitter * u)``
-        with ``u = seeded_jitter(seed, request_id, k)``.
+        Model seconds an open breaker waits before the half-open probe
+        (>= 0).
+    backoff_base:
+        Backoff for retry ``k`` (1-based) is ``backoff_base *
+        BACKOFF_FACTOR**(k-1) * (1 + JITTER * u)`` with ``u =
+        seeded_jitter(seed, request_id, k)`` (>= 0).
     seed:
         Seed of the deterministic jitter stream.
-    degradation:
-        Enables the pressure-driven ladder.
-    pressure_rtol, pressure_precision, pressure_one_level:
-        Pressure thresholds (estimated batch seconds over deadline
-        headroom) at which each rung engages; rungs are cumulative.
-    rtol_relax:
-        Factor the tolerance is loosened by on the ``degrade_rtol``
-        rung (capped by each request's ``tolerance_budget``).
     """
 
-    breaker_threshold: int = 3
     breaker_cooldown: float = 0.05
-    max_retries: int = 2
     backoff_base: float = 1e-3
-    backoff_factor: float = 2.0
-    jitter: float = 0.25
     seed: int = 0
-    degradation: bool = True
-    pressure_rtol: float = 1.0
-    pressure_precision: float = 2.0
-    pressure_one_level: float = 4.0
-    rtol_relax: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.breaker_threshold < 0:
+        if self.breaker_cooldown < 0:
             raise ValueError(
-                f"breaker_threshold must be >= 0, got {self.breaker_threshold}"
+                f"breaker_cooldown must be >= 0, got {self.breaker_cooldown}"
             )
-        if self.max_retries < 0:
+        if self.backoff_base < 0:
             raise ValueError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.backoff_base < 0 or self.backoff_factor < 1.0:
-            raise ValueError(
-                "backoff_base must be >= 0 and backoff_factor >= 1, got "
-                f"{self.backoff_base} / {self.backoff_factor}"
-            )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
-        if not (
-            0.0 < self.pressure_rtol
-            <= self.pressure_precision
-            <= self.pressure_one_level
-        ):
-            raise ValueError(
-                "pressure thresholds must satisfy 0 < rtol <= precision "
-                f"<= one_level, got {self.pressure_rtol} / "
-                f"{self.pressure_precision} / {self.pressure_one_level}"
-            )
-        if self.rtol_relax < 1.0:
-            raise ValueError(
-                f"rtol_relax must be >= 1, got {self.rtol_relax}"
+                f"backoff_base must be >= 0, got {self.backoff_base}"
             )
 
 
 class CircuitBreaker:
     """One shard's breaker state machine (see module docstring)."""
 
-    def __init__(self, threshold: int, cooldown: float) -> None:
-        self.threshold = int(threshold)
+    def __init__(self, cooldown: float) -> None:
         self.cooldown = float(cooldown)
         self._consecutive_failures = 0
         self._open_until: Optional[float] = None
@@ -186,7 +152,7 @@ class CircuitBreaker:
         An open breaker whose cooldown has elapsed transitions to
         half-open and admits exactly one probe batch.
         """
-        if self.threshold <= 0 or self._open_until is None:
+        if self._open_until is None:
             return True
         if self._probing:
             return False  # a probe is already in flight this round
@@ -206,11 +172,9 @@ class CircuitBreaker:
         """A batch failed (raised, or no column converged).
 
         A failed half-open probe re-opens with the cooldown doubled
-        (capped at 16x); a closed breaker opens once ``threshold``
-        consecutive failures accumulate.
+        (capped at 16x); a closed breaker opens once
+        :data:`BREAKER_THRESHOLD` consecutive failures accumulate.
         """
-        if self.threshold <= 0:
-            return
         if self._probing:
             self._cooldown_now = min(
                 self._cooldown_now * 2.0, self.cooldown * 16.0
@@ -222,7 +186,7 @@ class CircuitBreaker:
         self._consecutive_failures += 1
         if (
             self._open_until is None
-            and self._consecutive_failures >= self.threshold
+            and self._consecutive_failures >= BREAKER_THRESHOLD
         ):
             self._open_until = now + self._cooldown_now
             self.opened += 1
@@ -241,8 +205,8 @@ class RetryPolicy:
         c = self.config
         u = seeded_jitter(c.seed, request_id, attempt)
         return (
-            c.backoff_base * c.backoff_factor ** (attempt - 1)
-            * (1.0 + c.jitter * u)
+            c.backoff_base * BACKOFF_FACTOR ** (attempt - 1)
+            * (1.0 + JITTER * u)
         )
 
     def should_retry(
@@ -259,7 +223,7 @@ class RetryPolicy:
         retry could then only produce a late answer -- exactly what
         the shedding layer exists to prevent).
         """
-        if attempt > self.config.max_retries:
+        if attempt > MAX_RETRIES:
             return None
         not_before = now + self.backoff_seconds(request_id, attempt)
         if absolute_deadline is not None and not_before >= absolute_deadline:
@@ -336,13 +300,12 @@ class DegradationLadder:
     #: ladder order; all members of the shared service taxonomy
     RUNGS = ("degrade_rtol", "degrade_precision", "degrade_one_level")
 
-    def __init__(self, config: GuardConfig) -> None:
+    def __init__(self) -> None:
         for rung in self.RUNGS:
             if rung not in SERVICE_ACTION_KINDS:
                 raise ValueError(
                     f"rung {rung!r} missing from SERVICE_ACTION_KINDS"
                 )
-        self.config = config
 
     def pressure(
         self,
@@ -376,20 +339,19 @@ class DegradationLadder:
         the batch at full tolerance.
         """
         decision = DegradationDecision(pressure=pressure)
-        c = self.config
-        if not c.degradation or pressure < c.pressure_rtol:
+        if pressure < PRESSURE_RTOL:
             return decision
         # rung 1: loosen rtol within every request's declared budget
         if tolerance_budgets and all(b is not None for b in tolerance_budgets):
             cap = min(tolerance_budgets)
-            loosened = min(base_rtol * c.rtol_relax, cap)
+            loosened = min(base_rtol * RTOL_RELAX, cap)
             if loosened > base_rtol:
                 decision.rungs.append("degrade_rtol")
                 decision.effective_rtol = loosened
-        if pressure >= c.pressure_precision:
+        if pressure >= PRESSURE_PRECISION:
             decision.rungs.append("degrade_precision")
             decision.precision = "single"
-        if pressure >= c.pressure_one_level:
+        if pressure >= PRESSURE_ONE_LEVEL:
             decision.rungs.append("degrade_one_level")
             decision.levels = 1
         return decision
@@ -417,14 +379,12 @@ class GuardState:
     def __init__(self, config: GuardConfig) -> None:
         self.config = config
         self.retry = RetryPolicy(config)
-        self.ladder = DegradationLadder(config)
+        self.ladder = DegradationLadder()
         self._breakers: Dict[Tuple, CircuitBreaker] = {}
 
     def breaker(self, shard: Tuple) -> CircuitBreaker:
         br = self._breakers.get(shard)
         if br is None:
-            br = CircuitBreaker(
-                self.config.breaker_threshold, self.config.breaker_cooldown
-            )
+            br = CircuitBreaker(self.config.breaker_cooldown)
             self._breakers[shard] = br
         return br

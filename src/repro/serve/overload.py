@@ -3,18 +3,18 @@
 ``python -m repro chaos --suite overload`` replays seeded Poisson arrival
 traces (:class:`~repro.serve.admission.ArrivalTrace`) at 1--16x the
 service's calibrated capacity, with seeded *transient* solver faults
-injected (:class:`FaultInjector` -- a faulted batch raises; its retry
-re-hashes with the bumped attempt counter and normally succeeds), and
-serves every trace twice:
+injected (a ``batch_fault`` spec of the
+:class:`~repro.resilience.inject.FaultPlan` -- a faulted batch raises;
+its retry re-hashes with the bumped attempt counter and normally
+succeeds), and serves every trace twice:
 
 * **unguarded** -- the plain service.  Faults become terminal
   ``FAILED`` responses (the containment fix keeps the drain alive);
   nothing is shed, so under overload every request is served -- late.
-* **guarded** -- the same service with an
-  :class:`~repro.serve.admission.AdmissionConfig` (bounded queues +
-  deadline-aware shedding) and a
-  :class:`~repro.serve.guard.GuardConfig` (per-shard circuit breakers,
-  deadline-capped seeded-backoff retries, the degradation ladder).
+* **guarded** -- the same service with a
+  :class:`~repro.serve.guard.GuardConfig` (bounded queues +
+  deadline-aware shedding, per-shard circuit breakers, deadline-capped
+  seeded-backoff retries, the degradation ladder).
 
 Per arm and multiplier the report records p50/p99 modeled latency over
 served requests, shed rate, SLO-violation rate, and goodput.  The SLO
@@ -42,48 +42,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.serve.guard import seeded_jitter
-
-__all__ = [
-    "FaultInjector", "InjectedSolverFault", "run_overload_bench", "summary"
-]
-
-
-class InjectedSolverFault(RuntimeError):
-    """A chaos-injected batch failure (transient by construction)."""
-
-
-class FaultInjector:
-    """Seeded transient batch faults for the chaos arms.
-
-    A batch faults when ``seeded_jitter(seed, "fault:" + head_id,
-    attempt) < rate``, where ``head_id`` is the batch's first request
-    and ``attempt`` that request's failure count so far.  The decision
-    is a pure hash of ``(seed, request, attempt)``: replays are
-    bit-identical, and a retried batch re-rolls with the bumped attempt
-    counter, so faults are *transient* -- exactly the failure mode
-    retry-with-backoff exists for.
-    """
-
-    def __init__(self, rate: float, seed: int = 0) -> None:
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"fault rate must be in [0, 1), got {rate}")
-        self.rate = float(rate)
-        self.seed = int(seed)
-        #: batches faulted so far (reporting)
-        self.injected = 0
-
-    def __call__(self, batch, attempts: Dict[str, int]) -> None:
-        if self.rate <= 0.0:
-            return
-        head = batch.requests[0].request_id
-        attempt = attempts.get(head, 0)
-        if seeded_jitter(self.seed, f"fault:{head}", attempt) < self.rate:
-            self.injected += 1
-            raise InjectedSolverFault(
-                f"injected transient fault (batch head {head}, "
-                f"attempt {attempt})"
-            )
+__all__ = ["run_overload_bench", "summary"]
 
 
 def _percentile(latencies: Sequence[float], q: float) -> float:
@@ -169,25 +128,19 @@ def _run_arm(
     deadline: float,
     seed: int,
     tolerance_budget: Optional[float] = None,
-    fault_rate: float = 0.0,
     **service_options,
 ) -> tuple:
     """Serve one bound trace on a fresh service; returns (service, responses).
 
-    ``service_options`` go to :class:`SolverService` (``admission=``,
-    ``guard=``, ``elastic=``, ``fault_plan=``, ``max_batch=``).
+    ``service_options`` go to :class:`SolverService` (``guard=``,
+    ``elastic=``, ``fault_plan=``, ``max_batch=``).
     """
     from repro.reuse import ArtifactCache, use_artifact_cache
     from repro.serve.request import SolveRequest
     from repro.serve.service import SolverService
 
-    injector = (
-        FaultInjector(fault_rate, seed=seed) if fault_rate > 0.0 else None
-    )
     with use_artifact_cache(ArtifactCache()):
-        service = SolverService(
-            layout=layout, fault_injector=injector, **service_options
-        )
+        service = SolverService(layout=layout, **service_options)
         fp = service.register(problem.a)
 
         def factory(arrival):
@@ -246,8 +199,9 @@ def run_overload_bench(
     """
     from repro.bench.harness import model_machine
     from repro.fem import laplace_3d
+    from repro.resilience.inject import FaultPlan
     from repro.runtime.layout import JobLayout
-    from repro.serve.admission import AdmissionConfig, ArrivalTrace
+    from repro.serve.admission import ArrivalTrace
     from repro.serve.guard import GuardConfig
 
     problem = laplace_3d(elements, elements, elements)
@@ -258,17 +212,12 @@ def run_overload_bench(
     capacity_rps = 0.6 / per_request_seconds
     deadline = 45.0 * per_request_seconds
 
-    admission = AdmissionConfig(
-        max_queue_depth=64,
-        bucket_rate=None,
-        backlog_factor=1.5,
-        shed_in_queue=True,
-    )
     guard = GuardConfig(
         breaker_cooldown=2.0 * per_request_seconds,
         backoff_base=0.05 * per_request_seconds,
         seed=seed,
     )
+    faults = FaultPlan.single("batch_fault", magnitude=fault_rate, seed=seed)
 
     violations: List[str] = []
     by_multiplier: Dict[str, dict] = {}
@@ -277,14 +226,11 @@ def run_overload_bench(
             rate=m * capacity_rps, n=n_requests, seed=seed
         )
         arms = {}
-        for arm, adm, grd in (
-            ("unguarded", None, None),
-            ("guarded", admission, guard),
-        ):
+        for arm, grd in (("unguarded", None), ("guarded", guard)):
             svc, resp = _run_arm(
                 problem, layout, trace,
                 deadline=deadline, tolerance_budget=1e-5, seed=seed,
-                admission=adm, guard=grd, fault_rate=fault_rate,
+                guard=grd, fault_plan=faults,
             )
             arms[arm] = _arm_metrics(svc, resp, n_requests)
         by_multiplier[str(m)] = arms
@@ -312,8 +258,7 @@ def run_overload_bench(
     )
     svc_g, resp_g = _run_arm(
         problem, layout, ident_trace,
-        deadline=deadline, tolerance_budget=1e-5, seed=seed,
-        admission=admission, guard=guard,
+        deadline=deadline, tolerance_budget=1e-5, seed=seed, guard=guard,
     )
     identical = _identical(resp_u, resp_g)
     quiet = (

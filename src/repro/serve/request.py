@@ -64,8 +64,8 @@ class SolveRequest:
         algebraic operators leave both at their defaults.
     deadline:
         Model-seconds budget from submission; the response reports
-        whether it was met.  None means no deadline.  Under an
-        admission-controlled service the deadline also drives load
+        whether it was met.  None means no deadline.  Under a
+        guarded service (``guard=``) the deadline also drives load
         shedding: a request whose deadline is already unmeetable is
         refused (``SolveStatus.SHED``) instead of served late.
     priority:
@@ -161,7 +161,7 @@ class SolveResponse:
     #: retry attempts beyond the first (0 on the no-fault path)
     retries: int = 0
     #: why the request was shed (``status == SolveStatus.SHED`` only):
-    #: ``queue_full`` / ``rate_limited`` / ``admission_backlog`` /
+    #: ``queue_full`` / ``admission_backlog`` /
     #: ``deadline_passed`` / ``circuit_open``
     shed_reason: Optional[str] = None
     #: :meth:`DegradationDecision.to_dict` of the batch that served this

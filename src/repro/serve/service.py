@@ -21,22 +21,22 @@ existing solver stack for them:
   tenants: each is priced under ``layout.with_tenants(t)`` (a ``1/t``
   GPU share each) and the round takes the slowest batch, not the sum.
 
-Overload robustness (all opt-in; a service constructed without
-``admission=`` / ``guard=`` is bit-identical to the fair-weather
-service, except that a raising batch now yields terminal ``FAILED``
-responses instead of stranding every later request):
+Overload robustness (opt-in; a service constructed without ``guard=``
+is bit-identical to the fair-weather service, except that a raising
+batch now yields terminal ``FAILED`` responses instead of stranding
+every later request):
 
-* ``admission=`` (:class:`~repro.serve.admission.AdmissionConfig`)
-  bounds the per-shard queues, rate-limits through a token bucket, and
-  sheds requests whose modeled backlog already exceeds their deadline
-  -- at admission and again in queue (``SolveStatus.SHED``);
-* ``guard=`` (:class:`~repro.serve.guard.GuardConfig`) adds per-shard
-  circuit breakers over the batch outcome stream, deadline-capped
-  retry with deterministic seeded backoff for failed requests, and the
-  pressure-driven degradation ladder (loosen rtol within each
-  request's ``tolerance_budget`` -> half-precision operator ->
-  one-level Schwarz), every rung priced on the modeled clock and
-  reported in :attr:`~repro.serve.request.SolveResponse.degradation`;
+* ``guard=`` (:class:`~repro.serve.guard.GuardConfig`) bounds the
+  per-shard queues and sheds requests whose modeled backlog already
+  exceeds their deadline -- at admission and again in queue
+  (``SolveStatus.SHED``, :mod:`repro.serve.admission`) -- and adds
+  per-shard circuit breakers over the batch outcome stream,
+  deadline-capped retry with deterministic seeded backoff for failed
+  requests, and the pressure-driven degradation ladder (loosen rtol
+  within each request's ``tolerance_budget`` -> half-precision
+  operator -> one-level Schwarz), every rung priced on the modeled
+  clock and reported in
+  :attr:`~repro.serve.request.SolveResponse.degradation`;
 * :meth:`run_trace` replays a streaming arrival timeline
   (:class:`~repro.serve.admission.ArrivalTrace`) against the modeled
   clock: arrivals land while earlier batches are still draining, idle
@@ -52,7 +52,7 @@ wrapping the block solve's own ``krylov/*`` spans.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,17 +65,16 @@ from repro.reuse import pattern_fingerprint, values_fingerprint
 from repro.runtime.layout import JobLayout
 from repro.runtime.pricing import reduce_seconds
 from repro.runtime.timings import block_iteration_seconds
-from repro.serve.admission import (
-    AdmissionConfig,
-    AdmissionController,
-    ShardLoadEstimator,
-)
+from repro.serve.admission import ShardLoadEstimator, admission_shed_reason
 from repro.serve.batcher import RequestBatch, RequestBatcher, shard_key
 from repro.serve.guard import DegradationDecision, GuardConfig, GuardState
 from repro.serve.pool import SessionPool
 from repro.serve.request import SolveRequest, SolveResponse
 
 __all__ = ["SolverService", "RegisteredOperator"]
+
+#: LRU bound of the shard session pool
+POOL_SIZE = 8
 
 
 class RegisteredOperator:
@@ -127,20 +126,12 @@ class SolverService:
     batching:
         ``False`` serves one request at a time (the baseline mode the
         benchmark compares against).
-    pool_size:
-        LRU bound of the shard session pool.
-    admission:
-        :class:`~repro.serve.admission.AdmissionConfig` enabling
-        bounded queues, token-bucket admission, and deadline-aware load
-        shedding.  None (default) admits everything, exactly as before.
     guard:
-        :class:`~repro.serve.guard.GuardConfig` enabling per-shard
-        circuit breakers, retry with seeded backoff, and the
-        degradation ladder.  None (default) disables all three.
-    fault_injector:
-        Test/chaos hook: a callable ``(batch, attempts) -> None`` run
-        before each batch executes; raising simulates a solver fault
-        for the whole batch (contained, then retried under ``guard=``).
+        :class:`~repro.serve.guard.GuardConfig` enabling bounded
+        queues with deadline-aware load shedding, per-shard circuit
+        breakers, retry with seeded backoff, and the degradation
+        ladder.  None (default) admits everything and disables all
+        four.
     elastic:
         :class:`~repro.elastic.policy.ElasticConfig` enabling
         load/health-driven rank scaling: stragglers trigger
@@ -153,7 +144,9 @@ class SolverService:
         :class:`~repro.resilience.inject.FaultPlan` whose ``slow_rank``
         specs price seeded slow-rank windows onto the modeled clock
         (setup and per-iteration costs inflate while a window is
-        active).  Works with or without ``elastic=``: without, the
+        active) and whose ``batch_fault`` specs make whole batches
+        fail transiently (contained, then retried under ``guard=``).
+        ``slow_rank`` works with or without ``elastic=``: without, the
         service simply eats the slowdown (the static arm of the elastic
         benchmark).
     """
@@ -161,12 +154,9 @@ class SolverService:
     def __init__(
         self,
         layout: Optional[JobLayout] = None,
-        max_batch: "int | str" = 8,
+        max_batch: int = 8,
         batching: bool = True,
-        pool_size: int = 8,
-        admission: Optional[AdmissionConfig] = None,
         guard: Optional[GuardConfig] = None,
-        fault_injector: Optional[Callable] = None,
         elastic: "Optional[object]" = None,
         fault_plan: "Optional[object]" = None,
     ) -> None:
@@ -175,15 +165,8 @@ class SolverService:
 
             layout = JobLayout.gpu_run(1, 2, machine=model_machine())
         self.layout = layout
-        #: ``max_batch="auto"`` sizes the width cap from the cost model
-        #: (:func:`~repro.serve.batcher.autoscale_max_batch`) at each
-        #: shard's first preconditioner build
-        self._auto_batch = max_batch == "auto"
-        self.batcher = RequestBatcher(
-            max_batch=8 if self._auto_batch else int(max_batch),
-            batching=batching,
-        )
-        self.pool = SessionPool(maxsize=pool_size)
+        self.batcher = RequestBatcher(max_batch=max_batch, batching=batching)
+        self.pool = SessionPool(maxsize=POOL_SIZE)
         #: the modeled clock, in model seconds since service start
         self.clock = 0.0
         #: total requests served (responses from executed batches)
@@ -200,12 +183,7 @@ class SolverService:
         self._operators: Dict[str, RegisteredOperator] = {}
         self._inflight: Dict[str, SolveRequest] = {}
         self._estimator = ShardLoadEstimator()
-        self._admission = (
-            AdmissionController(admission, self._estimator)
-            if admission is not None else None
-        )
         self._guard = GuardState(guard) if guard is not None else None
-        self._fault_injector = fault_injector
         self._retry_queue: List[_Retry] = []
         self._attempts: Dict[str, int] = {}
         self._pending_shed: List[SolveResponse] = []
@@ -223,7 +201,6 @@ class SolverService:
         # per-shard map: subdomain index -> physical host id (the
         # slow_rank faults name hosts; repartitions remap subdomains)
         self._rank_hosts: Dict[Tuple, List[int]] = {}
-        self._autoscaled: set = set()
 
     # -- operator registry ---------------------------------------------
     def register(
@@ -284,7 +261,7 @@ class SolverService:
         """Queue one request; returns its request id.
 
         ``arrival`` stamps the request's arrival on the modeled clock
-        (default: now).  With ``admission=`` configured, the admission
+        (default: now).  With ``guard=`` configured, the admission
         decision happens here: a refused request is *not* queued -- its
         ``SHED`` response is delivered by the next :meth:`drain` (or
         immediately by :meth:`run_trace`).
@@ -300,9 +277,9 @@ class SolverService:
         self._seq += 1
         arrival = self.clock if arrival is None else float(arrival)
         shard = shard_key(req, op.pattern_fp)
-        if self._admission is not None:
-            reason = self._admission.decide(
-                arrival,
+        if self._guard is not None:
+            reason = admission_shed_reason(
+                self._estimator,
                 shard,
                 self.batcher.pending_in_shard(shard),
                 req.deadline,
@@ -376,7 +353,7 @@ class SolverService:
         (:meth:`ArrivalTrace.bind` produces one).  The loop alternates
         admission and execution on the modeled clock: all arrivals due
         at or before "now" are admitted (through the admission
-        controller when configured), then ONE batch -- the earliest in
+        guard when configured), then ONE batch -- the earliest in
         execution order -- is served, so arrivals landing during its
         service join the next round's coalescing.  When the service
         goes idle the clock fast-forwards to the next arrival or retry.
@@ -692,7 +669,7 @@ class SolverService:
     ) -> Optional[DegradationDecision]:
         """The ladder's decision for one batch about to execute."""
         guard = self._guard
-        if guard is None or not guard.config.degradation:
+        if guard is None:
             return None
         # flat-cost model: a block solve shares one launch schedule, so
         # its cost is nearly width-independent
@@ -771,19 +748,15 @@ class SolverService:
             )
             start_clock += extra
         layout = self._shard_layouts.get(batch.shard, layout)
-        # shed-in-queue: drop requests whose deadline already passed
-        if (
-            self._admission is not None
-            and self._admission.config.shed_in_queue
-        ):
+        breaker = None
+        if self._guard is not None:
+            # shed-in-queue: drop requests whose deadline already passed
             narrowed, shed = self._shed_hopeless(batch, start_clock)
             responses.extend(shed)
             if narrowed is None:
                 return responses, extra
             batch = narrowed
-        # circuit breaker: fail fast on a shard that keeps breaking
-        breaker = None
-        if self._guard is not None:
+            # circuit breaker: fail fast on a shard that keeps breaking
             breaker = self._guard.breaker(batch.shard)
             if not breaker.allow(start_clock):
                 for req, arrival in zip(batch.requests, batch.arrival_clocks):
@@ -792,9 +765,16 @@ class SolverService:
                     ))
                 return responses, extra
         decision = self._degradation_for(batch, start_clock)
+        head = batch.requests[0].request_id
+        attempt = self._attempts.get(head, 0)
         try:
-            if self._fault_injector is not None:
-                self._fault_injector(batch, self._attempts)
+            if self._fault_plan is not None and self._fault_plan.batch_faulted(
+                head, attempt
+            ):
+                raise RuntimeError(
+                    f"injected transient fault (batch head {head}, "
+                    f"attempt {attempt})"
+                )
             rs, secs = self._serve_batch(batch, layout, start_clock, decision)
         except Exception as exc:  # containment: the drain must continue
             self.batch_failures += 1
@@ -817,7 +797,7 @@ class SolverService:
             else:
                 breaker.record_failure(now)
         # non-converged breakdown columns are retry candidates
-        if self._guard is not None and self._guard.config.max_retries > 0:
+        if self._guard is not None:
             broken = [
                 i for i, resp in enumerate(rs)
                 if resp.status is SolveStatus.BREAKDOWN
@@ -867,15 +847,6 @@ class SolverService:
             # shard alike: pricing used to raise on the shard's first
             # request only, later ones skipping the setup pricing
             layout = self._layout_for_ranks(precond.dec.n_subdomains, layout)
-            if self._auto_batch and not self._autoscaled:
-                from repro.serve.batcher import autoscale_max_batch
-
-                width = autoscale_max_batch(precond, layout)
-                with tr.span("serve/autoscale") as asp:
-                    asp.annotate(max_batch=width)
-                    asp.count("batch_width", float(width))
-                self.batcher.max_batch = width
-                self._autoscaled.add(batch.shard)
             factors = self._rank_factors(
                 batch.shard, start_clock, precond.dec.n_subdomains
             )

@@ -28,7 +28,7 @@ def tool():
 
 def test_every_gated_bench_has_a_committed_file(tool):
     assert sorted(tool.BENCHES) == [
-        "elastic", "reuse", "scenarios", "serve", "slo"
+        "chaos", "elastic", "ft", "reuse", "scenarios", "serve", "slo"
     ]
     for name in tool.BENCHES:
         assert (tool.RESULTS / f"BENCH_{name}.json").is_file(), name

@@ -11,6 +11,8 @@ from repro.elastic import (
     async_solve_seconds,
     solve_async,
 )
+from repro.elastic import async_schwarz
+from repro.elastic.async_schwarz import MAX_STALE_APPLIES, STALE_STALL_WINDOW
 from repro.fem import laplace_3d
 from repro.krylov.gmres import gmres
 from repro.runtime import JobLayout
@@ -92,27 +94,31 @@ class TestGuard:
 
     def test_staleness_budget_trips(self, precond):
         op = BoundedStalenessSchwarz(precond, [1])
-        op.stale_applies = 201
-        g = StalenessGuard(op, max_stale_applies=200)
+        op.stale_applies = MAX_STALE_APPLIES
+        g = StalenessGuard(op)
         g.on_residual(0, 1.0)
-        assert g.on_residual(1, 1.0) == "staleness_budget"
+        assert g.on_residual(1, 1.0) is None
+        op.stale_applies += 1
+        assert g.on_residual(2, 1.0) == "staleness_budget"
 
     def test_stagnation_trips_only_with_stale_ranks(self, precond):
         op = BoundedStalenessSchwarz(precond, [1])
-        g = StalenessGuard(op, stall_window=5)
+        g = StalenessGuard(op)
         g.on_residual(0, 1.0)
-        assert g.on_residual(5, 1.0) == "stale_stagnation"
-        healthy = StalenessGuard(
-            BoundedStalenessSchwarz(precond, []), stall_window=5
-        )
+        assert g.on_residual(STALE_STALL_WINDOW - 1, 1.0) is None
+        assert g.on_residual(STALE_STALL_WINDOW, 1.0) == "stale_stagnation"
+        healthy = StalenessGuard(BoundedStalenessSchwarz(precond, []))
         healthy.on_residual(0, 1.0)
-        assert healthy.on_residual(5, 1.0) is None
+        assert healthy.on_residual(STALE_STALL_WINDOW, 1.0) is None
 
-    def test_fallback_still_meets_tolerance(self, problem, precond):
+    def test_fallback_still_meets_tolerance(
+        self, problem, precond, monkeypatch
+    ):
         # a tiny staleness budget forces the synchronous fallback
+        monkeypatch.setattr(async_schwarz, "MAX_STALE_APPLIES", 3)
         res = solve_async(
             problem.a, problem.b, precond, stale_ranks=[1],
-            max_staleness=4, rtol=1e-8, max_stale_applies=3,
+            max_staleness=4, rtol=1e-8,
         )
         assert res.fell_back
         assert res.converged

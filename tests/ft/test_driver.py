@@ -7,6 +7,7 @@ import pytest
 from repro.api import KrylovConfig, SolverSession
 from repro.fem import elasticity_3d, laplace_3d
 from repro.ft import FaultToleranceConfig, RankFailedError
+from repro.ft.driver import MAX_FAILURES
 from repro.resilience.inject import FaultPlan, FaultSpec
 
 RTOL = 1e-7
@@ -89,13 +90,15 @@ class TestControlArm:
         assert "MPI_ERR_PROC_FAILED" in str(ei.value)
 
     def test_failure_budget_enforced(self, laplace):
+        # one death more than MAX_FAILURES recoveries; respawning keeps
+        # rank 1 alive to die again
         plan = FaultPlan(
             [
-                FaultSpec("rank_loss", rank=r, phase="reduce", occurrence=2 * r)
-                for r in (1, 2, 3)
+                FaultSpec("rank_loss", rank=1, phase="reduce", occurrence=2 * k)
+                for k in range(1, MAX_FAILURES + 2)
             ]
         )
-        cfg = FaultToleranceConfig(fault_plan=plan, max_failures=1)
+        cfg = FaultToleranceConfig(fault_plan=plan, strategy="respawn")
         with pytest.raises(RankFailedError):
             SolverSession(
                 laplace, partition=(2, 2, 1), policy=cfg
@@ -223,9 +226,7 @@ class TestDriverSurface:
     def test_cg_recovers_from_checkpoint(self, laplace):
         kry = KrylovConfig(method="cg")
         plan = FaultPlan.single("rank_loss", 1, phase="reduce", occurrence=20)
-        cfg = FaultToleranceConfig(
-            fault_plan=plan, strategy="respawn", checkpoint_interval=3
-        )
+        cfg = FaultToleranceConfig(fault_plan=plan, strategy="respawn")
         res = SolverSession(laplace, partition=(2, 2, 1), krylov=kry,
                             policy=cfg).solve()
         assert res.converged and res.final_relres <= RTOL * 1.01

@@ -68,7 +68,7 @@ class TestSweepDivergence:
         assert not sweep_divergence([1.0, 0.5, 0.25])
 
     def test_growing_sweeps_fire(self):
-        assert sweep_divergence([1.0, 50.0, 2500.0], growth_tol=10.0)
+        assert sweep_divergence([1.0, 50.0, 2500.0])
 
     def test_nonfinite_fires(self):
         assert sweep_divergence([1.0, float("inf")])

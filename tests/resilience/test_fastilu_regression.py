@@ -19,6 +19,7 @@ from repro import (
 from repro.dd.local_solvers import LocalSolverSpec
 from repro.fem import elasticity_3d
 from repro.ilu.fastilu import FastIlu
+from repro.resilience import detect
 from repro.resilience.context import use_engine
 from repro.resilience.detect import DivergenceError
 
@@ -49,6 +50,20 @@ class TestDetector:
             with pytest.raises(DivergenceError) as ei:
                 f.numeric(stiff_problem.a)
         assert len(ei.value.norms) >= 2
+
+    @pytest.mark.parametrize("protected", [False, True])
+    def test_one_divergence_threshold(
+        self, stiff_problem, monkeypatch, protected
+    ):
+        """With or without an engine, FastILU's divergence verdict reads
+        the one ``GROWTH_TOL`` constant: raised past the measured
+        growth, the undamped sweeps no longer count as diverged."""
+        monkeypatch.setattr(detect, "GROWTH_TOL", 1e300)
+        f = FastIlu(level=1, sweeps=3, damping=1.0)
+        f.symbolic(stiff_problem.a)
+        with use_engine(ResilienceConfig().protection() if protected else None):
+            f.numeric(stiff_problem.a)
+        assert not f.diverged
 
     def test_no_engine_keeps_seed_behavior(self, stiff_problem):
         """Without an engine the factorization completes (garbage

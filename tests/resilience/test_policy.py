@@ -7,13 +7,20 @@ from repro.dd.local_solvers import LocalSolverSpec
 from repro.resilience.detect import DivergenceError, PivotBreakdownError
 from repro.resilience.policy import (
     ACTION_KINDS,
+    MAX_SHIFT,
+    SHIFT0,
+    SHIFT_GROWTH,
     RecoveryPolicy,
 )
+
+#: diagonal shifts the pivot rung tries before the cap: 1e-8, 1e-6,
+#: 1e-4, 1e-2 and 1.0 (the next, 100, is past MAX_SHIFT = 4)
+N_SHIFTS = 5
 
 
 class TestFastIluLadder:
     def test_damping_boosts_then_fallback(self):
-        pol = RecoveryPolicy(max_damping_boosts=2, min_damping=0.15)
+        pol = RecoveryPolicy()
         st = pol.initial_state(1, LocalSolverSpec(kind="fastilu"))
         err = DivergenceError("diverged")
 
@@ -23,6 +30,8 @@ class TestFastIluLadder:
         a2 = pol.escalate(st, err)
         assert a2.kind == "boost_damping"
         assert st.spec.factor_damping == pytest.approx(0.175)
+        # MAX_DAMPING_BOOSTS = 2 halvings (0.0875 would also undercut
+        # MIN_DAMPING = 0.15), then the fallback
         a3 = pol.escalate(st, err)
         assert a3.kind == "fallback_iluk"
         assert st.spec.kind == "iluk"
@@ -38,21 +47,24 @@ class TestFastIluLadder:
 
 class TestPivotLadder:
     def test_shift_grows_then_falls_back(self):
-        pol = RecoveryPolicy(shift0=1e-8, shift_growth=100.0, max_shift=1e-4)
+        pol = RecoveryPolicy()
         st = pol.initial_state(0, LocalSolverSpec(kind="tacho"))
         err = PivotBreakdownError("p", solver="tacho")
 
         shifts = []
-        for _ in range(3):
+        for _ in range(N_SHIFTS):
             a = pol.escalate(st, err)
             assert a.kind == "diagonal_shift"
             shifts.append(st.shift)
-        assert shifts == pytest.approx([1e-8, 1e-6, 1e-4])
+        assert shifts == pytest.approx(
+            [SHIFT0 * SHIFT_GROWTH**k for k in range(N_SHIFTS)]
+        )
+        assert shifts[-1] <= MAX_SHIFT < shifts[-1] * SHIFT_GROWTH
         a = pol.escalate(st, err)
         assert a.kind == "fallback_superlu"
         assert st.spec.kind == "superlu"
         # the shift is kept: the matrix that needed it still needs it
-        assert st.shift == pytest.approx(1e-4)
+        assert st.shift == pytest.approx(shifts[-1])
 
     def test_linalgerror_also_shifts(self):
         pol = RecoveryPolicy()
@@ -63,10 +75,11 @@ class TestPivotLadder:
 
 class TestExhaustion:
     def test_superlu_pivot_exhausts_after_shift_cap(self):
-        pol = RecoveryPolicy(shift0=1.0, shift_growth=10.0, max_shift=1.0)
+        pol = RecoveryPolicy()
         st = pol.initial_state(0, LocalSolverSpec(kind="superlu"))
         err = PivotBreakdownError("p", solver="superlu")
-        assert pol.escalate(st, err).kind == "diagonal_shift"
+        for _ in range(N_SHIFTS):
+            assert pol.escalate(st, err).kind == "diagonal_shift"
         assert pol.escalate(st, err) is None
         assert st.exhausted
 
@@ -81,13 +94,15 @@ class TestFullChain:
     def test_fastilu_to_superlu_chain(self):
         """A subdomain that keeps breaking walks fastilu -> iluk ->
         tacho -> superlu and only then exhausts."""
-        pol = RecoveryPolicy(
-            max_damping_boosts=0, shift0=1.0, shift_growth=10.0, max_shift=1.0
-        )
+        pol = RecoveryPolicy()
         st = pol.initial_state(0, LocalSolverSpec(kind="fastilu"))
         kinds = []
-        # divergence pushes off fastilu; pivot errors then walk the chain
-        kinds.append(pol.escalate(st, DivergenceError("d")).kind)
+        # divergence boosts the damping, then pushes off fastilu; pivot
+        # errors then walk the chain
+        while st.spec.kind == "fastilu":
+            kinds.append(pol.escalate(st, DivergenceError("d")).kind)
+        assert kinds == ["boost_damping", "boost_damping", "fallback_iluk"]
+        kinds = kinds[2:]
         err = PivotBreakdownError("p")
         while True:
             a = pol.escalate(st, err)

@@ -33,7 +33,7 @@ def _config_for(kind):
     return SchwarzConfig()
 
 
-def _solve(problem, kind, detect=True, recover=True, maxiter=1000):
+def _solve(problem, kind, protect=True, maxiter=1000):
     plan = FaultPlan.single(kind, rank=1, seed=11)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # injected NaN/inf arithmetic
@@ -42,9 +42,7 @@ def _solve(problem, kind, detect=True, recover=True, maxiter=1000):
             partition=(2, 2, 2),
             config=_config_for(kind),
             krylov=KrylovConfig(rtol=RTOL, maxiter=maxiter),
-            policy=ResilienceConfig(
-                fault_plan=plan, detect=detect, recover=recover
-            ),
+            policy=ResilienceConfig(fault_plan=plan, protect=protect),
         ).solve()
 
 
@@ -99,11 +97,10 @@ class TestRecoveryPerFaultKind:
         ],
     )
     def test_control_arm_demonstrably_fails(self, problem, kind):
-        """detect=False, recover=False with the same fault must fail:
-        either a raised breakdown or a non-converged solve."""
+        """protect=False with the same fault must fail: either a raised
+        breakdown or a non-converged solve."""
         try:
-            res = _solve(problem, kind, detect=False, recover=False,
-                         maxiter=120)
+            res = _solve(problem, kind, protect=False, maxiter=120)
         except BREAKDOWN_EXCEPTIONS:
             return
         assert not (res.converged and res.final_relres <= RTOL * 1.01)
@@ -140,12 +137,6 @@ class TestRecoveryDetails:
         text = res.health.describe()
         assert "recovered" in text
         assert "precond_nan" in text
-
-    def test_detect_only_reports_without_acting(self, problem):
-        """detect=True, recover=False: the breakdown is raised, not
-        silently patched."""
-        with pytest.raises(BREAKDOWN_EXCEPTIONS):
-            _solve(problem, "pivot_breakdown", detect=True, recover=False)
 
 
 class TestFaultFreeOverhead:

@@ -1,15 +1,16 @@
-"""Arrival traces, token buckets, load estimation, admission decisions."""
+"""Arrival traces, load estimation, admission decisions."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.serve.admission import (
-    AdmissionConfig,
-    AdmissionController,
+    BACKLOG_FACTOR,
+    EWMA_ALPHA,
+    MAX_QUEUE_DEPTH,
     ArrivalTrace,
     ShardLoadEstimator,
-    TokenBucket,
+    admission_shed_reason,
 )
 
 SHARD = ("pat-a", (2, 2, 1), "cfg", "kry")
@@ -74,31 +75,6 @@ class TestArrivalTrace:
             ArrivalTrace.tenant_skewed(rate=1.0, n=4, tenants=0)
 
 
-class TestTokenBucket:
-    def test_spends_down_then_refuses(self):
-        b = TokenBucket(capacity=2.0, rate=0.0)
-        assert b.try_take(0.0)
-        assert b.try_take(0.0)
-        assert not b.try_take(0.0)
-
-    def test_refills_at_rate_up_to_capacity(self):
-        b = TokenBucket(capacity=2.0, rate=1.0)
-        assert b.try_take(0.0) and b.try_take(0.0)
-        assert not b.try_take(0.5)  # only 0.5 tokens back
-        assert b.try_take(1.5)      # >= 1 token accrued
-        # long idle caps at capacity, not unbounded
-        b2 = TokenBucket(capacity=2.0, rate=1.0)
-        for _ in range(2):
-            assert b2.try_take(100.0)
-        assert not b2.try_take(100.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TokenBucket(capacity=0.0, rate=1.0)
-        with pytest.raises(ValueError):
-            TokenBucket(capacity=1.0, rate=-1.0)
-
-
 class TestShardLoadEstimator:
     def test_optimistic_before_first_observation(self):
         est = ShardLoadEstimator()
@@ -106,7 +82,8 @@ class TestShardLoadEstimator:
         assert est.backlog_seconds(SHARD, 100) == 0.0
 
     def test_ewma_converges_toward_observations(self):
-        est = ShardLoadEstimator(alpha=0.5)
+        assert EWMA_ALPHA == 0.5  # the averages below are halfway points
+        est = ShardLoadEstimator()
         est.observe(SHARD, batch_seconds=4.0, width=4)  # 1.0 s/req
         assert est.per_request_seconds(SHARD) == pytest.approx(1.0)
         est.observe(SHARD, batch_seconds=12.0, width=4)  # 3.0 s/req
@@ -121,39 +98,28 @@ class TestShardLoadEstimator:
 
 
 class TestAdmissionController:
-    def _ctl(self, **kw):
-        est = ShardLoadEstimator()
-        return AdmissionController(AdmissionConfig(**kw), est), est
-
     def test_admits_when_unloaded(self):
-        ctl, _ = self._ctl()
-        assert ctl.decide(0.0, SHARD, 0, None) is None
-        assert ctl.decide(0.0, SHARD, 0, 1e-6) is None
+        est = ShardLoadEstimator()
+        assert admission_shed_reason(est, SHARD, 0, None) is None
+        assert admission_shed_reason(est, SHARD, 0, 1e-6) is None
 
     def test_queue_full(self):
-        ctl, _ = self._ctl(max_queue_depth=2)
-        assert ctl.decide(0.0, SHARD, 1, None) is None
-        assert ctl.decide(0.0, SHARD, 2, None) == "queue_full"
-
-    def test_rate_limited(self):
-        ctl, _ = self._ctl(bucket_capacity=1.0, bucket_rate=1.0)
-        assert ctl.decide(0.0, SHARD, 0, None) is None
-        assert ctl.decide(0.0, SHARD, 0, None) == "rate_limited"
-        # a model second later a token has refilled
-        assert ctl.decide(1.0, SHARD, 0, None) is None
+        est = ShardLoadEstimator()
+        depth = MAX_QUEUE_DEPTH
+        assert admission_shed_reason(est, SHARD, depth - 1, None) is None
+        assert admission_shed_reason(est, SHARD, depth, None) == "queue_full"
 
     def test_backlog_sheds_only_with_deadline(self):
-        ctl, est = self._ctl(backlog_factor=1.0)
+        est = ShardLoadEstimator()
         est.observe(SHARD, batch_seconds=1.0, width=1)  # 1 s/req
-        # 5 queued -> 5 s backlog > 2 s deadline: shed
-        assert ctl.decide(0.0, SHARD, 5, 2.0) == "admission_backlog"
+        # 5 queued -> 5 s backlog > BACKLOG_FACTOR * 2 s deadline: shed
+        assert 5.0 > BACKLOG_FACTOR * 2.0
+        assert admission_shed_reason(est, SHARD, 5, 2.0) == "admission_backlog"
         # same backlog, no deadline: admitted (nothing to violate)
-        assert ctl.decide(0.0, SHARD, 5, None) is None
+        assert admission_shed_reason(est, SHARD, 5, None) is None
+        # the threshold is the factor, not the bare deadline: a 5 s
+        # backlog against a 4 s deadline is still admitted
+        assert 5.0 <= BACKLOG_FACTOR * 4.0
+        assert admission_shed_reason(est, SHARD, 5, 4.0) is None
         # roomy deadline: admitted
-        assert ctl.decide(0.0, SHARD, 5, 10.0) is None
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AdmissionConfig(max_queue_depth=0)
-        with pytest.raises(ValueError):
-            AdmissionConfig(backlog_factor=0.0)
+        assert admission_shed_reason(est, SHARD, 5, 10.0) is None

@@ -2,20 +2,29 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.fem import laplace_3d
+from repro.resilience.inject import seeded_jitter
 from repro.resilience.policy import SERVICE_ACTION_KINDS
 from repro.reuse import ArtifactCache, use_artifact_cache
 from repro.runtime.timings import block_iteration_seconds
 from repro.serve.guard import (
+    BREAKER_THRESHOLD,
+    JITTER,
+    MAX_RETRIES,
+    PRESSURE_ONE_LEVEL,
+    PRESSURE_PRECISION,
+    PRESSURE_RTOL,
+    RTOL_RELAX,
     CircuitBreaker,
     DegradationLadder,
     GuardConfig,
     OneLevelOperator,
     RetryPolicy,
-    seeded_jitter,
 )
 
 
@@ -39,22 +48,35 @@ class TestGuardConfig:
         GuardConfig()
 
     @pytest.mark.parametrize("kw", [
-        {"breaker_threshold": -1},
-        {"max_retries": -1},
-        {"backoff_factor": 0.5},
-        {"jitter": 1.5},
-        {"pressure_rtol": 0.0},
-        {"pressure_precision": 0.5},  # < pressure_rtol default
-        {"rtol_relax": 0.5},
+        # a negative cooldown let an open breaker probe on the next round
+        {"breaker_cooldown": -1.0},
+        {"backoff_base": -1.0},
+        # the thresholds are constants: their old keywords are gone
+        {"breaker_threshold": 3},
+        {"max_retries": 2},
+        {"backoff_factor": 2.0},
+        {"jitter": 0.25},
+        {"degradation": True},
     ])
     def test_validation(self, kw):
-        with pytest.raises(ValueError):
+        (name,) = kw
+        kept = name in {f.name for f in dataclasses.fields(GuardConfig)}
+        with pytest.raises(ValueError if kept else TypeError, match=name):
             GuardConfig(**kw)
+
+
+def _opened(cooldown=1.0):
+    """A breaker opened at t=0 by BREAKER_THRESHOLD failures."""
+    br = CircuitBreaker(cooldown=cooldown)
+    for _ in range(BREAKER_THRESHOLD):
+        br.record_failure(0.0)
+    return br
 
 
 class TestCircuitBreaker:
     def test_opens_after_threshold_consecutive_failures(self):
-        br = CircuitBreaker(threshold=3, cooldown=1.0)
+        assert BREAKER_THRESHOLD == 3
+        br = CircuitBreaker(cooldown=1.0)
         assert br.state == "closed"
         br.record_failure(0.0)
         br.record_failure(0.1)
@@ -65,15 +87,16 @@ class TestCircuitBreaker:
         assert br.opened == 1
 
     def test_success_resets_the_failure_streak(self):
-        br = CircuitBreaker(threshold=2, cooldown=1.0)
-        br.record_failure(0.0)
+        br = CircuitBreaker(cooldown=1.0)
+        for _ in range(BREAKER_THRESHOLD - 1):
+            br.record_failure(0.0)
         br.record_success(0.1)
-        br.record_failure(0.2)
+        for _ in range(BREAKER_THRESHOLD - 1):
+            br.record_failure(0.2)
         assert br.state == "closed"
 
     def test_half_open_probe_closes_on_success(self):
-        br = CircuitBreaker(threshold=1, cooldown=1.0)
-        br.record_failure(0.0)
+        br = _opened()
         assert br.state == "open"
         assert br.allow(1.5)  # past cooldown: one probe admitted
         assert br.state == "half_open"
@@ -82,8 +105,7 @@ class TestCircuitBreaker:
         assert br.state == "closed" and br.allow(1.6)
 
     def test_failed_probe_reopens_with_doubled_cooldown(self):
-        br = CircuitBreaker(threshold=1, cooldown=1.0)
-        br.record_failure(0.0)
+        br = _opened()
         assert br.allow(1.0)  # probe
         br.record_failure(1.0)  # probe fails: cooldown doubles to 2
         assert not br.allow(2.5)
@@ -93,8 +115,7 @@ class TestCircuitBreaker:
         assert br.allow(7.0)
 
     def test_cooldown_doubling_is_capped(self):
-        br = CircuitBreaker(threshold=1, cooldown=1.0)
-        br.record_failure(0.0)
+        br = _opened()
         t = 0.0
         for _ in range(10):
             t += 100.0
@@ -102,16 +123,10 @@ class TestCircuitBreaker:
             br.record_failure(t)
         assert br._cooldown_now == 16.0  # capped at 16x
 
-    def test_zero_threshold_disables(self):
-        br = CircuitBreaker(threshold=0, cooldown=1.0)
-        for i in range(10):
-            br.record_failure(float(i))
-        assert br.state == "closed" and br.allow(100.0)
-
 
 class TestRetryPolicy:
     def test_backoff_deterministic_and_growing(self):
-        pol = RetryPolicy(GuardConfig(max_retries=4, seed=0))
+        pol = RetryPolicy(GuardConfig(seed=0))
         b1 = pol.backoff_seconds("r1", 1)
         b2 = pol.backoff_seconds("r1", 2)
         b3 = pol.backoff_seconds("r1", 3)
@@ -125,10 +140,10 @@ class TestRetryPolicy:
         assert a != b and a != c
 
     def test_budget_and_deadline_cap(self):
-        pol = RetryPolicy(GuardConfig(max_retries=2, backoff_base=1.0,
-                                      jitter=0.0))
-        assert pol.should_retry("r", 1, 0.0, None) == pytest.approx(1.0)
-        assert pol.should_retry("r", 2, 0.0, None) == pytest.approx(2.0)
+        assert MAX_RETRIES == 2
+        pol = RetryPolicy(GuardConfig(backoff_base=1.0))
+        assert 1.0 <= pol.should_retry("r", 1, 0.0, None) < 1.0 + JITTER
+        assert 2.0 <= pol.should_retry("r", 2, 0.0, None) < 2.0 * (1 + JITTER)
         assert pol.should_retry("r", 3, 0.0, None) is None  # budget spent
         # backoff lands past the absolute deadline: refused
         assert pol.should_retry("r", 1, 0.0, 0.5) is None
@@ -136,8 +151,8 @@ class TestRetryPolicy:
 
 
 class TestDegradationLadder:
-    def _ladder(self, **kw):
-        return DegradationLadder(GuardConfig(**kw))
+    def _ladder(self):
+        return DegradationLadder()
 
     def test_rungs_are_registered_action_kinds(self):
         for rung in DegradationLadder.RUNGS:
@@ -155,15 +170,17 @@ class TestDegradationLadder:
         assert not d.degraded and d.rungs == []
 
     def test_rtol_rung_needs_every_budget_declared(self):
-        lad = self._ladder(pressure_rtol=1.0)
+        lad = self._ladder()
+        assert PRESSURE_RTOL <= 1.5 < PRESSURE_PRECISION
         d = lad.decide(1.5, 1e-7, [1e-4, None])
         assert "degrade_rtol" not in d.rungs
         d = lad.decide(1.5, 1e-7, [1e-4, 1e-3])
         assert d.rungs == ["degrade_rtol"]
         # capped by the tightest budget present
-        assert d.effective_rtol == pytest.approx(min(1e-7 * 100.0, 1e-4))
+        assert d.effective_rtol == pytest.approx(min(1e-7 * RTOL_RELAX, 1e-4))
 
     def test_rungs_accumulate_with_pressure(self):
+        assert PRESSURE_PRECISION <= 2.5 < PRESSURE_ONE_LEVEL <= 5.0
         lad = self._ladder()
         d = lad.decide(2.5, 1e-7, [1e-4])
         assert d.rungs == ["degrade_rtol", "degrade_precision"]
@@ -213,7 +230,7 @@ class TestDegradedOperatorPricing:
 
     def test_wrap_operator_composition_and_cost_order(self, built):
         _, precond, layout = built
-        lad = DegradationLadder(GuardConfig())
+        lad = DegradationLadder()
         full = block_iteration_seconds(precond, layout, 4)
         costs = {}
         for pressure in (2.5, 5.0):
@@ -225,6 +242,6 @@ class TestDegradedOperatorPricing:
 
     def test_wrap_operator_identity_when_not_degraded(self, built):
         _, precond, _ = built
-        lad = DegradationLadder(GuardConfig())
+        lad = DegradationLadder()
         d = lad.decide(0.1, 1e-7, [1e-4])
         assert DegradationLadder.wrap_operator(precond, d) is precond

@@ -8,15 +8,11 @@ import pytest
 
 from repro.fem import laplace_3d
 from repro.krylov import SolveStatus
+from repro.resilience.inject import FaultPlan, FaultSpec, seeded_jitter
 from repro.reuse import ArtifactCache, use_artifact_cache
-from repro.serve import (
-    AdmissionConfig,
-    ArrivalTrace,
-    GuardConfig,
-    SolveRequest,
-    SolverService,
-)
-from repro.serve.overload import FaultInjector, InjectedSolverFault
+from repro.serve import ArrivalTrace, GuardConfig, SolveRequest, SolverService
+from repro.serve.admission import MAX_QUEUE_DEPTH
+from repro.serve.guard import BREAKER_THRESHOLD, MAX_RETRIES
 
 
 @pytest.fixture(scope="module")
@@ -50,21 +46,40 @@ def _factory(laplace, fp, **kw):
     return make
 
 
+def _failing(service, fails):
+    """Make every batch of ``service`` raise when ``fails(head_id,
+    attempt)`` holds (ad-hoc failure patterns no seeded plan gives)."""
+    serve = service._serve_batch
+
+    def patched(batch, *args):
+        head = batch.requests[0].request_id
+        if fails(head, service._attempts.get(head, 0)):
+            raise RuntimeError(f"boom (batch head {head})")
+        return serve(batch, *args)
+
+    service._serve_batch = patched
+    return service
+
+
+def _transient_seed(head="r00000", rate=0.5):
+    """A plan seed whose ``batch_fault`` hits ``head`` on its first
+    attempt only."""
+    return next(
+        seed for seed in range(1000)
+        if seeded_jitter(seed, f"fault:{head}", 0) < rate
+        <= seeded_jitter(seed, f"fault:{head}", 1)
+    )
+
+
 class TestContainment:
     """Satellite: a raising batch must not strand the rest of the drain."""
 
     def test_failed_batch_yields_failed_responses_and_drain_continues(
         self, laplace, cache
     ):
-        calls = {"n": 0}
-
-        def injector(batch, attempts):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise RuntimeError("boom")
-
         # no guard: the failure is contained but not retried
-        service, fp = _service(laplace, fault_injector=injector)
+        service, fp = _service(laplace)
+        _failing(service, lambda head, attempt: head == "r00000")
         for i in range(3):
             service.submit(_req(laplace, fp, i))
         # distinct configs would split batches; same config = one batch,
@@ -86,64 +101,49 @@ class TestContainment:
         assert service.batch_failures == 1
 
     def test_unguarded_service_raises_nothing_to_caller(self, laplace, cache):
-        def injector(batch, attempts):
-            raise ValueError("always broken")
-
-        service, fp = _service(laplace, fault_injector=injector)
+        service, fp = _service(laplace)
+        _failing(service, lambda head, attempt: True)
         service.submit(_req(laplace, fp, 0))
         (resp,) = service.drain()  # must not raise
         assert resp.status is SolveStatus.FAILED
-        assert "always broken" in resp.error
+        assert "boom" in resp.error
 
 
 class TestRetry:
     def test_transient_fault_retried_to_success(self, laplace, cache):
-        calls = {"n": 0}
-
-        def injector(batch, attempts):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise RuntimeError("transient")
-
-        service, fp = _service(
-            laplace, guard=GuardConfig(), fault_injector=injector
+        plan = FaultPlan.single(
+            "batch_fault", magnitude=0.5, seed=_transient_seed()
         )
+        service, fp = _service(laplace, guard=GuardConfig(), fault_plan=plan)
         service.submit(_req(laplace, fp, 0))
         (resp,) = service.drain()
         assert resp.status is SolveStatus.CONVERGED
         assert resp.retries == 1
         assert service.retries == 1
+        assert [f.kind for f in plan.fired] == ["batch_fault"]
 
     def test_retries_exhaust_to_failed(self, laplace, cache):
-        def injector(batch, attempts):
-            raise RuntimeError("permanent")
-
-        service, fp = _service(
-            laplace,
-            guard=GuardConfig(max_retries=2, breaker_threshold=0),
-            fault_injector=injector,
-        )
+        service, fp = _service(laplace, guard=GuardConfig())
+        _failing(service, lambda head, attempt: True)
         service.submit(_req(laplace, fp, 0))
         (resp,) = service.drain()
         assert resp.status is SolveStatus.FAILED
-        assert resp.retries == 3  # initial attempt + 2 retries, all failed
-        assert service.retries == 2
+        # initial attempt + MAX_RETRIES retries, all failed; the last
+        # failure is the breaker's BREAKER_THRESHOLD-th, after which
+        # nothing is left to retry
+        assert MAX_RETRIES + 1 == BREAKER_THRESHOLD
+        assert resp.retries == MAX_RETRIES + 1
+        assert service.retries == MAX_RETRIES
+        assert service.batch_failures == MAX_RETRIES + 1
 
     def test_retry_clock_is_deterministic(self, laplace, cache):
         """Satellite: same request ids + seed => bit-identical retry
         schedule, hence bit-identical clocks and responses."""
-        def injector(batch, attempts):
-            head = batch.requests[0].request_id
-            if attempts.get(head, 0) == 0:
-                raise RuntimeError("transient")
-
         clocks, latencies = [], []
         for _ in range(2):
             with use_artifact_cache(ArtifactCache()):
-                service, fp = _service(
-                    laplace, guard=GuardConfig(seed=3),
-                    fault_injector=injector,
-                )
+                service, fp = _service(laplace, guard=GuardConfig(seed=3))
+                _failing(service, lambda head, attempt: attempt == 0)
                 for i in range(2):
                     service.submit(_req(laplace, fp, i))
                 rs = service.drain()
@@ -154,15 +154,8 @@ class TestRetry:
 
     def test_backoff_capped_by_deadline(self, laplace, cache):
         """A retry whose backoff lands past the deadline is refused."""
-        def injector(batch, attempts):
-            raise RuntimeError("transient")
-
-        service, fp = _service(
-            laplace,
-            guard=GuardConfig(max_retries=5, backoff_base=10.0,
-                              breaker_threshold=0),
-            fault_injector=injector,
-        )
+        service, fp = _service(laplace, guard=GuardConfig(backoff_base=10.0))
+        _failing(service, lambda head, attempt: True)
         service.submit(_req(laplace, fp, 0, deadline=1.0))
         (resp,) = service.drain()
         # first failure happens at clock ~0; a 10 s backoff lands past
@@ -174,10 +167,8 @@ class TestRetry:
 
 class TestShedding:
     def test_queue_full_sheds_at_admission(self, laplace, cache):
-        service, fp = _service(
-            laplace, admission=AdmissionConfig(max_queue_depth=2)
-        )
-        for i in range(4):
+        service, fp = _service(laplace, guard=GuardConfig())
+        for i in range(MAX_QUEUE_DEPTH + 2):
             service.submit(_req(laplace, fp, i))
         responses = service.drain()
         shed = [r for r in responses if r.status is SolveStatus.SHED]
@@ -190,7 +181,7 @@ class TestShedding:
     def test_hopeless_request_shed_in_queue(self, laplace, cache):
         """A queued request whose deadline passed before its batch
         started is shed, not served late."""
-        service, fp = _service(laplace, admission=AdmissionConfig())
+        service, fp = _service(laplace, guard=GuardConfig())
         # first request: no deadline, its service advances the clock
         service.submit(_req(laplace, fp, 0))
         service.drain()
@@ -203,23 +194,21 @@ class TestShedding:
         assert resp.shed_reason == "deadline_passed"
 
     def test_breaker_opens_and_sheds_fast(self, laplace, cache):
-        def injector(batch, attempts):
-            raise RuntimeError("shard is broken")
-
-        service, fp = _service(
-            laplace,
-            guard=GuardConfig(breaker_threshold=2, max_retries=0,
-                              breaker_cooldown=1e9),
-            fault_injector=injector,
-        )
-        for i in range(4):
+        service, fp = _service(laplace, guard=GuardConfig(breaker_cooldown=1e9))
+        _failing(service, lambda head, attempt: True)
+        service.submit(_req(laplace, fp, 0))
+        (first,) = service.drain()
+        # the first request's attempts fail BREAKER_THRESHOLD batches in
+        # a row and open the breaker ...
+        assert first.status is SolveStatus.FAILED
+        assert service.batch_failures == BREAKER_THRESHOLD
+        # ... so later requests shed without touching the (modeled) GPU
+        for i in range(1, 3):
             service.submit(_req(laplace, fp, i))
-            responses = service.drain()
-        # batches 1,2 fail and open the breaker; 3,4 shed without
-        # touching the (modeled) GPU
-        assert service.batch_failures == 2
-        assert responses[0].status is SolveStatus.SHED
-        assert responses[0].shed_reason == "circuit_open"
+            (resp,) = service.drain()
+            assert resp.status is SolveStatus.SHED
+            assert resp.shed_reason == "circuit_open"
+        assert service.batch_failures == BREAKER_THRESHOLD
 
 
 class TestDegradation:
@@ -270,7 +259,7 @@ class TestRunTrace:
         runs = []
         for kw in (
             {},
-            {"admission": AdmissionConfig(), "guard": GuardConfig()},
+            {"guard": GuardConfig()},
         ):
             with use_artifact_cache(ArtifactCache()):
                 service, fp = _service(laplace, **kw)
@@ -303,49 +292,34 @@ class TestRunTrace:
 
 
 class TestFaultInjector:
-    def test_deterministic_and_transient(self):
-        class _Batch:
-            def __init__(self, rid):
-                class _R:
-                    request_id = rid
-                self.requests = [_R()]
+    """The ``batch_fault`` kind of the one seeded FaultPlan."""
 
-        inj = FaultInjector(rate=0.5, seed=0)
-        hits = []
-        for i in range(64):
-            try:
-                inj(_Batch(f"r{i:05d}"), {})
-                hits.append(False)
-            except InjectedSolverFault:
-                hits.append(True)
-        assert any(hits) and not all(hits)
-        inj2 = FaultInjector(rate=0.5, seed=0)
-        hits2 = []
-        for i in range(64):
-            try:
-                inj2(_Batch(f"r{i:05d}"), {})
-                hits2.append(False)
-            except InjectedSolverFault:
-                hits2.append(True)
-        assert hits == hits2  # bit-identical replay
+    def test_deterministic_and_transient(self):
+        def hits(plan, attempt=0):
+            return [
+                plan.batch_faulted(f"r{i:05d}", attempt) for i in range(64)
+            ]
+
+        plan = FaultPlan.single("batch_fault", magnitude=0.5, seed=0)
+        first = hits(plan)
+        assert any(first) and not all(first)
+        assert hits(plan.reset()) == first  # bit-identical replay
+        assert len(plan.fired) == sum(first)
+        # the decision is the seeded hash of (seed, head, attempt)
+        assert first == [
+            seeded_jitter(0, f"fault:r{i:05d}", 0) < 0.5 for i in range(64)
+        ]
         # transience: a faulted (rid, attempt=0) eventually passes as
         # the attempt counter bumps
-        rid = f"r{hits.index(True):05d}"
-        for attempt in range(1, 20):
-            try:
-                inj(_Batch(rid), {rid: attempt})
-                break
-            except InjectedSolverFault:
-                continue
-        else:
-            pytest.fail("fault never cleared across 20 attempts")
+        rid = f"r{first.index(True):05d}"
+        assert not all(plan.batch_faulted(rid, a) for a in range(1, 20))
 
     def test_zero_rate_never_fires(self):
-        inj = FaultInjector(rate=0.0, seed=0)
-        inj(object(), {})  # batch is never inspected
+        plan = FaultPlan.single("batch_fault", magnitude=0.0)
+        assert not any(plan.batch_faulted(f"r{i}", 0) for i in range(64))
+        assert plan.fired == []
 
     def test_rate_validation(self):
-        with pytest.raises(ValueError):
-            FaultInjector(rate=1.0)
-        with pytest.raises(ValueError):
-            FaultInjector(rate=-0.1)
+        for rate in (1.0, -0.1, None):
+            with pytest.raises(ValueError, match="batch fault rate"):
+                FaultSpec(kind="batch_fault", magnitude=rate)

@@ -9,6 +9,7 @@ from repro.fem import elasticity_3d, laplace_3d
 from repro.krylov import SolveStatus, gmres
 from repro.reuse import ArtifactCache, use_artifact_cache
 from repro.serve import SolveRequest, SolverService
+from repro.serve import service as service_module
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +54,16 @@ class TestStream:
         assert all(r.final_relres < 1e-6 for r in responses)
         # one pooled session served the whole stream
         assert len(service.pool) == 1
+        service.close()
+
+    def test_explicit_width_still_honored(self, laplace, cache, rng):
+        service = SolverService(max_batch=3)
+        assert service.batcher.max_batch == 3
+        fp = service.register(laplace.a)
+        for req in _requests(laplace, fp, 4, rng):
+            service.submit(req)
+        widths = sorted(r.batch_width for r in service.drain())
+        assert widths == [1, 3, 3, 3]
         service.close()
 
     def test_mixed_tenant_classes_shard_separately(
@@ -193,7 +204,7 @@ class TestModeledClock:
 class TestPoolAndPinning:
     def test_pool_pins_decomposition_while_live(self, laplace, rng):
         with use_artifact_cache(ArtifactCache(maxsize=2)) as cache:
-            service = SolverService(pool_size=4)
+            service = SolverService()
             fp = service.register(laplace.a)
             service.solve(SolveRequest(
                 rhs=laplace.b, matrix_fingerprint=fp, partition=(2, 2, 1),
@@ -210,8 +221,12 @@ class TestPoolAndPinning:
             service.close()
             assert cache.pin_count(pin_key) == 0
 
-    def test_pool_eviction_unpins(self, laplace, elasticity, cache, rng):
-        service = SolverService(pool_size=1)
+    def test_pool_eviction_unpins(
+        self, laplace, elasticity, cache, rng, monkeypatch
+    ):
+        # a one-session pool: the second shard evicts the first
+        monkeypatch.setattr(service_module, "POOL_SIZE", 1)
+        service = SolverService()
         fp_l = service.register(laplace.a)
         fp_e = service.register(
             elasticity.a, coordinates=elasticity.coordinates,

@@ -142,3 +142,48 @@ def test_one_fault_plan_type():
         ("docs", "src", "examples", ".claude"),
     )
     assert not stale, "\n".join(stale)
+
+
+def test_policy_knobs_by_use():
+    """The fault and serving configs keep only the fields a run sets;
+    every other threshold is a module constant, so a knob can come back
+    only by editing this test."""
+    import dataclasses
+    import inspect
+
+    from repro.elastic import ElasticConfig, StalenessGuard, solve_async
+    from repro.ft import FaultToleranceConfig
+    from repro.resilience import RecoveryPolicy, ResilienceConfig
+    from repro.resilience.detect import sweep_divergence
+    from repro.serve import GuardConfig, ShardLoadEstimator, SolverService
+
+    def fields(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert fields(ResilienceConfig) == ["fault_plan", "protect"]
+    assert fields(FaultToleranceConfig) == ["fault_plan", "strategy", "protect"]
+    assert fields(GuardConfig) == ["breaker_cooldown", "backoff_base", "seed"]
+    assert fields(ElasticConfig) == ["cooldown_seconds"]
+    assert params(RecoveryPolicy) == []
+    assert params(ShardLoadEstimator) == []
+    assert params(StalenessGuard) == ["operator"]
+    assert params(solve_async) == [
+        "a", "b", "precond", "stale_ranks", "max_staleness", "rtol"
+    ]
+    assert params(SolverService) == [
+        "layout", "max_batch", "batching", "guard", "elastic", "fault_plan"
+    ]
+    assert inspect.signature(SolverService).parameters[
+        "max_batch"
+    ].annotation in (int, "int")
+    assert params(sweep_divergence) == ["update_norms"]
+    stale = _stale(
+        r"AdmissionConfig|AdmissionController|TokenBucket|autoscale_max_batch"
+        r"|fault_injector|FaultInjector|InjectedSolverFault|admission="
+        r"|max_batch=\"auto\"",
+        ("docs", "src", "examples", ".claude"),
+    )
+    assert not stale, "\n".join(stale)

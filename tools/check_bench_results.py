@@ -9,7 +9,7 @@ bench below is rerun with its CI command into a temporary directory and
 excluded.
 
 Run: ``python tools/check_bench_results.py [NAME ...]`` from the repo
-root (all five take about a minute).  Exit status 1 when a bench
+root (all seven take about a minute).  Exit status 1 when a bench
 command fails or an output differs.  After an *intended* change of a
 bench's numbers, regenerate its committed file with the same command
 (``--out benchmarks/results/BENCH_<name>.json``) in the same commit.
@@ -36,6 +36,8 @@ BENCHES: Dict[str, List[str]] = {
     "slo": ["repro", "chaos", "--suite", "overload", "--seed", "0", "--json"],
     "scenarios": ["repro", "scenarios", "--seed", "7"],
     "elastic": ["repro", "chaos", "--suite", "straggler", "--seed", "7"],
+    "ft": ["repro", "chaos", "--suite", "rank", "--seed", "7"],
+    "chaos": ["repro", "chaos", "--suite", "precond", "--seed", "7"],
 }
 
 
