@@ -48,8 +48,8 @@ def audit_verdict(results_dir) -> dict:
     """
     import dataclasses
 
+    from repro.config import SchwarzConfig
     from repro.bench.harness import (
-        RunConfig,
         audit_record,
         rank_grid,
         run_numerics,
@@ -61,7 +61,7 @@ def audit_verdict(results_dir) -> dict:
         rec = run_numerics(
             weak_scaled_problem(1),
             rank_grid(1, 8),
-            RunConfig(precision=precision),
+            SchwarzConfig(precision=precision),
             cache_key=("verify-audit", precision),
         )
         audit = audit_record(rec)

@@ -15,6 +15,7 @@ from repro.dd import (
     GDSWPreconditioner,
     LocalSolverSpec,
     OneLevelSchwarz,
+    SchwarzConfig,
 )
 from repro.fem import elasticity_3d, rigid_body_modes
 from repro.krylov import gmres
@@ -45,7 +46,7 @@ def test_ablation_coarse_space(benchmark, save_results, problem, dec, nullspace)
     rows = [["one-level", "-", str(r_one.iterations)]]
     data = {"one-level": {"iters": r_one.iterations, "n_coarse": 0}}
     for variant in ("gdsw", "rgdsw"):
-        m = GDSWPreconditioner(dec, nullspace, local_spec=spec, variant=variant)
+        m = GDSWPreconditioner(dec, nullspace, SchwarzConfig(local=spec, variant=variant))
         r = gmres(problem.a, problem.b, preconditioner=m, rtol=1e-7)
         rows.append([variant, str(m.n_coarse), str(r.iterations)])
         data[variant] = {"iters": r.iterations, "n_coarse": m.n_coarse}
@@ -69,7 +70,7 @@ def test_ablation_overlap_width(benchmark, save_results, problem, dec, nullspace
     spec = LocalSolverSpec(kind="tacho", ordering="nd")
     iters = {}
     for overlap in (0, 1, 2):
-        m = GDSWPreconditioner(dec, nullspace, local_spec=spec, overlap=overlap)
+        m = GDSWPreconditioner(dec, nullspace, SchwarzConfig(local=spec, overlap=overlap))
         r = gmres(problem.a, problem.b, preconditioner=m, rtol=1e-7, maxiter=900)
         iters[overlap] = r.iterations
     print("\nAblation overlap -> iterations:", iters)
@@ -144,7 +145,7 @@ def test_ablation_sptrsv_granularity(benchmark, save_results, problem):
 def test_ablation_gmres_variant_comm(benchmark, save_results, problem, dec, nullspace):
     """Single-reduce GMRES saves modeled communication at scale."""
     spec = LocalSolverSpec(kind="tacho", ordering="nd")
-    m = GDSWPreconditioner(dec, nullspace, local_spec=spec)
+    m = GDSWPreconditioner(dec, nullspace, SchwarzConfig(local=spec))
     machine = model_machine()
     lay = JobLayout.cpu_run(8, machine=machine)  # 64 logical ranks for pricing
     rows, data = [], {}
@@ -184,12 +185,12 @@ def test_ablation_gmres_variant_comm(benchmark, save_results, problem, dec, null
 def test_ablation_amortized_refactorization(benchmark, save_results, problem, dec, nullspace):
     """Section VIII-A: solving a sequence of systems amortizes the setup;
     Tacho's reusable symbolic phase pays off on refactorization."""
-    from repro.bench import RunConfig, price_run, rank_grid, run_numerics
+    from repro.bench import price_run, run_numerics
 
     machine = model_machine()
     rows, data = [], {}
     for kind in ("superlu", "tacho"):
-        cfg = RunConfig(local=LocalSolverSpec(kind=kind, ordering="nd", gpu_solve=True))
+        cfg = SchwarzConfig(local=LocalSolverSpec(kind=kind, ordering="nd", gpu_solve=True))
         rec = run_numerics(problem, (2, 2, 2), cfg, cache_key=("amort",))
         t = price_run(rec, JobLayout.gpu_run(1, 4, machine=machine))
         first_total = t.first_setup_seconds + t.solve_seconds

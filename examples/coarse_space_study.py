@@ -16,6 +16,7 @@ from repro.dd import (
     GDSWPreconditioner,
     LocalSolverSpec,
     OneLevelSchwarz,
+    SchwarzConfig,
 )
 from repro.fem import elasticity_3d, rigid_body_modes
 from repro.krylov import gmres
@@ -39,7 +40,7 @@ def main() -> None:
 
         cells = [f"{dec.n_subdomains:10d}", f"{r1.iterations:10d}"]
         for variant in ("gdsw", "rgdsw"):
-            m = GDSWPreconditioner(dec, z, local_spec=spec, variant=variant)
+            m = GDSWPreconditioner(dec, z, SchwarzConfig(local=spec, variant=variant))
             r = gmres(problem.a, problem.b, preconditioner=m, rtol=1e-7)
             cells.append(f"{r.iterations:6d} ({m.n_coarse:3d})")
         print(" ".join(cells))

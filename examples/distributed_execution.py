@@ -14,7 +14,7 @@ Run:  python examples/distributed_execution.py
 
 import numpy as np
 
-from repro.dd import Decomposition, GDSWPreconditioner, LocalSolverSpec
+from repro.dd import Decomposition, GDSWPreconditioner, LocalSolverSpec, SchwarzConfig
 from repro.fem import elasticity_3d, rigid_body_modes
 from repro.krylov import cg
 from repro.runtime import (
@@ -37,7 +37,7 @@ def main() -> None:
     a_dist = DistributedCsr(problem.a, dec)
     m = GDSWPreconditioner(
         dec, rigid_body_modes(problem.coordinates),
-        local_spec=LocalSolverSpec(kind="tacho"),
+        SchwarzConfig(local=LocalSolverSpec(kind="tacho")),
     )
 
     # 1. distributed SpMV == sequential SpMV

@@ -12,7 +12,6 @@ Run:  python examples/gpu_mps_study.py
 """
 
 from repro.bench import (
-    RunConfig,
     model_machine,
     price_run,
     rank_grid,
@@ -20,7 +19,7 @@ from repro.bench import (
     weak_scaled_problem,
 )
 from repro.bench.tables import format_table
-from repro.dd import LocalSolverSpec
+from repro.dd import LocalSolverSpec, SchwarzConfig
 from repro.runtime import JobLayout
 
 
@@ -40,7 +39,7 @@ def main() -> None:
         ("GPU, 2 ranks/GPU (MPS)", 4, True, 2),
         ("GPU, 4 ranks/GPU (MPS)", 8, True, 4),
     ):
-        config = RunConfig(
+        config = SchwarzConfig(
             local=LocalSolverSpec(kind="tacho", ordering="nd", gpu_solve=gpu)
         )
         record = run_numerics(

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from repro.dd import Decomposition, GDSWPreconditioner, LocalSolverSpec
+from repro.dd import Decomposition, GDSWPreconditioner, LocalSolverSpec, SchwarzConfig
 from repro.fem import elasticity_3d, rigid_body_modes
 from repro.krylov import gmres
 
@@ -42,7 +42,7 @@ def main() -> None:
     ]
     print(f"{'local solver':24s} {'iters':>6s} {'converged':>10s} {'relres':>10s}")
     for tag, spec in specs:
-        m = GDSWPreconditioner(dec, nullspace, local_spec=spec)
+        m = GDSWPreconditioner(dec, nullspace, SchwarzConfig(local=spec))
         res = gmres(problem.a, problem.b, preconditioner=m, rtol=1e-7, restart=30)
         relres = np.linalg.norm(problem.a.matvec(res.x) - problem.b) / np.linalg.norm(
             problem.b

@@ -17,9 +17,9 @@ Run:  python examples/sequence_of_solves.py
 
 import numpy as np
 
-from repro.bench import RunConfig, model_machine, price_run, rank_grid, run_numerics
+from repro.bench import model_machine, price_run, rank_grid, run_numerics
 from repro.bench.tables import format_table
-from repro.dd import Decomposition, GDSWPreconditioner, LocalSolverSpec
+from repro.dd import Decomposition, GDSWPreconditioner, LocalSolverSpec, SchwarzConfig
 from repro.fem import elasticity_3d, rigid_body_modes
 from repro.krylov import gmres
 from repro.runtime import JobLayout
@@ -31,7 +31,7 @@ def main() -> None:
     m = GDSWPreconditioner(
         dec,
         rigid_body_modes(problem.coordinates),
-        local_spec=LocalSolverSpec(kind="tacho", ordering="nd"),
+        SchwarzConfig(local=LocalSolverSpec(kind="tacho", ordering="nd")),
     )
 
     # one preconditioner, many right-hand sides (load cases)
@@ -49,7 +49,7 @@ def main() -> None:
     layout = JobLayout.gpu_run(1, 4, machine=machine)
     rows = []
     for kind in ("superlu", "tacho"):
-        cfg = RunConfig(local=LocalSolverSpec(kind=kind, ordering="nd", gpu_solve=True))
+        cfg = SchwarzConfig(local=LocalSolverSpec(kind=kind, ordering="nd", gpu_solve=True))
         rec = run_numerics(problem, rank_grid(1, 8), cfg, cache_key=("seq",))
         t = price_run(rec, layout)
         rows.append(

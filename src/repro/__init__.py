@@ -26,14 +26,14 @@ The layered entry points remain available::
 
     from repro import (
         elasticity_3d, rigid_body_modes, Decomposition,
-        GDSWPreconditioner, LocalSolverSpec, gmres,
+        GDSWPreconditioner, LocalSolverSpec, SchwarzConfig, gmres,
     )
 
     problem = elasticity_3d(10)
     dec = Decomposition.from_box_partition(problem, 2, 2, 2)
     M = GDSWPreconditioner(
         dec, rigid_body_modes(problem.coordinates),
-        local_spec=LocalSolverSpec(kind="tacho"),
+        SchwarzConfig(local=LocalSolverSpec(kind="tacho")),
     )
     result = gmres(problem.a, problem.b, preconditioner=M, rtol=1e-7)
 
@@ -80,7 +80,6 @@ from repro.resilience import (
 from repro.reuse import (
     ArtifactCache,
     PatternChangedError,
-    ReuseConfig,
     get_artifact_cache,
     use_artifact_cache,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "RankFailedError",
     "ReduceCounter",
     "ResilienceConfig",
-    "ReuseConfig",
     "SchwarzConfig",
     "SessionResult",
     "SolveRequest",

@@ -4,7 +4,7 @@ The scattered seed-era flow --
 
     dec = Decomposition.from_box_partition(problem, 2, 2, 2)
     m = GDSWPreconditioner(dec, rigid_body_modes(problem.coordinates),
-                           local_spec=LocalSolverSpec(...), overlap=1, ...)
+                           SchwarzConfig(local=LocalSolverSpec(...)))
     tracer = Tracer()
     with use_tracer(tracer):
         res = gmres(problem.a, problem.b, preconditioner=m, rtol=...)
@@ -25,11 +25,12 @@ The scattered seed-era flow --
     open("trace.json", "w").write(result.chrome_trace_json())
     timings = result.timings(JobLayout.gpu_run(1, 4))   # paper tables
 
-Every option is validated at *construction* with an error that lists
-the valid values (:mod:`repro.config`), and every solve runs under a
-:class:`~repro.obs.tracer.Tracer`, so the full observability surface
-(span tree, reduction counters, Chrome trace, phase tables) comes for
-free.  The layered entry points keep working unchanged.
+Every option is validated at *construction* with an error that names
+the field or lists the valid values (:mod:`repro.config`), and every
+solve runs under a :class:`~repro.obs.tracer.Tracer`, so the full
+observability surface (span tree, reduction counters, Chrome trace,
+phase tables) comes for free.  The layered entry points take the same
+config objects.
 
 **One pipeline.**  ``solve()``, ``resolve()`` and ``solve_sequence()``
 -- with or without a protection ``policy=`` -- all run
@@ -56,7 +57,6 @@ import numpy as np
 from repro.config import (
     COARSE_SPACES,
     COARSE_VARIANTS,
-    KRYLOV_METHODS,
     PRECISIONS,
     KrylovConfig,
     SchwarzConfig,
@@ -70,8 +70,6 @@ from repro.krylov.driver import DriverResult, Protection, solve_with_restarts
 from repro.obs import Tracer, get_tracer, use_tracer
 from repro.result import SessionResult
 from repro.reuse import (
-    RecycleSpace,
-    ReuseConfig,
     get_artifact_cache,
     pattern_fingerprint,
     values_fingerprint,
@@ -86,7 +84,6 @@ __all__ = [
     "SessionResult",
     "COARSE_VARIANTS",
     "COARSE_SPACES",
-    "KRYLOV_METHODS",
     "PRECISIONS",
 ]
 
@@ -118,7 +115,6 @@ class _ReuseState:
     protection: Protection
     pattern_fp: str
     values_fp: str
-    x: Optional[np.ndarray] = None
 
 
 class SolverSession:
@@ -139,9 +135,6 @@ class SolverSession:
     nullspace:
         Neumann null space override; by default rigid-body modes for
         3-dof problems, constants for scalar problems.
-    tracer:
-        A :class:`~repro.obs.tracer.Tracer` to record into (a fresh one
-        per solve by default).
     verify:
         ``False`` (default) solves without verification.  ``True`` runs
         the :mod:`repro.verify` invariant suite after the solve with
@@ -173,14 +166,12 @@ class SolverSession:
         one solve pipeline, so it covers :meth:`resolve` and
         :meth:`solve_sequence` exactly as it covers :meth:`solve`, and
         lives as long as the operator it guards.
-    reuse:
-        Controls the amortized-setup paths of :meth:`resolve` and
-        :meth:`solve_sequence`.  The default (``False`` or ``True``)
-        keeps the reuse path bit-identical to cold solves: same-values
-        re-solves skip setup, same-pattern new values refactorize
-        numerically.  A :class:`~repro.reuse.ReuseConfig` additionally
-        opts into GMRES warm starts and solution recycling (which
-        change the iterates and are therefore off by default).
+
+    Each solve records into a fresh :class:`~repro.obs.tracer.Tracer`
+    (``SessionResult.trace``).  :meth:`resolve` and
+    :meth:`solve_sequence` reuse setup bit-identically to cold solves:
+    same-values re-solves skip it, same-pattern new values refactorize
+    numerically.
     """
 
     def __init__(
@@ -190,10 +181,8 @@ class SolverSession:
         config: Optional[SchwarzConfig] = None,
         krylov: Optional[KrylovConfig] = None,
         nullspace: Optional[np.ndarray] = None,
-        tracer: Optional[Tracer] = None,
         verify: object = False,
         policy: object = None,
-        reuse: object = False,
     ) -> None:
         for attr in ("a", "b"):
             if not hasattr(problem, attr):
@@ -211,7 +200,6 @@ class SolverSession:
         self.config = config or SchwarzConfig()
         self.krylov = krylov or KrylovConfig()
         self._nullspace = nullspace
-        self.tracer = tracer
         if verify is True:
             from repro.verify import VerifyConfig
 
@@ -223,19 +211,6 @@ class SolverSession:
                 f"FaultToleranceConfig, got {type(policy).__name__}"
             )
         self.policy: object = policy or None
-        # reuse is always available through resolve()/solve_sequence();
-        # the config only switches on the opt-in non-bit-identical
-        # accelerators (warm start, recycling)
-        if reuse is True or not reuse:
-            reuse = ReuseConfig()
-        if not isinstance(reuse, ReuseConfig):
-            raise TypeError(
-                f"reuse must be a bool or ReuseConfig, got {type(reuse).__name__}"
-            )
-        self.reuse: ReuseConfig = reuse
-        self._recycle = (
-            RecycleSpace(reuse.recycle) if reuse.recycle > 0 else None
-        )
         #: what the previous solve left behind, keyed by matrix
         #: fingerprints; drives the :meth:`prepare` reuse ladder
         self._state: Optional[_ReuseState] = None
@@ -325,9 +300,8 @@ class SolverSession:
         resilience engine uses it to rebuild in double after a float32
         overflow.
         """
-        cfg = self.config
         problem = self.problem
-        precision = precision or cfg.precision
+        precision = precision or self.config.precision
         if precision == "single":
             problem = copy.copy(problem)
             problem.a = single_precision_matrix(problem.a)
@@ -359,24 +333,7 @@ class SolverSession:
             cache.put(dkey, dec)
         else:
             dec = dec_plan.with_values(problem.a)
-        variant = (
-            "spectral" if cfg.coarse_space == "spectral" else cfg.variant
-        )
-        precond = GDSWPreconditioner(
-            dec,
-            self.nullspace(),
-            local_spec=cfg.local,
-            coarse_spec=cfg.coarse,
-            overlap=cfg.overlap,
-            variant=variant,
-            dim=cfg.dim,
-            extension_spec=cfg.extension,
-            adaptive_tol=cfg.adaptive_tol,
-            spectral_tau=cfg.tau,
-            spectral_max_vectors=cfg.max_vectors_per_subdomain,
-            coarse_solver=cfg.coarse_solver,
-            multilevel_parts=cfg.multilevel_parts,
-        )
+        precond = GDSWPreconditioner(dec, self.nullspace(), self.config)
         if precision == "single":
             return HalfPrecisionOperator(precond)
         return precond
@@ -417,8 +374,7 @@ class SolverSession:
         * ``"skip"`` -- identical values: setup skipped entirely (the
           repeated-RHS path).
 
-        With the default :class:`~repro.reuse.ReuseConfig` the reuse
-        rungs are bit-identical to cold solves.
+        Both reuse rungs are bit-identical to cold solves.
         """
         a = self.problem.a
         state = self._state
@@ -455,9 +411,8 @@ class SolverSession:
 
     def _pipeline(self, values_fp: Optional[str] = None) -> SessionResult:
         """One traced solve: prepare -> iterate -> report."""
-        kry = self.krylov
         problem = self.problem
-        tracer = self.tracer or Tracer()
+        tracer = Tracer()
         with use_tracer(tracer):
             with tracer.span("setup") as sp:
                 sp.annotate(config=self.config.describe(),
@@ -476,14 +431,12 @@ class SolverSession:
                 observer = GmresInvariantObserver()
             with protection.context():
                 operator, failure = protection.wrap(operator, rung)
-                with tracer.span("krylov") as sp:
-                    sp.annotate(method=kry.method)
+                with tracer.span("krylov"):
                     # the Krylov iteration always runs in working
                     # (double) precision on the unrounded operator
                     out = solve_with_restarts(
-                        kry, problem.a, problem.b, operator, protection,
-                        x0=None if rung == "cold" else self._suggest_x0(),
-                        observer=observer, failure=failure,
+                        self.krylov, problem.a, problem.b, operator,
+                        protection, observer=observer, failure=failure,
                     )
         tracer.finish()
         return self._report(tracer, out, rung, observer)
@@ -503,14 +456,13 @@ class SolverSession:
         # a recovery (precision promotion, rank shrink) may have
         # replaced the operator: the ladder keeps what the solve ended on
         state.operator = unwrap(out.operator, protection_only=True)
-        state.x = x
         verification = None
         if self.verify is not None:
             from repro.verify import verify_run
 
             # the unprotected operator: a GuardedOperator would re-apply
             # its faults inside the verification solves.  An observer
-            # that saw no cycle (a CG method) has nothing to check.
+            # that saw no cycle has nothing to check.
             verification = verify_run(
                 problem.a,
                 problem.b,
@@ -523,8 +475,6 @@ class SolverSession:
             )
             if getattr(self.verify, "strict", True):
                 verification.raise_on_failure()
-        if self._recycle is not None and out.converged:
-            self._recycle.add(x)
         inner = unwrap(state.operator)
         return SessionResult(
             x=x,
@@ -569,20 +519,6 @@ class SolverSession:
         if a_new is not None:
             problem.a = a_new
         self.problem = problem
-
-    def _suggest_x0(self) -> Optional[np.ndarray]:
-        """Opt-in initial guess: recycling wins over plain warm start."""
-        if self._recycle is not None and len(self._recycle):
-            x0 = self._recycle.suggest_x0(
-                self.problem.a.matvec, self.problem.b
-            )
-            if x0 is not None:
-                return x0
-        if self.reuse.warm_start:
-            x0 = self._state.x
-            if x0 is not None and np.all(np.isfinite(x0)):
-                return np.asarray(x0, dtype=np.float64).copy()
-        return None
 
     def resolve(self, b=None, a_new=None) -> SessionResult:
         """Solve again, reusing whatever the previous solve allows.

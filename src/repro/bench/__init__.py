@@ -19,7 +19,6 @@ paper's format and returns structured data for EXPERIMENTS.md.
 """
 
 from repro.bench.harness import (
-    RunConfig,
     NumericsRecord,
     model_machine,
     run_numerics,
@@ -32,7 +31,6 @@ from repro.bench.tables import format_table, speedup_row
 
 __all__ = [
     "NumericsRecord",
-    "RunConfig",
     "format_table",
     "model_machine",
     "price_run",

@@ -20,7 +20,6 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.bench.harness import (
     NumericsRecord,
-    RunConfig,
     model_machine,
     price_run,
     rank_grid,
@@ -30,6 +29,7 @@ from repro.bench.harness import (
 )
 from repro.bench.tables import format_cell, format_table
 from repro.dd.local_solvers import LocalSolverSpec
+from repro.config import SchwarzConfig
 from repro.runtime.layout import JobLayout
 
 __all__ = [
@@ -63,12 +63,12 @@ def _weak_records(
     for nd in nodes:
         prob = weak_scaled_problem(nd, _E_WEAK)
         key = ("weak", nd, _E_WEAK)
-        cfg_cpu = RunConfig(
+        cfg_cpu = SchwarzConfig(
             local=LocalSolverSpec(kind=solver, ordering="nd", gpu_solve=False),
             precision=precision,
         )
         out[(nd, "cpu")] = run_numerics(prob, rank_grid(nd, 8), cfg_cpu, cache_key=key)
-        cfg_gpu = RunConfig(
+        cfg_gpu = SchwarzConfig(
             local=LocalSolverSpec(kind=solver, ordering="nd", gpu_solve=True),
             precision=precision,
         )
@@ -190,7 +190,7 @@ def fig4_setup_breakdown() -> dict:
     out = {}
     for solver in ("superlu", "tacho"):
         for tag, gpu in (("cpu", False), ("gpu", True)):
-            cfg = RunConfig(
+            cfg = SchwarzConfig(
                 local=LocalSolverSpec(kind=solver, ordering="nd", gpu_solve=gpu)
             )
             rec = run_numerics(prob, rank_grid(1, 8), cfg, cache_key=key)
@@ -241,7 +241,7 @@ def fig5_strong_scaling(nodes: Sequence[int] = WEAK_NODES) -> dict:
     ):
         setup, solve, iters = [], [], []
         for nd in nodes:
-            cfg = RunConfig(
+            cfg = SchwarzConfig(
                 local=LocalSolverSpec(kind="tacho", ordering="nd", gpu_solve=gpu)
             )
             rec = run_numerics(prob, rank_grid(nd, rpn), cfg, cache_key=key)
@@ -303,7 +303,7 @@ def table4_ilu_study(levels: Sequence[int] = (0, 1, 2, 3)) -> dict:
     for tag, kind, ordering, lay in rows_spec:
         s_row, t_row, i_row = [], [], []
         for lev in levels:
-            cfg = RunConfig(
+            cfg = SchwarzConfig(
                 local=LocalSolverSpec(
                     kind=kind, ordering=ordering, ilu_level=lev,
                     gpu_solve=lay is lay_g,
@@ -385,7 +385,7 @@ def table5_ilu_weak(nodes: Sequence[int] = WEAK_NODES) -> dict:
         lay_c = JobLayout.cpu_run(nd, machine=_MACHINE)
         lay_g = JobLayout.gpu_run(nd, 4, machine=_MACHINE)
         sizes.append(prob.a.n_rows)
-        cfg_ilu = RunConfig(
+        cfg_ilu = SchwarzConfig(
             local=LocalSolverSpec(kind="iluk", ordering="natural", ilu_level=1)
         )
         rec = run_numerics(prob, parts, cfg_ilu, cache_key=key)
@@ -394,7 +394,7 @@ def table5_ilu_weak(nodes: Sequence[int] = WEAK_NODES) -> dict:
             setup[tag].append(t.setup_seconds)
             solve[tag].append(t.solve_seconds)
             iters[tag].append(t.iterations)
-        cfg_fast = RunConfig(
+        cfg_fast = SchwarzConfig(
             local=LocalSolverSpec(
                 kind="fastilu", ordering="natural", ilu_level=1, gpu_solve=True
             )
@@ -463,7 +463,7 @@ def _precision_table(value: str, title_fmt: str, with_iters: bool) -> dict:
                 for nd in WEAK_NODES:
                     prob = weak_scaled_problem(nd, _E_WEAK)
                     key = ("weak", nd, _E_WEAK)
-                    cfg = RunConfig(
+                    cfg = SchwarzConfig(
                         local=LocalSolverSpec(
                             kind=solver, ordering="nd", gpu_solve=gpu
                         ),

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.api import KrylovConfig, SchwarzConfig, SolverSession
-from repro.dd.local_solvers import LocalSolverSpec
 from repro.fem import elasticity_3d, rigid_body_modes
 from repro.machine.spec import CpuSpec, GpuSpec, MachineSpec
 from repro.reuse.cache import LruDict, get_artifact_cache
@@ -18,7 +17,6 @@ __all__ = [
     "rank_grid",
     "weak_scaled_problem",
     "strong_scaled_problem",
-    "RunConfig",
     "NumericsRecord",
     "run_numerics",
     "price_run",
@@ -79,36 +77,6 @@ def strong_scaled_problem(elements_per_axis: int = 10):
     return _PROBLEM_CACHE[key]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One numerics configuration (a cell group of a paper table).
-
-    Attributes
-    ----------
-    local:
-        Local solver spec (kind/ordering/levels/sweeps/gpu pairing).
-    variant:
-        Coarse space: ``"rgdsw"`` (paper) or ``"gdsw"``.
-    overlap:
-        Algebraic overlap layers.
-    precision:
-        ``"double"`` or ``"single"`` (HalfPrecisionOperator).
-    gmres_variant:
-        Orthogonalization scheme; the paper uses ``"single_reduce"``.
-    rtol, restart, maxiter:
-        Krylov controls (paper: 1e-7, 30).
-    """
-
-    local: LocalSolverSpec = field(default_factory=LocalSolverSpec)
-    variant: str = "rgdsw"
-    overlap: int = 1
-    precision: str = "double"
-    gmres_variant: str = "single_reduce"
-    rtol: float = 1e-7
-    restart: int = 30
-    maxiter: int = 2000
-
-
 @dataclass
 class NumericsRecord:
     """Cached outcome of one numerics run.
@@ -137,6 +105,9 @@ class NumericsRecord:
 
 _NUMERICS_CACHE: "LruDict" = LruDict(maxsize=128)
 
+#: the Krylov half of every numerics run
+KRYLOV = KrylovConfig(maxiter=2000)
+
 
 def clear_cache() -> None:
     """Drop all memoized problems, numerics runs, and reuse artifacts."""
@@ -148,10 +119,13 @@ def clear_cache() -> None:
 def run_numerics(
     problem,
     parts: Tuple[int, int, int],
-    config: RunConfig,
+    config: SchwarzConfig,
     cache_key: Optional[Tuple] = None,
 ) -> NumericsRecord:
     """Build the preconditioner and run GMRES (one session solve); memoized.
+
+    Every run iterates with :data:`KRYLOV`, the paper's single-reduce
+    GMRES(30) to 1e-7.
 
     Parameters
     ----------
@@ -160,7 +134,7 @@ def run_numerics(
     parts:
         Subdomain box ``(px, py, pz)``.
     config:
-        Solver options.
+        Preconditioner options.
     cache_key:
         Extra key distinguishing problems that compare equal; pass the
         generating parameters.
@@ -174,18 +148,8 @@ def run_numerics(
     res = SolverSession(
         problem,
         partition=parts,
-        config=SchwarzConfig(
-            local=config.local,
-            overlap=config.overlap,
-            variant=config.variant,
-            precision=config.precision,
-        ),
-        krylov=KrylovConfig(
-            variant=config.gmres_variant,
-            rtol=config.rtol,
-            restart=config.restart,
-            maxiter=config.maxiter,
-        ),
+        config=config,
+        krylov=KRYLOV,
         nullspace=rigid_body_modes(problem.coordinates),
     ).solve()
     rec = NumericsRecord(

@@ -23,7 +23,8 @@ the Neumann null space:
   interior extension;
 * :mod:`repro.dd.schwarz` -- the one-level additive Schwarz operator;
 * :mod:`repro.dd.two_level` -- :class:`GDSWPreconditioner`, the full
-  two-level operator with per-phase kernel profiles;
+  two-level operator with per-phase kernel profiles, built from one
+  validated :class:`SchwarzConfig`;
 * :mod:`repro.dd.local_solvers` -- the subdomain/coarse solver menu
   (SuperLU/Tacho/ILU(k)/FastILU x CPU/GPU execution);
 * :mod:`repro.dd.precision` -- the HalfPrecisionOperator wrapper
@@ -32,9 +33,7 @@ the Neumann null space:
   heterogeneous coefficients (Section III's adaptive variant);
 * :mod:`repro.dd.algebraic` -- the fully algebraic spectral coarse
   space (local SPSD splittings + GenEO-style eigenproblems; needs no
-  null space or geometry, so arbitrary assembled matrices work);
-* :mod:`repro.dd.multilevel` -- the three-level method (recursive GDSW
-  on the coarse problem).
+  null space or geometry, so arbitrary assembled matrices work).
 """
 
 from repro.dd.decomposition import Decomposition
@@ -42,16 +41,14 @@ from repro.dd.overlap import overlapping_subdomains
 from repro.dd.interface import InterfaceAnalysis, analyze_interface
 from repro.dd.coarse_space import CoarseSpace, build_coarse_space
 from repro.dd.schwarz import OneLevelSchwarz
-from repro.dd.two_level import GDSWPreconditioner
+from repro.dd.two_level import GDSWPreconditioner, SchwarzConfig
 from repro.dd.local_solvers import LocalSolverSpec
 from repro.dd.precision import HalfPrecisionOperator
 from repro.dd.adaptive import build_adaptive_coarse_space
 from repro.dd.algebraic import build_spectral_coarse_space
-from repro.dd.multilevel import MultilevelCoarseSolver
 
 __all__ = [
     "CoarseSpace",
-    "MultilevelCoarseSolver",
     "build_adaptive_coarse_space",
     "build_spectral_coarse_space",
     "Decomposition",
@@ -60,6 +57,7 @@ __all__ = [
     "InterfaceAnalysis",
     "LocalSolverSpec",
     "OneLevelSchwarz",
+    "SchwarzConfig",
     "analyze_interface",
     "build_coarse_space",
     "overlapping_subdomains",

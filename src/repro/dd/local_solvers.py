@@ -84,6 +84,12 @@ class LocalSolverSpec:
                 + ", ".join(repr(k) for k in SOLVER_KINDS)
             )
         canonical_ordering(self.ordering)  # raises, listing the valid names
+        if self.ilu_level < 0:
+            raise ValueError(f"ilu_level must be >= 0, got {self.ilu_level}")
+        for name in ("factor_damping", "solve_damping"):
+            damping = getattr(self, name)
+            if not 0.0 < damping <= 1.0:
+                raise ValueError(f"{name} must be in (0, 1], got {damping}")
 
     def with_gpu(self, gpu_solve: bool) -> "LocalSolverSpec":
         """Copy with the GPU pairing switched."""

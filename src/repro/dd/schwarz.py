@@ -91,11 +91,6 @@ class OneLevelSchwarz:
         Local solver configuration.
     overlap:
         Number of algebraic overlap layers (paper: 1).
-    restricted:
-        Apply restricted-additive-Schwarz weighting (each dof's
-        correction taken only from its owner; reduces communication and
-        often iterations).  The paper uses plain additive Schwarz
-        (False).
     reuse_from:
         An existing :class:`OneLevelSchwarz` built over the *same matrix
         values* (typically the pre-failure operator during a
@@ -120,13 +115,11 @@ class OneLevelSchwarz:
         dec: Decomposition,
         spec: LocalSolverSpec,
         overlap: int = 1,
-        restricted: bool = False,
         reuse_from: "OneLevelSchwarz | None" = None,
     ) -> None:
         self.dec = dec
         self.spec = spec
         self.overlap = overlap
-        self.restricted = restricted
 
         tr = get_tracer()
         with tr.span("setup/overlap") as sp:
@@ -203,16 +196,6 @@ class OneLevelSchwarz:
                 int((ns.size - int(owned.sum())) * dec.dofs_per_node)
             )
 
-        if restricted:
-            self._weights = []
-            for rank, ns in enumerate(node_sets):
-                w = (dec.node_owner[ns] == rank).astype(np.float64)
-                self._weights.append(np.repeat(w, dec.dofs_per_node))
-            self._scatter_weights = np.concatenate(self._weights)
-        else:
-            self._weights = None
-            self._scatter_weights = None
-
         # the merged local solve is part of setup, not of the first apply
         self._plan: Optional[_MergedLocals] = None
         self._merged()
@@ -227,7 +210,7 @@ class OneLevelSchwarz:
         """Numeric-only refactorization over a same-pattern matrix.
 
         Reuses every pattern-derived artifact (overlap node/dof sets,
-        scatter plan, halo sizes, RAS weights) and refactorizes each
+        scatter plan, halo sizes) and refactorizes each
         local solver in place: symbolic-reusable kinds re-run only their
         numeric phase, SuperLU rebuilds.  ``dec_new`` must share the
         pattern and partition of the original decomposition (enforced by
@@ -275,7 +258,7 @@ class OneLevelSchwarz:
                     part[:, j] = hook(rank, part[:, j])
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Apply ``sum_i R_i^T (D_i) A_i^{-1} R_i v`` to ``v`` (``(n,)`` or ``(n, k)``).
+        """Apply ``sum_i R_i^T A_i^{-1} R_i v`` to ``v`` (``(n,)`` or ``(n, k)``).
 
         One gather into rank-major order, the merged local solve of all
         subdomains (and all columns), one scatter-add.  A rank's slice
@@ -296,9 +279,6 @@ class OneLevelSchwarz:
             x = self._merged().solve(x)
             if eng is not None:
                 self._per_rank(eng.check_local_solution, x)
-            if self._scatter_weights is not None:
-                w = self._scatter_weights
-                x = x * (w if x.ndim == 1 else w[:, None])
             # bincount accumulates sequentially in input order, so the
             # rank-major order reproduces a per-rank ``np.add.at`` loop
             # bit for bit

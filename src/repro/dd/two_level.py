@@ -1,4 +1,4 @@
-"""The two-level GDSW preconditioner (Eq. 1).
+"""The two-level GDSW preconditioner (Eq. 1) and its configuration.
 
 ``M^{-1} = Phi A_0^{-1} Phi^T + sum_i R_i^T A_i^{-1} R_i``
 
@@ -11,6 +11,10 @@ energy-minimizing GDSW/rGDSW coarse level:
 * apply -- one local solve per rank plus the coarse solve (replicated,
   entered through a coarse allreduce).
 
+:class:`SchwarzConfig` is the one validated parameter list of the
+preconditioner (the paper's Table I knobs plus the coarse-space
+choice); :mod:`repro.config` and :mod:`repro.api` re-export it.
+
 Every phase exposes per-rank :class:`~repro.machine.kernels.KernelProfile`
 objects; the Summit-node model in :mod:`repro.runtime` turns them into
 the paper's time tables.
@@ -18,7 +22,8 @@ the paper's time tables.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from dataclasses import dataclass, field
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -39,7 +44,131 @@ from repro.reuse.fingerprint import partition_fingerprint, pattern_fingerprint
 from repro.sparse.csr import CsrMatrix
 from repro.sparse.spgemm import spgemm, spgemm_flops
 
-__all__ = ["GDSWPreconditioner"]
+__all__ = [
+    "GDSWPreconditioner",
+    "SchwarzConfig",
+    "COARSE_VARIANTS",
+    "COARSE_SPACES",
+    "PRECISIONS",
+]
+
+#: valid coarse-space variants of :class:`SchwarzConfig`
+COARSE_VARIANTS = ("rgdsw", "gdsw", "agdsw")
+#: valid coarse-space families: the FEM-structured GDSW family
+#: (selected further by ``variant``) or the fully algebraic spectral
+#: space of :mod:`repro.dd.algebraic`
+COARSE_SPACES = ("gdsw", "spectral")
+#: valid working precisions of :class:`SchwarzConfig`
+PRECISIONS = ("double", "single")
+#: eigenvalue threshold of the AGDSW enrichment (``variant="agdsw"``)
+ADAPTIVE_TOL = 1e-2
+
+
+def _check(value: str, valid: Tuple[str, ...], what: str) -> None:
+    if value not in valid:
+        raise ValueError(
+            f"unknown {what} {value!r}; valid values: "
+            + ", ".join(repr(v) for v in valid)
+        )
+
+
+@dataclass(frozen=True)
+class SchwarzConfig:
+    """Preconditioner options, validated at construction.
+
+    Attributes
+    ----------
+    local:
+        Local subdomain solver (validated by
+        :class:`~repro.dd.local_solvers.LocalSolverSpec` itself).
+    coarse:
+        Coarse-matrix solver; None selects the GDSW default (Tacho,
+        natural ordering).
+    extension:
+        Solver for the interior extension solves of Eq. (2); None
+        selects the GDSW default (Tacho, ND ordering).  Nonsymmetric
+        operators (e.g. upwinded convection-diffusion via ``.mtx``)
+        need ``LocalSolverSpec(kind="superlu")`` here and in
+        ``local``/``coarse`` -- the Cholesky-based default assumes
+        symmetry.
+    overlap:
+        Algebraic overlap layers (paper: 1).
+    variant:
+        Coarse space: ``"rgdsw"`` (paper), ``"gdsw"`` or ``"agdsw"``
+        (the adaptive enrichment for heterogeneous coefficients;
+        Section III).
+    precision:
+        ``"double"`` or ``"single"`` (HalfPrecisionOperator wrapping).
+    dim:
+        Spatial dimension for interface classification: 2 or 3.
+    coarse_space:
+        Coarse-space family: ``"gdsw"`` (default -- the FEM-structured
+        GDSW family, refined by ``variant``) or ``"spectral"`` (the
+        fully algebraic SPSD-splitting / GenEO space of
+        :mod:`repro.dd.algebraic`; needs no null space or geometry, so
+        it accepts arbitrary assembled matrices, e.g. MatrixMarket
+        inputs).
+    tau:
+        Spectral eigenvalue threshold: generalized eigenmodes with
+        ``lambda <= tau`` enter the coarse space
+        (``coarse_space="spectral"`` only).
+    max_vectors_per_subdomain:
+        Per-subdomain cap on spectral coarse vectors
+        (``coarse_space="spectral"`` only).
+    """
+
+    local: LocalSolverSpec = field(default_factory=LocalSolverSpec)
+    coarse: Optional[LocalSolverSpec] = None
+    extension: Optional[LocalSolverSpec] = None
+    overlap: int = 1
+    variant: str = "rgdsw"
+    precision: str = "double"
+    dim: int = 3
+    coarse_space: str = "gdsw"
+    tau: float = 1e-2
+    max_vectors_per_subdomain: int = 8
+
+    def __post_init__(self) -> None:
+        _check(self.variant, COARSE_VARIANTS, "coarse-space variant")
+        _check(self.coarse_space, COARSE_SPACES, "coarse-space family")
+        _check(self.precision, PRECISIONS, "precision")
+        if self.overlap < 0:
+            raise ValueError(f"overlap must be >= 0, got {self.overlap}")
+        if self.dim not in (2, 3):
+            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
+        if self.tau <= 0:
+            raise ValueError(f"tau must be positive, got {self.tau}")
+        if self.max_vectors_per_subdomain < 1:
+            raise ValueError(
+                f"max_vectors_per_subdomain must be >= 1, "
+                f"got {self.max_vectors_per_subdomain}"
+            )
+
+    def describe(self) -> str:
+        """One-line summary used by trace annotations and tables.
+
+        Also the preconditioner half of a serving shard key, so every
+        field that changes the operator shows: default configurations
+        keep the historical format byte-for-byte, and a coarse solver,
+        a 2-D interface classification or a spectral space append
+        themselves.
+        """
+        base = (
+            f"{self.variant} overlap={self.overlap} "
+            f"local=[{self.local.describe()}] {self.precision}"
+        )
+        if self.extension is not None:
+            base += f" ext=[{self.extension.describe()}]"
+        if self.coarse is not None:
+            base += f" coarse=[{self.coarse.describe()}]"
+        if self.dim != 3:
+            base += f" dim={self.dim}"
+        if self.coarse_space == "spectral":
+            base += (
+                f" spectral tau={self.tau:g} "
+                f"maxvec={self.max_vectors_per_subdomain}"
+            )
+        return base
 
 
 class GDSWPreconditioner:
@@ -50,47 +179,16 @@ class GDSWPreconditioner:
     dec:
         Nonoverlapping decomposition of the assembled problem.
     nullspace:
-        ``(n, n_n)`` Neumann null space (rigid-body modes / constants).
-    local_spec:
-        Local subdomain solver configuration.
-    coarse_spec:
-        Solver for the coarse matrix; defaults to Tacho with natural
-        ordering (the coarse matrix is small and dense-ish).
-    overlap:
-        Algebraic overlap layers (paper: 1).
-    variant:
-        ``"rgdsw"`` (paper default), ``"gdsw"``, ``"agdsw"`` (the
-        adaptive enrichment for heterogeneous coefficients; Section
-        III), or ``"spectral"`` (the fully algebraic SPSD-splitting /
-        GenEO coarse space of :mod:`repro.dd.algebraic` -- ignores
-        ``nullspace`` and needs no geometry).
-    dim:
-        Spatial dimension for interface classification.
-    extension_spec:
-        Solver used for the interior extension solves of Eq. (2); the
-        paper uses Tacho here in all configurations.
-    adaptive_tol:
-        Eigenvalue threshold of the AGDSW enrichment (only used with
-        ``variant="agdsw"``).
-    spectral_tau:
-        Eigenvalue threshold of the algebraic spectral coarse space
-        (only used with ``variant="spectral"``).
-    spectral_max_vectors:
-        Per-subdomain cap on spectral coarse vectors (only used with
-        ``variant="spectral"``).
-    spectral_drift_tol:
-        Relative values-drift threshold above which a same-pattern
-        :meth:`refactor` recomputes the spectral eigenvectors instead of
-        reusing them (only used with ``variant="spectral"``).  Defaults
-        to ``0.1 * spectral_tau``: drift well inside the eigenvalue
-        threshold's sensitivity cannot move vectors across the ``tau``
-        cut, so they are safe to keep.
-    coarse_solver:
-        ``"direct"`` (default) factors ``A0`` exactly; ``"multilevel"``
-        builds a second GDSW level on the coarse problem and solves it
-        inexactly (the three-level method of Section III).
-    multilevel_parts:
-        Second-level subdomain count for ``coarse_solver="multilevel"``.
+        ``(n, n_n)`` Neumann null space (rigid-body modes / constants);
+        the spectral coarse space ignores it.
+    config:
+        :class:`SchwarzConfig` (defaults to the paper configuration).
+        ``coarse_space="spectral"`` selects the fully algebraic
+        SPSD-splitting / GenEO coarse space of :mod:`repro.dd.algebraic`
+        (``variant`` is then unused); its same-pattern :meth:`refactor`
+        reuses the eigenvectors while the values drift by at most
+        ``0.1 * tau`` -- drift well inside the eigenvalue threshold's
+        sensitivity cannot move vectors across the ``tau`` cut.
     reuse_from:
         An existing preconditioner over the *same matrix values* whose
         untouched local factorizations should be reused (forwarded to
@@ -103,39 +201,19 @@ class GDSWPreconditioner:
         self,
         dec: Decomposition,
         nullspace: np.ndarray,
-        local_spec: Optional[LocalSolverSpec] = None,
-        coarse_spec: Optional[LocalSolverSpec] = None,
-        overlap: int = 1,
-        variant: str = "rgdsw",
-        dim: int = 3,
-        extension_spec: Optional[LocalSolverSpec] = None,
-        adaptive_tol: float = 1e-2,
-        spectral_tau: float = 1e-2,
-        spectral_max_vectors: int = 8,
-        spectral_drift_tol: Optional[float] = None,
-        coarse_solver: str = "direct",
-        multilevel_parts: int = 4,
+        config: Optional[SchwarzConfig] = None,
         reuse_from: "GDSWPreconditioner | None" = None,
     ) -> None:
-        if coarse_solver not in ("direct", "multilevel"):
-            raise ValueError("coarse_solver must be 'direct' or 'multilevel'")
+        config = config or SchwarzConfig()
         self.dec = dec
-        local_spec = local_spec or LocalSolverSpec()
-        coarse_spec = coarse_spec or LocalSolverSpec(kind="tacho", ordering="natural")
-        extension_spec = extension_spec or LocalSolverSpec(kind="tacho", ordering="nd")
-        self.local_spec = local_spec
+        self.config = config
+        variant = (
+            "spectral" if config.coarse_space == "spectral" else config.variant
+        )
         self.variant = variant
-        # everything :meth:`remove_subdomain` needs to rebuild over a
+        # what :meth:`remove_subdomain` needs to rebuild over a
         # repaired partition
         self._nullspace = nullspace
-        self._dim = dim
-        self._extension_spec = extension_spec
-        self._adaptive_tol = adaptive_tol
-        self._spectral_tau = spectral_tau
-        self._spectral_max_vectors = spectral_max_vectors
-        self._spectral_drift_tol = (
-            0.1 * spectral_tau if spectral_drift_tol is None else spectral_drift_tol
-        )
         self._spectral_ref_values: Optional[np.ndarray] = None
 
         tr = get_tracer()
@@ -143,8 +221,8 @@ class GDSWPreconditioner:
         # ---- one-level part ----
         self.one_level = OneLevelSchwarz(
             dec,
-            local_spec,
-            overlap=overlap,
+            config.local,
+            overlap=config.overlap,
             reuse_from=None if reuse_from is None else reuse_from.one_level,
         )
 
@@ -158,18 +236,18 @@ class GDSWPreconditioner:
                 "interface",
                 pattern_fingerprint(dec.a),
                 partition_fingerprint(dec.node_parts),
-                int(dim),
+                config.dim,
             )
             analysis = cache.get(akey)
             if analysis is None:
-                analysis = analyze_interface(dec, dim=dim)
+                analysis = analyze_interface(dec, dim=config.dim)
                 cache.put(akey, analysis)
             self.analysis = analysis
             if variant == "agdsw":
                 from repro.dd.adaptive import build_adaptive_coarse_space
 
                 self.space: CoarseSpace = build_adaptive_coarse_space(
-                    dec, self.analysis, nullspace, tol=adaptive_tol
+                    dec, self.analysis, nullspace, tol=ADAPTIVE_TOL
                 )
             elif variant == "spectral":
                 from repro.dd.algebraic import build_spectral_coarse_space
@@ -177,17 +255,21 @@ class GDSWPreconditioner:
                 self.space = build_spectral_coarse_space(
                     dec,
                     self.analysis,
-                    tau=spectral_tau,
-                    max_vectors_per_subdomain=spectral_max_vectors,
+                    tau=config.tau,
+                    max_vectors_per_subdomain=config.max_vectors_per_subdomain,
                     node_sets=self.one_level.node_sets,
                 )
                 self._spectral_ref_values = dec.a.data.copy()
-                sp.annotate(tau=spectral_tau)
+                sp.annotate(tau=config.tau)
             else:
                 self.space = build_coarse_space(
                     dec, self.analysis, nullspace, variant=variant
                 )
             sp.count("coarse_dim", float(self.space.n_coarse))
+
+        extension_spec = config.extension or LocalSolverSpec(
+            kind="tacho", ordering="nd"
+        )
 
         def _ext_factory():
             from repro.direct import direct_solver
@@ -198,17 +280,16 @@ class GDSWPreconditioner:
         # state the refactorization path reuses (see :meth:`refactor`)
         self._ext_factory = _ext_factory
         self._ext_solver_cache: dict = {}
-        self._coarse_spec = coarse_spec
-        self._coarse_solver_kind = coarse_solver
-        self._multilevel_parts = multilevel_parts
-        self._n_null = int(np.atleast_2d(nullspace).shape[1])
+        self._coarse_spec = config.coarse or LocalSolverSpec(
+            kind="tacho", ordering="natural"
+        )
 
         self._ext_rank_profiles: List[KernelProfile]
         if self.space.n_coarse > 0:
             self.a0 = self._extend_and_project(dec, "setup/coarse_basis")
             with tr.span("setup/coarse_factor") as sp:
                 sp.annotate(n_coarse=int(self.space.n_coarse))
-                self.coarse = self._build_coarse(self.a0)
+                self.coarse = self._coarse_spec.build(self.a0)
         else:  # single subdomain: no interface, pure one-level
             self.phi = None
             self.a0 = None
@@ -245,19 +326,6 @@ class GDSWPreconditioner:
             sp.count("nnz", float(a0.nnz))
         return a0
 
-    def _build_coarse(self, a0: CsrMatrix):
-        """A cold coarse solver for ``a0`` (direct, or a second GDSW level)."""
-        if (
-            self._coarse_solver_kind == "multilevel"
-            and a0.n_rows > self._multilevel_parts
-        ):
-            from repro.dd.multilevel import MultilevelCoarseSolver
-
-            return MultilevelCoarseSolver(
-                a0, n_parts=self._multilevel_parts, n_null=self._n_null
-            )
-        return self._coarse_spec.build(a0)
-
     def _compute_phi_rank_nnz(self) -> None:
         """Per-rank nnz of Phi restricted to owned dofs (apply-cost split)."""
         dec = self.dec
@@ -288,12 +356,11 @@ class GDSWPreconditioner:
         the per-subdomain eigenproblems on every refactorization would
         erase most of the reuse win, so the refactor path keeps the
         vectors while the values drift (relative inf-norm against the
-        values they were computed from) stays within
-        ``spectral_drift_tol`` -- drift far inside the ``tau``
-        eigenvalue cut cannot move vectors across it.  Past the
-        threshold the space is rebuilt from the same interface analysis
-        and overlap node sets, which makes the result bit-identical to a
-        cold construction over the new values.
+        values they were computed from) stays within ``0.1 * tau`` --
+        drift far inside the ``tau`` eigenvalue cut cannot move vectors
+        across it.  Past the threshold the space is rebuilt from the
+        same interface analysis and overlap node sets, which makes the
+        result bit-identical to a cold construction over the new values.
         """
         tr = get_tracer()
         ref = self._spectral_ref_values
@@ -303,20 +370,21 @@ class GDSWPreconditioner:
             drift = np.inf
         else:
             drift = float(np.max(np.abs(new_values - ref))) / scale
-        if drift <= self._spectral_drift_tol:
+        tol = 0.1 * self.config.tau
+        if drift <= tol:
             with tr.span("reuse/spectral_reuse") as sp:
-                sp.annotate(drift=drift, tol=self._spectral_drift_tol)
+                sp.annotate(drift=drift, tol=tol)
                 sp.count("spectral_vectors_reused", float(self.space.n_coarse))
             return
         from repro.dd.algebraic import build_spectral_coarse_space
 
         with tr.span("reuse/spectral_rebuild") as sp:
-            sp.annotate(drift=drift, tol=self._spectral_drift_tol)
+            sp.annotate(drift=drift, tol=tol)
             self.space = build_spectral_coarse_space(
                 dec_new,
                 self.analysis,
-                tau=self._spectral_tau,
-                max_vectors_per_subdomain=self._spectral_max_vectors,
+                tau=self.config.tau,
+                max_vectors_per_subdomain=self.config.max_vectors_per_subdomain,
                 node_sets=self.one_level.node_sets,
             )
             self._spectral_ref_values = new_values.copy()
@@ -360,7 +428,7 @@ class GDSWPreconditioner:
                 self.coarse = self.coarse.refactor(a0_new)
             else:
                 sp.annotate(reused_symbolic=False)
-                self.coarse = self._build_coarse(a0_new)
+                self.coarse = self._coarse_spec.build(a0_new)
         self._compute_phi_rank_nnz()
 
     def remove_subdomain(
@@ -413,21 +481,7 @@ class GDSWPreconditioner:
         """The same configuration over a repaired partition of the same
         matrix, reusing every local factorization the repair left alone."""
         return GDSWPreconditioner(
-            dec_new,
-            self._nullspace,
-            local_spec=self.local_spec,
-            coarse_spec=self._coarse_spec,
-            overlap=self.one_level.overlap,
-            variant=self.variant,
-            dim=self._dim,
-            extension_spec=self._extension_spec,
-            adaptive_tol=self._adaptive_tol,
-            spectral_tau=self._spectral_tau,
-            spectral_max_vectors=self._spectral_max_vectors,
-            spectral_drift_tol=self._spectral_drift_tol,
-            coarse_solver=self._coarse_solver_kind,
-            multilevel_parts=self._multilevel_parts,
-            reuse_from=self,
+            dec_new, self._nullspace, self.config, reuse_from=self
         )
 
     def apply(self, v: np.ndarray) -> np.ndarray:

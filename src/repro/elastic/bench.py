@@ -184,7 +184,7 @@ def run_elastic_bench(
     with use_artifact_cache(ArtifactCache()):
         dec = Decomposition.from_box_partition(problem, 2, 2, 1)
         nullspace = np.ones((problem.a.n_rows, 1))
-        precond = GDSWPreconditioner(dec, nullspace, dim=3)
+        precond = GDSWPreconditioner(dec, nullspace)
         factors = np.ones(dec.n_subdomains)
         factors[1] = straggler_factor
         sync = gmres(problem.a, problem.b, preconditioner=precond, rtol=1e-8)

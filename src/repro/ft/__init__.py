@@ -21,8 +21,7 @@ implements the standard HPC recovery stack over it:
   tolerance to the original residual);
 * ``SolverSession(policy=FaultToleranceConfig(...))`` -- turns into a
   :class:`RankLossProtection` threading all of the above through the
-  session's one solve pipeline (:func:`solve_fault_tolerant` is the
-  functional spelling);
+  session's one solve pipeline;
 * ``python -m repro chaos --suite rank`` -- the chaos matrix
   (kill-phase x strategy) emitting ``BENCH_ft.json`` for the CI
   ``chaos-ft`` gate.
@@ -36,7 +35,6 @@ from repro.ft.driver import (
     FtOperator,
     FtReport,
     RankLossProtection,
-    solve_fault_tolerant,
 )
 from repro.ft.recovery import (
     interpolated_restart,
@@ -55,7 +53,6 @@ __all__ = [
     "FtOperator",
     "FtReport",
     "RankLossProtection",
-    "solve_fault_tolerant",
     "local_fingerprints",
     "repair_shrink",
     "repair_respawn",

@@ -74,7 +74,6 @@ __all__ = [
     "FtOperator",
     "FtReport",
     "RankLossProtection",
-    "solve_fault_tolerant",
 ]
 
 #: valid rank-loss recovery strategies
@@ -192,12 +191,11 @@ class FtOperator(OperatorWrapper):
 
 
 class _CheckpointHook:
-    """CG iterate hook / GMRES observer taking snapshots on cadence.
+    """GMRES observer taking snapshots on cadence.
 
-    Snapshot points: CG checkpoints every ``interval`` iterations via
-    the solver callback; GMRES checkpoints at the first cycle boundary
-    at least ``interval`` iterations past the previous snapshot (the
-    iterate only materializes at cycle ends), shipping the last basis
+    Snapshot point: the first cycle boundary at least ``interval``
+    iterations past the previous snapshot (the iterate only
+    materializes at cycle ends), shipping the last basis
     vector alongside the owned solution segments.
     """
 
@@ -234,11 +232,6 @@ class _CheckpointHook:
         )
         self._last_snapshot = iters
 
-    # -- CG iterate hook ------------------------------------------------
-    def on_iterate(self, it: int, x: np.ndarray) -> None:
-        self._maybe_snapshot(self.base_iters + it, x)
-
-    # -- GMRES observer interface --------------------------------------
     def on_cycle(self, basis, x, estimate, true_norm=None) -> None:
         tail = basis[-1] if len(basis) else None
         self._maybe_snapshot(self.base_iters + self.guard.iters, x, tail)
@@ -482,18 +475,3 @@ class RankLossProtection(Protection):
             ),
         )
         return status, {"health": health, "ft": report}
-
-
-def solve_fault_tolerant(session, ft: FaultToleranceConfig):
-    """``session.solve()`` under rank-loss protection ``ft``.
-
-    The functional spelling of ``SolverSession(..., policy=ft).solve()``:
-    the session's own pipeline runs (so ``verify=`` and ``tracer=``
-    apply), with ``result.ft`` holding the
-    :class:`FtReport`, ``result.health`` the rank-loss actions, and
-    ``result.status`` reading ``recovered`` when the solve converged
-    after at least one repair.  ``session`` itself is left untouched.
-    """
-    protected = copy.copy(session)
-    protected.policy = ft
-    return protected.solve()

@@ -16,24 +16,20 @@ variant            orthogonalization           global reduces/iter
                    normalization
 =================  ==========================  ====================
 
-A preconditioned CG and the *pipelined* CG of Ghysels & Vanroose (one
-overlappable reduction per iteration, with residual replacement) cover
-the SPD side of Table I's Krylov menu.
-
-:mod:`repro.krylov.block` adds the multi-RHS block variants the serving
+:mod:`repro.krylov.block` adds the multi-RHS block GMRES the serving
 layer batches same-pattern tenant requests through: ``k`` independent
 Krylov iterations run in lockstep over an ``(n, k)`` block, sharing one
 batched SpMV and one batched reduction set per step, with per-column
 convergence deflation -- bit-identical per column to the single-RHS
-solvers.
+solver.
 
 Reductions are counted by the ambient :class:`~repro.obs.Tracer`
 (``tracer.reduces`` / ``tracer.reduce_doubles``) so the simulated
-runtime can price them; a preconditioned CG is included for the SPD
-ablations.
+runtime can price them; a preconditioned CG serves the SPD ablations
+and the distributed-execution diff of :mod:`repro.verify`.
 
-:mod:`repro.krylov.driver` is the one place a configuration's ``method``
-picks a solver and the one anchored-restart loop; sessions, the elastic
+:mod:`repro.krylov.driver` is the one place a configuration becomes a
+solver call and the one anchored-restart loop; sessions, the elastic
 fallback and the serving layer all iterate through it.
 """
 
@@ -42,10 +38,8 @@ from repro.krylov.cg import cg, CgResult
 from repro.krylov.block import (
     BLOCK_ITERATION_TOLERANCE,
     BlockSolveResult,
-    block_cg,
     block_gmres,
 )
-from repro.krylov.pipelined import pipelined_cg, PipelinedCgResult
 from repro.krylov.reduce import ReduceCounter
 from repro.krylov.status import SolveStatus
 
@@ -54,12 +48,9 @@ __all__ = [
     "BlockSolveResult",
     "CgResult",
     "GmresResult",
-    "PipelinedCgResult",
     "ReduceCounter",
     "SolveStatus",
-    "block_cg",
     "block_gmres",
     "cg",
     "gmres",
-    "pipelined_cg",
 ]

@@ -1,10 +1,10 @@
-"""Block (multi-RHS) Krylov solvers for same-operator request batches.
+"""Block (multi-RHS) GMRES for same-operator request batches.
 
 The serving layer (:mod:`repro.serve`) coalesces same-pattern solve
 requests into one multi-RHS solve: ``k`` tenants sharing one operator
 cost one *set* of SpMVs and one *set* of global reductions per
-iteration instead of ``k``.  These solvers run ``k`` independent Krylov
-iterations in lockstep over an ``(n, k)`` iterate block:
+iteration instead of ``k``.  :func:`block_gmres` runs ``k`` independent
+GMRES iterations in lockstep over an ``(n, k)`` iterate block:
 
 * the SpMV is batched -- one :meth:`~repro.sparse.csr.CsrMatrix.matmat`
   over the active block per step (one kernel-launch set, ``k``-fold
@@ -21,7 +21,7 @@ iterations in lockstep over an ``(n, k)`` iterate block:
   batched SpMV and reduction payloads shrink as tenants finish.
 
 Per-column arithmetic is exactly the single-RHS arithmetic of
-:func:`repro.krylov.gmres.gmres` / :func:`repro.krylov.cg.cg` -- columns
+:func:`repro.krylov.gmres.gmres` -- columns
 never mix (each keeps its own Arnoldi basis, Hessenberg factor and
 Givens rotations; the batched SpMV and the block preconditioner apply
 compute each column exactly as the single-vector kernels do).  Column
@@ -61,7 +61,6 @@ from repro.sparse.csr import CsrMatrix
 __all__ = [
     "BLOCK_ITERATION_TOLERANCE",
     "BlockSolveResult",
-    "block_cg",
     "block_gmres",
 ]
 
@@ -78,8 +77,8 @@ BLOCK_ITERATION_TOLERANCE = 0
 class BlockSolveResult:
     """Outcome of one block solve over an ``(n, k)`` right-hand-side block.
 
-    Per-column fields mirror :class:`~repro.krylov.gmres.GmresResult` /
-    :class:`~repro.krylov.cg.CgResult`; the reduction counters are the
+    Per-column fields mirror :class:`~repro.krylov.gmres.GmresResult`;
+    the reduction counters are the
     *batched* counts the block actually issued (the per-step maximum
     over columns, not the per-column sum).
 
@@ -422,125 +421,3 @@ def block_gmres(
     return _block_result(
         cols, [c.total_iters for c in cols], batched, spmv_blocks
     )
-
-
-class _CgColumn:
-    """One column's single-RHS CG state."""
-
-    __slots__ = (
-        "idx", "b", "x", "r", "z", "p", "rz", "r0", "residuals", "it",
-        "converged", "done", "status", "breakdown_reason", "tally",
-    )
-
-    def __init__(self, idx: int, b: np.ndarray, x: np.ndarray) -> None:
-        self.idx = idx
-        self.b = b
-        self.x = x
-        self.residuals: List[float] = []
-        self.it = 0
-        self.converged = False
-        self.done = False
-        self.status = SolveStatus.MAXITER
-        self.breakdown_reason: Optional[str] = None
-        self.tally = _Tally()
-
-
-def block_cg(
-    a: Operator,
-    b: np.ndarray,
-    preconditioner: Optional[Operator] = None,
-    x0: Optional[np.ndarray] = None,
-    rtol: float = 1e-7,
-    maxiter: int = 1000,
-) -> BlockSolveResult:
-    """Solve SPD ``A x_c = b[:, c]`` per column with lockstep CG.
-
-    The three reduction points of one CG iteration (``p^T A p``, the
-    residual norm, ``r^T z``) each become one batched reduction for the
-    whole active block; the SpMV is one batched
-    :meth:`~repro.sparse.csr.CsrMatrix.matmat`.  Per-column arithmetic
-    matches :func:`repro.krylov.cg.cg` exactly; a column losing positive
-    definiteness retires with ``status="breakdown"`` without disturbing
-    the rest of the block.
-    """
-    b = _check_block_rhs(b)
-    n, k = b.shape
-    apply_m = _as_block_apply(preconditioner)
-    apply_block = _as_block_apply(a)
-    tr = get_tracer()
-    batched = _BatchedReduces(tr)
-    spmv_blocks = 0
-
-    x_block = _initial_block(x0, n, k)
-    cols = [_CgColumn(c, b[:, c], x_block[:, c].copy()) for c in range(k)]
-
-    def _precondition(subset) -> None:
-        """``z = M^{-1} r`` for every column of ``subset``, in one apply."""
-        if not subset:
-            return
-        zs = apply_m(np.stack([c.r for c in subset], axis=1))
-        for i, c in enumerate(subset):
-            c.z = zs[:, i].copy()
-
-    with tr.span("krylov/spmv") as sp:
-        sp.count("block_width", float(k))
-        ax = apply_block(x_block)
-    spmv_blocks += 1
-    for i, c in enumerate(cols):
-        c.r = c.b - ax[:, i]
-    _precondition(cols)
-    for c in cols:
-        c.p = c.z.copy()
-        c.rz = float(c.tally.allreduce(c.r @ c.z)[0])
-        c.r0 = float(np.sqrt(c.tally.allreduce(c.r @ c.r)[0]))
-        c.residuals.append(c.r0)
-        if c.r0 == 0.0:
-            c.converged = True
-            c.done = True
-            c.status = SolveStatus.CONVERGED
-    batched.charge([c.tally for c in cols])
-
-    while True:
-        active = [c for c in cols if not c.done]
-        if not active:
-            break
-        ps = np.stack([c.p for c in active], axis=1)
-        with tr.span("krylov/spmv") as sp:
-            sp.count("block_width", float(len(active)))
-            ap_block = apply_block(ps)
-        spmv_blocks += 1
-        for i, c in enumerate(active):
-            # contiguous copy: a strided view would change the BLAS
-            # summation order and break single-RHS bit-equality
-            ap = ap_block[:, i].copy()
-            pap = float(c.tally.allreduce(c.p @ ap)[0])
-            if not np.isfinite(pap):
-                c.breakdown_reason = "nonfinite"
-            elif pap <= 0.0:
-                c.breakdown_reason = "indefinite"
-            if c.breakdown_reason is not None:
-                c.done = True
-                c.status = SolveStatus.BREAKDOWN
-                continue
-            alpha = c.rz / pap
-            c.x = c.x + alpha * c.p
-            c.r = c.r - alpha * ap
-            c.it += 1
-            rn = float(np.sqrt(c.tally.allreduce(c.r @ c.r)[0]))
-            c.residuals.append(rn)
-            if rn <= rtol * c.r0:
-                c.converged = True
-                c.done = True
-                c.status = SolveStatus.CONVERGED
-            elif c.it >= maxiter:
-                c.done = True
-        continuing = [c for c in active if not c.done]
-        _precondition(continuing)
-        for c in continuing:
-            rz_new = float(c.tally.allreduce(c.r @ c.z)[0])
-            beta = rz_new / c.rz
-            c.rz = rz_new
-            c.p = c.z + beta * c.p
-        batched.charge([c.tally for c in active])
-
-    return _block_result(cols, [c.it for c in cols], batched, spmv_blocks)

@@ -43,18 +43,13 @@ def cg(
     rtol: float = 1e-7,
     maxiter: int = 1000,
     callback: Optional[Callable[[int, np.ndarray], None]] = None,
-    guard: Optional[object] = None,
 ) -> CgResult:
     """Solve SPD ``A x = b`` with preconditioned CG.
 
     Convergence when ``||r|| <= rtol * ||r0||``; two global reductions
-    per iteration (the classic count the pipelined variants reduce).
-    ``callback(it, x)`` observes the iterate after every update (used by
-    :mod:`repro.verify` to diff against the distributed iterates).
-    ``guard`` is an optional health monitor (see
-    :class:`repro.resilience.detect.KrylovGuard`): a non-None return
-    from ``on_residual`` stops the solve with ``status="breakdown"``
-    and rolls the iterate back to the last finite one.
+    per iteration.  ``callback(it, x)`` observes the iterate after every
+    update (used by :mod:`repro.verify` to diff against the distributed
+    iterates).
     """
     from repro.krylov.gmres import _start
 
@@ -87,7 +82,6 @@ def cg(
             breakdown_reason = "indefinite"
             break  # loss of positive definiteness
         alpha = rz / pap
-        x_prev = x if guard is not None else None
         x = x + alpha * p
         r = r - alpha * ap
         it += 1
@@ -95,13 +89,6 @@ def cg(
             callback(it, x)
         rn = float(np.sqrt(red.allreduce(float(r @ r))[0]))
         residuals.append(rn)
-        if guard is not None:
-            reason = guard.on_residual(it, rn)
-            if reason is not None:
-                breakdown_reason = reason
-                if not np.all(np.isfinite(x)):
-                    x = x_prev  # roll back to the last finite iterate
-                break
         if rn <= rtol * r0:
             converged = True
             break

@@ -1,13 +1,13 @@
-"""The one Krylov driver: method dispatch and the anchored-restart loop.
+"""The one Krylov driver: GMRES dispatch and the anchored-restart loop.
 
 Every entry point that iterates -- :class:`~repro.api.SolverSession`
 (``solve`` / ``resolve``, any ``policy=``), the bounded-staleness
 :func:`repro.elastic.solve_async`, the block solves of
 :class:`~repro.serve.service.SolverService` -- runs through here:
 
-* :func:`run_krylov` is the only code that maps a configuration's
-  ``method`` to a solver (``gmres`` / ``cg`` / ``pipelined_cg``, and
-  ``block_gmres`` / ``block_cg`` for an ``(n, k)`` right-hand side);
+* :func:`run_krylov` is the only code that maps a configuration to a
+  solver call (``gmres``, or ``block_gmres`` for an ``(n, k)``
+  right-hand side);
 * :func:`solve_with_restarts` is the only restart loop: run an attempt;
   on failure -- a breakdown result *or* an exception the protection
   declares recoverable -- ask the active :class:`Protection` for a
@@ -38,23 +38,17 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.krylov.block import block_cg, block_gmres
-from repro.krylov.cg import cg
+from repro.krylov.block import block_gmres
 from repro.krylov.gmres import gmres
-from repro.krylov.pipelined import pipelined_cg
 from repro.krylov.status import SolveStatus
 
 __all__ = [
-    "KRYLOV_METHODS",
     "DriverResult",
     "Protection",
     "Repair",
     "run_krylov",
     "solve_with_restarts",
 ]
-
-#: valid Krylov methods (``KrylovConfig.method``)
-KRYLOV_METHODS = ("gmres", "cg", "pipelined_cg")
 
 
 @dataclass
@@ -106,8 +100,7 @@ class Protection:
         return None
 
     def observer(self, operator, watchdog, iterations: int):
-        """An extra per-attempt solver observer (``on_cycle`` for GMRES,
-        ``on_iterate`` for CG), or None."""
+        """An extra per-attempt GMRES observer (``on_cycle``), or None."""
         return None
 
     def recover(self, failure, operator, a, b) -> Optional[Repair]:
@@ -143,41 +136,22 @@ def run_krylov(
     kry, a, b, operator, x0=None, rtol=None, maxiter=None,
     observer=None, guard=None,
 ):
-    """One Krylov attempt under configuration ``kry``.
+    """One GMRES attempt under configuration ``kry``.
 
-    ``kry`` carries ``method`` / ``variant`` / ``rtol`` / ``restart`` /
-    ``maxiter`` (a :class:`~repro.api.KrylovConfig`); ``rtol`` and
-    ``maxiter`` override it for a restart.  A 2-D ``b`` runs the
-    lockstep block solver of the same method.  ``observer`` may carry
-    ``on_cycle`` (GMRES) and/or ``on_iterate`` (CG).
+    ``kry`` carries ``variant`` / ``rtol`` / ``restart`` / ``maxiter``
+    (a :class:`~repro.config.KrylovConfig`); ``rtol`` and ``maxiter``
+    override it for a restart.  A 2-D ``b`` runs the lockstep block
+    solver.
     """
     rtol = kry.rtol if rtol is None else rtol
     maxiter = kry.maxiter if maxiter is None else maxiter
-    common = dict(preconditioner=operator, x0=x0, rtol=rtol, maxiter=maxiter)
+    common = dict(
+        preconditioner=operator, x0=x0, rtol=rtol, maxiter=maxiter,
+        restart=kry.restart, variant=kry.variant,
+    )
     if np.ndim(b) == 2:
-        if kry.method == "gmres":
-            return block_gmres(
-                a, b, restart=kry.restart, variant=kry.variant, **common
-            )
-        if kry.method == "cg":
-            return block_cg(a, b, **common)
-        raise ValueError(
-            f"Krylov method {kry.method!r} is not supported by the "
-            "batched serving path (gmres and cg are)"
-        )
-    if kry.method == "gmres":
-        return gmres(
-            a, b, restart=kry.restart, variant=kry.variant,
-            observer=observer if hasattr(observer, "on_cycle") else None,
-            guard=guard, **common,
-        )
-    if kry.method == "cg":
-        return cg(
-            a, b, callback=getattr(observer, "on_iterate", None),
-            guard=guard, **common,
-        )
-    # pipelined_cg exposes no iterate hook
-    return pipelined_cg(a, b, guard=guard, **common)
+        return block_gmres(a, b, **common)
+    return gmres(a, b, observer=observer, guard=guard, **common)
 
 
 class _Observers:
@@ -186,17 +160,9 @@ class _Observers:
     def __init__(self, observers) -> None:
         self.observers = observers
 
-    def _each(self, hook: str, *args, **kw) -> None:
-        for obs in self.observers:
-            f = getattr(obs, hook, None)
-            if f is not None:
-                f(*args, **kw)
-
     def on_cycle(self, **kw) -> None:
-        self._each("on_cycle", **kw)
-
-    def on_iterate(self, it: int, x) -> None:
-        self._each("on_iterate", it, x)
+        for obs in self.observers:
+            obs.on_cycle(**kw)
 
 
 def _fan_out(*observers):

@@ -28,7 +28,7 @@ Span taxonomy (the names the instrumented stack emits)::
     krylov/spmv          krylov/orth          krylov/allreduce
     factor/symbolic      factor/numeric       comm/message
     reuse/skip_setup     reuse/refactor       reuse/local_refactor
-    reuse/extension_refactor  reuse/coarse_refactor  reuse/recycle
+    reuse/extension_refactor  reuse/coarse_refactor
     reuse/spectral_reuse reuse/spectral_rebuild
     serve/batch          serve/solve
     serve/admit          serve/shed           serve/retry

@@ -187,8 +187,8 @@ def sweep_divergence(update_norms: Sequence[float]) -> bool:
 class KrylovGuard:
     """The residual watchdog of every Krylov solve (NaN/Inf + stagnation).
 
-    Handed to :func:`repro.krylov.gmres.gmres` / ``cg`` /
-    ``pipelined_cg`` as ``guard=``; ``on_residual`` is called once per
+    Handed to :func:`repro.krylov.gmres.gmres` as ``guard=``;
+    ``on_residual`` is called once per
     inner iteration with the recurrence residual estimate and returns a
     breakdown reason or None.  It also *records*: ``history`` holds
     every estimate fed and ``iters`` the last iteration index, which is

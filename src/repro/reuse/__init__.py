@@ -15,20 +15,17 @@ model has always *priced* this split
   import, interface analysis) shared across sessions;
 * :mod:`repro.reuse.symbolic` -- one symbolic analysis per distinct
   ``(solver, ordering, options, pattern)`` *within* a build: congruent
-  subdomains share an immutable symbolic record;
-* :mod:`repro.reuse.recycle` -- opt-in Krylov solution recycling;
-* :class:`ReuseConfig` -- the session knob
-  (``SolverSession(problem, reuse=True)`` or ``reuse=ReuseConfig(...)``)
-  behind :meth:`~repro.api.SolverSession.resolve` and
-  :meth:`~repro.api.SolverSession.solve_sequence`.
+  subdomains share an immutable symbolic record.
+
+Every session reuses through :meth:`~repro.api.SolverSession.resolve`
+and :meth:`~repro.api.SolverSession.solve_sequence`, bit-identically to
+cold solves; there is no knob.
 
 The k-solve sequence benchmark behind ``BENCH_reuse.json`` runs as
 ``python -m repro reuse`` (see :mod:`repro.reuse.bench`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.reuse.cache import (
     ArtifactCache,
@@ -44,11 +41,9 @@ from repro.reuse.fingerprint import (
     pattern_fingerprint,
     values_fingerprint,
 )
-from repro.reuse.recycle import RecycleSpace
 from repro.reuse.symbolic import shared_symbolic
 
 __all__ = [
-    "ReuseConfig",
     "ArtifactCache",
     "LruDict",
     "get_artifact_cache",
@@ -59,32 +54,5 @@ __all__ = [
     "pattern_fingerprint",
     "values_fingerprint",
     "partition_fingerprint",
-    "RecycleSpace",
     "shared_symbolic",
 ]
-
-
-@dataclass(frozen=True)
-class ReuseConfig:
-    """Session-level reuse knobs.
-
-    Attributes
-    ----------
-    warm_start:
-        Start each :meth:`~repro.api.SolverSession.resolve` from the
-        previous solution instead of zero.  Changes the initial
-        residual (and therefore the iterates), so it defaults off: the
-        default reuse path is bit-identical to cold solves.
-    recycle:
-        Dimension of the :class:`RecycleSpace` used to project an
-        initial guess from previous solutions (0 disables).  Like
-        ``warm_start``, strictly opt-in.  When both are set, recycling
-        wins (the projection includes the last solution).
-    """
-
-    warm_start: bool = False
-    recycle: int = 0
-
-    def __post_init__(self) -> None:
-        if self.recycle < 0:
-            raise ValueError(f"recycle must be >= 0, got {self.recycle}")

@@ -7,10 +7,11 @@ solve is identical up to the right-hand side:
   to every column), hence same pattern;
 * same partition, same :class:`~repro.api.SchwarzConfig` and
   :class:`~repro.api.KrylovConfig` (their ``describe()`` strings), and
-  same nullspace source -- one preconditioner serves the block.
+  same nullspace source (the default, or an explicit array with the
+  same fingerprint) -- one preconditioner serves the block.
 
-The *shard* key (pattern fingerprint + partition + config strings)
-identifies the pooled session; within a shard, batches are sub-keyed by
+The *shard* key (pattern fingerprint + partition + config strings +
+null-space fingerprint) identifies the pooled session; within a shard, batches are sub-keyed by
 the values fingerprint.  :meth:`RequestBatcher.take_batches` drains the
 pending set into width-capped batches ordered by earliest deadline,
 then highest priority, then arrival -- the order the service executes
@@ -23,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from repro.reuse.fingerprint import _hash_arrays
 from repro.serve.request import SolveRequest
 
 __all__ = ["RequestBatcher", "RequestBatch", "shard_key"]
@@ -41,6 +43,7 @@ def shard_key(req: SolveRequest, pattern_fp: str) -> Tuple:
         req.partition,
         req.config.describe(),
         req.krylov.describe(),
+        None if req.nullspace is None else _hash_arrays(req.nullspace),
     )
 
 

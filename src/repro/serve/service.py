@@ -8,9 +8,8 @@ existing solver stack for them:
   config identity) and queued in the
   :class:`~repro.serve.batcher.RequestBatcher`;
 * :meth:`drain` executes the queued work: same-shard same-values
-  requests coalesce into one block (multi-RHS) Krylov solve
-  (:func:`~repro.krylov.block.block_gmres` /
-  :func:`~repro.krylov.block.block_cg`) through the shard's pooled
+  requests coalesce into one block (multi-RHS) GMRES solve
+  (:func:`~repro.krylov.block.block_gmres`) through the shard's pooled
   :class:`~repro.api.SolverSession`;
 * time is a **modeled clock** in model seconds: each batch advances it
   by its priced service time (setup share + lockstep block iterations +

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.bench import (
-    RunConfig,
     model_machine,
     price_run,
     rank_grid,
@@ -14,7 +13,7 @@ from repro.bench import (
 )
 from repro.bench.harness import clear_cache
 from repro.bench.tables import format_cell, format_table, speedup_row
-from repro.dd import LocalSolverSpec
+from repro.dd import LocalSolverSpec, SchwarzConfig
 from repro.runtime import JobLayout
 
 
@@ -51,7 +50,7 @@ class TestNumerics:
     def rec(self):
         clear_cache()
         prob = weak_scaled_problem(1, 4)
-        cfg = RunConfig(local=LocalSolverSpec(kind="tacho"))
+        cfg = SchwarzConfig(local=LocalSolverSpec(kind="tacho"))
         return run_numerics(prob, rank_grid(1, 8), cfg, cache_key=("t", 1, 4))
 
     def test_record_fields(self, rec):
@@ -63,13 +62,13 @@ class TestNumerics:
 
     def test_memoization(self, rec):
         prob = weak_scaled_problem(1, 4)
-        cfg = RunConfig(local=LocalSolverSpec(kind="tacho"))
+        cfg = SchwarzConfig(local=LocalSolverSpec(kind="tacho"))
         again = run_numerics(prob, rank_grid(1, 8), cfg, cache_key=("t", 1, 4))
         assert again is rec
 
     def test_different_config_not_cached(self, rec):
         prob = weak_scaled_problem(1, 4)
-        cfg = RunConfig(local=LocalSolverSpec(kind="tacho"), overlap=2)
+        cfg = SchwarzConfig(local=LocalSolverSpec(kind="tacho"), overlap=2)
         other = run_numerics(prob, rank_grid(1, 8), cfg, cache_key=("t", 1, 4))
         assert other is not rec
 
@@ -83,13 +82,13 @@ class TestNumerics:
     def test_single_precision_keeps_iterations(self):
         prob = weak_scaled_problem(1, 4)
         dbl = run_numerics(
-            prob, rank_grid(1, 8), RunConfig(local=LocalSolverSpec(kind="tacho")),
+            prob, rank_grid(1, 8), SchwarzConfig(local=LocalSolverSpec(kind="tacho")),
             cache_key=("t", 1, 4),
         )
         sgl = run_numerics(
             prob,
             rank_grid(1, 8),
-            RunConfig(local=LocalSolverSpec(kind="tacho"), precision="single"),
+            SchwarzConfig(local=LocalSolverSpec(kind="tacho"), precision="single"),
             cache_key=("t", 1, 4),
         )
         assert sgl.converged

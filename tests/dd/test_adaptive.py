@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.dd import Decomposition, GDSWPreconditioner, LocalSolverSpec, analyze_interface
+from repro.dd import (
+    Decomposition,
+    GDSWPreconditioner,
+    LocalSolverSpec,
+    SchwarzConfig,
+    analyze_interface,
+)
 from repro.dd.adaptive import build_adaptive_coarse_space, component_eigenmodes
 from repro.dd.coarse_space import build_coarse_space
 from repro.fem import constant_nullspace, laplace_3d
@@ -105,10 +111,8 @@ class TestAdaptiveCoarseSpace:
         p, dec = hetero
         z = constant_nullspace(p.a.n_rows)
         spec = LocalSolverSpec(kind="tacho", ordering="nd")
-        m_g = GDSWPreconditioner(dec, z, local_spec=spec, variant="gdsw")
-        m_a = GDSWPreconditioner(
-            dec, z, local_spec=spec, variant="agdsw", adaptive_tol=1e-2
-        )
+        m_g = GDSWPreconditioner(dec, z, SchwarzConfig(local=spec, variant="gdsw"))
+        m_a = GDSWPreconditioner(dec, z, SchwarzConfig(local=spec, variant="agdsw"))
         r_g = gmres(p.a, p.b, preconditioner=m_g, rtol=1e-7, maxiter=1500)
         r_a = gmres(p.a, p.b, preconditioner=m_a, rtol=1e-7, maxiter=1500)
         assert r_a.converged

@@ -170,10 +170,10 @@ class TestSpectralPreconditioner:
         m = GDSWPreconditioner(
             dec,
             np.ones((lap.a.n_rows, 1)),
-            variant="spectral",
-            dim=2,
-            spectral_tau=0.07,
-            spectral_max_vectors=5,
+            SchwarzConfig(
+                coarse_space="spectral", dim=2, tau=0.07,
+                max_vectors_per_subdomain=5,
+            ),
         )
         m2 = m.remove_subdomain(3)
         assert m2.space.variant == "spectral"

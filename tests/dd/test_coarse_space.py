@@ -7,6 +7,7 @@ import pytest
 from repro.dd import (
     Decomposition,
     GDSWPreconditioner,
+    SchwarzConfig,
     analyze_interface,
     build_coarse_space,
 )
@@ -136,7 +137,9 @@ class TestExtension:
 
     def test_coarse_matrix_spd(self, elas, elas_dec):
         z = rigid_body_modes(elas.coordinates)
-        m = GDSWPreconditioner(dec=elas_dec, nullspace=z, variant="rgdsw")
+        m = GDSWPreconditioner(
+            dec=elas_dec, nullspace=z, config=SchwarzConfig(variant="rgdsw")
+        )
         a0 = m.a0.todense()
         np.testing.assert_allclose(a0, a0.T, atol=1e-8 * np.abs(a0).max())
         assert np.linalg.eigvalsh(a0)[0] > 0

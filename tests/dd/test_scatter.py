@@ -32,10 +32,7 @@ def _reference_apply(op: OneLevelSchwarz, v: np.ndarray) -> np.ndarray:
     """The pre-vectorization scatter: sequential per-rank np.add.at."""
     out = np.zeros_like(np.asarray(v, dtype=np.float64))
     for rank, dofs in enumerate(op.dof_sets):
-        x_i = op.locals[rank].apply(v[dofs])
-        if op._weights is not None:
-            x_i = x_i * op._weights[rank]
-        np.add.at(out, dofs, x_i)
+        np.add.at(out, dofs, op.locals[rank].apply(v[dofs]))
     return out
 
 
@@ -45,19 +42,6 @@ def test_apply_matches_add_at_bit_for_bit(one_level):
     for _ in range(5):
         v = rng.standard_normal(p.a.n_rows)
         assert np.array_equal(op.apply(v), _reference_apply(op, v))
-
-
-def test_apply_matches_with_restricted_weights():
-    from repro.fem import laplace_3d
-
-    p = laplace_3d(5)
-    dec = Decomposition.from_box_partition(p, 2, 2, 2)
-    op = OneLevelSchwarz(
-        dec, LocalSolverSpec(kind="tacho", ordering="nd"), restricted=True
-    )
-    rng = np.random.default_rng(7)
-    v = rng.standard_normal(p.a.n_rows)
-    assert np.array_equal(op.apply(v), _reference_apply(op, v))
 
 
 def test_scatter_plan_matches_dof_sets(one_level):

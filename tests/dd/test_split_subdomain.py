@@ -63,7 +63,7 @@ class TestSplitDecomposition:
 class TestPreconditionerSplit:
     def test_repaired_precond_solves(self, problem, dec):
         z = np.ones((problem.a.n_rows, 1))
-        precond = GDSWPreconditioner(dec, z, dim=3)
+        precond = GDSWPreconditioner(dec, z)
         repaired = precond.split_subdomain(0)
         assert repaired.dec.n_subdomains == dec.n_subdomains + 1
         res = gmres(
@@ -75,7 +75,7 @@ class TestPreconditionerSplit:
 
     def test_unmoved_ranks_reuse_factorizations(self, problem, dec):
         z = np.ones((problem.a.n_rows, 1))
-        precond = GDSWPreconditioner(dec, z, dim=3)
+        precond = GDSWPreconditioner(dec, z)
         repaired = precond.split_subdomain(0)
         donors = {d.tobytes() for d in precond.one_level.dof_sets}
         reused = sum(

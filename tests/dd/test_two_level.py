@@ -9,6 +9,7 @@ from repro.dd import (
     HalfPrecisionOperator,
     LocalSolverSpec,
     OneLevelSchwarz,
+    SchwarzConfig,
 )
 from repro.dd.precision import round_to_single
 from repro.fem import elasticity_3d, laplace_3d, rigid_body_modes
@@ -30,7 +31,8 @@ def elas_dec(elas):
 def gdsw(elas, elas_dec):
     z = rigid_body_modes(elas.coordinates)
     return GDSWPreconditioner(
-        elas_dec, z, local_spec=LocalSolverSpec(kind="tacho", ordering="nd")
+        elas_dec, z,
+        SchwarzConfig(local=LocalSolverSpec(kind="tacho", ordering="nd")),
     )
 
 
@@ -74,6 +76,21 @@ class TestLocalSolvers:
         with pytest.raises(ValueError):
             LocalSolverSpec(kind="pardiso")
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("ilu_level", -1),
+            ("factor_damping", 0.0),
+            ("factor_damping", 1.5),
+            ("solve_damping", -0.2),
+        ],
+    )
+    def test_numeric_options_validated_at_construction(self, field, value):
+        """Rejected when the spec is built, naming the field -- not
+        inside the first factorization."""
+        with pytest.raises(ValueError, match=field):
+            LocalSolverSpec(kind="fastilu", **{field: value})
+
     def test_with_gpu_copies(self):
         s = LocalSolverSpec(kind="tacho")
         assert s.with_gpu(True).gpu_solve is True
@@ -95,16 +112,6 @@ class TestOneLevel:
         one = OneLevelSchwarz(elas_dec, LocalSolverSpec(kind="tacho"), overlap=1)
         v, w = rng.standard_normal((2, elas.a.n_rows))
         assert one.apply(v) @ w == pytest.approx(v @ one.apply(w), rel=1e-9)
-
-    def test_restricted_variant_partition(self, elas, elas_dec):
-        ras = OneLevelSchwarz(
-            elas_dec, LocalSolverSpec(kind="tacho"), overlap=1, restricted=True
-        )
-        # restricted weights: each dof counted exactly once
-        total = np.zeros(elas_dec.n_nodes)
-        for rank, ns in enumerate(ras.node_sets):
-            total[ns] += (elas_dec.node_owner[ns] == rank).astype(float)
-        np.testing.assert_allclose(total, 1.0)
 
     def test_halo_positive_with_overlap(self, elas_dec):
         one = OneLevelSchwarz(elas_dec, LocalSolverSpec(kind="tacho"), overlap=1)
@@ -152,7 +159,9 @@ class TestTwoLevel:
             p = elasticity_3d(ne)
             z = rigid_body_modes(p.coordinates)
             dec = Decomposition.from_box_partition(p, *parts)
-            m = GDSWPreconditioner(dec, z, local_spec=LocalSolverSpec(kind="tacho"))
+            m = GDSWPreconditioner(
+                dec, z, SchwarzConfig(local=LocalSolverSpec(kind="tacho"))
+            )
             res = gmres(p.a, p.b, preconditioner=m, rtol=1e-7)
             assert res.converged
             its.append(res.iterations)
@@ -190,8 +199,8 @@ class TestTwoLevel:
 
     def test_gdsw_variant_larger_coarse_space(self, elas, elas_dec):
         z = rigid_body_modes(elas.coordinates)
-        full = GDSWPreconditioner(elas_dec, z, variant="gdsw")
-        red = GDSWPreconditioner(elas_dec, z, variant="rgdsw")
+        full = GDSWPreconditioner(elas_dec, z, SchwarzConfig(variant="gdsw"))
+        red = GDSWPreconditioner(elas_dec, z, SchwarzConfig(variant="rgdsw"))
         assert full.n_coarse > red.n_coarse
         res_f = gmres(elas.a, elas.b, preconditioner=full, rtol=1e-7)
         res_r = gmres(elas.a, elas.b, preconditioner=red, rtol=1e-7)

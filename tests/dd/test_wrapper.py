@@ -20,7 +20,7 @@ COST_MODEL = (
 def gdsw():
     p = laplace_3d(5, 5, 5)
     dec = Decomposition.from_box_partition(p, 2, 2, 1)
-    return GDSWPreconditioner(dec, np.ones((p.a.n_rows, 1)), dim=3)
+    return GDSWPreconditioner(dec, np.ones((p.a.n_rows, 1)))
 
 
 def _wrappers(gdsw):

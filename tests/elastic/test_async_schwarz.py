@@ -27,7 +27,7 @@ def problem():
 def precond(problem):
     dec = Decomposition.from_box_partition(problem, 2, 2, 1)
     z = np.ones((problem.a.n_rows, 1))
-    return GDSWPreconditioner(dec, z, dim=3)
+    return GDSWPreconditioner(dec, z)
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ the control arm, and the checkpoint-overhead budget."""
 import numpy as np
 import pytest
 
-from repro.api import KrylovConfig, SolverSession
+from repro.api import SolverSession
 from repro.fem import elasticity_3d, laplace_3d
 from repro.ft import FaultToleranceConfig, RankFailedError
 from repro.ft.driver import MAX_FAILURES
@@ -118,15 +118,6 @@ class TestFaultFreeBitIdentity:
         assert res.reduce_doubles == base.reduce_doubles
         assert res.ft.recoveries == 0 and res.ft.failures == []
 
-    def test_cg_bit_identical(self, laplace):
-        kry = KrylovConfig(method="cg")
-        base = SolverSession(laplace, partition=(2, 2, 1),
-                             krylov=kry).solve()
-        res = SolverSession(laplace, partition=(2, 2, 1), krylov=kry,
-                            policy=FaultToleranceConfig()).solve()
-        assert np.array_equal(res.x, base.x)
-        assert res.reduces == base.reduces
-
     def test_checkpoint_overhead_under_budget(self, laplace):
         from repro.runtime.layout import JobLayout
 
@@ -186,26 +177,13 @@ class TestSequenceProtection:
         assert third.n_ranks == second.n_ranks and third.ft.failures == []
 
     def test_verify_and_tracer_are_honoured(self, laplace):
-        from repro.obs import Tracer
-
-        tracer = Tracer()
         res = SolverSession(
             laplace, partition=(2, 2, 1), policy=FaultToleranceConfig(),
-            verify=True, tracer=tracer,
+            verify=True,
         ).solve()
         assert res.verification is not None and res.verification.ok
-        assert res.trace is tracer.root and tracer.reduces == res.reduces
-        assert tracer.reduce_via is None  # the route is scoped to the solve
-
-    def test_solve_fault_tolerant_is_the_session_pipeline(
-        self, laplace, laplace_baseline
-    ):
-        from repro.ft import solve_fault_tolerant
-
-        session = SolverSession(laplace, partition=(2, 2, 1))
-        res = solve_fault_tolerant(session, FaultToleranceConfig())
-        assert res.ft is not None and np.array_equal(res.x, laplace_baseline.x)
-        assert session.policy is None and session.operator is None
+        assert {c.name for c in res.trace.children} >= {"setup", "krylov"}
+        assert int(res.trace.total("reduces")) == res.reduces
 
 
 class TestDriverSurface:
@@ -222,17 +200,6 @@ class TestDriverSurface:
     def test_strategy_validated(self):
         with pytest.raises(ValueError, match="strategy"):
             FaultToleranceConfig(strategy="pray")
-
-    def test_cg_recovers_from_checkpoint(self, laplace):
-        kry = KrylovConfig(method="cg")
-        plan = FaultPlan.single("rank_loss", 1, phase="reduce", occurrence=20)
-        cfg = FaultToleranceConfig(fault_plan=plan, strategy="respawn")
-        res = SolverSession(laplace, partition=(2, 2, 1), krylov=kry,
-                            policy=cfg).solve()
-        assert res.converged and res.final_relres <= RTOL * 1.01
-        assert res.ft.checkpoints >= 1
-        # with checkpoints and the rank's buddy alive, nothing is lost
-        assert res.ft.lost_segments == [[]]
 
     def test_health_report_records_the_story(self, laplace):
         res = _ft_solve(laplace, "apply", "shrink")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dd import Decomposition, GDSWPreconditioner, LocalSolverSpec
+from repro.dd import Decomposition, GDSWPreconditioner, LocalSolverSpec, SchwarzConfig
 from repro.fem import constant_nullspace, laplace_3d
 from repro.krylov import gmres
 from repro.sparse import CsrMatrix
@@ -19,7 +19,7 @@ class TestSingularInputs:
         with pytest.raises((np.linalg.LinAlgError, ZeroDivisionError)):
             GDSWPreconditioner(
                 dec, constant_nullspace(p.a.n_rows),
-                local_spec=LocalSolverSpec(kind="superlu"),
+                SchwarzConfig(local=LocalSolverSpec(kind="superlu")),
             )
 
     def test_zero_diagonal_ilu_raises(self):

@@ -244,51 +244,3 @@ def test_property_gmres_residuals_match_reported(n, seed):
     it, rec = res.true_residual_norms[-1]
     assert it == res.iterations
     assert rec == pytest.approx(true, rel=1e-6, abs=1e-12)
-
-
-class TestPipelinedCg:
-    def test_matches_classic_cg(self, rng):
-        from repro.krylov import pipelined_cg
-
-        a = random_spd(60, seed=21)
-        b = rng.standard_normal(60)
-        rp = cg(a, b, rtol=1e-10)
-        rq = pipelined_cg(a, b, rtol=1e-10)
-        assert rq.converged
-        assert abs(rq.iterations - rp.iterations) <= 2
-        np.testing.assert_allclose(rq.x, rp.x, atol=1e-6)
-
-    def test_one_reduce_per_iteration(self, rng):
-        from repro.krylov import pipelined_cg
-
-        a = random_spd(80, seed=22, density=0.05)
-        b = rng.standard_normal(80)
-        rq = pipelined_cg(a, b, rtol=1e-8)
-        rp = cg(a, b, rtol=1e-8)
-        assert rq.reduces / max(rq.iterations, 1) < rp.reduces / max(rp.iterations, 1)
-        assert rq.reduces / max(rq.iterations, 1) < 1.6
-
-    def test_residual_replacement_engages(self, rng):
-        from repro.krylov import pipelined_cg
-
-        a = random_spd(120, seed=23, density=0.03)
-        b = rng.standard_normal(120)
-        res = pipelined_cg(a, b, rtol=1e-12, replace_every=5, maxiter=400)
-        assert res.replacements >= 1
-        assert res.converged
-
-    def test_zero_rhs(self):
-        from repro.krylov import pipelined_cg
-
-        res = pipelined_cg(random_spd(8, seed=24), np.zeros(8))
-        assert res.converged and res.iterations == 0
-
-    def test_preconditioned(self, small_elasticity):
-        from repro.krylov import pipelined_cg
-
-        a, b = small_elasticity.a, small_elasticity.b
-        dinv = 1.0 / a.diagonal()
-        plain = pipelined_cg(a, b, rtol=1e-8, maxiter=2000)
-        prec = pipelined_cg(a, b, preconditioner=lambda v: dinv * v, rtol=1e-8, maxiter=2000)
-        assert prec.converged
-        assert prec.iterations <= plain.iterations

@@ -5,7 +5,6 @@ import pytest
 
 from repro.fem import laplace_3d
 from repro.krylov import SolveStatus, cg, gmres
-from repro.krylov.pipelined import pipelined_cg
 from repro.resilience.detect import KrylovGuard
 
 
@@ -102,7 +101,7 @@ class TestCgStatus:
 
         a = CsrMatrix.from_dense(np.diag([1.0, -1.0, 2.0]))
         b = np.ones(3)
-        res = cg(a, b, rtol=1e-10, guard=KrylovGuard())
+        res = cg(a, b, rtol=1e-10)
         assert res.status == SolveStatus.BREAKDOWN
         assert res.breakdown_reason == "indefinite"
 
@@ -118,34 +117,8 @@ class TestCgStatus:
                 out[0] = np.nan
             return out
 
-        res = cg(
-            problem.a, problem.b, preconditioner=flaky,
-            rtol=1e-10, guard=KrylovGuard(),
-        )
-        assert res.status == SolveStatus.BREAKDOWN
-        assert np.all(np.isfinite(res.x))
-
-
-class TestPipelinedCgStatus:
-    def test_converged(self, problem):
-        res = pipelined_cg(problem.a, problem.b, rtol=1e-8)
-        assert res.converged and res.status == SolveStatus.CONVERGED
-
-    def test_guarded_nan_breaks_finite(self, problem):
-        state = {"k": 0}
-        dinv = 1.0 / problem.a.diagonal()
-
-        def flaky(v):
-            state["k"] += 1
-            out = dinv * v
-            if state["k"] == 3:
-                out = out.copy()
-                out[0] = np.nan
-            return out
-
-        res = pipelined_cg(
-            problem.a, problem.b, preconditioner=flaky,
-            rtol=1e-10, guard=KrylovGuard(),
-        )
+        # the NaN reaches the search direction first: CG stops on the
+        # nonfinite curvature before it can touch the iterate
+        res = cg(problem.a, problem.b, preconditioner=flaky, rtol=1e-10)
         assert res.status == SolveStatus.BREAKDOWN
         assert np.all(np.isfinite(res.x))

@@ -17,7 +17,7 @@ import pytest
 from repro.api import KrylovConfig, SchwarzConfig, SolverSession
 from repro.bench.harness import model_machine
 from repro.dd.local_solvers import LocalSolverSpec
-from repro.reuse import ArtifactCache, ReuseConfig, use_artifact_cache
+from repro.reuse import ArtifactCache, use_artifact_cache
 from repro.runtime.layout import JobLayout
 from repro.sparse.csr import CsrMatrix
 
@@ -129,46 +129,14 @@ def test_refactor_trace_and_artifact_hits(problem):
         assert cache.misses == misses_after_cold
 
 
-def test_warm_start_is_opt_in(problem):
-    with use_artifact_cache(ArtifactCache()):
-        s = _session(problem, reuse=ReuseConfig(warm_start=True))
-        r0 = s.solve()
-        x0 = s._suggest_x0()
-        assert x0 is not None and np.array_equal(x0, r0.x)
-        # the default config never warm-starts: bit-identity contract
-        s2 = _session(problem)
-        s2.solve()
-        assert s2._suggest_x0() is None
-        # a warm-started resolve on a perturbed rhs still converges
-        rng = np.random.default_rng(3)
-        r1 = s.resolve(b=problem.b + 0.01 * rng.standard_normal(problem.b.size))
-        assert r1.converged and r1.setup_reused
-
-
-def test_recycling_suggests_projected_guess(problem):
-    with use_artifact_cache(ArtifactCache()):
-        s = _session(problem, reuse=ReuseConfig(recycle=3))
-        s.solve()
-        assert s._recycle is not None and len(s._recycle) == 1
-        x0 = s._suggest_x0()
-        assert x0 is not None
-        # projecting b itself onto the recycled span can only shrink
-        # the initial residual
-        assert np.linalg.norm(problem.a.matvec(x0) - problem.b) <= (
-            np.linalg.norm(problem.b)
-        )
-        rng = np.random.default_rng(9)
-        r = s.resolve(b=problem.b + 0.05 * rng.standard_normal(problem.b.size))
-        assert r.converged and r.setup_reused
-
-
 def test_reuse_config_validation():
+    """Reuse has no knob: the warm-start/recycling keyword is gone, and
+    so is ``tracer=`` (every solve records into its own tracer)."""
     from repro.fem import laplace_3d
 
-    with pytest.raises(ValueError):
-        ReuseConfig(recycle=-1)
-    with pytest.raises(TypeError):
-        SolverSession(laplace_3d(3), reuse="yes")
+    for removed in ("reuse", "tracer"):
+        with pytest.raises(TypeError, match=removed):
+            SolverSession(laplace_3d(3), **{removed: True})
 
 
 def test_single_precision_refactor(problem):

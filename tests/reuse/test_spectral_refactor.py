@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dd import Decomposition, GDSWPreconditioner
+from repro.dd import Decomposition, GDSWPreconditioner, SchwarzConfig
 from repro.fem import laplace_3d
 from repro.obs import Tracer, use_tracer
 from repro.sparse.csr import CsrMatrix
@@ -18,17 +18,16 @@ def lap():
     return laplace_3d(4, 4, 4)
 
 
-def _spectral(problem, a=None, drift_tol=None):
+def _spectral(problem, a=None):
+    """Spectral preconditioner at tau = 0.1: values drift up to 0.01
+    keeps the eigenvectors."""
     dec = Decomposition.from_box_partition(problem, 2, 2, 1)
     if a is not None:
         dec = dec.with_values(a)
     return GDSWPreconditioner(
         dec,
         np.ones((problem.a.n_rows, 1)),
-        variant="spectral",
-        dim=3,
-        spectral_tau=0.1,
-        spectral_drift_tol=drift_tol,
+        SchwarzConfig(coarse_space="spectral", tau=0.1),
     )
 
 
@@ -47,7 +46,7 @@ def _spans(root, name):
 
 class TestDriftGate:
     def test_small_drift_reuses_vectors(self, lap):
-        m = _spectral(lap, drift_tol=0.01)
+        m = _spectral(lap)
         n_before = m.space.n_coarse
         vecs_before = m.space
         tracer = Tracer()
@@ -59,7 +58,7 @@ class TestDriftGate:
         assert not _spans(tracer.root, "reuse/spectral_rebuild")
 
     def test_large_drift_rebuilds(self, lap):
-        m = _spectral(lap, drift_tol=0.01)
+        m = _spectral(lap)
         tracer = Tracer()
         with use_tracer(tracer):
             m.refactor(_scaled(lap.a, 1.5))  # drift 0.5 > tol
@@ -68,22 +67,26 @@ class TestDriftGate:
 
     def test_rebuild_bit_identical_to_cold(self, lap):
         a2 = _scaled(lap.a, 1.5)
-        warm = _spectral(lap, drift_tol=0.01)
+        warm = _spectral(lap)
         warm.refactor(a2)
-        cold = _spectral(lap, a=a2, drift_tol=0.01)
+        cold = _spectral(lap, a=a2)
         rng = np.random.default_rng(5)
         v = rng.standard_normal(lap.a.n_rows)
         assert np.array_equal(warm.apply(v), cold.apply(v))
         assert warm.space.n_coarse == cold.space.n_coarse
 
     def test_default_drift_tol_tracks_tau(self, lap):
-        m = _spectral(lap)
-        assert m._spectral_drift_tol == pytest.approx(0.1 * 0.1)
+        for scale, kept in ((1.009, True), (1.011, False)):
+            m = _spectral(lap)
+            tracer = Tracer()
+            with use_tracer(tracer):
+                m.refactor(_scaled(lap.a, scale))
+            assert bool(_spans(tracer.root, "reuse/spectral_reuse")) == kept
 
     def test_reused_solve_still_converges(self, lap):
         from repro.krylov.gmres import gmres
 
-        m = _spectral(lap, drift_tol=0.01)
+        m = _spectral(lap)
         a2 = _scaled(lap.a, 1.001)
         m.refactor(a2)
         res = gmres(a2, lap.b, preconditioner=m, rtol=1e-8)

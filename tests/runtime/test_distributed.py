@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dd import Decomposition, GDSWPreconditioner, LocalSolverSpec
+from repro.dd import Decomposition, GDSWPreconditioner, LocalSolverSpec, SchwarzConfig
 from repro.fem import elasticity_3d, laplace_3d, rigid_body_modes
 from repro.runtime import (
     DistributedCsr,
@@ -184,7 +184,7 @@ class TestDistributedGdsw:
         p, dec, ad = dist_setup
         m = GDSWPreconditioner(
             dec, rigid_body_modes(p.coordinates),
-            local_spec=LocalSolverSpec(kind="tacho"),
+            SchwarzConfig(local=LocalSolverSpec(kind="tacho")),
         )
         return p, dec, ad, m
 

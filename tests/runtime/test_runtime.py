@@ -93,13 +93,20 @@ class TestPricingPolicy:
 class TestTimeSolver:
     @pytest.fixture(scope="class")
     def built(self):
-        from repro.dd import Decomposition, GDSWPreconditioner, LocalSolverSpec
+        from repro.dd import (
+            Decomposition,
+            GDSWPreconditioner,
+            LocalSolverSpec,
+            SchwarzConfig,
+        )
         from repro.fem import elasticity_3d, rigid_body_modes
 
         p = elasticity_3d(6)
         z = rigid_body_modes(p.coordinates)
         dec = Decomposition.from_box_partition(p, 2, 2, 2)
-        return GDSWPreconditioner(dec, z, local_spec=LocalSolverSpec(kind="tacho"))
+        return GDSWPreconditioner(
+            dec, z, SchwarzConfig(local=LocalSolverSpec(kind="tacho"))
+        )
 
     def test_timings_populated(self, built, machine):
         lay = JobLayout.cpu_run(1, machine=machine)

@@ -20,7 +20,7 @@ def built():
     p = laplace_3d(5, 5, 5)
     dec = Decomposition.from_box_partition(p, 2, 2, 1)
     z = np.ones((p.a.n_rows, 1))
-    return GDSWPreconditioner(dec, z, dim=3)
+    return GDSWPreconditioner(dec, z)
 
 
 @pytest.fixture(scope="module")

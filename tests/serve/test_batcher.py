@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.api import KrylovConfig, SchwarzConfig
-from repro.serve import RequestBatcher, SolveRequest, shard_key
+from repro.dd.local_solvers import LocalSolverSpec
+from repro.fem import laplace_3d
+from repro.reuse import ArtifactCache, use_artifact_cache
+from repro.serve import RequestBatcher, SolveRequest, SolverService, shard_key
 
 
 def _req(n=8, fp="pat-a", **kw):
@@ -201,3 +206,42 @@ class TestStableTiebreak:
         # original arrival stamp survives the partial drain
         assert second.arrival_clocks == [2.0]
         assert b.take_next_batch() is None
+
+
+# ----------------------------------------------------------------------
+# a field that changes the preconditioner changes the shard
+# ----------------------------------------------------------------------
+#: one field each: a request with it differs from the default request
+#: in that field only (``n`` is the operator order)
+def _operator_fields(n):
+    return {
+        "coarse": dict(
+            config=SchwarzConfig(coarse=LocalSolverSpec(kind="superlu"))
+        ),
+        "dim": dict(config=SchwarzConfig(dim=2)),
+        "nullspace": dict(nullspace=np.linspace(1.0, 2.0, n)[:, None]),
+    }
+
+
+@pytest.mark.parametrize("field", ["coarse", "dim", "nullspace"])
+def test_operator_fields_split_the_pooled_session(field):
+    a = laplace_3d(4).a
+    with use_artifact_cache(ArtifactCache()):
+        service = SolverService()
+        fp = service.register(a)
+        base = SolveRequest(
+            rhs=np.ones(a.n_rows), matrix_fingerprint=fp, partition=(2, 2, 1)
+        )
+        other = dataclasses.replace(base, **_operator_fields(a.n_rows)[field])
+        assert shard_key(base, fp) != shard_key(other, fp)
+        for req in (base, other):
+            assert service.solve(req).converged
+        assert len(service.pool) == 2
+        service.close()
+
+
+def test_same_explicit_nullspace_shares_the_shard():
+    z = np.linspace(1.0, 2.0, 8)[:, None]
+    first = _req(nullspace=z)
+    second = _req(nullspace=z.copy(), tenant="other")
+    assert shard_key(first, "pat-a") == shard_key(second, "pat-a")

@@ -187,3 +187,58 @@ def test_policy_knobs_by_use():
         ("docs", "src", "examples", ".claude"),
     )
     assert not stale, "\n".join(stale)
+
+
+def test_solver_surface_by_use():
+    """The solver surface keeps only the options a run sets, each
+    spelled once: the preconditioner takes its validated config object,
+    so a knob can come back only by editing this test."""
+    import dataclasses
+    import inspect
+
+    import repro.bench
+    import repro.reuse
+    from repro import (
+        GDSWPreconditioner,
+        KrylovConfig,
+        LocalSolverSpec,
+        OneLevelSchwarz,
+        SchwarzConfig,
+        SolverSession,
+    )
+
+    def fields(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert fields(SchwarzConfig) == [
+        "local", "coarse", "extension", "overlap", "variant", "precision",
+        "dim", "coarse_space", "tau", "max_vectors_per_subdomain",
+    ]
+    assert fields(KrylovConfig) == ["variant", "rtol", "restart", "maxiter"]
+    assert fields(LocalSolverSpec) == [
+        "kind", "ordering", "ilu_level", "factor_sweeps", "solve_sweeps",
+        "factor_damping", "solve_damping", "gpu_solve",
+    ]
+    assert params(SolverSession) == [
+        "problem", "partition", "config", "krylov", "nullspace", "verify",
+        "policy",
+    ]
+    assert params(GDSWPreconditioner) == [
+        "dec", "nullspace", "config", "reuse_from"
+    ]
+    assert params(OneLevelSchwarz) == ["dec", "spec", "overlap", "reuse_from"]
+    assert not hasattr(repro.bench, "RunConfig")
+    assert not hasattr(repro.reuse, "ReuseConfig")
+    stale = _stale(
+        r"coarse_solver|multilevel_parts|MultilevelCoarseSolver|dd\.multilevel"
+        r"|pipelined_cg|PipelinedCgResult|krylov\.pipelined|block_cg"
+        r"|KRYLOV_METHODS|KrylovConfig\(method|ReuseConfig|RecycleSpace"
+        r"|reuse\.recycle|reuse/recycle|_suggest_x0|solve_fault_tolerant"
+        r"|RunConfig|restricted=|spectral_drift_tol|adaptive_tol|tracer="
+        r"|local_spec=|coarse_spec=|extension_spec=",
+        ("docs", "src", "examples", ".claude"),
+    )
+    assert not stale, "\n".join(stale)

@@ -3,15 +3,15 @@
 The session runs ``solve()``, ``resolve()`` (skip and refactor rungs)
 and every protection policy through the same prepare -> iterate ->
 report path.  An *untriggered* policy must therefore be invisible in
-the numerics and the counters, and every option (``verify=``,
-``tracer=``, setup reuse, the health report) must behave the same on
-every path.  First slice of the shared conformance suite (ROADMAP 5b).
+the numerics and the counters, and every option (``verify=``, the
+trace, setup reuse, the health report) must behave the same on every
+path.  First slice of the shared conformance suite (ROADMAP 5b).
 """
 
 import numpy as np
 import pytest
 
-from repro import KrylovConfig, SolverSession, Tracer
+from repro import KrylovConfig, SolverSession
 from repro.fem import laplace_3d
 from repro.ft import FaultToleranceConfig
 from repro.resilience import ResilienceConfig
@@ -42,30 +42,28 @@ def updates(problem):
 
 
 def _run(problem, updates, path, policy, verify):
-    """The last result of ``path`` and the tracer it was told to use."""
+    """The last result of ``path``."""
     session = SolverSession(
         problem,
         partition=(2, 2, 1),
         krylov=KrylovConfig(rtol=1e-8),
         policy=policy,
         verify=verify,
-        tracer=Tracer(),
     )
     result = session.solve()
     if path != "solve":
         b2, a2 = updates
-        session.tracer = Tracer()  # one trace per measured solve
         result = session.resolve(
             b=b2, a_new=a2 if path == "refactor" else None
         )
-    return result, session.tracer
+    return result
 
 
 @pytest.fixture(scope="module")
 def plain(problem, updates):
     """The unprotected, unverified run of every path."""
     return {
-        path: _run(problem, updates, path, None, False)[0] for path in PATHS
+        path: _run(problem, updates, path, None, False) for path in PATHS
     }
 
 
@@ -75,7 +73,7 @@ def plain(problem, updates):
 def test_untriggered_policy_is_invisible_on_every_path(
     problem, updates, plain, policy, path, verify
 ):
-    result, tracer = _run(problem, updates, path, POLICIES[policy](), verify)
+    result = _run(problem, updates, path, POLICIES[policy](), verify)
     ref = plain[path]
     # numerics and counters: bit-equal to the plain run of the same path
     assert np.array_equal(result.x, ref.x)
@@ -89,10 +87,9 @@ def test_untriggered_policy_is_invisible_on_every_path(
     assert (result.ft is not None) == (policy == "rank_loss")
     assert (result.verification is not None) == verify
     assert result.setup_reused == (path != "solve")
-    # the user's tracer is the one recorded into
-    assert result.trace is tracer.root
-    assert tracer.reduces == result.reduces
-    assert {c.name for c in tracer.root.children} >= {"setup", "krylov"}
+    # each solve records its own trace
+    assert int(result.trace.total("reduces")) == result.reduces
+    assert {c.name for c in result.trace.children} >= {"setup", "krylov"}
 
 
 @pytest.mark.parametrize("policy", sorted(POLICIES))
