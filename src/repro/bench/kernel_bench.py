@@ -9,26 +9,29 @@ replaced with vectorized equivalents -- the loops the
 * the FastILU diagonal-position scan
   (:func:`repro.ilu.fastilu._diag_positions`).
 
-and the two ILU setup loops vectorised after it:
+and the setup loops vectorised after it:
 
 * :func:`repro.ilu.iluk.iluk_symbolic` (level-of-fill pattern, levels
-  0-3), and
+  0-3),
 * :func:`repro.ilu.iluk._scatter_to_pattern` (values onto the pattern,
-  run by every ILU(k)/FastILU numeric phase).
+  run by every ILU(k)/FastILU numeric phase), and
+* :meth:`repro.direct.multifrontal.MultifrontalCholesky.numeric` (the
+  Tacho numeric phase on its pattern-only assembly plan).
 
 Each is timed against its retained ``*_reference`` seed implementation
 on the same inputs and checked for bit-identical outputs.  The
 acceptance gate (enforced by ``python -m repro kernels`` and CI) is
 a >= 2x speedup on ``level_schedule`` at n >= 100k rows, the
-``iluk_symbolic`` / ``scatter_to_pattern`` floors below at the same
-full size, plus exact equality everywhere.
+``iluk_symbolic`` / ``scatter_to_pattern`` / ``tacho_numeric`` floors
+below at the same full size, plus exact equality everywhere.
 
 The structure under test for the first three is the strict lower
 triangle of a 7-point Laplacian on an ``nx x ny x nz`` box -- the
 pattern shape the paper's level-set SpTRSV experiments run on (long
 wavefronts, ~3*nx levels).  The ILU kernels run on what they see in a
 solve: the eight nested-dissection-ordered overlapping blocks of the
-wall benchmark's ``laplace_fastilu`` workload.
+wall benchmark's ``laplace_fastilu`` workload; the multifrontal numeric
+runs on the eight overlapping blocks of ``elasticity_tacho``.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from repro.direct import MultifrontalCholesky
 from repro.ilu.fastilu import _diag_positions, _diag_positions_reference
 from repro.ilu.iluk import (
     _iluk_symbolic_reference,
@@ -45,12 +49,14 @@ from repro.ilu.iluk import (
     _scatter_to_pattern_reference,
     iluk_symbolic,
 )
+from repro.reuse import ArtifactCache, use_artifact_cache
 from repro.sparse.csr import CsrMatrix
 from repro.tri.levelset import _level_schedule_reference, level_schedule
 from repro.tri.supernodal import _detect_supernodes_reference, detect_supernodes
 
 __all__ = [
-    "laplace_lower_structure", "fastilu_blocks", "run_kernel_bench", "summary"
+    "laplace_lower_structure", "fastilu_blocks", "tacho_blocks",
+    "run_kernel_bench", "summary",
 ]
 
 #: the ISSUE acceptance floor: the de-looped scheduler must be at least
@@ -61,8 +67,13 @@ LEVEL_SCHEDULE_MIN_SPEEDUP = 2.0
 #: ``_scatter_to_pattern`` on the level-1 pattern
 ILUK_SYMBOLIC_MIN_SPEEDUP = 4.0
 SCATTER_MIN_SPEEDUP = 2.0
+#: floor on the ``elasticity_tacho`` blocks: the planned multifrontal
+#: numeric phase against the column-scatter loop
+TACHO_NUMERIC_MIN_SPEEDUP = 1.5
 #: cells per side of the ``laplace_fastilu`` problem
 FASTILU_CELLS = 14
+#: cells per side of the ``elasticity_tacho`` problem
+TACHO_CELLS = 9
 
 
 def laplace_lower_structure(nx: int, ny: int, nz: int) -> CsrMatrix:
@@ -83,23 +94,39 @@ def laplace_lower_structure(nx: int, ny: int, nz: int) -> CsrMatrix:
     return CsrMatrix.from_coo(r, c, np.ones(r.size), (n, n))
 
 
+def _overlap_blocks(problem) -> List[CsrMatrix]:
+    """The local matrices of ``problem`` under a (2, 2, 2) box partition
+    with overlap 1, in local numbering."""
+    from repro.dd.decomposition import Decomposition
+    from repro.dd.overlap import overlapping_subdomains
+    from repro.sparse.blocks import extract_submatrix
+
+    dec = Decomposition.from_box_partition(problem, 2, 2, 2)
+    return [
+        extract_submatrix(problem.a, dofs, dofs)
+        for dofs in map(dec.dofs_of_nodes, overlapping_subdomains(dec, 1))
+    ]
+
+
 def fastilu_blocks(cells: int = FASTILU_CELLS) -> List[CsrMatrix]:
     """The local matrices FastILU factors on ``laplace_3d(cells)``:
     (2, 2, 2) box partition, overlap 1, nested-dissection ordered."""
-    from repro.dd.decomposition import Decomposition
-    from repro.dd.overlap import overlapping_subdomains
     from repro.fem import laplace_3d
     from repro.ordering import nested_dissection
-    from repro.sparse.blocks import extract_submatrix, permute
+    from repro.sparse.blocks import permute
 
-    problem = laplace_3d(cells)
-    dec = Decomposition.from_box_partition(problem, 2, 2, 2)
-    blocks = []
-    for nodes in overlapping_subdomains(dec, 1):
-        dofs = dec.dofs_of_nodes(nodes)
-        a_i = extract_submatrix(problem.a, dofs, dofs)
-        blocks.append(permute(a_i, nested_dissection(a_i)))
-    return blocks
+    return [
+        permute(a_i, nested_dissection(a_i))
+        for a_i in _overlap_blocks(laplace_3d(cells))
+    ]
+
+
+def tacho_blocks(cells: int = TACHO_CELLS) -> List[CsrMatrix]:
+    """The local matrices Tacho factors on ``elasticity_3d(cells)``:
+    (2, 2, 2) box partition, overlap 1 (the solver orders them, ``nd``)."""
+    from repro.fem import elasticity_3d
+
+    return _overlap_blocks(elasticity_3d(cells))
 
 
 def _same(x, y) -> bool:
@@ -139,7 +166,7 @@ def _compare(name, reference, vectorized, repeats, violations, floor=None) -> Di
 
 
 def run_kernel_bench(nx: int = 48, repeats: int = 3) -> Dict:
-    """Run the five hot-path before/after comparisons.
+    """Run the six hot-path before/after comparisons.
 
     Returns the ``BENCH_kernels.json`` payload; ``violations`` is
     non-empty when a vectorized kernel fails bit-identity or, at full
@@ -224,6 +251,35 @@ def run_kernel_bench(nx: int = 48, repeats: int = 3) -> Dict:
         ),
     }
 
+    # the multifrontal numeric phase on the elasticity_tacho blocks, over
+    # the symbolic records they share in a build
+    tblocks = tacho_blocks(min(TACHO_CELLS, nx))
+    with use_artifact_cache(ArtifactCache()):
+        solvers = [MultifrontalCholesky(ordering="nd").symbolic(b) for b in tblocks]
+    records = {id(t.symbolic_record): t.symbolic_record for t in solvers}
+
+    def factors(run: str):
+        out = []
+        for solver, b in zip(solvers, tblocks):
+            getattr(solver, run)(b)
+            out.append(solver.factor.blocks)
+        return out
+
+    tacho_rec = {
+        "blocks": len(tblocks),
+        "rows": sum(b.n_rows for b in tblocks),
+        "supernodes": sum(t.symbolic_record.sn_ptr.size - 1 for t in solvers),
+        "records": len(records),
+        "plan_bytes": sum(r.plan_bytes for r in records.values()),
+        "min_speedup": TACHO_NUMERIC_MIN_SPEEDUP,
+        **_compare(
+            "tacho_numeric",
+            lambda: factors("_numeric_reference"),
+            lambda: factors("numeric"),
+            repeats, violations, floor(TACHO_NUMERIC_MIN_SPEEDUP),
+        ),
+    }
+
     return {
         "bench": "kernel_hot_paths",
         "min_level_schedule_speedup": LEVEL_SCHEDULE_MIN_SPEEDUP,
@@ -233,6 +289,7 @@ def run_kernel_bench(nx: int = 48, repeats: int = 3) -> Dict:
             "diag_positions": diag_rec,
             "iluk_symbolic": iluk_rec,
             "scatter_to_pattern": scatter_rec,
+            "tacho_numeric": tacho_rec,
         },
         "violations": violations,
     }

@@ -5,8 +5,9 @@ preconditioner it configures, :mod:`repro.dd.two_level`) and
 :class:`KrylovConfig` (the iteration) replace keyword soup: every option
 is validated at *construction* with an error that names the field or
 lists the valid values, and each config renders a one-line
-``describe()`` used by trace annotations and as half of a serving shard
-key.  :mod:`repro.api` re-exports both.
+``describe()`` for trace annotations and tables.  A serving shard keys
+on ``SchwarzConfig.key()`` and the ``KrylovConfig`` itself, never on
+the display strings.  :mod:`repro.api` re-exports both.
 """
 
 from __future__ import annotations
@@ -59,11 +60,8 @@ class KrylovConfig:
             raise ValueError(f"maxiter must be >= 1, got {self.maxiter}")
 
     def describe(self) -> str:
-        """One-line summary, mirroring :meth:`SchwarzConfig.describe`.
-
-        Also the Krylov half of a serving shard key: two requests may
-        share a batched solve only when this string matches.
-        """
+        """One-line summary, mirroring :meth:`SchwarzConfig.describe`
+        (display only)."""
         return (
             f"gmres[{self.variant}] rtol={self.rtol:g} "
             f"restart={self.restart} maxiter={self.maxiter}"

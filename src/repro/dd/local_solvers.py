@@ -40,6 +40,16 @@ SOLVER_KINDS = ("superlu", "tacho", "iluk", "fastilu")
 #: valid fill-reducing orderings: every name and alias repro.ordering
 #: resolves, each accepted by every solver kind
 ORDERINGS = tuple(ORDERING_ALIASES)
+#: the fields each kind's build reads besides ``kind`` and ``ordering``
+_KIND_FIELDS = {
+    "superlu": ("gpu_solve",),
+    "tacho": (),
+    "iluk": ("ilu_level",),
+    "fastilu": (
+        "ilu_level", "factor_sweeps", "solve_sweeps",
+        "factor_damping", "solve_damping",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -94,6 +104,17 @@ class LocalSolverSpec:
     def with_gpu(self, gpu_solve: bool) -> "LocalSolverSpec":
         """Copy with the GPU pairing switched."""
         return replace(self, gpu_solve=gpu_solve)
+
+    def key(self) -> tuple:
+        """The identity of the solver this spec builds.
+
+        ``kind``, the canonical ordering (aliases resolved) and only
+        the fields that kind reads: equal keys build the same factor.
+        A serving shard keys on this, never on :meth:`describe`.
+        """
+        return (self.kind, canonical_ordering(self.ordering)) + tuple(
+            getattr(self, name) for name in _KIND_FIELDS[self.kind]
+        )
 
     def describe(self) -> str:
         """One-line human description, used by trace/table output.

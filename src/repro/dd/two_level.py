@@ -144,14 +144,35 @@ class SchwarzConfig:
                 f"got {self.max_vectors_per_subdomain}"
             )
 
+    def key(self) -> tuple:
+        """The identity of the preconditioner this config builds.
+
+        The preconditioner half of a serving shard key: each solver
+        spec contributes :meth:`LocalSolverSpec.key` (aliases resolved,
+        fields its kind ignores dropped) and the spectral parameters
+        count only for the spectral space.
+        """
+        return (
+            self.local.key(),
+            None if self.extension is None else self.extension.key(),
+            None if self.coarse is None else self.coarse.key(),
+            self.overlap,
+            self.variant,
+            self.precision,
+            self.dim,
+            self.coarse_space,
+            (self.tau, self.max_vectors_per_subdomain)
+            if self.coarse_space == "spectral"
+            else None,
+        )
+
     def describe(self) -> str:
         """One-line summary used by trace annotations and tables.
 
-        Also the preconditioner half of a serving shard key, so every
-        field that changes the operator shows: default configurations
-        keep the historical format byte-for-byte, and a coarse solver,
-        a 2-D interface classification or a spectral space append
-        themselves.
+        Display only (a serving shard keys on :meth:`key`): default
+        configurations keep the historical format byte-for-byte, and a
+        coarse solver, a 2-D interface classification or a spectral
+        space append themselves.
         """
         base = (
             f"{self.variant} overlap={self.overlap} "

@@ -5,17 +5,19 @@ solve is identical up to the right-hand side:
 
 * same operator *values* (a multi-RHS block solve applies one operator
   to every column), hence same pattern;
-* same partition, same :class:`~repro.api.SchwarzConfig` and
-  :class:`~repro.api.KrylovConfig` (their ``describe()`` strings), and
-  same nullspace source (the default, or an explicit array with the
-  same fingerprint) -- one preconditioner serves the block.
+* same partition, the same preconditioner
+  (:meth:`~repro.api.SchwarzConfig.key`: solver aliases resolved, the
+  fields a solver kind ignores dropped), the same
+  :class:`~repro.api.KrylovConfig`, and the same nullspace source (the
+  default, or an explicit array with the same fingerprint) -- one
+  preconditioner serves the block.
 
-The *shard* key (pattern fingerprint + partition + config strings +
-null-space fingerprint) identifies the pooled session; within a shard, batches are sub-keyed by
-the values fingerprint.  :meth:`RequestBatcher.take_batches` drains the
-pending set into width-capped batches ordered by earliest deadline,
-then highest priority, then arrival -- the order the service executes
-them in.
+The *shard* key (pattern fingerprint + partition + config key + Krylov
+config + null-space fingerprint) identifies the pooled session; within
+a shard, batches are sub-keyed by the values fingerprint.
+:meth:`RequestBatcher.take_batches` drains the pending set into
+width-capped batches ordered by earliest deadline, then highest
+priority, then arrival -- the order the service executes them in.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ def shard_key(req: SolveRequest, pattern_fp: str) -> Tuple:
     return (
         pattern_fp,
         req.partition,
-        req.config.describe(),
-        req.krylov.describe(),
+        req.config.key(),
+        req.krylov,
         None if req.nullspace is None else _hash_arrays(req.nullspace),
     )
 

@@ -50,9 +50,9 @@ class SolveRequest:
     tenant:
         Opaque tenant identity (billing / observability attribution).
     config, krylov:
-        Preconditioner and Krylov configuration.  Their ``describe()``
-        strings are part of the shard key: requests batch together only
-        when both match.
+        Preconditioner and Krylov configuration.  ``config.key()`` and
+        ``krylov`` are part of the shard key: requests batch together
+        only when both match.
     partition:
         Subdomain box (one model rank per subdomain).
     nullspace:

@@ -560,8 +560,9 @@ class SolverService:
         return cost
 
     # -- guard / admission helpers --------------------------------------
-    def _shard_str(self, shard: Tuple) -> str:
-        return f"{shard[0][:8]}:{shard[2]}"
+    @staticmethod
+    def _shard_str(shard: Tuple, req: SolveRequest) -> str:
+        return f"{shard[0][:8]}:{req.config.describe()}"
 
     def _unserved(
         self,
@@ -597,7 +598,7 @@ class SolverService:
                 None if req.deadline is None
                 else status is SolveStatus.FAILED and latency <= req.deadline
             ),
-            shard=self._shard_str(shard),
+            shard=self._shard_str(shard, req),
             retries=self._attempts.get(req.request_id, 0),
             **why,
         )
@@ -822,12 +823,12 @@ class SolverService:
     ) -> Tuple[List[SolveResponse], float]:
         op = self._operators[batch.shard[0]]
         tr = get_tracer()
+        head = batch.requests[0]
         with tr.span("serve/batch") as sp:
-            sp.annotate(shard=str(batch.shard[2:]), tenants=sorted(
+            sp.annotate(shard=self._shard_str(batch.shard, head), tenants=sorted(
                 {r.tenant for r in batch.requests}
             ))
             sp.count("batch_width", float(batch.width))
-            head = batch.requests[0]
             problem = op.problem(head.rhs)
             pooled = self.pool.acquire(batch.shard, lambda: SolverSession(
                 problem,
@@ -927,7 +928,7 @@ class SolverService:
                             None if req.deadline is None
                             else latency <= req.deadline
                         ),
-                        shard=self._shard_str(batch.shard),
+                        shard=self._shard_str(batch.shard, req),
                         retries=self._attempts.get(req.request_id, 0),
                         degradation=degradation_dict,
                     )

@@ -321,6 +321,26 @@ class SupernodalTriangular:
         self._bind(schedule, stacks, unit_diagonal)
         self._dinv = _invert_diagonal_blocks(stacks, unit_diagonal)
 
+    @classmethod
+    def from_stacks(
+        cls,
+        schedule: SupernodeSchedule,
+        stacks: List[np.ndarray],
+        unit_diagonal: bool = False,
+    ) -> "SupernodalTriangular":
+        """A factor over ``schedule`` whose class stacks are already filled.
+
+        ``stacks[c]`` is the ``(g, w + m, w)`` array of class ``c``, in
+        the member order of ``schedule.classes[c]``; the factor takes
+        ownership of the arrays (no copy), so a caller that refactors
+        hands in fresh ones.  A multifrontal numeric phase writes each
+        block straight into its stack slot this way.
+        """
+        self = cls.__new__(cls)
+        self._bind(schedule, stacks, unit_diagonal)
+        self._dinv = _invert_diagonal_blocks(stacks, unit_diagonal)
+        return self
+
     def _bind(
         self,
         schedule: SupernodeSchedule,

@@ -245,3 +245,83 @@ def test_same_explicit_nullspace_shares_the_shard():
     first = _req(nullspace=z)
     second = _req(nullspace=z.copy(), tenant="other")
     assert shard_key(first, "pat-a") == shard_key(second, "pat-a")
+
+
+# ----------------------------------------------------------------------
+# the shard keys on the canonical config, not on describe() strings
+# ----------------------------------------------------------------------
+def _fastilu(**kw):
+    return SchwarzConfig(local=LocalSolverSpec(kind="fastilu", **kw))
+
+
+def _serve_pair(first_config, second_config):
+    """Serve one request per config; returns (keys equal, pool size,
+    the two responses, the registered fingerprint)."""
+    a = laplace_3d(4).a
+    with use_artifact_cache(ArtifactCache()):
+        service = SolverService()
+        fp = service.register(a)
+        reqs = [
+            SolveRequest(
+                rhs=np.ones(a.n_rows), matrix_fingerprint=fp,
+                partition=(2, 2, 1), config=config,
+            )
+            for config in (first_config, second_config)
+        ]
+        same = shard_key(reqs[0], fp) == shard_key(reqs[1], fp)
+        responses = [service.solve(req) for req in reqs]
+        pooled = len(service.pool)
+        service.close()
+    return same, pooled, responses, fp
+
+
+@pytest.mark.parametrize("field", ["factor_damping", "solve_damping"])
+def test_fastilu_damping_splits_the_pooled_session(field):
+    # describe() leaves both dampings out: keyed on it, the second
+    # request was solved with the first one's preconditioner
+    same, pooled, responses, fp = _serve_pair(
+        _fastilu(), _fastilu(**{field: 0.3})
+    )
+    assert not same
+    assert pooled == 2
+    assert all(r.converged for r in responses)
+    # the label is still the display string, byte for byte
+    assert responses[0].shard == responses[1].shard == (
+        f"{fp[:8]}:{_fastilu().describe()}"
+    )
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (LocalSolverSpec(ordering="nd"), LocalSolverSpec(ordering="metis")),
+        (
+            LocalSolverSpec(kind="iluk", ordering="natural"),
+            LocalSolverSpec(kind="iluk", ordering="none", factor_damping=0.3),
+        ),
+    ],
+    ids=["ordering_alias", "alias_and_unread_field"],
+)
+def test_same_solver_shares_the_pooled_session(first, second):
+    # "metis" resolves to "nd": one preconditioner, so one session and
+    # one factorization; a field the kind never reads does not split
+    same, pooled, responses, _ = _serve_pair(
+        SchwarzConfig(local=first), SchwarzConfig(local=second)
+    )
+    assert same
+    assert pooled == 1
+    assert all(r.converged for r in responses)
+    assert [r.shard.split(":", 1)[1] for r in responses] == [
+        SchwarzConfig(local=spec).describe() for spec in (first, second)
+    ]
+
+
+def test_solver_key_reads_only_the_kind_fields():
+    assert LocalSolverSpec(kind="tacho", ordering="metis").key() == ("tacho", "nd")
+    assert LocalSolverSpec(kind="iluk", ilu_level=2).key() == ("iluk", "nd", 2)
+    assert LocalSolverSpec(kind="superlu", gpu_solve=True).key() == (
+        "superlu", "nd", True,
+    )
+    assert LocalSolverSpec(kind="fastilu").key() == (
+        "fastilu", "nd", 1, 3, 5, 0.7, 0.8,
+    )
