@@ -16,13 +16,18 @@ and the setup loops vectorised after it:
 * :func:`repro.ilu.iluk._scatter_to_pattern` (values onto the pattern,
   run by every ILU(k)/FastILU numeric phase), and
 * :meth:`repro.direct.multifrontal.MultifrontalCholesky.numeric` (the
-  Tacho numeric phase on its pattern-only assembly plan).
+  Tacho numeric phase on its pattern-only assembly plan), and
+* :meth:`repro.direct.gp_lu.GilbertPeierlsLU.replay` (the SuperLU
+  refactorization replaying the recorded pivot sequence), against the
+  full :meth:`~repro.direct.gp_lu.GilbertPeierlsLU.numeric` it skips.
 
 Each is timed against its retained ``*_reference`` seed implementation
-on the same inputs and checked for bit-identical outputs.  The
-acceptance gate (enforced by ``python -m repro kernels`` and CI) is
-a >= 2x speedup on ``level_schedule`` at n >= 100k rows, the
-``iluk_symbolic`` / ``scatter_to_pattern`` / ``tacho_numeric`` floors
+(the full factorization for the replay) on the same inputs and checked
+for bit-identical outputs; both sides run ``repeats`` times,
+interleaved, and each keeps its best time.  The acceptance gate
+(enforced by ``python -m repro kernels`` and CI) is a >= 2x speedup on
+``level_schedule`` at n >= 100k rows, the ``iluk_symbolic`` /
+``scatter_to_pattern`` / ``tacho_numeric`` / ``gp_refactor`` floors
 below at the same full size, plus exact equality everywhere.
 
 The structure under test for the first three is the strict lower
@@ -31,17 +36,20 @@ pattern shape the paper's level-set SpTRSV experiments run on (long
 wavefronts, ~3*nx levels).  The ILU kernels run on what they see in a
 solve: the eight nested-dissection-ordered overlapping blocks of the
 wall benchmark's ``laplace_fastilu`` workload; the multifrontal numeric
-runs on the eight overlapping blocks of ``elasticity_tacho``.
+runs on the eight overlapping blocks of ``elasticity_tacho``, the
+SuperLU replay on those of ``laplace_superlu`` (new values ``D A D``
+with a seeded positive diagonal, as that workload refactors).
 """
 
 from __future__ import annotations
 
+import copy
 import time
 from typing import Dict, List
 
 import numpy as np
 
-from repro.direct import MultifrontalCholesky
+from repro.direct import GilbertPeierlsLU, MultifrontalCholesky
 from repro.ilu.fastilu import _diag_positions, _diag_positions_reference
 from repro.ilu.iluk import (
     _iluk_symbolic_reference,
@@ -55,7 +63,7 @@ from repro.tri.levelset import _level_schedule_reference, level_schedule
 from repro.tri.supernodal import _detect_supernodes_reference, detect_supernodes
 
 __all__ = [
-    "laplace_lower_structure", "fastilu_blocks", "tacho_blocks",
+    "laplace_lower_structure", "fastilu_blocks", "tacho_blocks", "superlu_blocks",
     "run_kernel_bench", "summary",
 ]
 
@@ -74,6 +82,11 @@ TACHO_NUMERIC_MIN_SPEEDUP = 1.5
 FASTILU_CELLS = 14
 #: cells per side of the ``elasticity_tacho`` problem
 TACHO_CELLS = 9
+#: floor on the ``laplace_superlu`` blocks: the pivot-sequence replay
+#: against the full Gilbert--Peierls factorization
+GP_REFACTOR_MIN_SPEEDUP = 3.0
+#: cells per side of the ``laplace_superlu`` problem
+SUPERLU_CELLS = 10
 
 
 def laplace_lower_structure(nx: int, ny: int, nz: int) -> CsrMatrix:
@@ -129,6 +142,14 @@ def tacho_blocks(cells: int = TACHO_CELLS) -> List[CsrMatrix]:
     return _overlap_blocks(elasticity_3d(cells))
 
 
+def superlu_blocks(cells: int = SUPERLU_CELLS) -> List[CsrMatrix]:
+    """The local matrices SuperLU factors on ``laplace_3d(cells)``:
+    (2, 2, 2) box partition, overlap 1 (the solver orders them, ``nd``)."""
+    from repro.fem import laplace_3d
+
+    return _overlap_blocks(laplace_3d(cells))
+
+
 def _same(x, y) -> bool:
     """Exact equality of arrays, or of (nested) sequences of arrays."""
     if isinstance(x, (list, tuple)):
@@ -136,21 +157,26 @@ def _same(x, y) -> bool:
     return bool(np.array_equal(x, y))
 
 
-def _compare(name, reference, vectorized, repeats, violations, floor=None) -> Dict:
-    """Time ``vectorized`` (best of ``repeats``) against one run of the
-    seed loop ``reference`` and compare their outputs exactly.
+def _best_of(fn, best: float):
+    """``fn()`` and the smaller of ``best`` and its wall time."""
+    t0 = time.perf_counter()
+    out = fn()
+    return out, min(best, time.perf_counter() - t0)
 
+
+def _compare(name, reference, vectorized, repeats, violations, floor=None) -> Dict:
+    """Time ``vectorized`` against the seed loop ``reference`` and
+    compare their outputs exactly.
+
+    Both run ``repeats`` times, alternating, and each side keeps its
+    best time, so neither is measured cold against a warm other.
     Returns the four fields every row carries; a differing output, or a
     speedup under ``floor`` (when one applies), lands in ``violations``.
     """
-    t0 = time.perf_counter()
-    want = reference()
-    ref_s = time.perf_counter() - t0
-    vec_s = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        got = vectorized()
-        vec_s = min(vec_s, time.perf_counter() - t0)
+    ref_s = vec_s = float("inf")
+    for _ in range(max(1, repeats)):
+        want, ref_s = _best_of(reference, ref_s)
+        got, vec_s = _best_of(vectorized, vec_s)
     speedup = ref_s / max(vec_s, 1e-12)
     identical = _same(want, got)
     if not identical:
@@ -166,7 +192,7 @@ def _compare(name, reference, vectorized, repeats, violations, floor=None) -> Di
 
 
 def run_kernel_bench(nx: int = 48, repeats: int = 3) -> Dict:
-    """Run the six hot-path before/after comparisons.
+    """Run the seven hot-path before/after comparisons.
 
     Returns the ``BENCH_kernels.json`` payload; ``violations`` is
     non-empty when a vectorized kernel fails bit-identity or, at full
@@ -280,6 +306,51 @@ def run_kernel_bench(nx: int = 48, repeats: int = 3) -> Dict:
         ),
     }
 
+    # the SuperLU refactorization on the laplace_superlu blocks: the
+    # replay of the recorded pivot sequence against a full numeric
+    sblocks = superlu_blocks(min(SUPERLU_CELLS, nx))
+    rng = np.random.default_rng(7)
+    new_values = []
+    for b in sblocks:
+        d = 1.0 + 0.1 * rng.random(b.n_rows)
+        new_values.append(
+            CsrMatrix(b.indptr, b.indices, d[b.expanded_rows()] * b.data * d[b.indices], b.shape)
+        )
+    with use_artifact_cache(ArtifactCache()):
+        gp_records = [
+            GilbertPeierlsLU(ordering="nd").factorize(b).pivot_record() for b in sblocks
+        ]
+
+    def gp_factors(solvers):
+        probe = np.cos(np.arange(max(b.n_rows for b in sblocks)))
+        return [
+            [*s._l, *s._u, s.row_perm, np.float64(s.flops), s.stages.apply(probe[: s.pinv.size])]
+            for s in solvers
+        ]
+
+    replayed = [r.replay(a2) for r, a2 in zip(gp_records, new_values)]
+    gp_rec = {
+        "blocks": len(sblocks),
+        "rows": sum(b.n_rows for b in sblocks),
+        "replayed": sum(r is not None for r in replayed),
+        "record_bytes": sum(
+            sum(arr.nbytes for arr in (*r._l[:2], *r._u[:2], r.pinv, r.row_perm))
+            for r in gp_records
+        ),
+        "workspace_bytes": max(8 * b.n_rows**2 for b in sblocks),
+        "min_speedup": GP_REFACTOR_MIN_SPEEDUP,
+        **_compare(
+            "gp_refactor",
+            lambda: gp_factors(
+                copy.copy(r).numeric(a2) for r, a2 in zip(gp_records, new_values)
+            ),
+            lambda: gp_factors(r.replay(a2) for r, a2 in zip(gp_records, new_values)),
+            repeats, violations, floor(GP_REFACTOR_MIN_SPEEDUP),
+        ),
+    }
+    if gp_rec["replayed"] != len(sblocks):
+        violations.append("gp_refactor: a block fell back to the full factorization")
+
     return {
         "bench": "kernel_hot_paths",
         "min_level_schedule_speedup": LEVEL_SCHEDULE_MIN_SPEEDUP,
@@ -290,6 +361,7 @@ def run_kernel_bench(nx: int = 48, repeats: int = 3) -> Dict:
             "iluk_symbolic": iluk_rec,
             "scatter_to_pattern": scatter_rec,
             "tacho_numeric": tacho_rec,
+            "gp_refactor": gp_rec,
         },
         "violations": violations,
     }

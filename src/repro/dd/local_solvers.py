@@ -214,8 +214,11 @@ class FactoredLocal:
         Kinds with ``symbolic_reusable`` skip the symbolic phase (their
         pattern guards raise
         :class:`~repro.reuse.fingerprint.PatternChangedError` on
-        pattern drift); SuperLU re-runs the full factorization because
-        partial pivoting ties its ordering to the values.
+        pattern drift).  SuperLU replays its recorded pivot sequence
+        (:meth:`~repro.direct.gp_lu.GilbertPeierlsLU.replay`, bit-equal
+        to a fresh factorization) and re-runs the full factorization
+        when the new values would pivot differently; its profiles keep
+        pricing the full re-symbolic refactorization either way.
         """
         if self._refactor_fn is None:
             raise RuntimeError(
@@ -231,10 +234,36 @@ def _build_superlu(a: CsrMatrix, spec: LocalSolverSpec) -> FactoredLocal:
 
     slu = GilbertPeierlsLU(ordering=spec.ordering)
     slu.factorize(a)
-    # SuperLU's refactorization is a full rebuild: partial pivoting
-    # couples the factor structure to the values (symbolic_reusable is
-    # False), matching the paper's per-refactorization symbolic cost.
-    refactor = lambda a_new: _build_superlu(a_new, spec)  # noqa: E731
+    return _wrap_superlu(slu, spec)
+
+
+def _refactor_superlu(record, a_new: CsrMatrix, spec: LocalSolverSpec) -> FactoredLocal:
+    """Replay ``record``'s pivot sequence over ``a_new``, else rebuild.
+
+    The replay's factors equal a fresh factorization's bit for bit; when
+    the new values would pivot differently it declines and the full
+    rebuild runs.  The enclosing span (``reuse/local_refactor``) is
+    annotated with which one ran.
+    """
+    from repro.obs import get_tracer
+
+    replayed = record.replay(a_new)
+    get_tracer().current.annotate(
+        pivots="rebuilt" if replayed is None else "replayed"
+    )
+    if replayed is None:
+        return _build_superlu(a_new, spec)
+    return _wrap_superlu(replayed, spec)
+
+
+def _wrap_superlu(slu, spec: LocalSolverSpec) -> FactoredLocal:
+    # The modeled clock prices every refactorization as the paper's
+    # SuperLU runs it, a full rebuild: partial pivoting couples the
+    # factor structure to the values (symbolic_reusable is False).  The
+    # executed refactorization replays the recorded pivot sequence
+    # instead whenever that gives the same factors.
+    record = slu.pivot_record()
+    refactor = lambda a_new: _refactor_superlu(record, a_new, spec)  # noqa: E731
     setup = KernelProfile()
     stages, solve_prof = slu.stages, slu.solve_profile
     if spec.gpu_solve:

@@ -7,16 +7,27 @@ solve computes the column values, and partial pivoting picks the largest
 remaining entry.  Time is proportional to the flops performed [Gilbert &
 Peierls 1988]; SuperLU is the supernodal evolution of this algorithm.
 
-Because the pivot order depends on *values*, nothing structural survives
-a refactorization: the factor pattern, the supernode blocking, and the
-level-set schedules must all be rebuilt, which is exactly why the
-paper's SuperLU-on-GPU setup times are dominated by the Kokkos-Kernels
-SpTRSV setup (Fig. 4, Table III(a)).
+Because the pivot order depends on *values*, the paper's SuperLU
+rebuilds everything on a refactorization: the factor pattern, the
+supernode blocking, and the level-set schedules, which is exactly why
+its SuperLU-on-GPU setup times are dominated by the Kokkos-Kernels
+SpTRSV setup (Fig. 4, Table III(a)).  The modeled clock keeps pricing
+that re-symbolic refactorization (``symbolic_reusable`` is False).
+
+The executed refactorization, :meth:`GilbertPeierlsLU.replay`, first
+tries the recorded pivot sequence: with the row order fixed, the ``L``
+and ``U`` patterns are fixed too, and a right-looking pass over them
+(one outer-product update per pivot) produces the same factors as
+:meth:`~GilbertPeierlsLU.numeric` bit for bit -- provided every
+recorded pivot is still the row ``numeric`` would choose.  When one is
+not (a changed maximum, a tie, a vanishing column), the replay reports
+it and the caller re-runs the full factorization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -32,12 +43,31 @@ from repro.tri.factored import FactoredSolve
 
 __all__ = ["GilbertPeierlsLU", "GpLuSymbolic"]
 
+#: byte cap of :meth:`GilbertPeierlsLU.replay`'s dense ``n x n``
+#: workspace; a larger block is refactored by the full factorization
+REPLAY_WORKSPACE_BYTES = 64 << 20
+
 
 @dataclass(frozen=True)
 class GpLuSymbolic:
     """The shared symbolic record of the pivoting LU: only the ordering."""
 
     perm: np.ndarray
+
+
+def _transpose_plan(ptr: np.ndarray, pos: np.ndarray):
+    """The column of every entry of a CSC pattern, and its CSR transpose.
+
+    Returns ``(col, (order, indptr, indices))``: ``order`` is the value
+    gather :meth:`CsrMatrix.transpose` applies (a stable sort by row),
+    ``indptr`` / ``indices`` the transposed pattern.
+    """
+    n = ptr.size - 1
+    col = np.repeat(np.arange(n, dtype=np.int64), np.diff(ptr))
+    order = np.argsort(pos, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pos, minlength=n), out=indptr[1:])
+    return col, (order, indptr, col[order])
 
 
 class GilbertPeierlsLU(DirectSolver):
@@ -58,7 +88,11 @@ class GilbertPeierlsLU(DirectSolver):
     Notes
     -----
     ``symbolic_reusable`` is False: partial pivoting makes the factor
-    structure value-dependent.
+    structure value-dependent, so the modeled clock prices every
+    refactorization as symbolic plus numeric.  The executed
+    refactorization (:meth:`replay`) keeps the ordering, the pivot
+    sequence and the factor patterns whenever the new values leave
+    every pivot choice unchanged.
     """
 
     symbolic_reusable = False
@@ -268,6 +302,178 @@ class GilbertPeierlsLU(DirectSolver):
         self._numeric_done = True
         self._build_solve()
         return self
+
+    # ------------------------------------------------------------------
+    def replay(self, a: CsrMatrix) -> Optional["GilbertPeierlsLU"]:
+        """Refactor a same-pattern ``a`` under this factorization's pivots.
+
+        Returns a new solver whose ``L``, ``U``, ``row_perm``, ``flops``
+        and ``stages`` equal those of a fresh ``factorize(a)`` bit for
+        bit, or None when that cannot be guaranteed -- then the caller
+        re-runs the full factorization.  This solver is left untouched.
+
+        With the row order fixed the factor patterns are fixed, so the
+        pass runs right-looking over pivot positions in a dense
+        workspace ``W`` (rows by pivot position): step ``j`` subtracts
+        ``l_j u_j`` from the trailing rows and columns, with ``l_j`` the
+        pivot column over the pivot and ``u_j`` the pivot row.  Steps
+        run in groups of consecutive pivots with nested patterns (the
+        supernodes): a group gathers the rows and columns its steps
+        touch into one dense block, runs its steps there and scatters
+        the block back.  Every factor entry receives the same products
+        in the same increasing-``j`` order as :meth:`numeric`'s
+        left-looking loop.  The block also carries entries a step
+        does not touch and pivot rows that are exactly zero (which
+        :meth:`numeric` skips); they receive signed zeros, which leave
+        every value unchanged as long as the factors are finite and no
+        entry of ``a`` is ``-0.0`` (so no entry of ``W`` ever is).
+
+        Afterwards each recorded pivot is checked against
+        :meth:`numeric`'s two rules: a diagonal pivot must pass the
+        threshold test; any other pivot must be the *unique* column
+        maximum, with the diagonal below threshold.  None is returned
+        on a tie, a column maximum at or below the singularity guard,
+        a different winner, a non-finite factor entry, a ``-0.0`` in
+        ``a``, or a block whose ``n x n`` workspace exceeds
+        :data:`REPLAY_WORKSPACE_BYTES`.  Nothing is stored beyond the
+        new factor values.
+
+        Raises
+        ------
+        PatternChangedError
+            ``a`` does not have the pattern this solver was built for.
+        """
+        self._require("solve")
+        check_same_pattern(self._pattern_fp, a, "superlu")
+        n = a.n_rows
+        if 8 * n * n > REPLAY_WORKSPACE_BYTES or np.any(
+            (a.data == 0.0) & np.signbit(a.data)
+        ):
+            return None
+        l_ptr, l_pos, _ = self._l
+        u_ptr, u_pos, _ = self._u
+        l_col, l_t = _transpose_plan(l_ptr, l_pos)
+        u_col, u_t = _transpose_plan(u_ptr, u_pos)
+        ur_ptr, ur_col = u_t[1:]
+        l_len = np.diff(l_ptr) - 1  # strict entries of L(:, j) / U(j, :)
+        u_len = np.diff(ur_ptr) - 1
+        # A entry (i, j) sits at ap[iperm[i], iperm[j]], and row r of ap
+        # at pivot position pinv[r]
+        iperm = inverse_permutation(self.perm)
+        w = np.zeros((n, n))
+        w[self.pinv[iperm[a.expanded_rows()]], iperm[a.indices]] = a.data
+
+        # pivot j + 1 joins j's group when both of j's strict patterns
+        # are j + 1 followed by the patterns of j + 1
+        nxt = np.arange(1, n, dtype=np.int64)
+        joins = (
+            (l_len[:-1] == l_len[1:] + 1)
+            & (u_len[:-1] == u_len[1:] + 1)
+            & (l_pos[np.minimum(l_ptr[:-2] + 1, l_pos.size - 1)] == nxt)
+            & (ur_col[np.minimum(ur_ptr[:-2] + 1, ur_col.size - 1)] == nxt)
+        )
+        heads = np.concatenate([[0], np.flatnonzero(~joins) + 1, [n]]).tolist()
+        l_lens = l_len.tolist()
+        with np.errstate(all="ignore"):
+            for j0, j1 in zip(heads[:-1], heads[1:]):
+                if j1 - j0 == 1:
+                    rows = l_pos[l_ptr[j0] : l_ptr[j1]]
+                    cols = ur_col[ur_ptr[j0] : ur_ptr[j1]]
+                else:
+                    rows = np.unique(l_pos[l_ptr[j0] : l_ptr[j1]])
+                    cols = np.unique(ur_col[ur_ptr[j0] : ur_ptr[j1]])
+                if rows.size == 1 or cols.size == 1:
+                    continue  # no trailing update
+                # rows and cols start with the group's pivots j0..j1-1
+                ix = (rows[:, None], cols)
+                g = w[ix]
+                for q in range(j1 - j0):
+                    if l_lens[j0 + q]:
+                        l = g[q + 1 :, q] / g[q, q]
+                        g[q + 1 :, q + 1 :] -= l[:, None] * g[q, q + 1 :]
+                w[ix] = g
+
+            # W now holds every final column: read the factors and check
+            # every recorded pivot against numeric's rules
+            pivots = np.diagonal(w).copy()
+            l_data = w[l_pos, l_col] / pivots[l_col]
+            l_data[l_ptr[:-1]] = 1.0
+            u_data = w[u_pos, u_col]
+            if not (np.isfinite(l_data).all() and np.isfinite(u_data).all()):
+                return None
+            cand = np.abs(w[l_pos, l_col])
+            vmax = np.maximum.reduceat(cand, l_ptr[:-1])
+            thresh = self.pivot_tol * vmax
+            # numeric keeps the diagonal (original row j, at position
+            # pinv[j]) when it is in the column and above threshold
+            diag_key = np.arange(n, dtype=np.int64) * n + self.pinv
+            at = np.minimum(
+                np.searchsorted(l_col * n + l_pos, diag_key), l_pos.size - 1
+            )
+            keep_diag = (l_col[at] * n + l_pos[at] == diag_key) & (cand[at] >= thresh)
+            n_max = np.add.reduceat(cand == vmax[l_col], l_ptr[:-1])
+            piv = np.abs(pivots)
+            amax = float(np.abs(a.data).max()) if a.nnz else 0.0
+            tiny = 100.0 * n * np.finfo(np.float64).eps * amax
+            good = (vmax > tiny) & np.where(
+                self.row_perm == np.arange(n),
+                piv >= thresh,
+                ~keep_diag & (piv == vmax) & (n_max == 1),
+            )
+            if not good.all():
+                return None
+        # numeric's count: 2 |L(:, j)| flops per nonzero strict U(j, k),
+        # plus one divide per strict L entry
+        strict_nz = (u_pos != u_col) & (u_data != 0.0)
+        updates = int(np.bincount(u_pos[strict_nz], minlength=n) @ l_len)
+        flops = 2.0 * updates + (l_pos.size - n)
+        return self._with_values(a, flops, (l_data, *l_t), (u_data, *u_t))
+
+    def pivot_record(self) -> "GilbertPeierlsLU":
+        """A copy holding only what :meth:`replay` reads.
+
+        The ordering, the pivot sequence, the factor patterns and the
+        solve stages; the factor values and the CSR forms are dropped,
+        so a refactorizable wrapper that keeps the record keeps
+        ``O(nnz(L + U))`` integers and no second copy of the values.
+        """
+        rec = copy.copy(self)
+        rec._l = self._l[:2] + (None,)
+        rec._u = self._u[:2] + (None,)
+        rec.l_csr = rec.u_csr = None
+        return rec
+
+    def _with_values(
+        self, a: CsrMatrix, flops: float, l_new: tuple, u_new: tuple
+    ) -> "GilbertPeierlsLU":
+        """A copy of this solver over new factor values (same patterns).
+
+        ``l_new`` / ``u_new`` are ``(CSC values, order, CSR indptr, CSR
+        indices)``, the last three from :func:`_transpose_plan`.
+        """
+        l_data, l_order, *l_csr = l_new
+        u_data, u_order, *u_csr = u_new
+        new = copy.copy(self)
+        n = self.pinv.size
+        new._l = (self._l[0], self._l[1], l_data)
+        new._u = (self._u[0], self._u[1], u_data)
+        new.flops = flops
+        new.numeric_profile = KernelProfile()
+        nnz_lu = float(l_data.size + u_data.size)
+        new.numeric_profile.add(
+            "factor.superlu_getrf",
+            flops=flops,
+            bytes=nnz_lu * 16.0 + a.nnz * 12.0,
+            parallelism=1.0,
+        )
+        new.l_csr = CsrMatrix(*l_csr, l_data[l_order], (n, n))
+        new.u_csr = CsrMatrix(*u_csr, u_data[u_order], (n, n))
+        new.stages = replace(
+            self.stages,
+            lower=(self.stages.lower[0].rebind(new.l_csr), "solve"),
+            upper=(self.stages.upper[0].rebind(new.u_csr), "solve"),
+        )
+        return new
 
     # ------------------------------------------------------------------
     def _build_solve(self) -> None:

@@ -11,7 +11,11 @@ sequence (scaled stiffness matrices, perturbed right-hand sides) through
 * SuperLU intentionally re-pays its symbolic phase every time
   (``symbolic_reusable=False``: partial pivoting couples structure to
   values), so its amortization comes only from the shared extension and
-  coarse solvers.
+  coarse solvers.  This prices the paper's SuperLU, which re-runs its
+  symbolic setup on every refactorization; the executed refactorization
+  replays the recorded pivot sequence when the values allow it
+  (:meth:`~repro.direct.gp_lu.GilbertPeierlsLU.replay`), which changes
+  wall seconds but no factor, iteration count or priced second.
 
 Two invariants are asserted (and reported as ``violations``):
 

@@ -63,7 +63,11 @@ from repro.serve.guard import (
 )
 from repro.serve.pool import PooledSession, SessionPool
 from repro.serve.request import SolveRequest, SolveResponse
-from repro.serve.service import RegisteredOperator, SolverService
+from repro.serve.service import (
+    OperatorConflictError,
+    RegisteredOperator,
+    SolverService,
+)
 
 __all__ = [
     "Arrival",
@@ -73,6 +77,7 @@ __all__ = [
     "DegradationLadder",
     "GuardConfig",
     "OneLevelOperator",
+    "OperatorConflictError",
     "PooledSession",
     "RegisteredOperator",
     "RequestBatch",

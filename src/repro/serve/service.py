@@ -51,6 +51,7 @@ wrapping the block solve's own ``krylov/*`` spans.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -70,7 +71,20 @@ from repro.serve.guard import DegradationDecision, GuardConfig, GuardState
 from repro.serve.pool import SessionPool
 from repro.serve.request import SolveRequest, SolveResponse
 
-__all__ = ["SolverService", "RegisteredOperator"]
+__all__ = ["SolverService", "RegisteredOperator", "OperatorConflictError"]
+
+
+class OperatorConflictError(ValueError):
+    """An operator's extras disagree with the ones registered for its pattern.
+
+    A pattern's pooled sessions are keyed by the pattern and built from
+    the registered operator's ``coordinates`` and ``dofs_per_node`` (the
+    default coarse space takes its rigid-body modes from them), so one
+    service holds one set of extras per pattern.  Raised by
+    :meth:`SolverService.submit` for a matrix request and by
+    :meth:`SolverService.register` when they would change them.
+    """
+
 
 #: LRU bound of the shard session pool
 POOL_SIZE = 8
@@ -88,6 +102,22 @@ class RegisteredOperator:
         self.values_fp = values_fingerprint(matrix)
         self.coordinates = coordinates
         self.dofs_per_node = int(dofs_per_node)
+
+    def check_extras(self, coordinates, dofs_per_node: int) -> None:
+        """Raise :class:`OperatorConflictError` unless the extras match."""
+        if int(dofs_per_node) != self.dofs_per_node:
+            why = f"dofs_per_node={int(dofs_per_node)}, registered {self.dofs_per_node}"
+        elif (coordinates is None) != (self.coordinates is None) or (
+            coordinates is not None
+            and not np.array_equal(coordinates, self.coordinates)
+        ):
+            why = "coordinates differ from the registered ones"
+        else:
+            return
+        raise OperatorConflictError(
+            f"operator {self.pattern_fp[:12]}: {why}; one service serves "
+            "one set of operator extras per pattern"
+        )
 
     def problem(self, rhs) -> AlgebraicProblem:
         """The operator in the problem shape a session expects."""
@@ -209,9 +239,14 @@ class SolverService:
 
         Later requests from any tenant may carry only the fingerprint
         plus a right-hand side.  Re-registering the same pattern with
-        new values replaces the stored operator (same fingerprint).
+        new values replaces the stored operator (same fingerprint); with
+        other ``coordinates`` / ``dofs_per_node`` it raises
+        :class:`OperatorConflictError`.
         """
         op = RegisteredOperator(matrix, coordinates, dofs_per_node)
+        known = self._operators.get(op.pattern_fp)
+        if known is not None:
+            known.check_extras(coordinates, dofs_per_node)
         self._operators[op.pattern_fp] = op
         return op.pattern_fp
 
@@ -239,6 +274,8 @@ class SolverService:
         if req.matrix is not None:
             fp = pattern_fingerprint(req.matrix)
             op = self._operators.get(fp)
+            if op is not None:
+                op.check_extras(req.coordinates, req.dofs_per_node)
             if op is None or op.values_fp != values_fingerprint(req.matrix):
                 op = RegisteredOperator(
                     req.matrix, req.coordinates, req.dofs_per_node
@@ -263,7 +300,10 @@ class SolverService:
         (default: now).  With ``guard=`` configured, the admission
         decision happens here: a refused request is *not* queued -- its
         ``SHED`` response is delivered by the next :meth:`drain` (or
-        immediately by :meth:`run_trace`).
+        immediately by :meth:`run_trace`).  A request carrying a matrix
+        whose pattern is registered with other ``coordinates`` /
+        ``dofs_per_node`` raises :class:`OperatorConflictError`; a
+        fingerprint request is served with the registered extras.
         """
         op = self._resolve(req)
         if req.rhs.size != op.matrix.n_rows:
@@ -562,7 +602,11 @@ class SolverService:
     # -- guard / admission helpers --------------------------------------
     @staticmethod
     def _shard_str(shard: Tuple, req: SolveRequest) -> str:
-        return f"{shard[0][:8]}:{req.config.describe()}"
+        # the pattern prefix and describe() are for reading; the hash of
+        # the whole key tells apart shards they print alike (two
+        # dampings, two Krylov configs, two null spaces)
+        key_hash = hashlib.blake2b(repr(shard).encode(), digest_size=3).hexdigest()
+        return f"{shard[0][:8]}#{key_hash}:{req.config.describe()}"
 
     def _unserved(
         self,

@@ -14,6 +14,7 @@ level so the machine model can price launch-bound behaviour.
 
 from __future__ import annotations
 
+import copy
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -255,6 +256,35 @@ class LevelScheduledTriangular:
                 self._level_segptr,
             )
         ]
+
+    def rebind(self, t: CsrMatrix) -> "LevelScheduledTriangular":
+        """This schedule over the values of ``t``, a same-pattern matrix.
+
+        The level schedule and the gather plan depend only on the
+        pattern, so they are shared and only the values are
+        re-gathered; the result equals ``LevelScheduledTriangular(t,
+        lower, unit_diagonal)`` bit for bit.  ``t`` must have exactly
+        this factor's pattern (it is not re-checked).
+        """
+        diag = self._diag
+        if not self.unit_diagonal:
+            diag = t.diagonal()
+            if np.any(diag == 0):
+                raise ZeroDivisionError("zero on the diagonal")
+        all_rows = t.expanded_rows()
+        strict = t.indices < all_rows if self.lower else t.indices > all_rows
+        order = np.argsort(self.levels[all_rows[strict]], kind="stable")
+        vals = t.data[strict][order]
+        new = copy.copy(self)
+        new._diag = diag
+        new._sorted = self._sorted[:3] + (vals,)
+        cuts = np.cumsum([0] + [c.size for c in self._level_cols]).tolist()
+        new._level_vals = [vals[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+        new._plan = [
+            (rows, cols, v, starts, None if self.unit_diagonal else diag[rows])
+            for (rows, cols, _, starts, _), v in zip(self._plan, new._level_vals)
+        ]
+        return new
 
     @classmethod
     def block_diag(

@@ -285,10 +285,14 @@ def test_fastilu_damping_splits_the_pooled_session(field):
     assert not same
     assert pooled == 2
     assert all(r.converged for r in responses)
-    # the label is still the display string, byte for byte
-    assert responses[0].shard == responses[1].shard == (
-        f"{fp[:8]}:{_fastilu().describe()}"
-    )
+    # both print the same display string, so only the key hash in the
+    # label tells the two shards apart
+    labels = [r.shard for r in responses]
+    assert labels[0] != labels[1]
+    for label in labels:
+        prefix, shown = label.split(":", 1)
+        assert prefix.startswith(f"{fp[:8]}#")
+        assert shown == _fastilu().describe()
 
 
 @pytest.mark.parametrize(
@@ -325,3 +329,30 @@ def test_solver_key_reads_only_the_kind_fields():
     assert LocalSolverSpec(kind="fastilu").key() == (
         "fastilu", "nd", 1, 3, 5, 0.7, 0.8,
     )
+
+
+@pytest.mark.parametrize(
+    "second",
+    [
+        dict(partition=(1, 2, 2)),
+        dict(krylov=KrylovConfig(rtol=1e-9)),
+    ],
+    ids=["partition", "krylov"],
+)
+def test_shards_differing_in_partition_or_krylov_get_different_labels(second):
+    a = laplace_3d(4).a
+    with use_artifact_cache(ArtifactCache()):
+        service = SolverService()
+        fp = service.register(a)
+        base = SolveRequest(
+            rhs=np.ones(a.n_rows), matrix_fingerprint=fp, partition=(2, 2, 1)
+        )
+        responses = [
+            service.solve(req) for req in (base, dataclasses.replace(base, **second))
+        ]
+        # a repeat of the first shard keeps its label
+        again = service.solve(dataclasses.replace(base, tenant="other"))
+        service.close()
+    assert responses[0].shard != responses[1].shard
+    assert again.shard == responses[0].shard
+    assert all(r.shard.split(":", 1)[1] == base.config.describe() for r in responses)

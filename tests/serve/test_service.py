@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.fem import elasticity_3d, laplace_3d
 from repro.krylov import SolveStatus, gmres
 from repro.reuse import ArtifactCache, use_artifact_cache
-from repro.serve import SolveRequest, SolverService
+from repro.serve import OperatorConflictError, SolveRequest, SolverService
 from repro.serve import service as service_module
 
 
@@ -305,3 +307,50 @@ class TestMatrixMarketIngestion:
         write_matrix_market(path, laplace.a)
         with pytest.raises(ValueError, match="divisible"):
             SolverService().register_matrix_market(path, dofs_per_node=7)
+
+
+class TestOperatorExtras:
+    """One pattern, one set of extras: a request may not swap them.
+
+    The pooled session of a pattern is built from the registered
+    operator's coordinates and ``dofs_per_node``; a scalar request on
+    the same matrix used to be served with the rigid-body modes of an
+    earlier elasticity request.
+    """
+
+    def test_matrix_request_with_other_extras_raises(self, elasticity, cache):
+        service = SolverService()
+        first = SolveRequest(
+            rhs=elasticity.b, matrix=elasticity.a, partition=(2, 2, 1),
+            coordinates=elasticity.coordinates, dofs_per_node=3,
+        )
+        assert service.solve(first).converged
+        scalar = dataclasses.replace(first, coordinates=None, dofs_per_node=1)
+        with pytest.raises(OperatorConflictError, match="dofs_per_node=1"):
+            service.submit(scalar)
+        moved = dataclasses.replace(first, coordinates=elasticity.coordinates + 1.0)
+        with pytest.raises(OperatorConflictError, match="coordinates"):
+            service.submit(moved)
+        # matching extras share the pooled session, new values included
+        assert service.solve(dataclasses.replace(first, tenant="b")).converged
+        rescaled = dataclasses.replace(first, matrix=elasticity.a * 2.0)
+        assert service.solve(rescaled).converged
+        assert len(service.pool) == 1
+        service.close()
+
+    def test_register_with_other_extras_raises(self, elasticity, cache):
+        service = SolverService()
+        fp = service.register(
+            elasticity.a, coordinates=elasticity.coordinates, dofs_per_node=3
+        )
+        with pytest.raises(OperatorConflictError, match="dofs_per_node=1"):
+            service.register(elasticity.a)
+        assert service.register(
+            elasticity.a * 2.0, coordinates=elasticity.coordinates, dofs_per_node=3
+        ) == fp
+        # a fingerprint request is served with the registered extras
+        resp = service.solve(SolveRequest(
+            rhs=elasticity.b, matrix_fingerprint=fp, partition=(2, 2, 1),
+        ))
+        assert resp.converged
+        service.close()
