@@ -154,45 +154,6 @@ class Decomposition:
             parts.append(p)
         return Decomposition(self.a, self.dofs_per_node, parts, self.graph)
 
-    def split_subdomain(self, rank: int) -> "Decomposition":
-        """The partition with subdomain ``rank`` bisected in two.
-
-        This is the *respawn* side of elastic scaling: under backlog the
-        heaviest subdomain is split and the new half handed to a fresh
-        rank.  The split reuses the algebraic bisection of
-        :meth:`algebraic` restricted to the subdomain's node set
-        (separator folded into the smaller side; index-chop fallback for
-        unsplittable subgraphs).  The new subdomain is appended at the
-        END of the partition, so every untouched subdomain keeps its
-        index -- the property the :mod:`repro.reuse` donor path needs to
-        skip refactorizing unmoved rows.
-        """
-        if not (0 <= rank < self.n_subdomains):
-            raise ValueError(
-                f"rank {rank} out of range [0, {self.n_subdomains})"
-            )
-        part = self.node_parts[rank]
-        if part.size < 2:
-            raise ValueError(
-                f"subdomain {rank} has {part.size} node(s); need >= 2 to split"
-            )
-        from repro.ordering.nested_dissection import bisect
-
-        left, sep, right = bisect(
-            self.graph.indptr, self.graph.indices, part, self.n_nodes
-        )
-        if left.size <= right.size:
-            left = np.concatenate([left, sep])
-        else:
-            right = np.concatenate([right, sep])
-        if left.size == 0 or right.size == 0:
-            half = part.size // 2
-            left, right = part[:half], part[half:]
-        parts = [p for p in self.node_parts]
-        parts[rank] = np.sort(left)
-        parts.append(np.sort(right))
-        return Decomposition(self.a, self.dofs_per_node, parts, self.graph)
-
     def with_values(self, a_new: CsrMatrix) -> "Decomposition":
         """The same partition plan over a same-pattern matrix.
 

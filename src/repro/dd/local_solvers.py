@@ -23,6 +23,7 @@ GPU-vs-CPU pairing follows Section VIII-A exactly:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -215,10 +216,11 @@ class FactoredLocal:
         pattern guards raise
         :class:`~repro.reuse.fingerprint.PatternChangedError` on
         pattern drift).  SuperLU replays its recorded pivot sequence
-        (:meth:`~repro.direct.gp_lu.GilbertPeierlsLU.replay`, bit-equal
-        to a fresh factorization) and re-runs the full factorization
-        when the new values would pivot differently; its profiles keep
-        pricing the full re-symbolic refactorization either way.
+        (:meth:`~repro.direct.gp_lu.GilbertPeierlsLU.refactorize`,
+        bit-equal to a fresh factorization) and re-runs the full
+        factorization when the new values would pivot differently; its
+        profiles keep pricing the full re-symbolic refactorization
+        either way.
         """
         if self._refactor_fn is None:
             raise RuntimeError(
@@ -238,22 +240,14 @@ def _build_superlu(a: CsrMatrix, spec: LocalSolverSpec) -> FactoredLocal:
 
 
 def _refactor_superlu(record, a_new: CsrMatrix, spec: LocalSolverSpec) -> FactoredLocal:
-    """Replay ``record``'s pivot sequence over ``a_new``, else rebuild.
+    """Refactor a copy of the pivot ``record`` over ``a_new``.
 
-    The replay's factors equal a fresh factorization's bit for bit; when
-    the new values would pivot differently it declines and the full
-    rebuild runs.  The enclosing span (``reuse/local_refactor``) is
-    annotated with which one ran.
+    :meth:`~repro.direct.gp_lu.GilbertPeierlsLU.refactorize` replays the
+    recorded pivot sequence, else rebuilds, and annotates the enclosing
+    span (``reuse/local_refactor``) with which one ran.  The record
+    itself stays as it is, so this local can be refactored again.
     """
-    from repro.obs import get_tracer
-
-    replayed = record.replay(a_new)
-    get_tracer().current.annotate(
-        pivots="rebuilt" if replayed is None else "replayed"
-    )
-    if replayed is None:
-        return _build_superlu(a_new, spec)
-    return _wrap_superlu(replayed, spec)
+    return _wrap_superlu(copy.copy(record).refactorize(a_new), spec)
 
 
 def _wrap_superlu(slu, spec: LocalSolverSpec) -> FactoredLocal:

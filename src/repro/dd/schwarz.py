@@ -212,7 +212,9 @@ class OneLevelSchwarz:
         Reuses every pattern-derived artifact (overlap node/dof sets,
         scatter plan, halo sizes) and refactorizes each
         local solver in place: symbolic-reusable kinds re-run only their
-        numeric phase, SuperLU rebuilds.  ``dec_new`` must share the
+        numeric phase, SuperLU replays its recorded pivot sequence (and
+        rebuilds when the new values pivot differently); the span says
+        which (``pivots=replayed/rebuilt``).  ``dec_new`` must share the
         pattern and partition of the original decomposition (enforced by
         :meth:`Decomposition.with_values` upstream and by the per-solver
         pattern guards here).

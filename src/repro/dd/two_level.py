@@ -477,27 +477,6 @@ class GDSWPreconditioner:
             )
             return self._rebuilt_over(dec_new)
 
-    def split_subdomain(self, rank: int) -> "GDSWPreconditioner":
-        """The preconditioner repaired after bisecting subdomain ``rank``.
-
-        The *respawn* side of elastic scaling
-        (:meth:`~repro.dd.decomposition.Decomposition.split_subdomain`):
-        the heaviest subdomain is bisected and the new half handed to a
-        fresh rank appended at the end of the partition.  Matrix values
-        are unchanged, so -- exactly as in :meth:`remove_subdomain` --
-        one-level local factorizations whose overlapping dof sets
-        survive the split are reused through ``reuse_from`` and only the
-        split region refactors.  The coarse level is rebuilt because the
-        interface gained a new cut.
-        """
-        dec_new = self.dec.split_subdomain(rank)
-        with get_tracer().span("elastic/precond_repair") as sp:
-            sp.annotate(
-                split_rank=int(rank),
-                n_subdomains=int(dec_new.n_subdomains),
-            )
-            return self._rebuilt_over(dec_new)
-
     def _rebuilt_over(self, dec_new: Decomposition) -> "GDSWPreconditioner":
         """The same configuration over a repaired partition of the same
         matrix, reusing every local factorization the repair left alone."""

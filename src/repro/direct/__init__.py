@@ -10,8 +10,8 @@ subdomain and coarse problems (Section V-B.1):
   setup of the GPU triangular solver must be redone after *every*
   numeric factorization -- the effect dominating Table III(a) and the
   SuperLU bars of Fig. 4.
-* **Tacho** -- multifrontal supernodal Cholesky/LDL^T with pivoting only
-  inside fronts, GPU-enabled.  Reproduced by
+* **Tacho** -- multifrontal supernodal Cholesky, pivot-free,
+  GPU-enabled.  Reproduced by
   :class:`repro.direct.multifrontal.MultifrontalCholesky`: nested
   dissection + elimination-tree symbolic analysis (reusable), dense
   frontal kernels (the cuBLAS/cuSolver analogue is numpy/LAPACK), and a

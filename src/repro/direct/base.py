@@ -94,8 +94,10 @@ class DirectSolver:
         the numeric guard raises
         :class:`~repro.reuse.fingerprint.PatternChangedError` when the
         pattern drifted.  Otherwise falls back to a full
-        :meth:`factorize` -- SuperLU always takes this branch because
-        partial pivoting couples its ordering to the values.
+        :meth:`factorize`.  SuperLU overrides this: partial pivoting
+        couples its factor structure to the values, so it replays the
+        recorded pivot sequence when the new values keep it
+        (:meth:`~repro.direct.gp_lu.GilbertPeierlsLU.refactorize`).
         """
         if not self._symbolic_done or not self.symbolic_reusable:
             return self.factorize(a)
@@ -123,8 +125,8 @@ def direct_solver(name: str, **options) -> DirectSolver:
     from repro.direct.multifrontal import MultifrontalCholesky
 
     name = name.lower()
-    if name in ("superlu", "gp", "gilbert-peierls", "lu"):
+    if name == "superlu":
         return GilbertPeierlsLU(**options)
-    if name in ("tacho", "multifrontal", "cholesky"):
+    if name == "tacho":
         return MultifrontalCholesky(**options)
     raise ValueError(f"unknown direct solver {name!r}; use 'superlu' or 'tacho'")

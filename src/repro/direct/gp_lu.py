@@ -21,7 +21,8 @@ and ``U`` patterns are fixed too, and a right-looking pass over them
 :meth:`~GilbertPeierlsLU.numeric` bit for bit -- provided every
 recorded pivot is still the row ``numeric`` would choose.  When one is
 not (a changed maximum, a tie, a vanishing column), the replay reports
-it and the caller re-runs the full factorization.
+it and :meth:`~GilbertPeierlsLU.refactorize` re-runs the full
+factorization.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import numpy as np
 
 from repro.direct.base import DirectSolver
 from repro.machine.kernels import KernelProfile
+from repro.obs import get_tracer
 from repro.ordering import canonical_ordering, ordering_permutation
 from repro.reuse.fingerprint import check_same_pattern
 from repro.reuse.symbolic import frozen_arrays, shared_symbolic
@@ -46,6 +48,10 @@ __all__ = ["GilbertPeierlsLU", "GpLuSymbolic"]
 #: byte cap of :meth:`GilbertPeierlsLU.replay`'s dense ``n x n``
 #: workspace; a larger block is refactored by the full factorization
 REPLAY_WORKSPACE_BYTES = 64 << 20
+#: threshold partial pivoting: the diagonal entry is kept as pivot when
+#: ``|a_jj| >= PIVOT_TOL * max_i |a_ij|`` (1.0 = classic partial
+#: pivoting, SuperLU's default)
+PIVOT_TOL = 1.0
 
 
 @dataclass(frozen=True)
@@ -77,32 +83,25 @@ class GilbertPeierlsLU(DirectSolver):
     ----------
     ordering:
         Fill-reducing column ordering applied symmetrically before
-        factorization: ``"nd"`` (default, the paper uses METIS ND),
-        ``"rcm"``, or ``"natural"``.
-    pivot_tol:
-        Threshold partial pivoting: the diagonal entry is kept as pivot
-        when ``|a_jj| >= pivot_tol * max_i |a_ij|`` (1.0 = classic
-        partial pivoting; SuperLU's default diagonal preference uses a
-        smaller value which preserves more structure).
+        factorization: ``"nd"`` (default, the paper uses METIS ND) or
+        ``"natural"``.  Pivots follow the threshold rule of
+        :data:`PIVOT_TOL`.
 
     Notes
     -----
     ``symbolic_reusable`` is False: partial pivoting makes the factor
     structure value-dependent, so the modeled clock prices every
     refactorization as symbolic plus numeric.  The executed
-    refactorization (:meth:`replay`) keeps the ordering, the pivot
-    sequence and the factor patterns whenever the new values leave
-    every pivot choice unchanged.
+    refactorization (:meth:`refactorize`, through :meth:`replay`)
+    keeps the ordering, the pivot sequence and the factor patterns
+    whenever the new values leave every pivot choice unchanged.
     """
 
     symbolic_reusable = False
 
-    def __init__(self, ordering: str = "nd", pivot_tol: float = 1.0) -> None:
+    def __init__(self, ordering: str = "nd") -> None:
         super().__init__()
-        if not (0.0 < pivot_tol <= 1.0):
-            raise ValueError("pivot_tol must be in (0, 1]")
         self.ordering = ordering
-        self.pivot_tol = float(pivot_tol)
         self.perm: Optional[np.ndarray] = None
         self.row_perm: Optional[np.ndarray] = None  # pivoted row order
         # CSC factors: L unit-lower (pivot row stored first with value 1),
@@ -242,7 +241,7 @@ class GilbertPeierlsLU(DirectSolver):
             ipiv = int(unpiv[np.argmax(cand_vals)])
             # threshold rule: keep the diagonal (row k of the permuted
             # matrix) when it is large enough relative to the column max
-            if marked[k] == k and pinv[k] < 0 and abs(x[k]) >= self.pivot_tol * vmax:
+            if marked[k] == k and pinv[k] < 0 and abs(x[k]) >= PIVOT_TOL * vmax:
                 ipiv = k
             pivot = x[ipiv]
             pinv[ipiv] = k
@@ -304,6 +303,30 @@ class GilbertPeierlsLU(DirectSolver):
         return self
 
     # ------------------------------------------------------------------
+    def refactorize(self, a: CsrMatrix) -> "GilbertPeierlsLU":
+        """Refactor a same-pattern ``a`` in place: replay, else rebuild.
+
+        Adopts :meth:`replay`'s factorization (bit-equal to a fresh
+        one) when this solver holds a pivot sequence and the new values
+        keep it; otherwise re-runs :meth:`factorize`.  The span this runs
+        under is annotated ``pivots=replayed`` or ``pivots=rebuilt``.
+        The ``factor/*`` spans and the profiles are a full
+        factorization's either way: the modeled clock prices the paper's
+        re-symbolic SuperLU.
+        """
+        replayed = self.replay(a) if self._numeric_done else None
+        tr = get_tracer()
+        tr.current.annotate(pivots="rebuilt" if replayed is None else "replayed")
+        if replayed is None:
+            return self.factorize(a)
+        vars(self).update(vars(replayed))
+        with tr.span("factor/symbolic") as sp:
+            sp.annotate(solver=type(self).__name__)
+            sp.add_profile(self.symbolic_profile)
+        with tr.span("factor/numeric") as sp:
+            sp.add_profile(self.numeric_profile)
+        return self
+
     def replay(self, a: CsrMatrix) -> Optional["GilbertPeierlsLU"]:
         """Refactor a same-pattern ``a`` under this factorization's pivots.
 
@@ -403,7 +426,7 @@ class GilbertPeierlsLU(DirectSolver):
                 return None
             cand = np.abs(w[l_pos, l_col])
             vmax = np.maximum.reduceat(cand, l_ptr[:-1])
-            thresh = self.pivot_tol * vmax
+            thresh = PIVOT_TOL * vmax
             # numeric keeps the diagonal (original row j, at position
             # pinv[j]) when it is in the column and above threshold
             diag_key = np.arange(n, dtype=np.int64) * n + self.pinv
@@ -521,8 +544,7 @@ class GilbertPeierlsLU(DirectSolver):
         self._require("solve")
         l_indptr, l_indices, l_data = self._l
         snt = SupernodalTriangular.from_csc(
-            l_indptr, l_indices, l_data, self.pinv.size, unit_diagonal=False,
-            max_width=max_width,
+            l_indptr, l_indices, l_data, self.pinv.size, max_width=max_width
         )
         setup = KernelProfile()
         nnz_l = float(l_indices.size)

@@ -1,4 +1,4 @@
-"""Multifrontal supernodal Cholesky / LDL^T (the Tacho model).
+"""Multifrontal supernodal Cholesky (the Tacho model).
 
 Tacho [Kim, Edwards, Rajamanickam 2018] factors symmetric matrices with
 a multifrontal method: the elimination tree is processed leaves-to-root,
@@ -52,7 +52,11 @@ from repro.tri.supernodal import (
     detect_supernodes,
 )
 
-__all__ = ["MultifrontalCholesky", "TachoSymbolic"]
+__all__ = ["MAX_SUPERNODE", "MultifrontalCholesky", "TachoSymbolic"]
+
+#: width cap for supernode amalgamation (bounds frontal sizes); read
+#: when the analysis runs, and part of the shared symbolic record's key
+MAX_SUPERNODE = 64
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,7 @@ class TachoSymbolic:
     """Everything :meth:`MultifrontalCholesky.symbolic` derives from a pattern.
 
     Immutable and shared: every solver analysing the same
-    ``(ordering, max_supernode, pattern)`` holds this one object (see
+    ``(ordering, MAX_SUPERNODE, pattern)`` holds this one object (see
     :func:`repro.reuse.symbolic.shared_symbolic`), so nothing may write
     to it -- the numeric phase only reads.  Front positions are flat
     row-major indices into a supernode's ``(f, f)`` front,
@@ -307,38 +311,21 @@ def _front_profile(
 
 
 class MultifrontalCholesky(DirectSolver):
-    """Multifrontal supernodal Cholesky (or LDL^T) factorization.
+    """Multifrontal supernodal Cholesky factorization of an SPD matrix.
 
     Parameters
     ----------
     ordering:
-        Fill-reducing ordering: ``"nd"`` (default), ``"rcm"`` or
-        ``"natural"``.
-    mode:
-        ``"cholesky"`` for SPD input; ``"ldlt"`` stores unit-diagonal
-        ``L`` and a diagonal ``D`` (symmetric indefinite without
-        pivoting across fronts, like Tacho's LDL^T).
-    max_supernode:
-        Width cap for supernode amalgamation (bounds frontal sizes).
+        Fill-reducing ordering: ``"nd"`` (default) or ``"natural"``.
     """
 
     symbolic_reusable = True
 
-    def __init__(
-        self,
-        ordering: str = "nd",
-        mode: str = "cholesky",
-        max_supernode: int = 64,
-    ) -> None:
+    def __init__(self, ordering: str = "nd") -> None:
         super().__init__()
-        if mode not in ("cholesky", "ldlt"):
-            raise ValueError("mode must be 'cholesky' or 'ldlt'")
         self.ordering = ordering
-        self.mode = mode
-        self.max_supernode = int(max_supernode)
         self.perm: Optional[np.ndarray] = None
         self._snt: Optional[SupernodalTriangular] = None
-        self._d: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     def symbolic(self, a: CsrMatrix) -> "MultifrontalCholesky":
@@ -353,10 +340,9 @@ class MultifrontalCholesky(DirectSolver):
         if a.n_rows != a.n_cols:
             raise ValueError("square matrix required")
         ordering = canonical_ordering(self.ordering)
+        width = MAX_SUPERNODE
         self.symbolic_record, self._pattern_fp = shared_symbolic(
-            ("tacho", ordering, self.max_supernode),
-            a,
-            lambda: _analyse(a, ordering, self.max_supernode),
+            ("tacho", ordering, width), a, lambda: _analyse(a, ordering, width)
         )
         self.perm = self.symbolic_record.perm
         self.sn_ptr = self.symbolic_record.sn_ptr
@@ -386,7 +372,6 @@ class MultifrontalCholesky(DirectSolver):
         self._require("numeric")
         check_same_pattern(self._pattern_fp, a, "tacho")
         sym = self.symbolic_record
-        cholesky = self.mode == "cholesky"
         vals = (
             np.add.reduceat(a.data[sym.scatter_src], sym.scatter_seg)
             if sym.scatter_seg.size
@@ -400,7 +385,6 @@ class MultifrontalCholesky(DirectSolver):
             for _, sns, cols, rows in sym.schedule.classes
         ]
         slots = zip(sym.stack_class.tolist(), sym.stack_slot.tolist())
-        d_all = np.empty(a.n_rows, dtype=np.float64)
         updates: List[Optional[np.ndarray]] = [None] * len(sym.rows_below)
 
         for s, (rb, (c, i)) in enumerate(zip(sym.rows_below, slots)):
@@ -416,37 +400,18 @@ class MultifrontalCholesky(DirectSolver):
                 updates[t] = None
             front = flat.reshape(f, f)
 
-            f11 = front[:w, :w]
-            f21 = front[w:, :w]
             block = stacks[c][i]
-            if cholesky:
-                l11 = _front_cholesky(f11, s, c0, c1)
-                block[:w] = l11
-                if m:
-                    l21 = solve_triangular(
-                        l11, f21.T, lower=True, check_finite=False
-                    ).T
-                    block[w:] = l21
-                    updates[s] = front[w:, w:] - l21 @ l21.T
-                d_all[c0:c1] = 1.0
-            else:  # ldlt: A11 = L11 D L11^T with unit L
-                l11, d = _dense_ldlt(f11)
-                block[:w] = l11
-                if m:
-                    # L21 = A21 L11^{-T} D^{-1}
-                    tmp = solve_triangular(
-                        l11, f21.T, lower=True, unit_diagonal=True, check_finite=False
-                    ).T
-                    l21 = tmp / d[None, :]
-                    block[w:] = l21
-                    updates[s] = front[w:, w:] - (l21 * d[None, :]) @ l21.T
-                d_all[c0:c1] = d
+            l11 = _front_cholesky(front[:w, :w], s, c0, c1)
+            block[:w] = l11
+            if m:
+                l21 = solve_triangular(
+                    l11, front[w:, :w].T, lower=True, check_finite=False
+                ).T
+                block[w:] = l21
+                updates[s] = front[w:, w:] - l21 @ l21.T
 
         return self._finish(
-            SupernodalTriangular.from_stacks(
-                sym.schedule, stacks, unit_diagonal=not cholesky
-            ),
-            d_all,
+            SupernodalTriangular.from_stacks(sym.schedule, stacks),
             KernelProfile(sym.front_profile),
         )
 
@@ -469,7 +434,6 @@ class MultifrontalCholesky(DirectSolver):
 
         # front position maps
         blocks: List[np.ndarray] = []
-        d_all = np.empty(n, dtype=np.float64)
         updates: List[Optional[np.ndarray]] = [None] * n_sn
         pos = np.full(n, -1, dtype=np.int64)
 
@@ -506,34 +470,15 @@ class MultifrontalCholesky(DirectSolver):
                 updates[t] = None
 
             # dense factorization of the pivot block
-            f11 = front[:w, :w]
-            f21 = front[w:, :w]
-            if self.mode == "cholesky":
-                l11 = _front_cholesky(f11, s, c0, c1)
-                l21 = (
-                    solve_triangular(l11, f21.T, lower=True, check_finite=False).T
-                    if m
-                    else f21
-                )
-                upd = front[w:, w:] - l21 @ l21.T if m else None
-                blocks.append(np.vstack([l11, l21]) if m else l11)
-                d_all[c0:c1] = 1.0
-            else:  # ldlt: A11 = L11 D L11^T with unit L
-                l11, d = _dense_ldlt(f11)
-                if m:
-                    # L21 = A21 L11^{-T} D^{-1}
-                    tmp = solve_triangular(
-                        l11, f21.T, lower=True, unit_diagonal=True, check_finite=False
-                    ).T
-                    l21 = tmp / d[None, :]
-                    upd = front[w:, w:] - (l21 * d[None, :]) @ l21.T
-                else:
-                    l21 = f21
-                    upd = None
-                blocks.append(np.vstack([l11, l21]) if m else l11)
-                d_all[c0:c1] = d
+            l11 = _front_cholesky(front[:w, :w], s, c0, c1)
             if m:
-                updates[s] = upd
+                l21 = solve_triangular(
+                    l11, front[w:, :w].T, lower=True, check_finite=False
+                ).T
+                updates[s] = front[w:, w:] - l21 @ l21.T
+                blocks.append(np.vstack([l11, l21]))
+            else:
+                blocks.append(l11)
             pos[idx] = -1  # keep the position map clean for the invariant check
 
             lv = int(sym.levels[s])
@@ -546,7 +491,6 @@ class MultifrontalCholesky(DirectSolver):
             self.sn_ptr,
             sym.rows_below,
             blocks,
-            unit_diagonal=(self.mode == "ldlt"),
             schedule=sym.schedule,
         )
         numeric_profile = KernelProfile()
@@ -557,24 +501,19 @@ class MultifrontalCholesky(DirectSolver):
                 bytes=float(bytes_per_level[lv]),
                 parallelism=float(max(rows_per_level[lv], 1.0)),
             )
-        return self._finish(snt, d_all, numeric_profile)
+        return self._finish(snt, numeric_profile)
 
     def _finish(
-        self,
-        snt: SupernodalTriangular,
-        d_all: np.ndarray,
-        numeric_profile: KernelProfile,
+        self, snt: SupernodalTriangular, numeric_profile: KernelProfile
     ) -> "MultifrontalCholesky":
         """Install a finished factor: solve stages and profiles."""
         self._snt = snt
-        self._d = d_all
         self.iperm = self.symbolic_record.iperm
         self.stages = FactoredSolve(
             perm_in=self.perm,
             lower=(snt, "solve_forward"),
             upper=(snt, "solve_backward"),
             perm_out=self.iperm,
-            diag=d_all if self.mode == "ldlt" else None,
         )
         self.numeric_profile = numeric_profile
         sweep = snt.kernel_profile()
@@ -609,29 +548,3 @@ def _front_cholesky(f11: np.ndarray, s: int, c0: int, c1: int) -> np.ndarray:
             index=int(c0),
             solver="tacho",
         ) from err
-
-
-def _dense_ldlt(a: np.ndarray):
-    """Dense LDL^T without pivoting; returns unit-lower ``L`` and ``d``.
-
-    Raises :class:`~repro.resilience.detect.PivotBreakdownError` (a
-    ``ZeroDivisionError`` subclass) on an exactly-zero pivot -- or, when
-    a resilience engine with detection is active, on a *near*-zero
-    pivot relative to the front's diagonal scale.
-    """
-    from repro.resilience.context import get_engine
-    from repro.resilience.detect import check_pivot
-
-    eng = get_engine()
-    pivot_rtol = eng.pivot_rtol if eng is not None else 0.0
-    n = a.shape[0]
-    scale = float(np.max(np.abs(np.diag(a)))) if n else 1.0
-    l = np.eye(n)
-    d = np.empty(n)
-    a = a.copy()
-    for j in range(n):
-        d[j] = a[j, j]
-        check_pivot(float(d[j]), scale, j, "tacho-ldlt", rtol=pivot_rtol)
-        l[j + 1 :, j] = a[j + 1 :, j] / d[j]
-        a[j + 1 :, j + 1 :] -= np.outer(l[j + 1 :, j], l[j + 1 :, j]) * d[j]
-    return l, d

@@ -11,13 +11,12 @@ pieces:
   :class:`~repro.resilience.detect.KrylovGuard`-style watchdog that
   forces a synchronous flush and a re-anchored bulk-synchronous
   fallback when staleness or stagnation exceeds budget.
-* :mod:`repro.elastic.policy` -- the load/health-driven
+* :mod:`repro.elastic.policy` -- the health-driven
   :class:`ScalingPolicy`: watches per-rank modeled utilization and the
-  serve-layer backlog, and invokes planned shrink
-  (:meth:`~repro.dd.decomposition.Decomposition.merge_into_neighbor`)
-  or respawn (:meth:`~repro.dd.decomposition.Decomposition.split_subdomain`)
-  repartitions, billing the repartition cost against projected backlog
-  relief.
+  serve-layer backlog, and scales around a straggler by merging its
+  subdomain into a neighbor
+  (:meth:`~repro.dd.decomposition.Decomposition.merge_into_neighbor`),
+  billing the repartition cost against projected backlog relief.
 * :mod:`repro.elastic.bench` -- the ``elastic-chaos`` gate: a straggler
   + load-surge trace where the elastic arm must beat the static arm's
   makespan at zero SLO violations, while no-trigger runs stay

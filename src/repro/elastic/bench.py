@@ -48,8 +48,6 @@ def _counters(service) -> Dict[str, float]:
         "retries": int(service.retries),
         "degraded_batches": int(service.degraded_batches),
         "batch_failures": int(service.batch_failures),
-        "scale_outs": int(service.scale_outs),
-        "scale_ins": int(service.scale_ins),
         "scale_arounds": int(service.scale_arounds),
         "repartition_seconds": float(service.repartition_seconds),
     }
@@ -65,8 +63,8 @@ def run_elastic_bench(
 
     Capacity is calibrated exactly like the overload bench (warm
     full-width batched throughput, derated); the serving layout is a
-    CPU rank pool so merges and splits stay within one execution
-    space.  The straggler window opens after the warmup batches and
+    CPU rank pool so merges stay within one execution space.  The
+    straggler window opens after the warmup batches and
     spans the middle of the trace; arrivals follow a bursty timeline at
     ~70% of calibrated capacity, so the static arm's only problem is
     the straggler -- which is the point.
@@ -120,9 +118,7 @@ def run_elastic_bench(
         elastic=elastic,
     )
     identical = _identical(resp_plain, resp_idle)
-    scale_events = (
-        svc_idle.scale_outs + svc_idle.scale_ins + svc_idle.scale_arounds
-    )
+    scale_events = svc_idle.scale_arounds
     overhead = (
         svc_idle.clock / max(svc_plain.clock, 1e-300) - 1.0
     )
@@ -173,11 +169,7 @@ def run_elastic_bench(
             f"straggler: elastic arm violated SLOs "
             f"(rate {elastic_arm['slo_violation_rate']:.3f})"
         )
-    n_scales = (
-        svc_elastic.scale_outs + svc_elastic.scale_ins
-        + svc_elastic.scale_arounds
-    )
-    if n_scales < 1:
+    if svc_elastic.scale_arounds < 1:
         violations.append("straggler: elastic arm never scaled")
 
     # ---- section 3: bounded-staleness async RAS -----------------------

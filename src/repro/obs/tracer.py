@@ -33,8 +33,7 @@ Span taxonomy (the names the instrumented stack emits)::
     serve/batch          serve/solve
     serve/admit          serve/shed           serve/retry
     serve/degrade
-    ft/precond_repair    elastic/precond_repair
-    elastic/scale_out    elastic/scale_in     elastic/scale_around
+    ft/precond_repair    elastic/scale_around
 
 Counters use fixed keys: ``flops``, ``bytes``, ``launches`` (from
 kernel profiles), ``reduces``, ``reduce_doubles`` (global reductions),
@@ -44,11 +43,10 @@ serving spans ``batch_width``, ``block_width`` and
 The SLO-guard spans count ``admitted``, ``shed``, ``retries`` and
 ``degraded_batches``; ``serve/shed`` annotates the shed reason and
 ``serve/degrade`` the ladder rungs and pressure that triggered them.
-The elastic runtime adds ``delayed_messages`` (traffic crossing a
-straggler's channels, from :class:`~repro.runtime.simmpi.SimComm`),
-``reuse_invalidations`` (repartition dropping a pinned artifact), and
-on the ``elastic/*`` spans ``repartition_seconds`` and the
-scale-decision annotations (rank, reason, projected relief).
+The elastic runtime adds ``reuse_invalidations`` (repartition dropping
+a pinned artifact), and on the ``elastic/scale_around`` span
+``repartition_seconds`` and the scale-decision annotations (rank,
+reason, projected relief).
 Every solver ``symbolic()`` call counts one ``symbolic_shared`` (an
 existing record was taken from the ambient cache's symbolic store) or
 ``symbolic_analysed`` (the analysis ran) onto the span it runs under.

@@ -6,12 +6,8 @@ expose more parallelism", Section VIII-A) and studies natural vs ND
 orderings for ILU (Table IV).  This package provides from-scratch
 replacements:
 
-* :mod:`repro.ordering.rcm` -- reverse Cuthill--McKee (bandwidth
-  reduction);
 * :mod:`repro.ordering.nested_dissection` -- recursive bisection nested
   dissection with BFS level-structure separators (a METIS stand-in);
-* :mod:`repro.ordering.amd` -- approximate minimum degree (quotient
-  graph, external degrees, the SuperLU-family default);
 * :mod:`repro.ordering.etree` -- elimination tree, postordering and
   symbolic Cholesky (row counts and factor pattern), the analysis phase
   shared by the direct solvers.
@@ -25,8 +21,6 @@ aliases, :data:`ORDERING_ALIASES`) is turned into a permutation.
 
 import numpy as np
 
-from repro.ordering.amd import amd
-from repro.ordering.rcm import rcm
 from repro.ordering.nested_dissection import nested_dissection
 from repro.ordering.etree import (
     elimination_tree,
@@ -37,7 +31,6 @@ from repro.ordering.etree import (
 
 __all__ = [
     "ORDERING_ALIASES",
-    "amd",
     "canonical_ordering",
     "column_counts",
     "elimination_tree",
@@ -45,7 +38,6 @@ __all__ = [
     "nested_dissection",
     "ordering_permutation",
     "postorder",
-    "rcm",
     "symbolic_cholesky",
 ]
 
@@ -58,8 +50,6 @@ ORDERING_ALIASES = {
     "natural": "natural",
     "no": "natural",
     "none": "natural",
-    "rcm": "rcm",
-    "amd": "amd",
 }
 
 
@@ -89,4 +79,4 @@ def ordering_permutation(a, name: str):
     kind = canonical_ordering(name)
     if kind == "natural":
         return natural(a.n_rows)
-    return {"nd": nested_dissection, "rcm": rcm, "amd": amd}[kind](a)
+    return nested_dissection(a)

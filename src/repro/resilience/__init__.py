@@ -60,7 +60,6 @@ from repro.resilience.engine import (
     ResilienceEngine,
 )
 from repro.resilience.inject import (
-    COMM_FAULT_KINDS,
     FAULT_KINDS,
     FaultEvent,
     FaultPlan,
@@ -88,7 +87,6 @@ __all__ = [
     "sweep_divergence",
     "KrylovGuard",
     "FAULT_KINDS",
-    "COMM_FAULT_KINDS",
     "FaultSpec",
     "FaultEvent",
     "FaultPlan",

@@ -1,8 +1,8 @@
 """Seeded fault injection: make the recovery ladder testable.
 
 A :class:`FaultPlan` is a deterministic, seeded description of what to
-break during a run.  The resilience engine (and :class:`SimComm`)
-consult it at the instrumented points of the stack:
+break during a run.  The resilience engine consults it at the
+instrumented points of the stack:
 
 * ``pivot_breakdown`` -- flip the sign of one diagonal entry of one
   subdomain matrix before factorization, forcing the pivot-free
@@ -18,10 +18,6 @@ consult it at the instrumented points of the stack:
 * ``precision_overflow`` -- scale the input of one half-precision
   preconditioner application beyond float32 range.
 
-Two additional kinds target the simulated MPI layer directly
-(``msg_drop`` / ``msg_corrupt``: drop or corrupt a matched
-``(src, dst, tag)`` halo message in :class:`~repro.runtime.simmpi.SimComm`).
-
 Two more describe the process itself (:data:`RANK_FAULT_KINDS`):
 
 * ``rank_loss`` -- the rank dies at the ``occurrence``-th communication
@@ -30,8 +26,7 @@ Two more describe the process itself (:data:`RANK_FAULT_KINDS`):
 * ``slow_rank`` -- the rank's kernel and message times inflate by
   ``magnitude`` for the model-time window ``[start, start + duration)``;
   pricing reads :meth:`FaultPlan.factor_at`
-  (:mod:`repro.runtime.timings` ``rank_factors=``), ``SimComm`` tallies
-  ``delayed`` messages via :meth:`FaultPlan.is_slow_channel`, and
+  (:mod:`repro.runtime.timings` ``rank_factors=``), and
   :mod:`repro.elastic` scales around the slow host.
 
 One more is a fault of the serving layer (:data:`SERVICE_FAULT_KINDS`):
@@ -45,7 +40,7 @@ One more is a fault of the serving layer (:data:`SERVICE_FAULT_KINDS`):
   mode retry-with-backoff exists for
   (:meth:`FaultPlan.batch_faulted`).
 
-Every preconditioner or message fault that actually fires is recorded
+Every preconditioner fault that actually fires is recorded
 as a :class:`FaultEvent` (and counted on the ambient tracer as
 ``resilience_faults``), so a health report can state exactly what was
 injected where.  A rank loss is recorded by the communicator that
@@ -58,7 +53,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -66,7 +61,6 @@ from repro.obs import get_tracer
 
 __all__ = [
     "FAULT_KINDS",
-    "COMM_FAULT_KINDS",
     "RANK_FAULT_KINDS",
     "SERVICE_FAULT_KINDS",
     "PHASES",
@@ -84,8 +78,6 @@ FAULT_KINDS = (
     "fastilu_divergence",
     "precision_overflow",
 )
-#: faults injected directly into the simulated MPI communicator
-COMM_FAULT_KINDS = ("msg_drop", "msg_corrupt")
 #: faults of a whole rank: its death, or a window of slowness
 RANK_FAULT_KINDS = ("rank_loss", "slow_rank")
 #: transient failures of a whole service batch (:mod:`repro.serve`)
@@ -106,8 +98,6 @@ _DEFAULT_MAGNITUDE = {
     # survives any well-conditioned preconditioner application, while
     # products with O(1) factors stay well inside float64 range
     "precision_overflow": 1e200,
-    "msg_drop": 1.0,
-    "msg_corrupt": 1.0,
 }
 
 
@@ -133,14 +123,13 @@ class FaultSpec:
     Attributes
     ----------
     kind:
-        One of :data:`FAULT_KINDS`, :data:`COMM_FAULT_KINDS`,
-        :data:`RANK_FAULT_KINDS` or :data:`SERVICE_FAULT_KINDS`.
+        One of :data:`FAULT_KINDS`, :data:`RANK_FAULT_KINDS` or
+        :data:`SERVICE_FAULT_KINDS`.
     rank:
-        Target subdomain (setup/apply faults), destination rank (comm
-        faults), the rank that dies (``rank_loss``, in the
-        communicator's numbering when it fires) or the physical host
-        that slows down (``slow_rank``; elastic repartitions remap
-        subdomains over hosts).
+        Target subdomain (setup/apply faults), the rank that dies
+        (``rank_loss``, in the communicator's numbering when it fires)
+        or the physical host that slows down (``slow_rank``; elastic
+        repartitions remap subdomains over hosts).
     at_apply:
         Preconditioner-apply index at which an apply-time fault first
         fires (a few healthy applies first, so recovery has a finite
@@ -149,16 +138,14 @@ class FaultSpec:
         Keep firing after the first occurrence.  Defaults: persistent
         for ``halo_corrupt``/``pivot_breakdown``/``fastilu_divergence``
         (a broken link or subdomain stays broken), one-shot for
-        ``precond_nan``/``precision_overflow``/comm faults.
+        ``precond_nan``/``precision_overflow``.
     magnitude:
         Kind-specific severity (see :data:`_DEFAULT_MAGNITUDE`); None
         selects the default.  For ``slow_rank`` it is the slowdown
         factor, required and ``>= 1``; for ``batch_fault`` the
         per-attempt fault probability, required and in ``[0, 1)``.
-    src, tag, occurrence:
-        Comm-fault channel selector: the ``occurrence``-th message on
-        ``(src, rank, tag)`` is dropped/corrupted.  For ``rank_loss``,
-        ``occurrence`` is the zero-based op index within ``phase``
+    occurrence:
+        ``rank_loss`` only: the zero-based op index within ``phase``
         (counted over the whole run, across restarts).
     phase:
         ``rank_loss`` only: one of :data:`PHASES`.
@@ -172,18 +159,13 @@ class FaultSpec:
     at_apply: int = 2
     repeat: Optional[bool] = None
     magnitude: Optional[float] = None
-    src: int = 0
-    tag: int = 0
     occurrence: int = 0
     phase: Optional[str] = None
     start: float = 0.0
     duration: float = math.inf
 
     def __post_init__(self) -> None:
-        valid = (
-            FAULT_KINDS + COMM_FAULT_KINDS + RANK_FAULT_KINDS
-            + SERVICE_FAULT_KINDS
-        )
+        valid = FAULT_KINDS + RANK_FAULT_KINDS + SERVICE_FAULT_KINDS
         if self.kind not in valid:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; valid kinds: "
@@ -277,7 +259,6 @@ class FaultPlan:
         self.rng = np.random.default_rng(self.seed)
         self.fired: List[FaultEvent] = []
         self._spent: set = set()
-        self._comm_seen: Dict[Tuple[int, int, int], int] = {}
 
     @classmethod
     def single(cls, kind: str, rank: int = 0, seed: int = 0, **kw) -> "FaultPlan":
@@ -308,7 +289,7 @@ class FaultPlan:
         """Apply ``pivot_breakdown`` faults to one subdomain matrix.
 
         Flips the sign of the smallest-magnitude diagonal entry (an SPD
-        matrix becomes indefinite, breaking pivot-free Cholesky/LDL^T
+        matrix becomes indefinite, breaking pivot-free Cholesky
         while keeping the required diagonal shift small).  Returns the
         (possibly new) matrix.
         """
@@ -405,51 +386,6 @@ class FaultPlan:
             return spec.severity
         return 1.0
 
-    # -- comm faults (SimComm) -----------------------------------------
-    def _comm_match(self, kind: str, key: Tuple[int, int, int], seen: int):
-        for spec in self.faults:
-            if spec.kind != kind:
-                continue
-            if (spec.src, spec.rank, spec.tag) != key or spec.occurrence != seen:
-                continue
-            if not self._armed(spec, ("comm", key, seen)):
-                continue
-            return spec
-        return None
-
-    def on_send(self, src: int, dst: int, tag: int, payload):
-        """Consume one send; returns ``(dropped, payload)``.
-
-        One occurrence counter per ``(src, dst, tag)`` channel counts
-        every send, dropped or not, so a ``msg_drop`` never shifts the
-        message a later ``msg_corrupt`` targets.  A drop pre-empts a
-        corruption matched on the same message; a matched ``msg_corrupt``
-        NaN-overwrites half of an array payload.
-        """
-        key = (src, dst, tag)
-        seen = self._comm_seen.get(key, 0)
-        self._comm_seen[key] = seen + 1
-        spec = self._comm_match("msg_drop", key, seen)
-        if spec is not None:
-            self._record(
-                spec, f"dropped message {seen} on channel "
-                f"(src={src}, dst={dst}, tag={tag})"
-            )
-            return True, payload
-        spec = self._comm_match("msg_corrupt", key, seen)
-        if spec is None or not isinstance(payload, np.ndarray):
-            return False, payload
-        payload = payload.copy()
-        flat = payload.reshape(-1)
-        k = max(1, flat.size // 2)
-        pick = self.rng.choice(flat.size, size=k, replace=False)
-        flat[pick] = np.nan
-        self._record(
-            spec, f"corrupted {k}/{flat.size} values of message "
-            f"{seen} on channel (src={src}, dst={dst}, tag={tag})"
-        )
-        return False, payload
-
     # -- rank faults ----------------------------------------------------
     def due(self, phase: str, op_index: int) -> List[int]:
         """Ranks whose ``rank_loss`` triggers at this phase op.
@@ -482,24 +418,6 @@ class FaultPlan:
             ):
                 factor = max(factor, spec.magnitude)
         return factor
-
-    @property
-    def slow_ranks(self) -> List[int]:
-        """Distinct ranks with at least one ``slow_rank`` window (sorted)."""
-        return sorted({f.rank for f in self.faults if f.kind == "slow_rank"})
-
-    def is_slow_channel(self, src: int, dst: int, tag: int) -> bool:
-        """Whether a message on ``(src, dst, tag)`` touches a slow rank.
-
-        :class:`~repro.runtime.simmpi.SimComm` consults this on every
-        delivered send to tally ``delayed`` messages -- the op-count
-        evidence that the straggler's traffic really crosses the
-        channels the pricing inflates.  Window timing is ignored here:
-        the sequential simulator has no clock, so any planned window
-        marks the rank's channels.
-        """
-        slow = self.slow_ranks
-        return src in slow or dst in slow
 
     # -- service faults -------------------------------------------------
     def batch_faulted(self, head_id: str, attempt: int) -> bool:

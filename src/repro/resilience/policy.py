@@ -71,8 +71,6 @@ SERVICE_ACTION_KINDS = (
     "degrade_rtol",
     "degrade_precision",
     "degrade_one_level",
-    "scale_out",
-    "scale_in",
     "scale_around",
 )
 

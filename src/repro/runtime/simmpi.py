@@ -51,19 +51,6 @@ class SimComm:
     (:meth:`channel_doubles`) so the cost-model audit in
     :mod:`repro.verify` can compare the values each rank actually
     imported per communication family against the modeled counts.
-
-    A :class:`~repro.resilience.inject.FaultPlan` attached as
-    ``fault_plan`` lets tests drop (``msg_drop``) or NaN-corrupt
-    (``msg_corrupt``) selected messages at the send side; ``dropped``
-    counts the messages a fault ate.  The plan is asked once per send,
-    so both kinds count occurrences on the same per-channel counter.
-
-    The same plan's ``slow_rank`` specs tally ``delayed`` for every
-    delivered message whose channel touches a slow rank.  Payloads are
-    never altered (a straggler is late, not wrong); the counter is the
-    op-count evidence that the traffic the pricing layer inflates
-    (``rank_factors=`` in :mod:`repro.runtime.timings`) actually crosses
-    the slow rank's channels.
     """
 
     size: int
@@ -73,9 +60,6 @@ class SimComm:
     allreduces: int = 0
     reduce_doubles: int = 0
     barriers: int = 0
-    dropped: int = 0
-    delayed: int = 0
-    fault_plan: Optional[Any] = None
     _queues: Dict[Tuple[int, int, int], Deque[Any]] = field(default_factory=dict)
     _channel_doubles: Dict[Tuple[int, int], int] = field(default_factory=dict)
 
@@ -84,7 +68,7 @@ class SimComm:
         return (
             f"ops so far: {self.sends} sends, {self.recvs} recvs, "
             f"{self.allreduces} allreduces, {self.barriers} barriers, "
-            f"{self.dropped} dropped, {self.bytes_sent} bytes sent"
+            f"{self.bytes_sent} bytes sent"
         )
 
     def _check_rank(
@@ -115,15 +99,6 @@ class SimComm:
         """
         self._check_rank(src, op="send", src=src, dst=dst, tag=tag)
         self._check_rank(dst, op="send", src=src, dst=dst, tag=tag)
-        if self.fault_plan is not None:
-            dropped, payload = self.fault_plan.on_send(src, dst, tag, payload)
-            if dropped:
-                self.dropped += 1
-                self.sends += 1
-                return
-            if self.fault_plan.is_slow_channel(src, dst, tag):
-                self.delayed += 1
-                get_tracer().count("delayed_messages", 1.0)
         self._queues.setdefault((src, dst, tag), deque()).append(payload)
         self.sends += 1
         nbytes = int(payload.nbytes) if isinstance(payload, np.ndarray) else 0

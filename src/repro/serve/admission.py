@@ -6,12 +6,11 @@ requests arrive: everything queued at the frozen clock, then one
 side of the serving model:
 
 * :class:`ArrivalTrace` -- a seeded, fully deterministic arrival
-  timeline.  Three generators cover the workloads an overloaded solver
+  timeline.  Two generators cover the workloads an overloaded solver
   service actually sees: :meth:`ArrivalTrace.poisson` (memoryless
-  steady traffic), :meth:`ArrivalTrace.burst` (steady traffic with
-  periodic arrival bursts -- the pattern that fills queues fastest),
-  and :meth:`ArrivalTrace.tenant_skewed` (Zipf-weighted tenants, one
-  hot tenant dominating).  Times are model seconds on the service
+  steady traffic) and :meth:`ArrivalTrace.burst` (steady traffic with
+  periodic arrival bursts -- the pattern that fills queues fastest).
+  Times are model seconds on the service
   clock; the same ``(kind, rate, n, seed)`` always yields the same
   timeline.
 * :func:`admission_shed_reason` -- the guarded service's admission
@@ -68,7 +67,7 @@ class ArrivalTrace:
     arrivals:
         Time-ordered :class:`Arrival` records.
     kind:
-        Generator name (``"poisson"`` / ``"burst"`` / ``"tenant_skewed"``).
+        Generator name (``"poisson"`` / ``"burst"``).
     seed, rate:
         The generator inputs, kept for reporting.
     """
@@ -86,13 +85,6 @@ class ArrivalTrace:
 
     def __iter__(self):
         return iter(self.arrivals)
-
-    @property
-    def makespan(self) -> float:
-        """Model seconds from the first arrival to the last."""
-        if not self.arrivals:
-            return 0.0
-        return self.arrivals[-1].time - self.arrivals[0].time
 
     def bind(self, factory: Callable[[Arrival], object]) -> List[Tuple[float, object]]:
         """Materialize ``(time, SolveRequest)`` pairs via ``factory``.
@@ -156,31 +148,6 @@ class ArrivalTrace:
                     )
                     i += 1
         return cls(arrivals[:n], "burst", rate, seed)
-
-    @classmethod
-    def tenant_skewed(
-        cls,
-        rate: float,
-        n: int,
-        seed: int = 0,
-        tenants: int = 4,
-        skew: float = 1.5,
-    ) -> "ArrivalTrace":
-        """Poisson arrivals with Zipf-weighted tenant assignment:
-        ``P(tenant k) ~ 1 / (k+1)^skew`` -- one hot tenant dominates,
-        the long tail trickles."""
-        if tenants < 1:
-            raise ValueError(f"tenants must be >= 1, got {tenants}")
-        rng = np.random.default_rng(seed)
-        times = np.cumsum(rng.exponential(1.0 / rate, size=n))
-        weights = 1.0 / np.power(np.arange(1, tenants + 1, dtype=np.float64), skew)
-        weights /= weights.sum()
-        picks = rng.choice(tenants, size=n, p=weights)
-        arrivals = [
-            Arrival(float(t), f"tenant-{int(k)}", i)
-            for i, (t, k) in enumerate(zip(times, picks))
-        ]
-        return cls(arrivals, "tenant_skewed", rate, seed)
 
 
 class ShardLoadEstimator:

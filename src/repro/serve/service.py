@@ -163,11 +163,10 @@ class SolverService:
         four.
     elastic:
         :class:`~repro.elastic.policy.ElasticConfig` enabling
-        load/health-driven rank scaling: stragglers trigger
-        scale-around (merge the slow rank's subdomain away), backlog
-        triggers scale-out (split the heaviest subdomain), idle
-        capacity scales in.  Every repartition is billed on the modeled
-        clock and gated on projected relief.  None (default) keeps the
+        health-driven rank scaling: a straggler triggers a
+        scale-around (merge the slow rank's subdomain away).  Every
+        repartition is billed on the modeled clock and gated on
+        projected relief.  None (default) keeps the
         static rank pool -- bit-identical to the pre-elastic service.
     fault_plan:
         :class:`~repro.resilience.inject.FaultPlan` whose ``slow_rank``
@@ -219,9 +218,7 @@ class SolverService:
         # -- elastic runtime state -------------------------------------
         self._elastic = elastic
         self._fault_plan = fault_plan
-        #: scale-out / scale-in / scale-around actions executed
-        self.scale_outs = 0
-        self.scale_ins = 0
+        #: scale-around actions executed
         self.scale_arounds = 0
         #: total modeled seconds billed to repartitions
         self.repartition_seconds = 0.0
@@ -491,8 +488,8 @@ class SolverService:
         """Per-subdomain straggler factors at model time ``t`` (or None).
 
         The plan speaks in physical host ids; ``_rank_hosts`` tracks
-        which host each subdomain currently occupies across merges and
-        splits.  All-healthy returns None so the healthy pricing path is
+        which host each subdomain currently occupies across merges.
+        All-healthy returns None so the healthy pricing path is
         byte-for-byte the pre-straggler one.
         """
         if self._fault_plan is None:
@@ -548,19 +545,12 @@ class SolverService:
         if decision is None:
             return 0.0
         # build the candidate repartition and re-bill with its true cost
-        if decision.kind == "scale_out":
-            repaired = precond.split_subdomain(decision.rank)
-        else:
-            repaired = precond.remove_subdomain(decision.rank)
+        repaired = precond.remove_subdomain(decision.rank)
         cost = repair_seconds(repaired, precond, layout)
         final = policy.decide(
             start_clock, costs, factors, queued, batch_secs, cost
         )
-        if (
-            final is None
-            or final.kind != decision.kind
-            or final.rank != decision.rank
-        ):
+        if final is None or final.rank != decision.rank:
             return 0.0
         from repro.reuse import partition_fingerprint
 
@@ -572,20 +562,8 @@ class SolverService:
             )
             sp.count("repartition_seconds", cost)
             hosts = self._rank_hosts.get(shard) or list(range(n))
-            if final.kind == "scale_out":
-                fresh = max(
-                    hosts
-                    + (self._fault_plan.slow_ranks if self._fault_plan else [])
-                ) + 1
-                hosts = hosts + [fresh]
-                self.scale_outs += 1
-            else:
-                hosts = hosts[: final.rank] + hosts[final.rank + 1:]
-                if final.kind == "scale_around":
-                    self.scale_arounds += 1
-                else:
-                    self.scale_ins += 1
-            self._rank_hosts[shard] = hosts
+            self._rank_hosts[shard] = hosts[: final.rank] + hosts[final.rank + 1:]
+            self.scale_arounds += 1
             new_key = (
                 "decomposition",
                 shard[0],

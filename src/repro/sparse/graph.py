@@ -2,10 +2,10 @@
 
 The domain-decomposition layer treats the matrix as a graph: overlap
 extension is a k-layer BFS (``expand_layers``), interface-component
-classification needs connected components, and the orderings (RCM,
-nested dissection) need BFS level structures and pseudo-peripheral
-nodes.  All routines work on the *symmetrized* pattern, as FROSch's
-algebraic machinery does.
+classification needs connected components, and nested dissection
+needs BFS level structures and pseudo-peripheral nodes.  All routines
+work on the *symmetrized* pattern, as FROSch's algebraic machinery
+does.
 """
 
 from __future__ import annotations

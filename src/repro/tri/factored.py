@@ -2,10 +2,10 @@
 
 Every solver in the package that owns triangular factors applies them
 the same way: permute (and maybe scale) the right-hand side, solve with
-the lower factor, maybe divide by a diagonal, solve with the upper
-factor, scale and permute back.  :class:`FactoredSolve` holds that
-description; one generic :meth:`~FactoredSolve.apply` executes it for a
-direct solver's ``solve``, a subdomain's
+the lower factor, solve with the upper factor, scale and permute back.
+:class:`FactoredSolve` holds that description; one generic
+:meth:`~FactoredSolve.apply` executes it for a direct solver's
+``solve``, a subdomain's
 :meth:`~repro.dd.local_solvers.FactoredLocal.apply` and the coarse
 solve alike, and :meth:`~FactoredSolve.block_diag` turns many
 same-kind descriptions into the description of their block-diagonal
@@ -25,7 +25,7 @@ __all__ = ["FactoredSolve"]
 
 @dataclass(frozen=True, eq=False)
 class FactoredSolve:
-    """``x = P_out S_out U^{-1} D^{-1} L^{-1} S_in P_in v``.
+    """``x = P_out S_out U^{-1} L^{-1} S_in P_in v``.
 
     Attributes
     ----------
@@ -37,8 +37,6 @@ class FactoredSolve:
         classes provide ``merge_key`` and ``block_diag``.
     perm_out:
         Gather index of the output: ``x = z[perm_out]``.
-    diag:
-        Divisor between the two solves (the ``D`` of an LDL^T), or None.
     scale_in, scale_out:
         Multipliers after the input gather / before the output gather
         (FastILU's symmetric row scaling), or None.
@@ -48,7 +46,6 @@ class FactoredSolve:
     lower: Tuple[object, str]
     upper: Tuple[object, str]
     perm_out: np.ndarray
-    diag: Optional[np.ndarray] = None
     scale_in: Optional[np.ndarray] = None
     scale_out: Optional[np.ndarray] = None
 
@@ -65,7 +62,6 @@ class FactoredSolve:
             self.lower[0].merge_key,
             self.upper[1],
             self.upper[0].merge_key,
-            self.diag is not None,
             self.scale_in is not None,
             self.scale_out is not None,
         )
@@ -85,8 +81,6 @@ class FactoredSolve:
         if self.scale_in is not None:
             x = rows(self.scale_in) * x
         x = getattr(*self.lower)(x)
-        if self.diag is not None:
-            x = x / rows(self.diag)
         x = getattr(*self.upper)(x)
         if self.scale_out is not None:
             x = rows(self.scale_out) * x
@@ -129,7 +123,6 @@ class FactoredSolve:
             lower=(lower, first.lower[1]),
             upper=(upper, first.upper[1]),
             perm_out=shifted("perm_out"),
-            diag=joined("diag"),
             scale_in=joined("scale_in"),
             scale_out=joined("scale_out"),
         )

@@ -151,21 +151,21 @@ def _split_levels(
     cols: np.ndarray,
     vals: np.ndarray,
 ) -> Tuple[List[np.ndarray], ...]:
-    """Per-level ``(rowset, cols, vals, segptr)`` views of a level plan."""
+    """Per-level ``(rowset, cols, vals, segptr)`` views of a level plan.
+
+    Sliced at precomputed cuts, as :meth:`LevelScheduledTriangular.rebind`
+    does (``np.split`` would run a Python loop per piece).
+    """
     n_levels = int(level.max()) + 1 if level.size else 0
-    row_cuts = np.cumsum(np.bincount(level, minlength=n_levels))
-    ent_cuts = ent_ptr[row_cuts]
-    segptrs = []
-    lo = 0
-    for hi in row_cuts:
-        segptrs.append(ent_ptr[lo : hi + 1] - ent_ptr[lo])
-        lo = hi
-    return (
-        np.split(rows, row_cuts[:-1]),
-        np.split(cols, ent_cuts[:-1]),
-        np.split(vals, ent_cuts[:-1]),
-        segptrs,
-    )
+    row_cuts = [0] + np.cumsum(np.bincount(level, minlength=n_levels)).tolist()
+    ent_cuts = ent_ptr[row_cuts].tolist()
+    out: Tuple[List[np.ndarray], ...] = ([], [], [], [])
+    for lo, hi, elo, ehi in zip(row_cuts, row_cuts[1:], ent_cuts, ent_cuts[1:]):
+        out[0].append(rows[lo:hi])
+        out[1].append(cols[elo:ehi])
+        out[2].append(vals[elo:ehi])
+        out[3].append(ent_ptr[lo : hi + 1] - ent_ptr[lo])
+    return out
 
 
 class LevelScheduledTriangular:

@@ -274,17 +274,14 @@ class SupernodalTriangular:
         ``(w + m, w)`` array whose top ``w x w`` part is the
         lower-triangular diagonal block and whose bottom part is the
         sub-diagonal panel.
-    unit_diagonal:
-        True when the diagonal block has implicit unit diagonal (LU's L
-        factor).
     schedule:
         The pattern-only :class:`SupernodeSchedule` of this structure
         when the caller already holds it (``sn_ptr`` / ``rows_below``
         are then taken from it); built here otherwise.
 
     The same object solves both ``L x = b`` (:meth:`solve_forward`) and
-    ``L^T x = b`` (:meth:`solve_backward`), which is all a Cholesky or
-    LDL^T factorization needs.
+    ``L^T x = b`` (:meth:`solve_backward`), which is all a Cholesky
+    factorization needs.
 
     Notes
     -----
@@ -304,7 +301,6 @@ class SupernodalTriangular:
         sn_ptr: np.ndarray,
         rows_below: Sequence[np.ndarray],
         blocks: Sequence[np.ndarray],
-        unit_diagonal: bool = False,
         schedule: Optional[SupernodeSchedule] = None,
     ) -> None:
         if schedule is None:
@@ -318,15 +314,12 @@ class SupernodalTriangular:
                 if np.shape(blocks[s]) != shape:
                     raise ValueError(f"block {s} has wrong shape")
             stacks.append(np.stack([blocks[s] for s in sns]))
-        self._bind(schedule, stacks, unit_diagonal)
-        self._dinv = _invert_diagonal_blocks(stacks, unit_diagonal)
+        self._bind(schedule, stacks)
+        self._dinv = _invert_diagonal_blocks(stacks)
 
     @classmethod
     def from_stacks(
-        cls,
-        schedule: SupernodeSchedule,
-        stacks: List[np.ndarray],
-        unit_diagonal: bool = False,
+        cls, schedule: SupernodeSchedule, stacks: List[np.ndarray]
     ) -> "SupernodalTriangular":
         """A factor over ``schedule`` whose class stacks are already filled.
 
@@ -337,23 +330,17 @@ class SupernodalTriangular:
         block straight into its stack slot this way.
         """
         self = cls.__new__(cls)
-        self._bind(schedule, stacks, unit_diagonal)
-        self._dinv = _invert_diagonal_blocks(stacks, unit_diagonal)
+        self._bind(schedule, stacks)
+        self._dinv = _invert_diagonal_blocks(stacks)
         return self
 
-    def _bind(
-        self,
-        schedule: SupernodeSchedule,
-        stacks: List[np.ndarray],
-        unit_diagonal: bool,
-    ) -> None:
+    def _bind(self, schedule: SupernodeSchedule, stacks: List[np.ndarray]) -> None:
         self.schedule = schedule
         self.n = schedule.n
         self.sn_ptr = schedule.sn_ptr
         self.rows_below = schedule.rows_below
         self.n_supernodes = schedule.n_supernodes
         self.n_levels = schedule.n_levels
-        self.unit_diagonal = unit_diagonal
         self._stacks = stacks
         self.blocks: List[np.ndarray] = [None] * self.n_supernodes
         for c in range(len(stacks)):
@@ -389,7 +376,6 @@ class SupernodalTriangular:
                 np.concatenate([parts[i]._stacks[c] for i, c in members])
                 for members in schedule.members
             ],
-            parts[0].unit_diagonal if parts else False,
         )
         self._dinv = [
             np.concatenate([parts[i]._dinv[c] for i, c in members])
@@ -408,7 +394,7 @@ class SupernodalTriangular:
     @property
     def merge_key(self) -> tuple:
         """What must agree for two factors to share a :meth:`block_diag`."""
-        return ("supernodal", self.unit_diagonal, self.dtype.str)
+        return ("supernodal", self.dtype.str)
 
     @property
     def dtype(self) -> np.dtype:
@@ -517,10 +503,10 @@ class SupernodalTriangular:
         l_indices: np.ndarray,
         l_data: np.ndarray,
         n: int,
-        unit_diagonal: bool = False,
         max_width: int = 64,
     ) -> "SupernodalTriangular":
-        """Build from a CSC lower factor (e.g. a Gilbert--Peierls L).
+        """Build from a CSC lower factor (e.g. a Gilbert--Peierls L, which
+        stores its unit diagonal explicitly).
 
         This is the "Kokkos-Kernels SpTRSV on SuperLU factors" path of
         the paper: supernodes are detected in the factor after numeric
@@ -541,16 +527,14 @@ class SupernodalTriangular:
                 blk[k:, k] = vals
             rows_below.append(below.astype(np.int64))
             blocks.append(blk)
-        return cls(n, sn_ptr, rows_below, blocks, unit_diagonal=unit_diagonal)
+        return cls(n, sn_ptr, rows_below, blocks)
 
 
-def _invert_diagonal_blocks(
-    stacks: Sequence[np.ndarray], unit_diagonal: bool
-) -> List[np.ndarray]:
+def _invert_diagonal_blocks(stacks: Sequence[np.ndarray]) -> List[np.ndarray]:
     """Inverses of the ``w x w`` lower-triangular heads of ``(g, w + m, w)`` stacks.
 
-    Only the lower triangle (and, unless ``unit_diagonal``, the
-    diagonal) of each head is read, as in a triangular solve.  One
+    Only the lower triangle of each head is read, as in a triangular
+    solve.  One
     LAPACK ``trtri`` per block, so a block's inverse does not depend on
     its batch.
     """
@@ -561,24 +545,18 @@ def _invert_diagonal_blocks(
     for stack in stacks:
         g, _, w = stack.shape
         if w == 1:
-            if unit_diagonal:
-                out.append(np.ones((g, 1, 1), dtype=stack.dtype))
-                continue
             if np.any(stack[:, 0, 0] == 0):
                 raise ZeroDivisionError("zero on the diagonal")
             out.append(1.0 / stack[:, :1, :])
             continue
         if trtri is None:
             (trtri,) = get_lapack_funcs(("trtri",), (stack,))
-        # trtri leaves the strict upper triangle (and a unit diagonal)
-        # of its input in place: start from the lower triangle alone
+        # trtri leaves the strict upper triangle of its input in place:
+        # start from the lower triangle alone
         inv = np.tril(stack[:, :w])
         for i in range(g):
-            inv[i], info = trtri(inv[i], lower=1, unitdiag=int(unit_diagonal))
+            inv[i], info = trtri(inv[i], lower=1)
             if info > 0:
                 raise ZeroDivisionError("zero on the diagonal")
-        if unit_diagonal:
-            idx = np.arange(w)
-            inv[:, idx, idx] = 1.0
         out.append(inv)
     return out

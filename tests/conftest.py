@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -31,9 +34,29 @@ def random_csr(
     return CsrMatrix.from_scipy(a)
 
 
+@contextmanager
+def solver_constants(max_supernode=None, pivot_tol=None):
+    """Patch ``MAX_SUPERNODE`` / ``PIVOT_TOL`` under a fresh artifact cache.
+
+    The direct solvers read these module constants when they run; the
+    fresh cache keeps a record analysed under the patched value out of
+    every other test's reach.
+    """
+    from repro.direct import gp_lu, multifrontal
+    from repro.reuse import ArtifactCache, use_artifact_cache
+
+    with use_artifact_cache(ArtifactCache()):
+        with mock.patch.object(
+            multifrontal, "MAX_SUPERNODE",
+            multifrontal.MAX_SUPERNODE if max_supernode is None else max_supernode,
+        ), mock.patch.object(
+            gp_lu, "PIVOT_TOL", gp_lu.PIVOT_TOL if pivot_tol is None else pivot_tol
+        ):
+            yield
+
+
 def random_spd(n: int, seed: int = 0, density: float = 0.2) -> CsrMatrix:
     """Random sparse SPD matrix (diagonally shifted ``B B^T``)."""
-    rng = np.random.default_rng(seed)
     b = sp.random(n, n, density=density, random_state=seed, format="csr")
     a = (b @ b.T).toarray() + n * np.eye(n)
     return CsrMatrix.from_dense(a, tol=0.0)

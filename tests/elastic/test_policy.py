@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.elastic import ElasticConfig, ScalingPolicy
-from repro.elastic.policy import (
-    BACKLOG_BATCHES,
-    IDLE_UTILIZATION,
-    MAX_RANKS,
-    MIN_RANKS,
-    STRAGGLER_FACTOR,
-)
+from repro.elastic.policy import MIN_RANKS, STRAGGLER_FACTOR
 
 
 def _policy(**kw):
@@ -58,29 +52,6 @@ class TestScaleAround:
         expensive = pol.decide(0.0, BASE * factors, factors, 0, 4.0, 1e9)
         assert expensive is None
 
-
-class TestScaleOut:
-    def test_backlog_splits_heaviest_rank(self):
-        pol = _policy()
-        assert BACKLOG_BATCHES == 4
-        costs = np.array([1.0, 3.0, 1.0, 1.0])
-        d = pol.decide(0.0, costs, None, 5, 4.0, 0.1)
-        assert d is not None and d.kind == "scale_out"
-        assert d.rank == 1
-
-    def test_short_queue_holds_still(self):
-        pol = _policy()
-        costs = np.array([1.0, 3.0, 1.0, 1.0])
-        assert pol.decide(0.0, costs, None, 3, 4.0, 0.1) is None
-
-    def test_max_ranks_respected(self):
-        pol = _policy()
-        costs = np.ones(MAX_RANKS)
-        costs[1] = 3.0
-        assert pol.decide(0.0, costs, None, 8, 4.0, 0.0) is None
-        d = pol.decide(0.0, costs[:-1], None, 8, 4.0, 0.0)
-        assert d is not None and d.kind == "scale_out"
-
     def test_straggler_beats_backlog(self):
         # a straggler causes backlog; the cause is treated first
         pol = _policy()
@@ -88,31 +59,37 @@ class TestScaleOut:
         d = pol.decide(0.0, BASE * factors, factors, 8, 4.0, 0.0)
         assert d is not None and d.kind == "scale_around"
 
+    def test_min_ranks_respected(self):
+        pol = _policy()
+        factors = np.ones(MIN_RANKS)
+        factors[-1] = 8.0
+        assert pol.decide(0.0, factors, factors, 2, 4.0, 0.0) is None
+        more = np.append(factors, 1.0)
+        d = pol.decide(0.0, more, more, 2, 4.0, 0.0)
+        assert d is not None and d.kind == "scale_around"
+
+
+class TestScaleOut:
+    """Scale-out is gone: a backlog without a straggler never splits a rank."""
+
+    def test_short_queue_holds_still(self):
+        pol = _policy()
+        costs = np.array([1.0, 3.0, 1.0, 1.0])
+        for queued in (3, 8):
+            assert pol.decide(0.0, costs, None, queued, 4.0, 0.1) is None
+            assert pol.decide(0.0, costs, np.ones(4), queued, 4.0, 0.1) is None
+
 
 class TestScaleIn:
-    def test_idle_rank_with_empty_queue_merged(self):
-        pol = _policy()
-        assert 0.1 < IDLE_UTILIZATION
-        costs = np.array([1.0, 1.0, 1.0, 0.1])
-        d = pol.decide(0.0, costs, None, 0, 4.0, 0.0)
-        assert d is not None and d.kind == "scale_in"
-        assert d.rank == 3
-        assert d.projected_relief_seconds == 0.0
+    """Scale-in is gone: an idle rank is never merged away."""
 
     def test_no_scale_in_under_load_or_straggler(self):
         pol = _policy()
         costs = np.array([1.0, 1.0, 1.0, 0.1])
-        assert pol.decide(0.0, costs, None, 1, 4.0, 0.0) is None
+        for queued in (0, 1):
+            assert pol.decide(0.0, costs, None, queued, 4.0, 0.0) is None
         factors = np.array([1.0, 1.2, 1.0, 1.0])
         assert pol.decide(0.0, costs * factors, factors, 0, 4.0, 0.0) is None
-
-    def test_min_ranks_respected(self):
-        pol = _policy()
-        costs = np.ones(MIN_RANKS)
-        costs[-1] = 0.1
-        assert pol.decide(0.0, costs, None, 0, 4.0, 0.0) is None
-        d = pol.decide(0.0, np.append(costs, 1.0), None, 0, 4.0, 0.0)
-        assert d is not None and d.kind == "scale_in"
 
 
 class TestCooldown:

@@ -1,13 +1,10 @@
-"""``slow_rank`` fault windows and the SimComm delayed tally."""
+"""``slow_rank`` fault windows."""
 
 import math
 
-import numpy as np
 import pytest
 
-from repro.obs import Tracer, use_tracer
 from repro.resilience.inject import FaultPlan, FaultSpec
-from repro.runtime.simmpi import SimComm
 
 
 def _slow(rank, factor, **kw):
@@ -58,7 +55,6 @@ class TestStragglerPlan:
         )
         assert plan.factor_at(2, 1.0) == 2.0
         assert plan.factor_at(2, 6.0) == 6.0
-        assert plan.slow_ranks == [2]
 
     def test_describe(self):
         plan = FaultPlan(_slow(1, 8.0, start=2.0, duration=3.0))
@@ -66,26 +62,3 @@ class TestStragglerPlan:
         forever = FaultPlan(_slow(0, 2.0))
         assert forever.describe() == "rank 0 x2 for ever from t=0"
         assert math.isinf(forever.faults[0].duration)
-
-
-class TestSimCommDelayed:
-    def test_slow_channel_traffic_tallied(self):
-        plan = FaultPlan.single("slow_rank", 1, magnitude=8.0)
-        tracer = Tracer()
-        with use_tracer(tracer):
-            comm = SimComm(size=4, fault_plan=plan)
-            comm.send(0, 1, np.ones(3))  # touches slow rank 1
-            comm.send(1, 2, np.ones(3))  # touches slow rank 1
-            comm.send(2, 3, np.ones(3))  # healthy channel
-            comm.recv(1, 0)
-            comm.recv(2, 1)
-            comm.recv(3, 2)
-        assert comm.delayed == 2
-        assert tracer.total("delayed_messages") == 2.0
-        assert not plan.fired  # a slowdown is priced, not recorded
-
-    def test_no_plan_no_delays(self):
-        comm = SimComm(size=2)
-        comm.send(0, 1, np.ones(2))
-        comm.recv(1, 0)
-        assert comm.delayed == 0

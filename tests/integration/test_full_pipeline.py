@@ -72,13 +72,12 @@ class TestSolverMatrix:
         "spec",
         [
             LocalSolverSpec(kind="tacho", ordering="nd"),
-            LocalSolverSpec(kind="tacho", ordering="amd"),
             LocalSolverSpec(kind="superlu", ordering="nd"),
             LocalSolverSpec(kind="superlu", ordering="nd", gpu_solve=True),
             LocalSolverSpec(kind="iluk", ilu_level=1, ordering="natural"),
             LocalSolverSpec(kind="fastilu", ilu_level=1, ordering="natural"),
         ],
-        ids=["tacho-nd", "tacho-amd", "superlu", "superlu-gpu", "iluk", "fastilu"],
+        ids=["tacho-nd", "superlu", "superlu-gpu", "iluk", "fastilu"],
     )
     def test_converges(self, spec):
         prob = elasticity_3d(6)

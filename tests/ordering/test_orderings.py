@@ -1,7 +1,6 @@
-"""Orderings and symbolic analysis: RCM, nested dissection, etree."""
+"""Orderings and symbolic analysis: nested dissection, etree."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +10,6 @@ from repro.ordering import (
     natural,
     nested_dissection,
     postorder,
-    rcm,
     symbolic_cholesky,
     column_counts,
 )
@@ -23,33 +21,6 @@ def _laplace_interior(n2d=10):
     return laplace_2d(
         n2d, n2d, dirichlet_faces=("x0", "x1", "y0", "y1")
     ).a
-
-
-class TestRcm:
-    def test_is_permutation(self):
-        a = _laplace_interior()
-        p = rcm(a)
-        assert np.array_equal(np.sort(p), np.arange(a.n_rows))
-
-    def test_reduces_bandwidth_of_shuffled_matrix(self, rng):
-        a = _laplace_interior()
-        shuffle = rng.permutation(a.n_rows)
-        a_shuffled = permute(a, shuffle)
-        bw_before = a_shuffled.bandwidth()
-        bw_after = permute(a_shuffled, rcm(a_shuffled)).bandwidth()
-        assert bw_after < bw_before
-
-    def test_disconnected_graph(self):
-        d = np.zeros((6, 6))
-        d[0, 1] = d[1, 0] = 1.0
-        d[3, 4] = d[4, 3] = 1.0
-        np.fill_diagonal(d, 2.0)
-        p = rcm(CsrMatrix.from_dense(d))
-        assert np.array_equal(np.sort(p), np.arange(6))
-
-    def test_requires_square(self):
-        with pytest.raises(ValueError):
-            rcm(CsrMatrix.from_dense(np.ones((2, 3))))
 
 
 class TestNestedDissection:
@@ -123,7 +94,7 @@ class TestEtree:
 
     def test_column_counts_match_pattern(self):
         a = random_spd(15, seed=2)
-        lptr, lind, _ = symbolic_cholesky(a)
+        _, lind, _ = symbolic_cholesky(a)
         counts = column_counts(a)
         ref = np.bincount(lind, minlength=15)
         np.testing.assert_array_equal(counts, ref)
@@ -136,8 +107,8 @@ class TestEtree:
 @given(n=st.integers(2, 20), seed=st.integers(0, 1000))
 def test_property_orderings_are_permutations(n, seed):
     a = random_spd(n, seed=seed)
-    for p in (rcm(a), nested_dissection(a, leaf_size=3)):
-        assert np.array_equal(np.sort(p), np.arange(n))
+    p = nested_dissection(a, leaf_size=3)
+    assert np.array_equal(np.sort(p), np.arange(n))
 
 
 @settings(max_examples=15, deadline=None)
@@ -148,51 +119,3 @@ def test_property_etree_parent_above_child(n, seed):
     idx = np.arange(n)
     mask = parent >= 0
     assert np.all(parent[mask] > idx[mask])
-
-
-class TestAmd:
-    def test_is_permutation(self):
-        from repro.ordering import amd
-
-        a = _laplace_interior(8)
-        p = amd(a)
-        assert np.array_equal(np.sort(p), np.arange(a.n_rows))
-
-    def test_reduces_fill_vs_natural(self):
-        from repro.ordering import amd
-
-        a = _laplace_interior(12)
-        _, li_nat, _ = symbolic_cholesky(a)
-        _, li_amd, _ = symbolic_cholesky(permute(a, amd(a)))
-        assert li_amd.size < li_nat.size
-
-    def test_empty_and_single(self):
-        from repro.ordering import amd
-
-        assert amd(CsrMatrix.from_dense(np.zeros((0, 0)))).size == 0
-        assert amd(CsrMatrix.from_dense(np.array([[2.0]]))).tolist() == [0]
-
-    def test_disconnected(self):
-        from repro.ordering import amd
-
-        d = np.zeros((6, 6))
-        d[0, 1] = d[1, 0] = 1.0
-        d[3, 4] = d[4, 3] = 1.0
-        np.fill_diagonal(d, 2.0)
-        p = amd(CsrMatrix.from_dense(d))
-        assert np.array_equal(np.sort(p), np.arange(6))
-
-    def test_rejects_rectangular(self):
-        from repro.ordering import amd
-
-        with pytest.raises(ValueError):
-            amd(CsrMatrix.from_dense(np.ones((2, 3))))
-
-    def test_solver_accepts_amd(self, rng):
-        from repro.direct import direct_solver
-
-        a = random_spd(30, seed=9)
-        b = rng.standard_normal(30)
-        for name in ("superlu", "tacho"):
-            x = direct_solver(name, ordering="amd").factorize(a).solve(b)
-            assert np.linalg.norm(a.matvec(x) - b) < 1e-8 * np.linalg.norm(b)

@@ -5,9 +5,9 @@ import pytest
 
 from repro.ft import FaultTolerantComm
 from repro.resilience.inject import (
-    COMM_FAULT_KINDS,
     FAULT_KINDS,
     RANK_FAULT_KINDS,
+    SERVICE_FAULT_KINDS,
     FaultPlan,
     FaultSpec,
 )
@@ -30,11 +30,14 @@ class TestFaultSpec:
         assert FaultSpec(kind="fastilu_divergence").persistent
         assert not FaultSpec(kind="precond_nan").persistent
         assert not FaultSpec(kind="precision_overflow").persistent
-        assert not FaultSpec(kind="msg_drop").persistent
 
     def test_repeat_overrides_default(self):
         assert FaultSpec(kind="precond_nan", repeat=True).persistent
         assert not FaultSpec(kind="halo_corrupt", repeat=False).persistent
+
+    def test_kind_constants_disjoint(self):
+        assert not set(FAULT_KINDS) & set(RANK_FAULT_KINDS)
+        assert not set(FAULT_KINDS + RANK_FAULT_KINDS) & set(SERVICE_FAULT_KINDS)
 
 
 class TestDeterminism:
@@ -116,34 +119,6 @@ class TestApplyFaults:
         assert plan.input_scale(2) == 1.0  # spent
 
 
-class TestCommFaults:
-    def test_occurrence_matching_is_per_kind(self):
-        """Drop and corrupt specs count the same per-channel sends: one
-        ``on_send`` per message, whichever kind matches."""
-        plan = FaultPlan(
-            [FaultSpec(kind="msg_corrupt", src=0, rank=1, tag=0, occurrence=1)],
-            seed=1,
-        )
-        msg = np.ones(6)
-        dropped, out0 = plan.on_send(0, 1, 0, msg)  # message 0: untouched
-        assert not dropped and np.all(np.isfinite(out0))
-        dropped, out1 = plan.on_send(0, 1, 0, msg)  # message 1: fires
-        assert not dropped and np.isnan(out1).any()
-
-    def test_drop_matches_exact_channel(self):
-        plan = FaultPlan(
-            [FaultSpec(kind="msg_drop", src=2, rank=3, tag=7, occurrence=0)]
-        )
-        assert not plan.on_send(2, 3, 6, None)[0]  # wrong tag
-        assert not plan.on_send(2, 1, 7, None)[0]  # wrong dst
-        assert plan.on_send(2, 3, 7, None)[0]
-        assert not plan.on_send(2, 3, 7, None)[0]  # one-shot
-
-    def test_kind_constants_disjoint(self):
-        assert not set(FAULT_KINDS) & set(COMM_FAULT_KINDS)
-        assert not set(FAULT_KINDS + COMM_FAULT_KINDS) & set(RANK_FAULT_KINDS)
-
-
 def _loss(rank, **kw):
     return FaultPlan.single("rank_loss", rank, phase="apply", **kw)
 
@@ -152,7 +127,8 @@ def _loss(rank, **kw):
     "build, match",
     [
         (lambda: FaultSpec("pivot_breakdown", rank=-1), "rank must be >= 0"),
-        (lambda: FaultSpec("msg_drop", occurrence=-3), "occurrence must be >= 0"),
+        (lambda: FaultSpec("rank_loss", phase="apply", occurrence=-3),
+         "occurrence must be >= 0"),
         (lambda: FaultSpec("precond_nan", at_apply=-1), "at_apply must be >= 0"),
         (lambda: FaultSpec("rank_loss", phase="krylov"), "valid phases"),
         (lambda: FaultSpec("slow_rank", magnitude=0.5), "factor must be >= 1"),
@@ -180,18 +156,6 @@ class TestRankFaults:
         )
         assert plan.describe() == "rank 1 x8 for 0.14934s from t=0.00995602"
 
-    def test_slow_ranks_sorted_and_distinct(self):
-        plan = FaultPlan(
-            [
-                FaultSpec("slow_rank", rank=r, magnitude=2.0)
-                for r in (3, 1, 3)
-            ]
-            + [FaultSpec("rank_loss", rank=0, phase="setup")]
-        )
-        assert plan.slow_ranks == [1, 3]
-        assert plan.is_slow_channel(0, 3, 0)
-        assert not plan.is_slow_channel(0, 2, 0)
-
     def test_rank_faults_leave_the_other_hooks_alone(self):
         plan = FaultPlan(
             [
@@ -202,6 +166,5 @@ class TestRankFaults:
         y = np.ones(4)
         assert plan.output_fault(2, y) is y
         assert plan.input_scale(2) == 1.0
-        assert plan.on_send(0, 1, 0, y) == (False, y)
         assert plan.due("apply", 0) == [1]
         assert not plan.fired

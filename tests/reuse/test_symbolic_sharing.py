@@ -26,6 +26,7 @@ from repro import (
     SchwarzConfig,
     SolverSession,
 )
+import repro.direct.multifrontal as multifrontal
 from repro.api import AlgebraicProblem
 from repro.dd.local_solvers import ORDERINGS, SOLVER_KINDS, LocalSolverSpec
 from repro.dd.wrapper import unwrap
@@ -104,14 +105,19 @@ class TestAnalysesPerBuild:
         shared, analysed = counts(tracer)
         assert shared == 0 and analysed > 8
 
-    def test_options_that_change_the_pattern_change_the_key(self, small_laplace):
+    def test_options_that_change_the_pattern_change_the_key(
+        self, small_laplace, monkeypatch
+    ):
         a = small_laplace.a
         with use_artifact_cache(ArtifactCache()):
             base = MultifrontalCholesky(ordering="nd").symbolic(a)
-            alias = MultifrontalCholesky(ordering="metis", mode="ldlt").symbolic(a)
-            other_width = MultifrontalCholesky(ordering="nd", max_supernode=2).symbolic(a)
-            other_order = MultifrontalCholesky(ordering="rcm").symbolic(a)
-        # an alias of the ordering and the value-only ``mode`` share ...
+            alias = MultifrontalCholesky(ordering="metis").symbolic(a)
+            other_order = MultifrontalCholesky(ordering="natural").symbolic(a)
+            # the width cap is read when the analysis runs, so a patched
+            # one is never served the record of the default width
+            monkeypatch.setattr(multifrontal, "MAX_SUPERNODE", 2)
+            other_width = MultifrontalCholesky(ordering="nd").symbolic(a)
+        # an alias of the ordering shares ...
         assert alias.symbolic_record is base.symbolic_record
         # ... a different supernode cap or ordering does not
         assert other_width.symbolic_record is not base.symbolic_record
@@ -286,15 +292,15 @@ class TestStore:
         _, cache, _ = cold_build(session(elasticity))
         assert (cache.hits, cache.misses) == (0, 3)
 
-    def test_symbolic_records_never_evict_artifacts(self, elasticity):
+    def test_symbolic_records_never_evict_artifacts(self, elasticity, monkeypatch):
         cache = ArtifactCache(maxsize=2)
         cache.put(("decomposition", "x"), object())
         cache.put(("overlap", "y"), object())
+        held = []
         with use_artifact_cache(cache):
-            held = [
-                MultifrontalCholesky(max_supernode=w).symbolic(elasticity.a)
-                for w in (2, 4, 8, 16)
-            ]
+            for w in (2, 4, 8, 16):
+                monkeypatch.setattr(multifrontal, "MAX_SUPERNODE", w)
+                held.append(MultifrontalCholesky().symbolic(elasticity.a))
         assert len(cache.symbolic) == len(held) == 4
         assert set(cache.keys()) == {("decomposition", "x"), ("overlap", "y")}
 

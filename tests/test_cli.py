@@ -242,3 +242,59 @@ def test_solver_surface_by_use():
         ("docs", "src", "examples", ".claude"),
     )
     assert not stale, "\n".join(stale)
+
+
+def test_numeric_and_fault_surface_by_use():
+    """The factorization, triangular-solve and fault surfaces keep only
+    what a bench, example or wall workload runs: Tacho factors by
+    Cholesky alone, the orderings are ND and natural, the supernode cap
+    and SuperLU's pivot threshold are module constants, and neither
+    SimComm nor a FaultSpec speaks of message faults."""
+    import inspect
+
+    from repro import LocalSolverSpec
+    from repro.direct import GilbertPeierlsLU, MultifrontalCholesky
+    from repro.ordering import ORDERING_ALIASES
+    from repro.resilience.inject import FaultSpec
+    from repro.runtime.simmpi import SimComm
+    from repro.tri.factored import FactoredSolve
+    from repro.tri.supernodal import SupernodalTriangular
+
+    def params(cls):
+        return [p for p in inspect.signature(cls).parameters if not p.startswith("_")]
+
+    assert params(MultifrontalCholesky) == ["ordering"]
+    assert params(GilbertPeierlsLU) == ["ordering"]
+    assert params(SupernodalTriangular) == [
+        "n", "sn_ptr", "rows_below", "blocks", "schedule"
+    ]
+    assert params(FactoredSolve) == [
+        "perm_in", "lower", "upper", "perm_out", "scale_in", "scale_out"
+    ]
+    assert params(SimComm) == [
+        "size", "sends", "recvs", "bytes_sent", "allreduces",
+        "reduce_doubles", "barriers",
+    ]
+    assert params(FaultSpec) == [
+        "kind", "rank", "at_apply", "repeat", "magnitude", "occurrence",
+        "phase", "start", "duration",
+    ]
+    assert ORDERING_ALIASES == {
+        "nd": "nd", "nested_dissection": "nd", "metis": "nd",
+        "natural": "natural", "no": "natural", "none": "natural",
+    }
+    with pytest.raises(ValueError, match="valid orderings: 'nd'.*'none'"):
+        LocalSolverSpec(ordering="amd")
+    with pytest.raises(ValueError, match="valid kinds: 'halo_corrupt'.*'batch_fault'"):
+        FaultSpec("msg_drop")
+    stale = _stale(
+        r"\bldlt\b|LDL\^T|LDLᵀ|unit_diagonal=not|ordering\.(?:amd|rcm)"
+        r"|\"(?:rcm|amd)\"|\brcm\(|\bamd\(|Cuthill|pivot_tol|max_supernode="
+        r"|msg_drop|msg_corrupt|COMM_FAULT_KINDS|on_send|is_slow_channel"
+        r"|slow_ranks|delayed_messages|SimComm\(fault_plan|split_subdomain"
+        r"|scale_outs|scale_ins|elastic/scale_o|elastic/scale_in\b"
+        r"|\bscale-out\b|\bscale-in\b|MAX_RANKS|BACKLOG_BATCHES|IDLE_UTILIZATION"
+        r"|tenant_skewed",
+        ("docs", "src", "examples", ".claude"),
+    )
+    assert not stale, "\n".join(stale)
