@@ -16,19 +16,24 @@ and the setup loops vectorised after it:
 * :func:`repro.ilu.iluk._scatter_to_pattern` (values onto the pattern,
   run by every ILU(k)/FastILU numeric phase), and
 * :meth:`repro.direct.multifrontal.MultifrontalCholesky.numeric` (the
-  Tacho numeric phase on its pattern-only assembly plan), and
+  Tacho numeric phase on its pattern-only assembly plan),
+* :meth:`repro.direct.gp_lu.GilbertPeierlsLU.numeric` (the SuperLU
+  cold factorization in one right-looking pass), and
 * :meth:`repro.direct.gp_lu.GilbertPeierlsLU.replay` (the SuperLU
   refactorization replaying the recorded pivot sequence), against the
-  full :meth:`~repro.direct.gp_lu.GilbertPeierlsLU.numeric` it skips.
+  left-looking factorization loop it skips, and reported against the
+  right-looking ``numeric`` as well.
 
 Each is timed against its retained ``*_reference`` seed implementation
-(the full factorization for the replay) on the same inputs and checked
-for bit-identical outputs; both sides run ``repeats`` times,
-interleaved, and each keeps its best time.  The acceptance gate
-(enforced by ``python -m repro kernels`` and CI) is a >= 2x speedup on
-``level_schedule`` at n >= 100k rows, the ``iluk_symbolic`` /
-``scatter_to_pattern`` / ``tacho_numeric`` / ``gp_refactor`` floors
-below at the same full size, plus exact equality everywhere.
+on the same inputs and checked for bit-identical outputs.  Both sides
+run on every input ``repeats`` times (at least
+:data:`FLOORED_REPEATS` where a floor applies), interleaved input by
+input; each side keeps its best time per input and sums those minima.
+The acceptance gate (enforced by ``python -m repro kernels`` and CI) is
+a >= 2x speedup on ``level_schedule`` at n >= 100k rows, the
+``iluk_symbolic`` / ``scatter_to_pattern`` / ``tacho_numeric`` /
+``gp_numeric`` / ``gp_refactor`` floors below at the same full size,
+plus exact equality everywhere.
 
 The structure under test for the first three is the strict lower
 triangle of a 7-point Laplacian on an ``nx x ny x nz`` box -- the
@@ -37,8 +42,9 @@ wavefronts, ~3*nx levels).  The ILU kernels run on what they see in a
 solve: the eight nested-dissection-ordered overlapping blocks of the
 wall benchmark's ``laplace_fastilu`` workload; the multifrontal numeric
 runs on the eight overlapping blocks of ``elasticity_tacho``, the
-SuperLU replay on those of ``laplace_superlu`` (new values ``D A D``
-with a seeded positive diagonal, as that workload refactors).
+SuperLU factorization and replay on those of ``laplace_superlu`` (the
+replay on new values ``D A D`` with a seeded positive diagonal, as that
+workload refactors).
 """
 
 from __future__ import annotations
@@ -82,11 +88,16 @@ TACHO_NUMERIC_MIN_SPEEDUP = 1.5
 FASTILU_CELLS = 14
 #: cells per side of the ``elasticity_tacho`` problem
 TACHO_CELLS = 9
-#: floor on the ``laplace_superlu`` blocks: the pivot-sequence replay
-#: against the full Gilbert--Peierls factorization
+#: floors on the ``laplace_superlu`` blocks: the right-looking cold
+#: factorization, and the pivot-sequence replay, against the
+#: left-looking Gilbert--Peierls loop
+GP_NUMERIC_MIN_SPEEDUP = 2.0
 GP_REFACTOR_MIN_SPEEDUP = 3.0
 #: cells per side of the ``laplace_superlu`` problem
 SUPERLU_CELLS = 10
+#: repeats of a row with a speedup floor: a burst of host load slows a
+#: block's time only if it hits every one of that block's repeats
+FLOORED_REPEATS = 7
 
 
 def laplace_lower_structure(nx: int, ny: int, nz: int) -> CsrMatrix:
@@ -157,26 +168,39 @@ def _same(x, y) -> bool:
     return bool(np.array_equal(x, y))
 
 
-def _best_of(fn, best: float):
-    """``fn()`` and the smaller of ``best`` and its wall time."""
+def _timed(fn, x):
+    """``fn(x)`` and its wall time."""
     t0 = time.perf_counter()
-    out = fn()
-    return out, min(best, time.perf_counter() - t0)
+    out = fn(x)
+    return out, time.perf_counter() - t0
 
 
-def _compare(name, reference, vectorized, repeats, violations, floor=None) -> Dict:
-    """Time ``vectorized`` against the seed loop ``reference`` and
-    compare their outputs exactly.
+def _compare(
+    name, reference, vectorized, inputs, repeats, violations, floor=None
+) -> Dict:
+    """Time ``vectorized`` against the seed loop ``reference`` on every
+    input and compare their outputs exactly.
 
-    Both run ``repeats`` times, alternating, and each side keeps its
-    best time, so neither is measured cold against a warm other.
-    Returns the four fields every row carries; a differing output, or a
-    speedup under ``floor`` (when one applies), lands in ``violations``.
+    Both run on each input ``repeats`` times (at least
+    :data:`FLOORED_REPEATS` when a floor applies), alternating input by
+    input, so neither is measured cold against a warm other.  Each side
+    keeps its best time per input, and its seconds are the sum of those
+    minima.  Returns the four fields every row carries; a differing
+    output, or a speedup under ``floor`` (when one applies), lands in
+    ``violations``.
     """
-    ref_s = vec_s = float("inf")
+    if floor is not None:
+        repeats = max(repeats, FLOORED_REPEATS)
+    ref_best = np.full(len(inputs), np.inf)
+    vec_best = np.full(len(inputs), np.inf)
+    want, got = [None] * len(inputs), [None] * len(inputs)
     for _ in range(max(1, repeats)):
-        want, ref_s = _best_of(reference, ref_s)
-        got, vec_s = _best_of(vectorized, vec_s)
+        for i, x in enumerate(inputs):
+            want[i], ref_t = _timed(reference, x)
+            got[i], vec_t = _timed(vectorized, x)
+            ref_best[i] = min(ref_best[i], ref_t)
+            vec_best[i] = min(vec_best[i], vec_t)
+    ref_s, vec_s = float(ref_best.sum()), float(vec_best.sum())
     speedup = ref_s / max(vec_s, 1e-12)
     identical = _same(want, got)
     if not identical:
@@ -192,7 +216,7 @@ def _compare(name, reference, vectorized, repeats, violations, floor=None) -> Di
 
 
 def run_kernel_bench(nx: int = 48, repeats: int = 3) -> Dict:
-    """Run the seven hot-path before/after comparisons.
+    """Run the eight hot-path before/after comparisons.
 
     Returns the ``BENCH_kernels.json`` payload; ``violations`` is
     non-empty when a vectorized kernel fails bit-identity or, at full
@@ -212,8 +236,9 @@ def run_kernel_bench(nx: int = 48, repeats: int = 3) -> Dict:
         "n_levels": int(level_schedule(t).max()) + 1 if n else 0,
         **_compare(
             "level_schedule",
-            lambda: _level_schedule_reference(t),
-            lambda: level_schedule(t),
+            _level_schedule_reference,
+            level_schedule,
+            [t],
             repeats, violations, floor(LEVEL_SCHEDULE_MIN_SPEEDUP),
         ),
     }
@@ -225,8 +250,9 @@ def run_kernel_bench(nx: int = 48, repeats: int = 3) -> Dict:
         "n_supernodes": detect_supernodes(tt.indptr, tt.indices).size - 1,
         **_compare(
             "detect_supernodes",
-            lambda: _detect_supernodes_reference(tt.indptr, tt.indices),
-            lambda: detect_supernodes(tt.indptr, tt.indices),
+            lambda x: _detect_supernodes_reference(x.indptr, x.indices),
+            lambda x: detect_supernodes(x.indptr, x.indices),
+            [tt],
             repeats, violations,
         ),
     }
@@ -236,8 +262,9 @@ def run_kernel_bench(nx: int = 48, repeats: int = 3) -> Dict:
         "n": n,
         **_compare(
             "diag_positions",
-            lambda: _diag_positions_reference(tt.indptr, tt.indices),
-            lambda: _diag_positions(tt.indptr, tt.indices),
+            lambda x: _diag_positions_reference(x.indptr, x.indices),
+            lambda x: _diag_positions(x.indptr, x.indices),
+            [tt],
             repeats, violations,
         ),
     }
@@ -248,8 +275,9 @@ def run_kernel_bench(nx: int = 48, repeats: int = 3) -> Dict:
     by_level = {
         str(level): _compare(
             f"iluk_symbolic level {level}",
-            lambda: [_iluk_symbolic_reference(b, level) for b in blocks],
-            lambda: [iluk_symbolic(b, level) for b in blocks],
+            lambda b: _iluk_symbolic_reference(b, level),
+            lambda b: iluk_symbolic(b, level),
+            blocks,
             repeats, violations,
             floor(ILUK_SYMBOLIC_MIN_SPEEDUP if level == 1 else 1.0),
         )
@@ -271,8 +299,9 @@ def run_kernel_bench(nx: int = 48, repeats: int = 3) -> Dict:
         "min_speedup": SCATTER_MIN_SPEEDUP,
         **_compare(
             "scatter_to_pattern",
-            lambda: [_scatter_to_pattern_reference(b, *p) for b, p in zip(blocks, patterns)],
-            lambda: [_scatter_to_pattern(b, *p) for b, p in zip(blocks, patterns)],
+            lambda bp: _scatter_to_pattern_reference(bp[0], *bp[1]),
+            lambda bp: _scatter_to_pattern(bp[0], *bp[1]),
+            list(zip(blocks, patterns)),
             repeats, violations, floor(SCATTER_MIN_SPEEDUP),
         ),
     }
@@ -285,11 +314,11 @@ def run_kernel_bench(nx: int = 48, repeats: int = 3) -> Dict:
     records = {id(t.symbolic_record): t.symbolic_record for t in solvers}
 
     def factors(run: str):
-        out = []
-        for solver, b in zip(solvers, tblocks):
-            getattr(solver, run)(b)
-            out.append(solver.factor.blocks)
-        return out
+        def one(sb):
+            getattr(sb[0], run)(sb[1])
+            return sb[0].factor.blocks
+
+        return one
 
     tacho_rec = {
         "blocks": len(tblocks),
@@ -300,14 +329,15 @@ def run_kernel_bench(nx: int = 48, repeats: int = 3) -> Dict:
         "min_speedup": TACHO_NUMERIC_MIN_SPEEDUP,
         **_compare(
             "tacho_numeric",
-            lambda: factors("_numeric_reference"),
-            lambda: factors("numeric"),
+            factors("_numeric_reference"),
+            factors("numeric"),
+            list(zip(solvers, tblocks)),
             repeats, violations, floor(TACHO_NUMERIC_MIN_SPEEDUP),
         ),
     }
 
-    # the SuperLU refactorization on the laplace_superlu blocks: the
-    # replay of the recorded pivot sequence against a full numeric
+    # the SuperLU cold factorization and refactorization on the
+    # laplace_superlu blocks, against the left-looking reference loop
     sblocks = superlu_blocks(min(SUPERLU_CELLS, nx))
     rng = np.random.default_rng(7)
     new_values = []
@@ -317,22 +347,54 @@ def run_kernel_bench(nx: int = 48, repeats: int = 3) -> Dict:
             CsrMatrix(b.indptr, b.indices, d[b.expanded_rows()] * b.data * d[b.indices], b.shape)
         )
     with use_artifact_cache(ArtifactCache()):
+        gp_symbolic = [GilbertPeierlsLU(ordering="nd").symbolic(b) for b in sblocks]
         gp_records = [
             GilbertPeierlsLU(ordering="nd").factorize(b).pivot_record() for b in sblocks
         ]
+    probe = np.cos(np.arange(max(b.n_rows for b in sblocks)))
 
-    def gp_factors(solvers):
-        probe = np.cos(np.arange(max(b.n_rows for b in sblocks)))
-        return [
-            [*s._l, *s._u, s.row_perm, np.float64(s.flops), s.stages.apply(probe[: s.pinv.size])]
-            for s in solvers
-        ]
+    def gp_factors(s):
+        apply = s.stages.apply(probe[: s.pinv.size])
+        return [*s._l, *s._u, s.row_perm, np.float64(s.flops), apply]
 
-    replayed = [r.replay(a2) for r, a2 in zip(gp_records, new_values)]
+    def gp_run(run: str):
+        return lambda sa: gp_factors(getattr(copy.copy(sa[0]), run)(sa[1]))
+
+    def declined(sym, b) -> bool:
+        """Whether ``numeric`` hands ``b`` to the reference loop."""
+        solver, handed = copy.copy(sym), []
+
+        def reference(m):
+            handed.append(m)
+            return GilbertPeierlsLU._numeric_reference(solver, m)
+
+        solver._numeric_reference = reference
+        solver.numeric(b)
+        return bool(handed)
+
+    gp_numeric_rec = {
+        "blocks": len(sblocks),
+        "rows": sum(b.n_rows for b in sblocks),
+        "declined": sum(declined(s, b) for s, b in zip(gp_symbolic, sblocks)),
+        "workspace_bytes": max(8 * b.n_rows**2 for b in sblocks),
+        "min_speedup": GP_NUMERIC_MIN_SPEEDUP,
+        **_compare(
+            "gp_numeric",
+            gp_run("_numeric_reference"),
+            gp_run("numeric"),
+            list(zip(gp_symbolic, sblocks)),
+            repeats, violations, floor(GP_NUMERIC_MIN_SPEEDUP),
+        ),
+    }
+    if gp_numeric_rec["declined"]:
+        violations.append("gp_numeric: a block fell back to the reference loop")
+
+    replay = gp_run("replay")
+    pairs = list(zip(gp_records, new_values))
     gp_rec = {
         "blocks": len(sblocks),
         "rows": sum(b.n_rows for b in sblocks),
-        "replayed": sum(r is not None for r in replayed),
+        "replayed": sum(r.replay(a2) is not None for r, a2 in pairs),
         "record_bytes": sum(
             sum(arr.nbytes for arr in (*r._l[:2], *r._u[:2], r.pinv, r.row_perm))
             for r in gp_records
@@ -341,11 +403,14 @@ def run_kernel_bench(nx: int = 48, repeats: int = 3) -> Dict:
         "min_speedup": GP_REFACTOR_MIN_SPEEDUP,
         **_compare(
             "gp_refactor",
-            lambda: gp_factors(
-                copy.copy(r).numeric(a2) for r, a2 in zip(gp_records, new_values)
-            ),
-            lambda: gp_factors(r.replay(a2) for r, a2 in zip(gp_records, new_values)),
+            gp_run("_numeric_reference"),
+            replay,
+            pairs,
             repeats, violations, floor(GP_REFACTOR_MIN_SPEEDUP),
+        ),
+        # no floor: both sides are the fast paths
+        "vs_numeric": _compare(
+            "gp_refactor vs numeric", gp_run("numeric"), replay, pairs, repeats, violations
         ),
     }
     if gp_rec["replayed"] != len(sblocks):
@@ -361,6 +426,7 @@ def run_kernel_bench(nx: int = 48, repeats: int = 3) -> Dict:
             "iluk_symbolic": iluk_rec,
             "scatter_to_pattern": scatter_rec,
             "tacho_numeric": tacho_rec,
+            "gp_numeric": gp_numeric_rec,
             "gp_refactor": gp_rec,
         },
         "violations": violations,

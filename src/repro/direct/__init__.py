@@ -4,8 +4,10 @@ The paper evaluates two direct solvers for the local overlapping
 subdomain and coarse problems (Section V-B.1):
 
 * **SuperLU** -- left-looking sparse LU with partial pivoting, CPU-only.
-  Reproduced by :class:`repro.direct.gp_lu.GilbertPeierlsLU` (the
-  Gilbert--Peierls algorithm SuperLU generalizes).  Because partial
+  Reproduced by :class:`repro.direct.gp_lu.GilbertPeierlsLU`: the
+  Gilbert--Peierls algorithm SuperLU generalizes is its reference loop,
+  and the executed factorization is one right-looking pass with the
+  same pivots and factors bit for bit.  Because partial
   pivoting makes the factor structure value-dependent, the symbolic
   setup of the GPU triangular solver must be redone after *every*
   numeric factorization -- the effect dominating Table III(a) and the

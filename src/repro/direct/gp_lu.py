@@ -1,11 +1,22 @@
 """Gilbert--Peierls sparse LU with partial pivoting (the SuperLU model).
 
-Left-looking, column-at-a-time factorization: for each column, a DFS on
-the structure of the already-computed ``L`` columns finds the reach of
-the column's pattern (the symbolic step), then a sparse lower-triangular
-solve computes the column values, and partial pivoting picks the largest
-remaining entry.  Time is proportional to the flops performed [Gilbert &
-Peierls 1988]; SuperLU is the supernodal evolution of this algorithm.
+The paper's SuperLU is left-looking and column-at-a-time: for each
+column a DFS on the structure of the already-computed ``L`` columns
+finds the reach of the column's pattern (the symbolic step), a sparse
+lower-triangular solve computes the column values, and partial
+pivoting picks the largest remaining entry [Gilbert & Peierls 1988].
+That loop is kept as :meth:`GilbertPeierlsLU._numeric_reference`, the
+executable specification.
+
+The executed cold factorization, :meth:`GilbertPeierlsLU.numeric`, is
+one right-looking pass over a dense workspace: column ``k`` holds its
+final values when step ``k`` starts, so the pivot is chosen there by
+the reference's own rules, and every factor entry receives the same
+products in the same order -- the factors, the pivot sequence and the
+flop count equal the reference's bit for bit.  Where that cannot be
+guaranteed (an exact tie, a singular column, a non-finite value, a
+``-0.0`` input, a block too large for the workspace) the pass hands the
+matrix to the reference.
 
 Because the pivot order depends on *values*, the paper's SuperLU
 rebuilds everything on a refactorization: the factor pattern, the
@@ -45,8 +56,9 @@ from repro.tri.factored import FactoredSolve
 
 __all__ = ["GilbertPeierlsLU", "GpLuSymbolic"]
 
-#: byte cap of :meth:`GilbertPeierlsLU.replay`'s dense ``n x n``
-#: workspace; a larger block is refactored by the full factorization
+#: byte cap of the dense ``n x n`` workspace of
+#: :meth:`GilbertPeierlsLU.numeric` and :meth:`GilbertPeierlsLU.replay`;
+#: a larger block is factored by the left-looking reference loop
 REPLAY_WORKSPACE_BYTES = 64 << 20
 #: threshold partial pivoting: the diagonal entry is kept as pivot when
 #: ``|a_jj| >= PIVOT_TOL * max_i |a_ij|`` (1.0 = classic partial
@@ -74,6 +86,76 @@ def _transpose_plan(ptr: np.ndarray, pos: np.ndarray):
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(pos, minlength=n), out=indptr[1:])
     return col, (order, indptr, col[order])
+
+
+def _block_index(rows: np.ndarray, cols: np.ndarray):
+    """The index of the block ``rows x cols`` of a dense array.
+
+    A run of consecutive indices becomes a slice, which gathers and
+    scatters faster than a fancy index over the same block.
+    """
+    r = slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] + 1 == rows.size else rows
+    c = slice(cols[0], cols[-1] + 1) if cols[-1] - cols[0] + 1 == cols.size else cols
+    return np.ix_(rows, cols) if r is rows and c is cols else (r, c)
+
+
+def _has_negative_zero(a: CsrMatrix) -> bool:
+    """Whether ``a`` stores a ``-0.0``, which a dense pass could turn
+    into ``+0.0`` where the left-looking loop keeps it."""
+    return bool(np.any((a.data == 0.0) & np.signbit(a.data)))
+
+
+def _singularity_guard(a: CsrMatrix) -> float:
+    """The pivot magnitude at or below which a column counts as singular.
+
+    With partial pivoting the pivot is the column max, so a pivot
+    vanishing relative to ``||A||_max`` means rank deficiency (e.g. an
+    un-grounded Neumann matrix).
+    """
+    amax = float(np.abs(a.data).max()) if a.nnz else 0.0
+    return 100.0 * a.n_rows * np.finfo(np.float64).eps * amax
+
+
+def _factor_values(w, l_ptr, l_pos, l_col, u_pos, u_col):
+    """The CSC values of ``L`` and ``U`` read from a dense workspace.
+
+    ``w`` holds every final column, rows by pivot position; ``L`` is
+    ``w`` over the pivot of its column, with the unit pivot entry stored
+    first.  Returns ``(l_data, u_data)``, or None when an entry is not
+    finite.
+    """
+    pivots = np.diagonal(w).copy()
+    l_data = w[l_pos, l_col] / pivots[l_col]
+    l_data[l_ptr[:-1]] = 1.0
+    u_data = w[u_pos, u_col]
+    if not (np.isfinite(l_data).all() and np.isfinite(u_data).all()):
+        return None
+    return l_data, u_data
+
+
+def _getrf_flops(l_ptr, l_pos, u_pos, u_col, u_data) -> float:
+    """The reference factorization's flop count, from the factors alone.
+
+    2 |strict L(:, j)| flops per nonzero strict ``U(j, k)`` (a zero
+    pivot-row entry skips its update), plus one divide per strict ``L``
+    entry.
+    """
+    n = l_ptr.size - 1
+    strict_nz = (u_pos != u_col) & (u_data != 0.0)
+    updates = int(np.bincount(u_pos[strict_nz], minlength=n) @ (np.diff(l_ptr) - 1))
+    return 2.0 * updates + (l_pos.size - n)
+
+
+def _getrf_profile(a: CsrMatrix, flops: float, nnz_lu: int) -> KernelProfile:
+    """The modeled cost of one factorization: sequential on one CPU core."""
+    profile = KernelProfile()
+    profile.add(
+        "factor.superlu_getrf",
+        flops=flops,
+        bytes=float(nnz_lu) * 16.0 + a.nnz * 12.0,
+        parallelism=1.0,
+    )
+    return profile
 
 
 class GilbertPeierlsLU(DirectSolver):
@@ -138,14 +220,111 @@ class GilbertPeierlsLU(DirectSolver):
 
     # ------------------------------------------------------------------
     def numeric(self, a: CsrMatrix) -> "GilbertPeierlsLU":
-        """Factor ``P (A permuted) = L U`` column by column.
+        """Factor ``P (A permuted) = L U`` in one right-looking pass.
 
-        The reach of each column is traversed in increasing pivot
-        position with a binary heap, which is a valid topological order
-        because ``L``-column updates only flow from lower to higher
-        positions.  Per reach column the numeric update is one
-        vectorized scatter, keeping the Python overhead proportional to
-        the factor's *structure*, not its flops.
+        Runs over a dense ``n x n`` workspace ``W`` (rows of the
+        permuted matrix by column) and an ``n x n`` boolean structure
+        ``S``.  When step ``k`` starts, column ``k`` holds its final
+        values -- every earlier pivot has updated it -- so the pivot is
+        chosen there by :meth:`_numeric_reference`'s two rules: the
+        diagonal when it passes the :data:`PIVOT_TOL` threshold, else
+        the column maximum.  Step ``k`` then subtracts ``l_k u_k`` from
+        one block -- the unpivoted rows of its ``L`` column times the
+        structural columns of the pivot row -- and ORs that block into
+        ``S``.  ``S`` grows exactly as the left-looking reach does, and
+        every factor entry receives the same products in the same
+        increasing-pivot order, so ``L``, ``U``, ``row_perm`` and
+        ``flops`` equal the reference's bit for bit.
+        The block also carries products with pivot-row entries that are
+        exactly zero (which the reference skips); they are signed zeros
+        and change nothing while every value is finite and no entry of
+        ``a`` is ``-0.0``.
+
+        The pass hands the matrix to :meth:`_numeric_reference` when it
+        cannot guarantee that: an empty candidate set, a column maximum
+        at or below the singularity guard or NaN, an exact tie for the
+        maximum that the diagonal does not win (the reference breaks it
+        by discovery order), a non-finite factor entry, a ``-0.0`` in
+        ``a``, or an ``n x n`` workspace over
+        :data:`REPLAY_WORKSPACE_BYTES`.  The reference then raises the
+        same :class:`~repro.resilience.detect.PivotBreakdownError` or
+        returns the same factors.  The workspaces live only for the
+        call.
+        """
+        self._require("numeric")
+        check_same_pattern(self._pattern_fp, a, "superlu")
+        n = a.n_rows
+        if 8 * n * n > REPLAY_WORKSPACE_BYTES or _has_negative_zero(a):
+            return self._numeric_reference(a)
+        ap = permute(a, self.perm)
+        # column-major: the pass reads one column per step
+        w = np.zeros((n, n), order="F")
+        s = np.zeros((n, n), dtype=bool, order="F")
+        ap_rows = ap.expanded_rows()
+        w[ap_rows, ap.indices] = ap.data
+        s[ap_rows, ap.indices] = True
+        tiny = _singularity_guard(a)
+        pinv = np.full(n, -1, dtype=np.int64)
+        free = np.ones(n, dtype=bool)  # rows not yet pivoted
+        with np.errstate(all="ignore"):
+            for k in range(n):
+                cand = np.flatnonzero(s[:, k] & free)
+                if not cand.size:
+                    return self._numeric_reference(a)
+                mag = np.abs(w[cand, k])
+                vmax = mag.max()
+                if not vmax > tiny:  # also a NaN
+                    return self._numeric_reference(a)
+                if free[k] and s[k, k] and abs(w[k, k]) >= PIVOT_TOL * vmax:
+                    ipiv = k
+                else:
+                    (at, *ties) = np.flatnonzero(mag == vmax)
+                    if ties:
+                        return self._numeric_reference(a)
+                    ipiv = int(cand[at])
+                pinv[ipiv] = k
+                free[ipiv] = False
+                lower = cand[cand != ipiv]
+                upper = np.flatnonzero(s[ipiv, k + 1 :]) + (k + 1)
+                if lower.size and upper.size:
+                    ix = _block_index(lower, upper)
+                    w[ix] -= (w[lower, k] / w[ipiv, k])[:, None] * w[ipiv, upper]
+                    s[ix] = True
+
+            # S by pivot position holds both factor patterns: column k
+            # of L is its rows at positions >= k (pivot first), of U its
+            # rows at positions <= k (pivot last), both ascending
+            row_perm = inverse_permutation(pinv)
+            col, pos = np.nonzero(s[row_perm].T)
+            in_l, in_u = pos >= col, pos <= col
+            l_col, l_pos = col[in_l], pos[in_l]
+            u_col, u_pos = col[in_u], pos[in_u]
+            l_ptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(l_col, minlength=n), out=l_ptr[1:])
+            u_ptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(u_col, minlength=n), out=u_ptr[1:])
+            values = _factor_values(w[row_perm], l_ptr, l_pos, l_col, u_pos, u_col)
+        if values is None:
+            return self._numeric_reference(a)
+        l_data, u_data = values
+        self._store(
+            a, pinv, (l_ptr, l_pos, l_data), (u_ptr, u_pos, u_data),
+            _getrf_flops(l_ptr, l_pos, u_pos, u_col, u_data),
+        )
+        return self
+
+    def _numeric_reference(self, a: CsrMatrix) -> "GilbertPeierlsLU":
+        """The left-looking, column-at-a-time factorization :meth:`numeric`
+        replaced; kept as its executable specification and fallback.
+
+        For each column a depth-first reach over the computed ``L``
+        columns finds the column's pattern, traversed in increasing
+        pivot position with a binary heap (a valid topological order:
+        ``L``-column updates only flow from lower to higher positions);
+        a sparse triangular solve computes its values, and the pivot is
+        picked among the unpivoted rows.  Raises
+        :class:`~repro.resilience.detect.PivotBreakdownError` on a
+        structurally or numerically singular column.
         """
         import heapq
 
@@ -171,11 +350,7 @@ class GilbertPeierlsLU(DirectSolver):
         x = np.zeros(n, dtype=np.float64)
         marked = np.full(n, -1, dtype=np.int64)
         flops = 0.0
-        # near-singularity guard: with partial pivoting the pivot is the
-        # column max, so a pivot vanishing relative to ||A||_max means
-        # rank deficiency (e.g. an un-grounded Neumann matrix)
-        amax = float(np.abs(a.data).max()) if a.nnz else 0.0
-        tiny = 100.0 * n * np.finfo(np.float64).eps * amax
+        tiny = _singularity_guard(a)
 
         # per-column L access by pivot position
         lcol_rows: List[np.ndarray] = []
@@ -269,7 +444,6 @@ class GilbertPeierlsLU(DirectSolver):
             x[unodes] = 0.0
 
         # finalize: map L row ids to pivot positions
-        self.row_perm = inverse_permutation(pinv)  # position -> original row
         l_indptr = np.asarray(l_ptr, dtype=np.int64)
         l_indices = pinv[np.concatenate(l_rows)] if l_rows else np.empty(0, np.int64)
         l_data = np.concatenate(l_vals) if l_vals else np.empty(0)
@@ -279,28 +453,32 @@ class GilbertPeierlsLU(DirectSolver):
             order = np.argsort(l_indices[lo:hi])
             l_indices[lo:hi] = l_indices[lo:hi][order]
             l_data[lo:hi] = l_data[lo:hi][order]
-        self._l = (l_indptr, l_indices, l_data)
         u_indptr = np.asarray(u_ptr, dtype=np.int64)
-        self._u = (
-            u_indptr,
-            np.concatenate(u_rows) if u_rows else np.empty(0, np.int64),
-            np.concatenate(u_vals) if u_vals else np.empty(0),
+        self._store(
+            a,
+            pinv,
+            (l_indptr, l_indices, l_data),
+            (
+                u_indptr,
+                np.concatenate(u_rows) if u_rows else np.empty(0, np.int64),
+                np.concatenate(u_vals) if u_vals else np.empty(0),
+            ),
+            flops,
         )
-        self.pinv = pinv
-        self.flops = flops
+        return self
 
-        self.numeric_profile = KernelProfile()
-        # left-looking factorization is sequential on one CPU core
-        nnz_lu = float(l_indices.size + self._u[1].size)
-        self.numeric_profile.add(
-            "factor.superlu_getrf",
-            flops=flops,
-            bytes=nnz_lu * 16.0 + a.nnz * 12.0,
-            parallelism=1.0,
-        )
+    def _store(
+        self, a: CsrMatrix, pinv: np.ndarray, l: tuple, u: tuple, flops: float
+    ) -> None:
+        """Adopt a factorization: pivots, sorted CSC factors, profile, solve."""
+        self.pinv = pinv
+        self.row_perm = inverse_permutation(pinv)  # position -> original row
+        self._l = l
+        self._u = u
+        self.flops = flops
+        self.numeric_profile = _getrf_profile(a, flops, l[1].size + u[1].size)
         self._numeric_done = True
         self._build_solve()
-        return self
 
     # ------------------------------------------------------------------
     def refactorize(self, a: CsrMatrix) -> "GilbertPeierlsLU":
@@ -369,9 +547,7 @@ class GilbertPeierlsLU(DirectSolver):
         self._require("solve")
         check_same_pattern(self._pattern_fp, a, "superlu")
         n = a.n_rows
-        if 8 * n * n > REPLAY_WORKSPACE_BYTES or np.any(
-            (a.data == 0.0) & np.signbit(a.data)
-        ):
+        if 8 * n * n > REPLAY_WORKSPACE_BYTES or _has_negative_zero(a):
             return None
         l_ptr, l_pos, _ = self._l
         u_ptr, u_pos, _ = self._u
@@ -418,12 +594,10 @@ class GilbertPeierlsLU(DirectSolver):
 
             # W now holds every final column: read the factors and check
             # every recorded pivot against numeric's rules
-            pivots = np.diagonal(w).copy()
-            l_data = w[l_pos, l_col] / pivots[l_col]
-            l_data[l_ptr[:-1]] = 1.0
-            u_data = w[u_pos, u_col]
-            if not (np.isfinite(l_data).all() and np.isfinite(u_data).all()):
+            values = _factor_values(w, l_ptr, l_pos, l_col, u_pos, u_col)
+            if values is None:
                 return None
+            l_data, u_data = values
             cand = np.abs(w[l_pos, l_col])
             vmax = np.maximum.reduceat(cand, l_ptr[:-1])
             thresh = PIVOT_TOL * vmax
@@ -435,21 +609,15 @@ class GilbertPeierlsLU(DirectSolver):
             )
             keep_diag = (l_col[at] * n + l_pos[at] == diag_key) & (cand[at] >= thresh)
             n_max = np.add.reduceat(cand == vmax[l_col], l_ptr[:-1])
-            piv = np.abs(pivots)
-            amax = float(np.abs(a.data).max()) if a.nnz else 0.0
-            tiny = 100.0 * n * np.finfo(np.float64).eps * amax
-            good = (vmax > tiny) & np.where(
+            piv = np.abs(np.diagonal(w))
+            good = (vmax > _singularity_guard(a)) & np.where(
                 self.row_perm == np.arange(n),
                 piv >= thresh,
                 ~keep_diag & (piv == vmax) & (n_max == 1),
             )
             if not good.all():
                 return None
-        # numeric's count: 2 |L(:, j)| flops per nonzero strict U(j, k),
-        # plus one divide per strict L entry
-        strict_nz = (u_pos != u_col) & (u_data != 0.0)
-        updates = int(np.bincount(u_pos[strict_nz], minlength=n) @ l_len)
-        flops = 2.0 * updates + (l_pos.size - n)
+        flops = _getrf_flops(l_ptr, l_pos, u_pos, u_col, u_data)
         return self._with_values(a, flops, (l_data, *l_t), (u_data, *u_t))
 
     def pivot_record(self) -> "GilbertPeierlsLU":
@@ -481,14 +649,7 @@ class GilbertPeierlsLU(DirectSolver):
         new._l = (self._l[0], self._l[1], l_data)
         new._u = (self._u[0], self._u[1], u_data)
         new.flops = flops
-        new.numeric_profile = KernelProfile()
-        nnz_lu = float(l_data.size + u_data.size)
-        new.numeric_profile.add(
-            "factor.superlu_getrf",
-            flops=flops,
-            bytes=nnz_lu * 16.0 + a.nnz * 12.0,
-            parallelism=1.0,
-        )
+        new.numeric_profile = _getrf_profile(a, flops, l_data.size + u_data.size)
         new.l_csr = CsrMatrix(*l_csr, l_data[l_order], (n, n))
         new.u_csr = CsrMatrix(*u_csr, u_data[u_order], (n, n))
         new.stages = replace(
@@ -507,13 +668,11 @@ class GilbertPeierlsLU(DirectSolver):
         Kokkos-Kernels solver via :meth:`supernodal_l`.
         """
         n = self.pinv.size
-        l_indptr, l_indices, l_data = self._l
-        u_indptr, u_rows_arr, u_vals_arr = self._u
-        # CSC -> CSR via transpose of the CSC-as-CSR-of-transpose trick
-        lT = CsrMatrix(l_indptr, l_indices, l_data, (n, n))  # rows = columns of L
-        self.l_csr = lT.transpose()
-        uT = CsrMatrix(u_indptr, u_rows_arr, u_vals_arr, (n, n))
-        self.u_csr = uT.transpose()
+        (l_ptr, l_pos, l_data), (u_ptr, u_pos, u_data) = self._l, self._u
+        _, (l_order, *l_csr) = _transpose_plan(l_ptr, l_pos)
+        _, (u_order, *u_csr) = _transpose_plan(u_ptr, u_pos)
+        self.l_csr = CsrMatrix(*l_csr, l_data[l_order], (n, n))
+        self.u_csr = CsrMatrix(*u_csr, u_data[u_order], (n, n))
         from repro.tri.levelset import LevelScheduledTriangular
 
         l_solver = LevelScheduledTriangular(self.l_csr, lower=True)

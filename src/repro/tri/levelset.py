@@ -85,10 +85,9 @@ def level_schedule(t: CsrMatrix, lower: bool = True) -> np.ndarray:
         edges = _concat_ranges(out_ptr[frontier], out_counts[frontier])
         if not edges.size:
             break
-        targets = dst_by_src[edges]
-        indegree -= np.bincount(targets, minlength=n)
-        candidates = np.unique(targets)
-        frontier = candidates[indegree[candidates] == 0]
+        dec = np.bincount(dst_by_src[edges], minlength=n)
+        indegree -= dec
+        frontier = np.flatnonzero((indegree == 0) & (dec > 0))
     return level
 
 
